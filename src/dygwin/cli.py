@@ -10,23 +10,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import load_model, save_model
 from .config import RunConfig, config_hash, parse_config_file, resolve_config, write_config
 from .data import (CTDG, chronological_split, inductive_split, load_cache, load_csv,
                    load_split_manifest, save_cache, save_split_manifest,
                    split_edge_indices)
-from .downstream import (TrainConfig, evaluate_dnc, evaluate_flp,
-                         init_dnc_decoder, init_flp_decoder, train_downstream)
+from .downstream import (TrainConfig, evaluate_dnc, evaluate_flp, init_decoder,
+                         train_downstream)
 from .encoder import EncoderParams, init_encoder
 from .errors import ConfigError, ContractError, DataError, NumericFailure
 from .metrics import write_metrics_report
 from .pretrain import (DistortionConfig, PretrainConfig, init_predictor, pretrain)
-from .serialize import load_model_state, load_named_state, save_model
 from .timing import PhaseTimer
 
 
@@ -38,15 +39,15 @@ def _fail(kind: str, message: str, code: int) -> int:
 def _make_run_dir(config: RunConfig, subcommand: str) -> Path:
     base = Path(config.output_dir)
     base.mkdir(parents=True, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = base / f"{subcommand}-{config_hash(config)}-{stamp}"
-    counter = 0
-    while candidate.exists():
-        counter += 1
-        candidate = base / f"{subcommand}-{config_hash(config)}-{stamp}-{counter}"
-    candidate.mkdir()
-    write_config(candidate / "config.txt", config)
-    return candidate
+    name = f"{subcommand}-{config_hash(config)}-{time.strftime('%Y%m%d-%H%M%S')}"
+    for counter in itertools.count():
+        candidate = base / (f"{name}-{counter}" if counter else name)
+        try:
+            candidate.mkdir()  # claims the name; a run starting alongside takes the next
+        except FileExistsError:
+            continue
+        write_config(candidate / "config.txt", config)
+        return candidate
 
 
 def _load_dataset(config: RunConfig) -> CTDG:
@@ -150,8 +151,7 @@ def _cmd_train_impl(config: RunConfig, force_freeze: bool) -> int:
     split = _get_split(config, ctdg)
     encoder = _make_encoder(config, ctdg)
     if config.encoder_init == "checkpoint":
-        state = load_model_state(config.checkpoint)
-        load_named_state(encoder.named("encoder"), state)
+        load_model(config.checkpoint, encoder=encoder)
     freeze = force_freeze or config.freeze_encoder
     run_dir = _make_run_dir(config, "probe" if force_freeze else "train")
     timer = PhaseTimer()
@@ -182,26 +182,14 @@ def cmd_eval(config: RunConfig) -> int:
     ctdg = _load_dataset(config)
     split = _get_split(config, ctdg)
     encoder = _make_encoder(config, ctdg)
-    if config.task == "flp":
-        decoder = init_flp_decoder(config.node_dim, config.time_dim,
-                                   config.effective_hidden_dim, seed=config.seed,
-                                   dtype=_dtype(config))
-    else:
-        decoder = init_dnc_decoder(config.node_dim, config.time_dim,
-                                   config.effective_hidden_dim, seed=config.seed,
-                                   dtype=_dtype(config))
-    state = load_model_state(config.checkpoint)
-    load_named_state(encoder.named("encoder"), state)
-    load_named_state(decoder.named("decoder"), state)
+    decoder = init_decoder(config.task, config.node_dim, config.time_dim,
+                           config.effective_hidden_dim, seed=config.seed, dtype=_dtype(config))
+    load_model(config.checkpoint, encoder=encoder, decoder=decoder)
 
     train_end, val_end = split.boundaries
     regions = {"val": (train_end, val_end), "test": (val_end, len(ctdg))}
     wanted = ("val", "test") if config.eval_split == "both" else (config.eval_split,)
-    target_filter = None
-    if split.mode == "inductive":
-        masked = np.zeros(ctdg.num_nodes, dtype=bool)
-        masked[list(split.masked_nodes)] = True
-        target_filter = lambda edges: masked[edges.u] | masked[edges.v]  # noqa: E731
+    target_filter = split.masked_filter(ctdg.num_nodes)
 
     rows = []
     for split_name in wanted:
@@ -291,13 +279,17 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dygwin",
                                      description="Window-based dynamic graph learning engine")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         _add_common_flags(subparsers.add_parser(name))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         config = resolve_config(file_values, _collect_overrides(args))

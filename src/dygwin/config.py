@@ -100,10 +100,6 @@ class RunConfig:
             raise ConfigError("encoder_init=checkpoint requires a checkpoint path")
 
     @property
-    def effective_stride(self) -> int:
-        return self.stride if self.stride > 0 else self.target_size
-
-    @property
     def effective_weight_decay(self) -> float:
         if self.weight_decay >= 0:
             return self.weight_decay

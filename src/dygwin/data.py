@@ -18,18 +18,6 @@ import numpy as np
 from .errors import ContractError, DataError
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One interaction: endpoints, timestamp, features, optional dynamic label."""
-
-    index: int
-    u: int
-    v: int
-    t: float
-    m: np.ndarray
-    node_label: float | None = None
-
-
 class EdgeArray:
     """Columnar slice of interactions, the working unit for windows and views.
 
@@ -109,21 +97,12 @@ class CTDG:
         return len(self.u)
 
     @property
-    def num_edges(self) -> int:
-        return len(self.u)
-
-    @property
     def edge_dim(self) -> int:
         return self.feats.shape[1]
 
     @property
     def node_dim(self) -> int:
         return 0 if self.node_features is None else self.node_features.shape[1]
-
-    def edge(self, i: int) -> Edge:
-        label = float(self.labels[i]) if self.label_present[i] else None
-        return Edge(i, int(self.u[i]), int(self.v[i]), float(self.t[i]),
-                    self.feats[i].copy(), label)
 
     def window(self, start: int, end: int) -> EdgeArray:
         """Edges with index in [start, end)."""
@@ -133,12 +112,6 @@ class CTDG:
         return EdgeArray(self.u[sel], self.v[sel], self.t[sel], self.feats[sel],
                          np.arange(start, end, dtype=np.int64),
                          self.labels[sel], self.label_present[sel])
-
-    def select(self, indices: np.ndarray) -> EdgeArray:
-        indices = np.asarray(indices, dtype=np.int64)
-        return EdgeArray(self.u[indices], self.v[indices], self.t[indices],
-                         self.feats[indices], indices, self.labels[indices],
-                         self.label_present[indices])
 
     def subset(self, indices: np.ndarray) -> "CTDG":
         """Re-indexed log keeping only ``indices`` (ascending); node ids unchanged."""
@@ -165,6 +138,15 @@ class SplitSpec:
             raise DataError(f"unknown split mode {self.mode!r}")
         if self.mode == "transductive" and self.masked_nodes:
             raise DataError("masked_nodes must be empty in transductive mode")
+
+    def masked_filter(self, num_nodes: int):
+        """Selector of the edges (of a slice or a whole log) touching a masked
+        node; ``None`` when transductive, where every edge is kept."""
+        if self.mode != "inductive":
+            return None
+        masked = np.zeros(num_nodes, dtype=bool)
+        masked[list(self.masked_nodes)] = True
+        return lambda edges: masked[edges.u] | masked[edges.v]
 
 
 def _parse_number(text: str, line_no: int, column: str) -> float:
@@ -334,10 +316,9 @@ def split_edge_indices(ctdg: CTDG, split: SplitSpec) -> tuple[np.ndarray, np.nda
     train = np.arange(0, train_end, dtype=np.int64)
     val = np.arange(train_end, val_end, dtype=np.int64)
     test = np.arange(val_end, E, dtype=np.int64)
-    if split.mode == "inductive":
-        masked = np.zeros(ctdg.num_nodes, dtype=bool)
-        masked[list(split.masked_nodes)] = True
-        touches = masked[ctdg.u] | masked[ctdg.v]
+    touches_masked = split.masked_filter(ctdg.num_nodes)
+    if touches_masked is not None:
+        touches = touches_masked(ctdg)
         train = train[~touches[train]]
         val = val[touches[val]]
         test = test[touches[test]]

@@ -8,20 +8,17 @@ encoder parameters.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint
 from .data import CTDG, EdgeArray, SplitSpec, split_edge_indices
 from .encoder import EncoderParams, NodeEmbeddings, encode, window_end_time
 from .errors import ConfigError, ContractError, NumericFailure
 from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2vec
 from .metrics import EvalRecord, auc, average_precision, mrr, recall_at_k
 from .optim import Adam
-from .serialize import load_encoder_state
 from .tensor import Tape, Tensor, backward
 from .windows import evaluation_windows, generate_intervals, make_window_batch
 
@@ -102,6 +99,16 @@ def init_dnc_decoder(node_dim: int, time_dim: int, hidden_dim: int | None = None
         dropout=dropout)
 
 
+def init_decoder(task: str, node_dim: int, time_dim: int, hidden_dim: int | None = None,
+                 seed: int = 0, dtype=np.float32):
+    """The decoder a task trains: FLP's pair scorer or DNC's source classifier."""
+    if task == "flp":
+        return init_flp_decoder(node_dim, time_dim, hidden_dim, seed=seed, dtype=dtype)
+    if task == "dnc":
+        return init_dnc_decoder(node_dim, time_dim, hidden_dim, seed=seed, dtype=dtype)
+    raise ConfigError(f"unknown task {task!r}")
+
+
 def _source_recency(cache: WindowFeatureCache, sources: np.ndarray, fallback: float) -> np.ndarray:
     return np.asarray([cache.recency(int(u), fallback) for u in sources], dtype=np.float64)
 
@@ -121,14 +128,6 @@ def flp_score(decoder: FLPDecoderParams, embeddings: NodeEmbeddings,
     return T.linear(hidden, decoder.w2, decoder.b2)
 
 
-def flp_decode(embeddings: NodeEmbeddings, u: int, v: int, t: float,
-               decoder: FLPDecoderParams, cache: WindowFeatureCache,
-               fallback_time: float) -> Tensor:
-    """Single-edge logit; symmetric in (u, v) whenever their recencies agree."""
-    return flp_score(decoder, embeddings, np.asarray([u]), np.asarray([v]),
-                     np.asarray([t]), cache, fallback_time)
-
-
 def dnc_score(decoder: DNCDecoderParams, embeddings: NodeEmbeddings,
               src: np.ndarray, ts: np.ndarray, cache: WindowFeatureCache,
               fallback_time: float, training: bool = False,
@@ -140,14 +139,6 @@ def dnc_score(decoder: DNCDecoderParams, embeddings: NodeEmbeddings,
         hidden = T.dropout(hidden, decoder.dropout, rng, training=True)
     hidden = T.relu(T.linear(hidden, decoder.w2, decoder.b2))
     return T.linear(hidden, decoder.w3, decoder.b3)
-
-
-def dnc_decode(embeddings: NodeEmbeddings, u: int, t: float,
-               decoder: DNCDecoderParams, cache: WindowFeatureCache,
-               fallback_time: float, training: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-    return dnc_score(decoder, embeddings, np.asarray([u]), np.asarray([t]),
-                     cache, fallback_time, training=training, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +226,9 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
                 groups.append(group)
         else:
             groups.extend([] for _ in range(len(targets)))
+    # Negatives first: AP keeps input order on ties, so a tied positive ranks
+    # below every negative and a constant scorer cannot look informative.
+    records.sort(key=lambda r: r.label)
     result = {"num_positives": sum(1 for r in records if r.label == 1),
               "ap": average_precision(records) if records else None}
     if rank_negatives > 0:
@@ -262,6 +256,7 @@ def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
                            window_end_time(batch), training=False).values.ravel()
         labels = (labeled.labels > 0.5).astype(int)
         records.extend(EvalRecord(float(s), int(y)) for s, y in zip(scores, labels))
+    records.sort(key=lambda r: r.label)  # negatives first, as in evaluate_flp
     return {"num_records": len(records),
             "auc": auc(records) if records else None,
             "ap": average_precision(records) if records else None}
@@ -342,12 +337,8 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     intervals = training_intervals(len(train_ctdg), config, label_fraction)
 
     if decoder is None:
-        if task == "flp":
-            decoder = init_flp_decoder(encoder.node_dim, encoder.time_dim,
-                                       config.hidden_dim, seed=config.seed)
-        else:
-            decoder = init_dnc_decoder(encoder.node_dim, encoder.time_dim,
-                                       config.hidden_dim, seed=config.seed)
+        decoder = init_decoder(task, encoder.node_dim, encoder.time_dim,
+                               config.hidden_dim, seed=config.seed)
 
     encoder.set_requires_grad(not freeze_encoder)
     trainable = dict(decoder.named())
@@ -356,11 +347,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     optimizer = Adam(trainable, lr=config.lr, weight_decay=weight_decay)
 
     train_end, val_end = split.boundaries
-    masked_filter = None
-    if split.mode == "inductive":
-        masked = np.zeros(ctdg.num_nodes, dtype=bool)
-        masked[list(split.masked_nodes)] = True
-        masked_filter = lambda edges: masked[edges.u] | masked[edges.v]  # noqa: E731
+    masked_filter = split.masked_filter(ctdg.num_nodes)
 
     def run_validation() -> float | None:
         if val_end <= train_end:
@@ -473,37 +460,3 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     return TrainResult(encoder=encoder, decoder=decoder, history=history,
                        best_epoch=best_epoch,
                        best_val_ap=None if best_ap == -np.inf else best_ap)
-
-
-def dnc_protocol(ctdg: CTDG, split: SplitSpec, encoder_source: str,
-                 checkpoints: dict[str, object], encoder: EncoderParams,
-                 config: TrainConfig | None = None) -> dict:
-    """Train only the node-classification decoder on a frozen, pre-trained encoder.
-
-    ``encoder_source`` names which checkpoint to load ("flp_pretrained" or
-    "ssl_pretrained"); a missing entry or file is a configuration error.
-    """
-    path = checkpoints.get(encoder_source)
-    if path is None:
-        raise ConfigError(f"no checkpoint configured for encoder source {encoder_source!r}")
-    try:
-        state = load_checkpoint(path)
-    except FileNotFoundError:
-        raise ConfigError(f"checkpoint file not found: {path}") from None
-    load_encoder_state(encoder, state)
-    config = config or TrainConfig()
-    result = train_downstream(ctdg, split, "dnc", encoder, freeze_encoder=True,
-                              config=config)
-    _, val_end = split.boundaries
-    masked_filter = None
-    if split.mode == "inductive":
-        masked = np.zeros(ctdg.num_nodes, dtype=bool)
-        masked[list(split.masked_nodes)] = True
-        masked_filter = lambda edges: masked[edges.u] | masked[edges.v]  # noqa: E731
-    report = evaluate_dnc(ctdg, (val_end, len(ctdg)), encoder, result.decoder,
-                          config.window, config.target_size, config.max_neighbors,
-                          config.seed, target_filter=masked_filter)
-    if report["auc"] is None:
-        warnings.warn("test AUC undefined (single-class labels); reported as absent")
-    report["history"] = result.history
-    return report

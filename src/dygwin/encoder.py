@@ -126,49 +126,6 @@ class NodeEmbeddings:
         return T.slice_rows(self.matrix, self.rows(nodes))
 
 
-def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,
-                 m_p: np.ndarray, params: EncoderParams,
-                 counts=(0, 0, 0)) -> Tensor:
-    """Single-edge message [h_neighbor || time-and-structure encoding || features]."""
-    if anchor_recency < t_p:
-        raise ContractError(f"anchor recency {anchor_recency} precedes edge time {t_p}")
-    f = time2vec(params.t2v, anchor_recency - t_p)
-    scaled = apply_count_scale(np.asarray(counts, dtype=np.float64).reshape(1, 3),
-                               params.edge_enc.scale)
-    f = T.add(f, T.matmul(T.constant(scaled, dtype=params.edge_enc.w2.dtype),
-                          params.edge_enc.w2))
-    parts = [h_u_prev, f]
-    if params.edge_dim > 0:
-        parts.append(T.constant(np.asarray(m_p, dtype=np.float64).reshape(1, -1),
-                                dtype=h_u_prev.dtype))
-    return T.concat_last_dim(parts)
-
-
-def mha(query: Tensor, keys: Tensor | None, layer: LayerParams,
-        dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-        training: bool = False) -> Tensor:
-    """Reference multi-head scaled dot-product attention for one anchor.
-
-    ``keys`` holds one message per row and doubles as the values; an empty
-    or missing key set yields the zero vector.
-    """
-    node_dim = layer.w1.shape[0]
-    if keys is None or keys.shape[0] == 0:
-        return T.constant(np.zeros((1, node_dim)), dtype=query.dtype)
-    head_dim = layer.wq[0].shape[1]
-    contexts = []
-    for h in range(len(layer.wq)):
-        q = T.matmul(query, layer.wq[h])                    # (1, head_dim)
-        k = T.matmul(keys, layer.wk[h])                     # (rows, head_dim)
-        v = T.matmul(keys, layer.wv[h])
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(head_dim))
-        attn = T.softmax_rows(scores)                       # (1, rows)
-        if dropout_p > 0.0:
-            attn = T.dropout(attn, dropout_p, rng, training=training)
-        contexts.append(T.matmul(attn, v))                  # (1, head_dim)
-    return T.matmul(T.concat_last_dim(contexts), layer.wo)
-
-
 def _flatten_layer(samples: dict[int, np.ndarray], embeddings: NodeEmbeddings,
                    edges: EdgeArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten per-anchor samples into (anchor_row, edge_position, neighbor_row)."""

@@ -57,14 +57,6 @@ def time2vec(params: Time2VecParams, delta_t) -> Tensor:
     return T.add(T.mul(angles, keep_linear), T.mul(T.sin(angles), keep_sin))
 
 
-def degree_at(input_edges: EdgeArray, node: int, t: float,
-              index: IncidenceIndex | None = None) -> int:
-    """Incident interactions of ``node`` with timestamp <= t; parallels count."""
-    if index is None:
-        index = IncidenceIndex(input_edges)
-    return index.degree_before(node, t)
-
-
 def _neighbors_before(index: IncidenceIndex, node: int, t: float) -> np.ndarray:
     positions = index.incident(node)
     if positions.size == 0:
@@ -148,22 +140,3 @@ def apply_count_scale(counts: np.ndarray, scale: str) -> np.ndarray:
     if scale == "log1p":
         return np.log1p(counts)
     raise ContractError(f"unknown edge_enc_scale {scale!r}")
-
-
-def encode_counts(enc: TemporalEdgeEncoding, counts: np.ndarray) -> Tensor:
-    """Map a (rows, 3) count matrix through the learned bias-free projection."""
-    scaled = apply_count_scale(np.asarray(counts, dtype=np.float64), enc.scale)
-    return T.matmul(T.constant(scaled, dtype=enc.w2.dtype), enc.w2)
-
-
-def edge_encoding(enc: TemporalEdgeEncoding, input_edges: EdgeArray,
-                  u: int, v: int, t: float,
-                  index: IncidenceIndex | None = None) -> Tensor:
-    """Encoding vector for a (u, v, t) interaction; shape (1, dim)."""
-    if index is None:
-        index = IncidenceIndex(input_edges)
-    counts = np.asarray([[index.degree_before(u, t),
-                          index.degree_before(v, t),
-                          common_neighbors_at(input_edges, u, v, t, index)]],
-                        dtype=np.float64)
-    return encode_counts(enc, counts)

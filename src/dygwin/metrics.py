@@ -94,13 +94,6 @@ def auc(records) -> float | None:
     return float(wins / (pos.size * neg.size))
 
 
-def group_records(records) -> list[list[EvalRecord]]:
-    grouped: dict[int, list[EvalRecord]] = {}
-    for r in records:
-        grouped.setdefault(r.group_id, []).append(r)
-    return [grouped[k] for k in sorted(grouped)]
-
-
 def write_metrics_report(path, rows) -> None:
     """Flat report: one ``metric,horizon,split,value,seed`` line per entry."""
     with Path(path).open("w", newline="") as fh:

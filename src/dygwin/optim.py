@@ -56,11 +56,3 @@ class Adam:
             m_hat = m / bc1
             v_hat = v / bc2
             p.values -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.values.dtype)
-
-
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Adam) -> dict[str, Tensor]:
-    """Functional single step: installs ``grads`` then advances ``state``."""
-    for name, p in params.items():
-        p.grad = grads.get(name)
-    state.step()
-    return params

@@ -93,11 +93,6 @@ def vicreg_invariance(z_a: Tensor, z_b: Tensor) -> Tensor:
     return T.scale(T.tensor_sum(T.mul(diff, diff)), 1.0 / z_a.shape[0])
 
 
-def ssl_loss(z_a: Tensor, z_b: Tensor, weights: VicregWeights | None = None) -> Tensor:
-    loss, _ = ssl_loss_terms(z_a, z_b, weights)
-    return loss
-
-
 def ssl_loss_terms(z_a: Tensor, z_b: Tensor,
                    weights: VicregWeights | None = None) -> tuple[Tensor, dict[str, float]]:
     """Weighted loss plus the unweighted term values for logging."""

@@ -9,7 +9,6 @@ Replaying the tape in reverse propagates gradients to every leaf.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,7 +19,6 @@ from .errors import ContractError, ShapeError
 Array = np.ndarray
 
 _ACTIVE_TAPE: "Tape | None" = None
-_EVAL_MODE: bool = False
 _DEBUG_CHECK_FINITE: bool = False
 
 
@@ -28,22 +26,6 @@ def set_debug_checks(enabled: bool) -> None:
     """Toggle NaN/Inf checks after every forward primitive (slow)."""
     global _DEBUG_CHECK_FINITE
     _DEBUG_CHECK_FINITE = enabled
-
-
-@contextlib.contextmanager
-def evaluation_mode():
-    """Engine-wide evaluation mode: dropout becomes the identity."""
-    global _EVAL_MODE
-    prev = _EVAL_MODE
-    _EVAL_MODE = True
-    try:
-        yield
-    finally:
-        _EVAL_MODE = prev
-
-
-def in_evaluation_mode() -> bool:
-    return _EVAL_MODE
 
 
 class Tensor:
@@ -84,34 +66,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.values.dtype}{flag})"
-
-    # Operator sugar; constants are wrapped without gradients.
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other, self.dtype))
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -174,10 +128,6 @@ class Tape:
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = self._previous
         self._previous = None
-
-
-def active_tape() -> Tape | None:
-    return _ACTIVE_TAPE
 
 
 def _finish(op: str, inputs: tuple[Tensor, ...], out_values: Array, backward) -> Tensor:
@@ -377,12 +327,10 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _finish("softmax_rows", (a,), out, bwd)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool | None = None) -> Tensor:
+def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: scales survivors by 1/(1-p) so eval is the identity."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {p}")
-    if training is None:
-        training = not _EVAL_MODE
     if not training or p == 0.0:
         return a
     keep = (rng.random(a.shape) >= p).astype(a.values.dtype) / (1.0 - p)
@@ -433,11 +381,6 @@ def slice_rows(a: Tensor, rows) -> Tensor:
         return (full,)
 
     return _finish("slice_rows", (a,), out, bwd)
-
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Row gather from a parameter table; duplicate ids accumulate gradients."""
-    return slice_rows(table, ids)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -515,35 +458,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = add(out, bias)
     return out
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "concat_last_dim": concat_last_dim,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "sin": sin,
-    "sqrt": sqrt,
-    "softmax_rows": softmax_rows,
-    "dropout": dropout,
-    "mean": mean,
-    "sum": tensor_sum,
-    "slice_rows": slice_rows,
-    "embedding_lookup": embedding_lookup,
-    "transpose": transpose,
-    "segment_softmax": segment_softmax,
-    "segment_sum": segment_sum,
-    "bce_with_logits": bce_with_logits,
-}
-
-
-def apply_primitive(kind: str, inputs: Sequence[Tensor], **params) -> Tensor:
-    """Apply a named primitive; unknown kinds raise a contract error."""
-    fn = _PRIMITIVES.get(kind)
-    if fn is None:
-        raise ContractError(f"unknown primitive kind: {kind!r}")
-    return fn(*inputs, **params)

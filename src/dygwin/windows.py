@@ -36,10 +36,6 @@ class WindowBatch:
     input_edges: EdgeArray
     target_edges: EdgeArray
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.input_edges) == 0 and len(self.target_edges) == 0
-
 
 def generate_intervals(total_edges: int, stride: int, window: int) -> list[Interval]:
     """Sliding input intervals [max(0, j*S - W), j*S) for j in 0..floor(E/S).
@@ -157,7 +153,6 @@ class LayeredNeighborhood:
 
     layers: list[dict[int, np.ndarray]]
     active_nodes: np.ndarray  # sorted unique ids
-    seed_nodes: np.ndarray
 
 
 def build_layered_neighborhood(input_edges: EdgeArray, seed_nodes,
@@ -195,5 +190,4 @@ def build_layered_neighborhood(input_edges: EdgeArray, seed_nodes,
         anchors = np.unique(np.concatenate([anchors, np.asarray(sorted(reached), dtype=np.int64)])
                             ) if reached else anchors
     return LayeredNeighborhood(layers=layers,
-                               active_nodes=np.asarray(sorted(active), dtype=np.int64),
-                               seed_nodes=seeds)
+                               active_nodes=np.asarray(sorted(active), dtype=np.int64))

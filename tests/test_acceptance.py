@@ -15,17 +15,17 @@ from dygwin.data import chronological_split, split_edge_indices
 from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, flp_score,
                                init_flp_decoder, sample_negatives, train_downstream)
 from dygwin.encoder import encode, init_encoder, window_end_time
-from dygwin.features import (WindowFeatureCache, common_neighbors_at, degree_at)
+from dygwin.features import WindowFeatureCache, common_neighbors_at
 from dygwin.gradcheck import finite_difference_check
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
 from dygwin.pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor,
-                             predict, pretrain, ssl_loss, vicreg_covariance,
+                             predict, pretrain, ssl_loss_terms, vicreg_covariance,
                              vicreg_invariance, vicreg_variance)
 from dygwin.synthetic import make_synthetic_ctdg, write_synthetic_csv
 from dygwin.windows import (Interval, evaluation_windows, generate_intervals,
                             make_window_batch)
 
-from conftest import ctdg_from, edges_from
+from graphs import ctdg_from, edges_from
 from test_metrics import (oracle_auc, oracle_average_precision, oracle_rank, records)
 from test_temporal_features import brute_common_neighbors, brute_degree
 
@@ -98,8 +98,8 @@ def test_criterion_1_full_model_gradient_check():
                      cache=cache_a, hood=hood_a)
         h_b = encode(batch, encoder, 5, rng_key=(11,), input_override=view_b,
                      cache=cache_b, hood=hood_b)
-        self_supervised = ssl_loss(predict(predictor, h_a.gather(common)),
-                                   predict(predictor, h_b.gather(common)))
+        self_supervised, _ = ssl_loss_terms(predict(predictor, h_a.gather(common)),
+                                            predict(predictor, h_b.gather(common)))
         return T.add(supervised, T.scale(self_supervised, 0.01))
 
     params = {**encoder.named(), **decoder.named(), **predictor.named()}
@@ -162,7 +162,7 @@ def test_criterion_3_temporal_feature_oracles():
         index = IncidenceIndex(edges)
         for t in {tr[2] for tr in triples}:
             for u in range(n_nodes):
-                if degree_at(edges, u, t, index) != brute_degree(triples, u, t):
+                if index.degree_before(u, t) != brute_degree(triples, u, t):
                     mismatches += 1
                 for v in range(u, n_nodes):
                     if common_neighbors_at(edges, u, v, t, index) != \

@@ -1,8 +1,13 @@
 """End-to-end runs of the operator entry point."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from dygwin.cli import main, timing_report
+from dygwin.checkpoint import load_checkpoint
+from dygwin.cli import _make_run_dir, build_parser, main, timing_report
 from dygwin.config import config_hash, parse_config_file, resolve_config
 from dygwin.errors import ConfigError
 from dygwin.synthetic import make_synthetic_ctdg, write_synthetic_csv
@@ -55,6 +60,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             resolve_config({}, {"encoder_init": "checkpoint"})
 
+    def test_readme_cli_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()]
+        commands = [c for c in commands if c and c[0] == "dygwin"]
+        assert {c[1] for c in commands} == {"ingest", "split", "pretrain", "train",
+                                           "probe", "eval"}
+        for command in commands:
+            build_parser().parse_args(command[1:])  # argparse exits on an unknown flag
+
 
 class TestSubcommands:
     def test_ingest_writes_cache_and_idmap(self, dataset, tmp_path):
@@ -99,6 +115,14 @@ class TestSubcommands:
         assert main(["ingest", "--dataset", str(dataset), "--output-dir", str(tmp_path)]) == 0
         assert len(list(tmp_path.glob("ingest-*"))) == 2
 
+    def test_run_dir_taken_between_check_and_mkdir(self, tmp_path, monkeypatch):
+        config = resolve_config({}, {"output_dir": str(tmp_path)})
+        first = _make_run_dir(config, "train")
+        # another run creates the name after any existence check would have looked
+        monkeypatch.setattr(Path, "exists", lambda self: False)
+        second = _make_run_dir(config, "train")
+        assert first != second and (second / "config.txt").is_file()
+
 
 @pytest.fixture(scope="module")
 def artifacts(dataset, tmp_path_factory):
@@ -130,10 +154,9 @@ class TestPipeline:
         assert {phase for _, phase, _ in rows} == {"sample", "encode", "decode", "step"}
 
     def test_probe_keeps_pretrained_encoder(self, artifacts):
-        from dygwin.serialize import load_model_state
         out, _ = artifacts
-        ssl_state = load_model_state(run_dir_of(out, "pretrain") / "model.dygw")
-        probe_state = load_model_state(run_dir_of(out, "probe") / "model.dygw")
+        ssl_state = load_checkpoint(run_dir_of(out, "pretrain") / "model.dygw")
+        probe_state = load_checkpoint(run_dir_of(out, "probe") / "model.dygw")
         for name, arr in ssl_state.items():
             if name.startswith("encoder/"):
                 assert probe_state[name].tobytes() == arr.tobytes()
@@ -147,6 +170,28 @@ class TestPipeline:
         report = (run_dir_of(out, "eval") / "report.csv").read_text().splitlines()
         assert report[0] == "metric,horizon,split,value,seed"
         assert len(report) == 1 + 2 * 2  # horizons x splits
+
+    def test_truncated_checkpoint_is_data_error(self, artifacts, dataset, tmp_path):
+        _, trained = artifacts
+        cut = tmp_path / "cut.dygw"
+        cut.write_bytes(trained.read_bytes()[:-3])
+        code = main(["eval", "--dataset", str(dataset), "--output-dir", str(tmp_path),
+                     "--window-size", "120", "--checkpoint", str(cut),
+                     "--eval-horizon", "40", *SMALL_MODEL])
+        assert code == 3
+
+    def test_dnc_probe_then_eval_from_checkpoint(self, artifacts, dataset, tmp_path):
+        out, _ = artifacts
+        args = ["--dataset", str(dataset), "--output-dir", str(tmp_path), "--seed", "1",
+                "--window-size", "120", "--set", "target_size=40", "--task", "dnc",
+                *SMALL_MODEL]
+        assert main(["probe", *args, "--epochs", "1", "--encoder-init", "checkpoint",
+                     "--checkpoint", str(run_dir_of(out, "pretrain") / "model.dygw")]) == 0
+        probed = run_dir_of(tmp_path, "probe") / "model.dygw"
+        assert main(["eval", *args, "--checkpoint", str(probed),
+                     "--eval-horizon", "40"]) == 0
+        report = (run_dir_of(tmp_path, "eval") / "report.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in report[1:]] == ["auc", "ap"]
 
     def test_ssl_log_has_component_columns(self, artifacts):
         out, _ = artifacts

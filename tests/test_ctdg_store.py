@@ -10,7 +10,7 @@ from dygwin.data import (chronological_split, inductive_split, load_cache,
                          save_split_manifest, split_edge_indices, temporal_subgraph)
 from dygwin.errors import ContractError, DataError
 
-from conftest import ctdg_from
+from graphs import ctdg_from
 
 
 def write_csv(tmp_path, name, text):
@@ -40,13 +40,13 @@ class TestLoadCsv:
                          "u,v,t,f0,f1,f2,f3\n0,1,1.0,0.1,0.2,0.3,0.4\n1,2,2.0,1,2,3,4\n")
         ctdg = load_csv(path)
         assert ctdg.edge_dim == 4
-        assert ctdg.edge(0).m.shape == (4,)
+        assert ctdg.feats[0].shape == (4,)
 
     def test_label_column_optional_per_row(self, tmp_path):
         path = write_csv(tmp_path, "l.csv", "u,v,t,label\n0,1,1.0,1\n1,2,2.0,\n")
         ctdg = load_csv(path)
         assert ctdg.label_present.tolist() == [True, False]
-        assert ctdg.edge(1).node_label is None
+        assert np.isnan(ctdg.labels[1])
 
     def test_non_numeric_field_reports_line(self, tmp_path):
         path = write_csv(tmp_path, "bad.csv", "u,v,t\n0,1,1.0\n0,x,2.0\n")

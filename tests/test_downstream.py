@@ -4,24 +4,28 @@ import numpy as np
 import pytest
 
 import dygwin.tensor as T
-from dygwin.checkpoint import checkpoint_digest, save_checkpoint
+from dygwin.checkpoint import checkpoint_digest
 from dygwin.data import chronological_split
-from dygwin.downstream import (TrainConfig, bce_loss, dnc_decode, dnc_protocol,
-                               dnc_score, evaluate_dnc, evaluate_flp, flp_decode,
-                               init_dnc_decoder, init_flp_decoder, sample_negatives,
-                               train_downstream, training_intervals)
+from dygwin.downstream import (TrainConfig, bce_loss, dnc_score, evaluate_dnc,
+                               evaluate_flp, flp_score, init_dnc_decoder, init_flp_decoder,
+                               sample_negatives, train_downstream, training_intervals)
 from dygwin.encoder import NodeEmbeddings, init_encoder
 from dygwin.errors import ConfigError, ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.gradcheck import finite_difference_check
 from dygwin.synthetic import make_synthetic_ctdg
 
-from conftest import ctdg_from, edges_from
+from graphs import ctdg_from, edges_from
 
 
 def embeddings_of(values):
     arr = np.asarray(values, dtype=np.float64)
     return NodeEmbeddings(np.arange(len(arr)), T.constant(arr))
+
+
+def one_edge_logit(decoder, emb, u, v, t, cache, fallback_time):
+    return flp_score(decoder, emb, np.array([u]), np.array([v]), np.array([t]),
+                     cache, fallback_time)
 
 
 class TestSampleNegatives:
@@ -87,7 +91,7 @@ class TestFlpDecoder:
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
         for u, v, t in [(0, 1, 2.0), (3, 4, 9.0)]:
-            logit = flp_decode(emb, u, v, t, decoder, cache, fallback_time=1.0)
+            logit = one_edge_logit(decoder, emb, u, v, t, cache, fallback_time=1.0)
             assert logit.values.item() == 1.25
 
     def test_symmetric_under_equal_recency(self):
@@ -95,8 +99,8 @@ class TestFlpDecoder:
         emb = embeddings_of(np.random.default_rng(1).normal(size=(4, 4)))
         edges = edges_from([(0, 1, 5.0)])  # both endpoints last active at t=5
         cache = WindowFeatureCache(edges)
-        a = flp_decode(emb, 0, 1, 8.0, decoder, cache, fallback_time=5.0)
-        b = flp_decode(emb, 1, 0, 8.0, decoder, cache, fallback_time=5.0)
+        a = one_edge_logit(decoder, emb, 0, 1, 8.0, cache, fallback_time=5.0)
+        b = one_edge_logit(decoder, emb, 1, 0, 8.0, cache, fallback_time=5.0)
         assert np.allclose(a.values, b.values, atol=1e-12)
 
     def test_history_less_source_falls_back_to_window_end(self):
@@ -112,8 +116,8 @@ class TestDncDecoder:
         emb = embeddings_of(np.random.default_rng(2).normal(size=(3, 4)))
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
-        a = dnc_decode(emb, 0, 2.0, decoder, cache, 1.0, training=False)
-        b = dnc_decode(emb, 0, 2.0, decoder, cache, 1.0, training=False)
+        a = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, 1.0, training=False)
+        b = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, 1.0, training=False)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_zero_weights_constant_logit(self):
@@ -234,20 +238,26 @@ class TestTrainingProtocols:
         assert 0.0 < report["mrr"] <= 1.0
         assert 0.0 <= report["recall_at_10"] <= 1.0
 
-    def test_dnc_protocol_requires_checkpoint(self, small_world, tmp_path):
+    @pytest.mark.parametrize("horizon", [1, 50, 200])
+    def test_constant_flp_scorer_not_rewarded(self, small_world, horizon):
         ctdg, split = small_world
-        encoder = self._encoder()
-        with pytest.raises(ConfigError):
-            dnc_protocol(ctdg, split, "ssl_pretrained", {}, encoder)
-        with pytest.raises(ConfigError):
-            dnc_protocol(ctdg, split, "ssl_pretrained",
-                         {"ssl_pretrained": tmp_path / "missing.dygw"}, encoder)
+        _, val_end = split.boundaries
+        decoder = init_flp_decoder(16, 8, seed=0)
+        decoder.w2.values[:] = 0.0
+        decoder.b2.values[:] = 0.0
+        report = evaluate_flp(ctdg, (val_end, len(ctdg)), self._encoder(), decoder,
+                              200, horizon, 10, seed=0)
+        assert report["ap"] <= 0.5
 
-    def test_dnc_protocol_runs_from_checkpoint(self, small_world, tmp_path):
+    def test_constant_dnc_scorer_not_rewarded(self, small_world):
         ctdg, split = small_world
-        encoder = self._encoder()
-        path = tmp_path / "enc.dygw"
-        save_checkpoint(path, encoder.named("encoder"))
-        report = dnc_protocol(ctdg, split, "flp_pretrained", {"flp_pretrained": path},
-                              self._encoder(seed=3), config=self._config(epochs=1))
-        assert report["auc"] is None or 0.0 <= report["auc"] <= 1.0
+        _, val_end = split.boundaries
+        decoder = init_dnc_decoder(16, 8, seed=0)
+        decoder.w3.values[:] = 0.0
+        decoder.b3.values[:] = 0.0
+        report = evaluate_dnc(ctdg, (val_end, len(ctdg)), self._encoder(), decoder,
+                              200, 60, 10, seed=0)
+        present = ctdg.label_present[val_end:]
+        positive_rate = np.mean(ctdg.labels[val_end:][present] > 0.5)
+        assert 0.0 < positive_rate < 1.0
+        assert report["ap"] <= positive_rate

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import dygwin.tensor as T
-from dygwin.encoder import (EncoderParams, NodeEmbeddings, edge_message,
-                            encode, init_encoder, layer_forward, mha, window_end_time)
+from dygwin.encoder import (EncoderParams, NodeEmbeddings, encode, init_encoder,
+                            layer_forward, window_end_time)
 from dygwin.errors import ConsistencyError
 from dygwin.features import WindowFeatureCache
 from dygwin.gradcheck import finite_difference_check
 from dygwin.windows import Interval, make_window_batch
 
-from conftest import ctdg_from, edges_from
+from graphs import ctdg_from, edges_from
+from oracles import edge_message, mha
 
 
 def tiny_params(node_dim=2, time_dim=2, edge_dim=0, heads=1, num_layers=1,

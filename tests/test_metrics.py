@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dygwin.errors import ContractError
-from dygwin.metrics import (EvalRecord, auc, average_precision, group_records, mrr,
-                            recall_at_k)
+from dygwin.metrics import EvalRecord, auc, average_precision, mrr, recall_at_k
 
 
 # Oracles: independent O(n^2) / direct-definition implementations.
@@ -175,9 +174,3 @@ def test_monotone_transform_invariance(data):
         pytest.approx(average_precision(records(transformed, labels)), abs=1e-12)
     assert auc(records(scores, labels)) == \
         pytest.approx(auc(records(transformed, labels)), abs=1e-12)
-
-
-def test_group_records_partitions_by_id():
-    recs = [EvalRecord(0.5, 1, 2), EvalRecord(0.4, 0, 2), EvalRecord(0.9, 1, 0)]
-    grouped = group_records(recs)
-    assert [len(g) for g in grouped] == [1, 2]

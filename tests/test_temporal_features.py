@@ -4,9 +4,15 @@ import numpy as np
 
 import dygwin.tensor as T
 from dygwin.features import (TemporalEdgeEncoding, Time2VecParams, common_neighbors_at,
-                             degree_at, edge_encoding, init_time2vec, time2vec)
+                             init_time2vec, time2vec)
+from dygwin.windows import IncidenceIndex
 
-from conftest import edges_from
+from graphs import edges_from
+from oracles import edge_encoding
+
+
+def degree_at(edges, node, t):
+    return IncidenceIndex(edges).degree_before(node, t)
 
 
 def brute_degree(triples, node, t):

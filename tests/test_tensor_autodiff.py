@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dygwin.tensor as T
 from dygwin.errors import ContractError, HarnessError, ShapeError
 from dygwin.gradcheck import finite_difference_check
-from dygwin.tensor import Tape, apply_primitive, backward
+from dygwin.tensor import Tape, backward
 
 
 def param(values):
@@ -42,16 +42,9 @@ class TestForwardPrimitives:
         with pytest.raises(ShapeError, match="matmul"):
             T.matmul(param(np.ones((2, 3))), param(np.ones((2, 3))))
 
-    def test_apply_primitive_dispatch(self):
-        out = apply_primitive("add", [param([[1.0]]), param([[2.0]])])
-        assert out.values.item() == 3.0
-        with pytest.raises(ContractError):
-            apply_primitive("convolve", [param([[1.0]])])
-
     def test_dropout_eval_mode_identity(self):
         x = param(np.ones((4, 4)))
-        with T.evaluation_mode():
-            out = T.dropout(x, 0.5, np.random.default_rng(0))
+        out = T.dropout(x, 0.5, np.random.default_rng(0), training=False)
         assert out is x
 
     def test_dropout_inverted_scaling(self):
@@ -60,12 +53,6 @@ class TestForwardPrimitives:
         kept = out.values[out.values > 0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert abs(out.values.mean() - 1.0) < 0.05
-
-    def test_embedding_lookup_matches_slice_rows(self):
-        table = param(np.arange(12.0).reshape(4, 3))
-        ids = [3, 0, 3]
-        assert np.array_equal(T.embedding_lookup(table, ids).values,
-                              T.slice_rows(table, ids).values)
 
 
 class TestBackward:
