@@ -12,7 +12,7 @@ from .errors import (ConfigError, ConsistencyError, ContractError, DataError,
 from .features import (TemporalEdgeEncoding, Time2VecParams, common_neighbors_at,
                        init_edge_encoding, init_time2vec, time2vec)
 from .gradcheck import finite_difference_check
-from .metrics import (EvalRecord, auc, average_precision, mrr, recall_at_k)
+from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .pretrain import (DistortionConfig, PredictorParams, PretrainConfig,
                        VicregWeights, distort, init_predictor, pretrain,

@@ -107,9 +107,9 @@ def cmd_ingest(config: RunConfig) -> int:
 def cmd_split(config: RunConfig) -> int:
     ctdg = _load_dataset(config)
     split = _get_split(config, ctdg)
+    train, val, test = split_edge_indices(ctdg, split)
     run_dir = _make_run_dir(config, "split")
     save_split_manifest(run_dir / "split.txt", split)
-    train, val, test = split_edge_indices(ctdg, split)
     print(f"split {split.mode}: train={len(train)} val={len(val)} test={len(test)}"
           f" -> {run_dir / 'split.txt'}")
     return 0
@@ -183,13 +183,13 @@ def cmd_eval(config: RunConfig) -> int:
     split = _get_split(config, ctdg)
     encoder = _make_encoder(config, ctdg)
     decoder = init_decoder(config.task, config.node_dim, config.time_dim,
-                           config.effective_hidden_dim, seed=config.seed, dtype=_dtype(config))
+                           config.effective_hidden_dim, seed=config.seed, dtype=encoder.dtype)
     load_model(config.checkpoint, encoder=encoder, decoder=decoder)
 
     train_end, val_end = split.boundaries
     regions = {"val": (train_end, val_end), "test": (val_end, len(ctdg))}
     wanted = ("val", "test") if config.eval_split == "both" else (config.eval_split,)
-    target_filter = split.masked_filter(ctdg.num_nodes)
+    target_filter = split.masked_filter(ctdg)
 
     rows = []
     for split_name in wanted:

@@ -139,12 +139,18 @@ class SplitSpec:
         if self.mode == "transductive" and self.masked_nodes:
             raise DataError("masked_nodes must be empty in transductive mode")
 
-    def masked_filter(self, num_nodes: int):
-        """Selector of the edges (of a slice or a whole log) touching a masked
-        node; ``None`` when transductive, where every edge is kept."""
+    def masked_filter(self, ctdg: CTDG):
+        """Selector of the edges (of a slice or of ``ctdg``) touching a masked
+        node; ``None`` when transductive, where every edge is kept. Raises
+        ``DataError`` when the split does not fit ``ctdg``."""
+        if not 0 <= self.boundaries[0] <= self.boundaries[1] <= len(ctdg):
+            raise DataError(f"split boundaries {self.boundaries} do not fit {len(ctdg)} edges")
+        outside = [n for n in self.masked_nodes if not 0 <= n < ctdg.num_nodes]
+        if outside:
+            raise DataError(f"split masks ids {outside} outside {ctdg.num_nodes} nodes")
         if self.mode != "inductive":
             return None
-        masked = np.zeros(num_nodes, dtype=bool)
+        masked = np.zeros(ctdg.num_nodes, dtype=bool)
         masked[list(self.masked_nodes)] = True
         return lambda edges: masked[edges.u] | masked[edges.v]
 
@@ -316,7 +322,7 @@ def split_edge_indices(ctdg: CTDG, split: SplitSpec) -> tuple[np.ndarray, np.nda
     train = np.arange(0, train_end, dtype=np.int64)
     val = np.arange(train_end, val_end, dtype=np.int64)
     test = np.arange(val_end, E, dtype=np.int64)
-    touches_masked = split.masked_filter(ctdg.num_nodes)
+    touches_masked = split.masked_filter(ctdg)
     if touches_masked is not None:
         touches = touches_masked(ctdg)
         train = train[~touches[train]]
@@ -348,5 +354,5 @@ def load_split_manifest(path) -> SplitSpec:
         return SplitSpec(mode=fields["mode"],
                          boundaries=(int(fields["train_end"]), int(fields["val_end"])),
                          masked_nodes=masked, seed=int(fields["seed"]))
-    except KeyError as exc:
-        raise DataError(f"{path}: missing manifest field {exc}") from None
+    except (KeyError, ValueError) as exc:  # ValueError: a non-integer field
+        raise DataError(f"{path}: missing or malformed manifest field: {exc}") from None

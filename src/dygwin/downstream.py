@@ -17,7 +17,7 @@ from .data import CTDG, EdgeArray, SplitSpec, split_edge_indices
 from .encoder import EncoderParams, NodeEmbeddings, encode, window_end_time
 from .errors import ConfigError, ContractError, NumericFailure
 from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2vec
-from .metrics import EvalRecord, auc, average_precision, mrr, recall_at_k
+from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 from .windows import evaluation_windows, generate_intervals, make_window_batch
@@ -109,10 +109,6 @@ def init_decoder(task: str, node_dim: int, time_dim: int, hidden_dim: int | None
     raise ConfigError(f"unknown task {task!r}")
 
 
-def _source_recency(cache: WindowFeatureCache, sources: np.ndarray, fallback: float) -> np.ndarray:
-    return np.asarray([cache.recency(int(u), fallback) for u in sources], dtype=np.float64)
-
-
 def flp_score(decoder: FLPDecoderParams, embeddings: NodeEmbeddings,
               src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
               cache: WindowFeatureCache, fallback_time: float) -> Tensor:
@@ -122,7 +118,7 @@ def flp_score(decoder: FLPDecoderParams, embeddings: NodeEmbeddings,
     window (window end when the source has no history there).
     """
     pair = T.add(embeddings.gather(src), embeddings.gather(dst))
-    delta = np.asarray(ts, dtype=np.float64) - _source_recency(cache, src, fallback_time)
+    delta = np.asarray(ts, dtype=np.float64) - cache.index.last_time(src, fallback_time)
     x = T.concat_last_dim([pair, time2vec(decoder.t2v, delta)])
     hidden = T.relu(T.linear(x, decoder.w1, decoder.b1))
     return T.linear(hidden, decoder.w2, decoder.b2)
@@ -132,7 +128,7 @@ def dnc_score(decoder: DNCDecoderParams, embeddings: NodeEmbeddings,
               src: np.ndarray, ts: np.ndarray, cache: WindowFeatureCache,
               fallback_time: float, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-    delta = np.asarray(ts, dtype=np.float64) - _source_recency(cache, src, fallback_time)
+    delta = np.asarray(ts, dtype=np.float64) - cache.index.last_time(src, fallback_time)
     x = T.concat_last_dim([embeddings.gather(src), time2vec(decoder.t2v, delta)])
     hidden = T.relu(T.linear(x, decoder.w1, decoder.b1))
     if training and decoder.dropout > 0.0:
@@ -187,8 +183,8 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
     Returns AP over 1:1 negatives, plus MRR / recall@10 over
     ``rank_negatives``-sized candidate groups when requested.
     """
-    records: list[EvalRecord] = []
-    groups: list[list[EvalRecord]] = []
+    pos_scores, neg_scores = [np.empty(0)], [np.empty(0)]
+    rank_scores = [np.empty((0, rank_negatives))]
     for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
                                     target_filter):
         targets = batch.target_edges
@@ -197,44 +193,37 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         fallback = window_end_time(batch)
         neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
         negatives = sample_negatives(targets, "train", neg_rng, ctdg.num_nodes)
-        extra = [negatives.ravel()]
-        rank_neg = None
+        rank_neg = np.empty(0, dtype=np.int64)
         if rank_negatives > 0:
             rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
             rank_neg = sample_negatives(targets, "rank_eval", rank_rng, ctdg.num_nodes,
                                         num_per_positive=rank_negatives)
-            extra.append(rank_neg.ravel())
         embeddings = encode(batch, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            extra_nodes=np.concatenate(extra), training=False, cache=cache,
-                            node_features=ctdg.node_features)
-        pos = flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
-                        cache, fallback).values.ravel()
-        neg = flp_score(decoder, embeddings, targets.u, negatives.ravel(), targets.t,
-                        cache, fallback).values.ravel()
-        base_group = len(groups)
-        records.extend(EvalRecord(float(s), 1, base_group + i) for i, s in enumerate(pos))
-        records.extend(EvalRecord(float(s), 0, base_group + i) for i, s in enumerate(neg))
-        if rank_neg is not None:
-            per = rank_neg.shape[1]
-            rank_scores = flp_score(decoder, embeddings,
-                                    np.repeat(targets.u, per), rank_neg.ravel(),
-                                    np.repeat(targets.t, per), cache,
-                                    fallback).values.reshape(len(targets), per)
-            for i in range(len(targets)):
-                group = [EvalRecord(float(pos[i]), 1, base_group + i)]
-                group.extend(EvalRecord(float(s), 0, base_group + i) for s in rank_scores[i])
-                groups.append(group)
-        else:
-            groups.extend([] for _ in range(len(targets)))
+                            extra_nodes=np.concatenate([negatives.ravel(), rank_neg.ravel()]),
+                            training=False, cache=cache, node_features=ctdg.node_features)
+        pos_scores.append(flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
+                                    cache, fallback).values.ravel())
+        neg_scores.append(flp_score(decoder, embeddings, targets.u, negatives.ravel(),
+                                    targets.t, cache, fallback).values.ravel())
+        if rank_negatives > 0:
+            rank_scores.append(flp_score(decoder, embeddings,
+                                         np.repeat(targets.u, rank_negatives), rank_neg.ravel(),
+                                         np.repeat(targets.t, rank_negatives), cache,
+                                         fallback).values.reshape(len(targets), rank_negatives))
+    pos, neg = np.concatenate(pos_scores), np.concatenate(neg_scores)
     # Negatives first: AP keeps input order on ties, so a tied positive ranks
     # below every negative and a constant scorer cannot look informative.
-    records.sort(key=lambda r: r.label)
-    result = {"num_positives": sum(1 for r in records if r.label == 1),
-              "ap": average_precision(records) if records else None}
+    scores = np.concatenate([neg, pos])
+    labels = np.repeat([0, 1], [neg.size, pos.size])
+    result = {"num_positives": pos.size,
+              "ap": average_precision(scores, labels) if scores.size else None}
     if rank_negatives > 0:
-        filled = [g for g in groups if g]
-        result["mrr"] = mrr(filled) if filled else None
-        result["recall_at_10"] = recall_at_k(filled, 10) if filled else None
+        # One group per positive, a row: its own score, then its rank negatives.
+        candidates = np.hstack([pos[:, None], np.concatenate(rank_scores)])
+        groups, column = np.indices(candidates.shape)
+        ranked = (candidates, column == 0, groups)
+        result["mrr"] = mrr(*ranked) if pos.size else None
+        result["recall_at_10"] = recall_at_k(*ranked, 10) if pos.size else None
     return result
 
 
@@ -242,7 +231,7 @@ def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
                  decoder: DNCDecoderParams, window: int, horizon: int,
                  max_neighbors: int, seed: int, target_filter=None) -> dict:
     """AUC (and AP) of source-node labels over the region's labeled edges."""
-    records: list[EvalRecord] = []
+    scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
                                     target_filter):
         labeled = batch.target_edges.take(batch.target_edges.label_present)
@@ -252,14 +241,15 @@ def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         cache = WindowFeatureCache(batch.input_edges)
         embeddings = encode(batch, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
                             training=False, cache=cache, node_features=ctdg.node_features)
-        scores = dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
-                           window_end_time(batch), training=False).values.ravel()
-        labels = (labeled.labels > 0.5).astype(int)
-        records.extend(EvalRecord(float(s), int(y)) for s, y in zip(scores, labels))
-    records.sort(key=lambda r: r.label)  # negatives first, as in evaluate_flp
-    return {"num_records": len(records),
-            "auc": auc(records) if records else None,
-            "ap": average_precision(records) if records else None}
+        scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
+                                window_end_time(batch), training=False).values.ravel())
+        labels.append((labeled.labels > 0.5).astype(np.int64))
+    labels = np.concatenate(labels)
+    order = np.argsort(labels, kind="stable")  # negatives first, as in evaluate_flp
+    scores, labels = np.concatenate(scores)[order], labels[order]
+    return {"num_records": labels.size,
+            "auc": auc(scores, labels) if labels.size else None,
+            "ap": average_precision(scores, labels) if labels.size else None}
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +328,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
 
     if decoder is None:
         decoder = init_decoder(task, encoder.node_dim, encoder.time_dim,
-                               config.hidden_dim, seed=config.seed)
+                               config.hidden_dim, seed=config.seed, dtype=encoder.dtype)
 
     encoder.set_requires_grad(not freeze_encoder)
     trainable = dict(decoder.named())
@@ -347,7 +337,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     optimizer = Adam(trainable, lr=config.lr, weight_decay=weight_decay)
 
     train_end, val_end = split.boundaries
-    masked_filter = split.masked_filter(ctdg.num_nodes)
+    masked_filter = split.masked_filter(ctdg)
 
     def run_validation() -> float | None:
         if val_end <= train_end:

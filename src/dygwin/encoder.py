@@ -54,6 +54,10 @@ class EncoderParams:
     def message_dim(self) -> int:
         return self.node_dim + self.time_dim + self.edge_dim
 
+    @property
+    def dtype(self):
+        return self.t2v.omega.dtype
+
     def named(self, prefix: str = "encoder") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {
             f"{prefix}/time2vec/omega": self.t2v.omega,
@@ -103,24 +107,23 @@ def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
 
 
 class NodeEmbeddings:
-    """Embedding matrix with a node-id index; one row per tracked node."""
+    """Embedding matrix with one row per tracked node, ids strictly ascending."""
 
     def __init__(self, ids: np.ndarray, matrix: Tensor):
         self.ids = np.asarray(ids, dtype=np.int64)
+        if np.any(np.diff(self.ids) <= 0):
+            raise ContractError("embedding node ids must be strictly ascending")
         self.matrix = matrix
-        self._row = {int(n): i for i, n in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def row(self, node: int) -> int:
-        try:
-            return self._row[int(node)]
-        except KeyError:
-            raise ConsistencyError(f"no embedding row for node {node}") from None
-
     def rows(self, nodes) -> np.ndarray:
-        return np.asarray([self.row(n) for n in np.asarray(nodes).ravel()], dtype=np.int64)
+        nodes = np.asarray(nodes, dtype=np.int64).ravel()
+        missing = ~np.isin(nodes, self.ids)
+        if np.any(missing):
+            raise ConsistencyError(f"no embedding row for node {nodes[missing][0]}")
+        return np.searchsorted(self.ids, nodes)
 
     def gather(self, nodes) -> Tensor:
         return T.slice_rows(self.matrix, self.rows(nodes))
@@ -128,22 +131,15 @@ class NodeEmbeddings:
 
 def _flatten_layer(samples: dict[int, np.ndarray], embeddings: NodeEmbeddings,
                    edges: EdgeArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-anchor samples into (anchor_row, edge_position, neighbor_row)."""
-    anchor_rows, positions, neighbor_rows = [], [], []
-    for anchor in sorted(samples):
-        sampled = samples[anchor]
-        if sampled.size == 0:
-            continue
-        row = embeddings.row(anchor)
-        for position in sampled:
-            position = int(position)
-            other = int(edges.v[position]) if int(edges.u[position]) == anchor else int(edges.u[position])
-            anchor_rows.append(row)
-            positions.append(position)
-            neighbor_rows.append(embeddings.row(other))
-    return (np.asarray(anchor_rows, dtype=np.int64),
-            np.asarray(positions, dtype=np.int64),
-            np.asarray(neighbor_rows, dtype=np.int64))
+    """Flatten per-anchor samples into (anchor_row, edge_position, neighbor_row),
+    anchors ascending and each anchor's positions in sample order."""
+    anchors = sorted(samples)
+    positions = np.concatenate([np.empty(0, dtype=np.int64),
+                                *(samples[a] for a in anchors)])
+    anchor_ids = np.repeat(np.asarray(anchors, dtype=np.int64),
+                           [samples[a].size for a in anchors])
+    others = np.where(edges.u[positions] == anchor_ids, edges.v[positions], edges.u[positions])
+    return embeddings.rows(anchor_ids), positions, embeddings.rows(others)
 
 
 def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
@@ -164,9 +160,7 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     if positions.size == 0:
         return NodeEmbeddings(embeddings.ids, h_new)
 
-    recency = np.asarray([cache.recency(int(a), fallback_time)
-                          for a in embeddings.ids[anchor_rows]], dtype=np.float64)
-    delta = recency - edges.t[positions]
+    delta = cache.index.last_time(embeddings.ids[anchor_rows], fallback_time) - edges.t[positions]
     masked = edges.enc_masked[positions]
 
     counts = cache.counts_matrix(positions)
@@ -224,10 +218,8 @@ def encode(batch: WindowBatch, params: EncoderParams, max_neighbors: int,
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
     edges = batch.input_edges if input_override is None else input_override
-    seed_pool = [edges.endpoints(), batch.target_edges.endpoints(),
-                 np.asarray(list(extra_nodes), dtype=np.int64)]
-    seeds = np.unique(np.concatenate(seed_pool)) if any(len(s) for s in seed_pool) \
-        else np.empty(0, dtype=np.int64)
+    seeds = np.unique(np.concatenate([edges.endpoints(), batch.target_edges.endpoints(),
+                                      np.asarray(extra_nodes, dtype=np.int64)]))
     if cache is None:
         cache = WindowFeatureCache(edges)
     if hood is None:
@@ -235,14 +227,13 @@ def encode(batch: WindowBatch, params: EncoderParams, max_neighbors: int,
                                           max_neighbors, rng_key + (NEIGHBOR_STREAM,),
                                           index=cache.index)
     active = hood.active_nodes
-    dtype = params.layers[0].w1.dtype
 
     if params.input_proj is not None:
         if node_features is None:
             raise ConsistencyError("encoder has an input projection but no node features given")
-        h0 = T.matmul(T.constant(node_features[active], dtype=dtype), params.input_proj)
+        h0 = T.matmul(T.constant(node_features[active], dtype=params.dtype), params.input_proj)
     else:
-        h0 = T.constant(np.zeros((len(active), params.node_dim)), dtype=dtype)
+        h0 = T.constant(np.zeros((len(active), params.node_dim)), dtype=params.dtype)
 
     embeddings = NodeEmbeddings(active, h0)
     fallback = window_end_time(batch)

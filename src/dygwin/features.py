@@ -81,13 +81,12 @@ def common_neighbors_at(input_edges: EdgeArray, u: int, v: int, t: float,
 
 
 class WindowFeatureCache:
-    """Memoized per-edge structural counts and per-node recency for one slice."""
+    """Memoized per-edge structural counts for one slice, beside its incidence index."""
 
     def __init__(self, edges: EdgeArray):
         self.edges = edges
         self.index = IncidenceIndex(edges)
         self._counts: dict[int, tuple[int, int, int]] = {}
-        self._recency: dict[int, float | None] = {}
 
     def counts(self, position: int) -> tuple[int, int, int]:
         cached = self._counts.get(position)
@@ -106,13 +105,6 @@ class WindowFeatureCache:
         for row, position in enumerate(positions):
             out[row] = self.counts(int(position))
         return out
-
-    def recency(self, node: int, fallback: float) -> float:
-        """Latest incident timestamp of ``node``, else the window-end fallback."""
-        if node not in self._recency:
-            self._recency[node] = self.index.last_time(node)
-        value = self._recency[node]
-        return fallback if value is None else value
 
 
 @dataclass

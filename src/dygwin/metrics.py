@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,24 +17,22 @@ import numpy as np
 from .errors import ContractError
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One scored candidate edge; group_id ties a positive to its negatives."""
+def _columns(scores, *integer_columns) -> list[np.ndarray]:
+    """Scores as float64 and each further column as int64, checked to be equal in length."""
+    columns = [np.asarray(scores, dtype=np.float64).ravel()]
+    columns += [np.asarray(c, dtype=np.int64).ravel() for c in integer_columns]
+    if len({c.size for c in columns}) > 1:
+        raise ContractError(f"metric inputs differ in length: {[c.size for c in columns]}")
+    return columns
 
-    score: float
-    label: int
-    group_id: int = 0
 
-
-def average_precision(records) -> float | None:
+def average_precision(scores, labels) -> float | None:
     """Mean of precision-at-rank over the positives' ranks (rank-sum form).
 
     Scores sort descending; ties keep input order. Returns ``None`` with a
     warning when there is no positive to rank.
     """
-    records = list(records)
-    labels = np.asarray([r.label for r in records], dtype=np.int64)
-    scores = np.asarray([r.score for r in records], dtype=np.float64)
+    scores, labels = _columns(scores, labels)
     positives = int(labels.sum())
     if positives == 0:
         warnings.warn("average_precision undefined: no positive records")
@@ -43,48 +40,45 @@ def average_precision(records) -> float | None:
     order = np.argsort(-scores, kind="stable")
     sorted_labels = labels[order]
     cumulative = np.cumsum(sorted_labels)
-    ranks = np.arange(1, len(records) + 1)
+    ranks = np.arange(1, len(labels) + 1)
     precision_at_hits = cumulative[sorted_labels == 1] / ranks[sorted_labels == 1]
     return float(precision_at_hits.sum() / positives)
 
 
-def _positive_rank(group) -> int:
-    """Pessimistic rank of the group's single positive (1-based)."""
-    group = list(group)
-    pos = [r for r in group if r.label == 1]
-    if len(pos) != 1:
-        raise ContractError(f"ranking group must contain exactly one positive, got {len(pos)}")
-    pos_score = pos[0].score
-    above = sum(1 for r in group if r.score > pos_score)
-    tied_negatives = sum(1 for r in group if r.label == 0 and r.score == pos_score)
-    return above + tied_negatives + 1
+def _positive_ranks(scores, labels, groups) -> np.ndarray:
+    """Pessimistic 1-based rank of each group's single positive, in group-id
+    order. ``groups`` holds each candidate's group id; sizes may differ."""
+    scores, labels, groups = _columns(scores, labels, groups)
+    ids, member = np.unique(groups, return_inverse=True)
+    positive = labels == 1
+    if ids.size == 0 or np.any(np.bincount(member[positive], minlength=ids.size) != 1):
+        raise ContractError("ranking needs at least one group, each with exactly one positive")
+    positive_score = np.empty(ids.size)
+    positive_score[member[positive]] = scores[positive]
+    target = positive_score[member]  # each candidate's own group's positive
+    beaten = (scores > target) | ((scores == target) & (labels == 0))
+    return 1.0 + np.bincount(member, weights=beaten, minlength=ids.size)
 
 
-def mrr(groups) -> float:
+def mrr(scores, labels, groups) -> float:
     """Mean over groups of 1 / rank(positive)."""
-    ranks = [_positive_rank(g) for g in groups]
-    if not ranks:
-        raise ContractError("mrr needs at least one group")
-    return float(np.mean([1.0 / r for r in ranks]))
+    return float(np.mean(1.0 / _positive_ranks(scores, labels, groups)))
 
 
-def recall_at_k(groups, k: int = 10) -> float:
+def recall_at_k(scores, labels, groups, k: int = 10) -> float:
     """Fraction of groups whose positive ranks within the top k."""
-    ranks = [_positive_rank(g) for g in groups]
-    if not ranks:
-        raise ContractError("recall_at_k needs at least one group")
-    return float(np.mean([1.0 if r <= k else 0.0 for r in ranks]))
+    return float(np.mean(_positive_ranks(scores, labels, groups) <= k))
 
 
-def auc(records) -> float | None:
+def auc(scores, labels) -> float | None:
     """Probability a random positive outscores a random negative, ties at 1/2.
 
     Exact rank-statistic evaluation; single-class input returns ``None``
     with a warning.
     """
-    records = list(records)
-    pos = np.sort(np.asarray([r.score for r in records if r.label == 1], dtype=np.float64))
-    neg = np.sort(np.asarray([r.score for r in records if r.label == 0], dtype=np.float64))
+    scores, labels = _columns(scores, labels)
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
     if pos.size == 0 or neg.size == 0:
         warnings.warn("auc undefined: need at least one positive and one negative")
         return None

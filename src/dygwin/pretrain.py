@@ -186,10 +186,12 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
             with Tape() as tape:
                 h_a = encode(batch, encoder, config.max_neighbors,
                              (config.seed, VIEW_STREAM, epoch, index, 0),
-                             input_override=view_a, training=True)
+                             input_override=view_a, training=True,
+                             node_features=train_ctdg.node_features)
                 h_b = encode(batch, encoder, config.max_neighbors,
                              (config.seed, VIEW_STREAM, epoch, index, 1),
-                             input_override=view_b, training=True)
+                             input_override=view_b, training=True,
+                             node_features=train_ctdg.node_features)
                 if timer:
                     timer.stop("encode")
                     timer.start("decode")

@@ -105,6 +105,9 @@ class IncidenceIndex:
         order = np.argsort(nodes, kind="stable")
         self._nodes = nodes[order]
         self._positions = positions[order]
+        starts = np.flatnonzero(np.diff(self._nodes, prepend=self._nodes[:1] - 1))
+        self._node_ids = self._nodes[starts]
+        self._last_t = edges.t[np.maximum.reduceat(self._positions, starts)]
 
     def incident(self, node: int) -> np.ndarray:
         lo = np.searchsorted(self._nodes, node, side="left")
@@ -121,11 +124,13 @@ class IncidenceIndex:
             return 0
         return int(np.searchsorted(self.edges.t[positions], t, side="right"))
 
-    def last_time(self, node: int) -> float | None:
-        positions = self.incident(node)
-        if positions.size == 0:
-            return None
-        return float(self.edges.t[positions[-1]])
+    def last_time(self, nodes, fallback: float) -> np.ndarray:
+        """Latest incident timestamp of each node, ``fallback`` for a node
+        with no edge in the slice."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        at = np.searchsorted(self._node_ids, nodes)
+        last = np.append(self._last_t, fallback)[at]  # a node past the last id gets the fallback
+        return np.where(np.isin(nodes, self._node_ids), last, fallback)
 
 
 def sample_neighbors(input_edges: EdgeArray, anchor: int, max_neighbors: int,
@@ -170,24 +175,15 @@ def build_layered_neighborhood(input_edges: EdgeArray, seed_nodes,
         rng_key = (rng_key,)
     if index is None:
         index = IncidenceIndex(input_edges)
-    seeds = np.unique(np.asarray(list(seed_nodes), dtype=np.int64))
-    anchors = seeds
+    anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
     layers: list[dict[int, np.ndarray]] = []
-    active = set(int(n) for n in seeds)
     for layer in range(1, num_layers + 1):
-        samples: dict[int, np.ndarray] = {}
-        reached: set[int] = set()
-        for anchor in anchors:
-            anchor = int(anchor)
-            rng = np.random.default_rng(rng_key + (layer, anchor))
-            sampled = sample_neighbors(input_edges, anchor, max_neighbors, rng, index)
-            samples[anchor] = sampled
-            if sampled.size:
-                reached.update(int(n) for n in input_edges.u[sampled])
-                reached.update(int(n) for n in input_edges.v[sampled])
+        samples = {anchor: sample_neighbors(input_edges, anchor, max_neighbors,
+                                            np.random.default_rng(rng_key + (layer, anchor)),
+                                            index)
+                   for anchor in anchors.tolist()}
         layers.append(samples)
-        active.update(reached)
-        anchors = np.unique(np.concatenate([anchors, np.asarray(sorted(reached), dtype=np.int64)])
-                            ) if reached else anchors
-    return LayeredNeighborhood(layers=layers,
-                               active_nodes=np.asarray(sorted(active), dtype=np.int64))
+        sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
+        anchors = np.union1d(anchors, np.concatenate([input_edges.u[sampled],
+                                                      input_edges.v[sampled]]))
+    return LayeredNeighborhood(layers=layers, active_nodes=anchors)

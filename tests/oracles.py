@@ -1,7 +1,9 @@
 """Single-item reference paths the batched encoder and counts are tested against.
 
-Each function computes one anchor's attention or one edge's encoding the
-direct way, so a test can compare it row by row with ``layer_forward`` and
+Each function computes one anchor's attention, one edge's encoding, one
+node's row or recency, or one sampled position the direct way, so a test
+can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
+``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
 ``WindowFeatureCache.counts_matrix``.
 """
 
@@ -10,7 +12,7 @@ import numpy as np
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
 from dygwin.encoder import EncoderParams, LayerParams
-from dygwin.errors import ContractError
+from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import (TemporalEdgeEncoding, apply_count_scale, common_neighbors_at,
                              time2vec)
 from dygwin.tensor import Tensor
@@ -77,3 +79,43 @@ def edge_encoding(enc: TemporalEdgeEncoding, input_edges: EdgeArray,
                           common_neighbors_at(input_edges, u, v, t, index)]],
                         dtype=np.float64)
     return encode_counts(enc, counts)
+
+
+def dict_rows(ids, nodes) -> list[int]:
+    """Row of each node through a node-id dict; a missing node is a ConsistencyError."""
+    row_of = {int(n): i for i, n in enumerate(ids)}
+    try:
+        return [row_of[int(n)] for n in nodes]
+    except KeyError as exc:
+        raise ConsistencyError(f"no embedding row for node {exc}") from None
+
+
+def last_time(edges: EdgeArray, node: int, fallback: float) -> float:
+    """Latest timestamp over the edges touching ``node``, else ``fallback``."""
+    touches = (edges.u == node) | (edges.v == node)
+    return float(edges.t[touches].max()) if touches.any() else fallback
+
+
+def flatten_layer(samples: dict[int, np.ndarray], ids,
+                  edges: EdgeArray) -> list[tuple[int, int, int]]:
+    """(anchor_row, edge_position, neighbor_row) per sampled position, one at a
+    time: anchors ascending, each anchor's positions in sample order."""
+    anchors, positions, others = [], [], []
+    for anchor in sorted(samples):
+        for position in samples[anchor]:
+            position = int(position)
+            u, v = int(edges.u[position]), int(edges.v[position])
+            anchors.append(anchor)
+            positions.append(position)
+            others.append(v if u == anchor else u)
+    return list(zip(dict_rows(ids, anchors), positions, dict_rows(ids, others)))
+
+
+def active_nodes(seeds, layers: list[dict[int, np.ndarray]], edges: EdgeArray) -> list[int]:
+    """Seeds plus both endpoints of every sampled position, sorted."""
+    active = {int(n) for n in seeds}
+    for samples in layers:
+        for sampled in samples.values():
+            for position in sampled:
+                active.update((int(edges.u[position]), int(edges.v[position])))
+    return sorted(active)

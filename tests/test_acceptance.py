@@ -26,7 +26,8 @@ from dygwin.windows import (Interval, evaluation_windows, generate_intervals,
                             make_window_batch)
 
 from graphs import ctdg_from, edges_from
-from test_metrics import (oracle_auc, oracle_average_precision, oracle_rank, records)
+from test_metrics import (oracle_auc, oracle_average_precision, oracle_rank, ragged,
+                          records)
 from test_temporal_features import brute_common_neighbors, brute_degree
 
 
@@ -121,12 +122,12 @@ def test_criterion_2_metric_oracle_equivalence():
         labels = (rng.random(n) < 0.35).astype(int)
         recs = records(scores, labels)
         expected_ap = oracle_average_precision(scores, labels)
-        got_ap = average_precision(recs) if labels.sum() else None
+        got_ap = average_precision(*recs) if labels.sum() else None
         if expected_ap is None:
             mismatches += got_ap is not None
         elif abs(got_ap - expected_ap) > 1e-12:
             mismatches += 1
-        if auc(recs) != oracle_auc(scores.tolist(), labels.tolist()) \
+        if auc(*recs) != oracle_auc(scores.tolist(), labels.tolist()) \
                 and labels.sum() not in (0, n):
             mismatches += 1
     groups, ranks = [], []
@@ -137,9 +138,9 @@ def test_criterion_2_metric_oracle_equivalence():
         labels[rng.integers(0, n)] = 1
         groups.append(records(scores, labels))
         ranks.append(oracle_rank(scores.tolist(), labels.tolist()))
-    if abs(mrr(groups) - np.mean([1.0 / r for r in ranks])) > 1e-12:
+    if abs(mrr(*ragged(groups)) - np.mean([1.0 / r for r in ranks])) > 1e-12:
         mismatches += 1
-    if recall_at_k(groups, 10) != np.mean([r <= 10 for r in ranks]):
+    if recall_at_k(*ragged(groups), 10) != np.mean([r <= 10 for r in ranks]):
         mismatches += 1
     elapsed = time.perf_counter() - started
     report(2, mismatches == 0 and elapsed < 10.0,

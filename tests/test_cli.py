@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dygwin.checkpoint import load_checkpoint
@@ -87,6 +88,22 @@ class TestSubcommands:
         assert code == 0
         manifest = (run_dir_of(tmp_path, "split") / "split.txt").read_text()
         assert "mode = inductive" in manifest
+
+    @pytest.mark.parametrize("field, value", [
+        ("masked_nodes", "999"),   # past the last node
+        ("masked_nodes", "-1"),    # would wrap to the last node
+        ("train_end", "500"),      # past the log's end, and after val_end
+        ("train_end", "x"),        # not a number
+    ], ids=["masked_past_last_node", "masked_negative", "boundary_past_log", "boundary_text"])
+    def test_bad_split_manifest_is_data_error(self, dataset, tmp_path, field, value):
+        fields = {"mode": "inductive", "train_end": "210", "val_end": "250", "seed": "0",
+                  "masked_nodes": "3", field: value}
+        manifest = tmp_path / "split.txt"
+        manifest.write_text("".join(f"{key} = {text}\n" for key, text in fields.items()))
+        code = main(["split", "--dataset", str(dataset), "--output-dir", str(tmp_path),
+                     "--split-file", str(manifest)])
+        assert code == 3
+        assert not list(tmp_path.glob("split-*"))
 
     def test_eval_without_checkpoint_is_config_error(self, dataset, tmp_path):
         code = main(["eval", "--dataset", str(dataset), "--output-dir", str(tmp_path)])
@@ -192,6 +209,14 @@ class TestPipeline:
                      "--eval-horizon", "40"]) == 0
         report = (run_dir_of(tmp_path, "eval") / "report.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in report[1:]] == ["auc", "ap"]
+
+    def test_float64_run_saves_float64_decoder(self, dataset, tmp_path):
+        assert main(["train", "--dataset", str(dataset), "--output-dir", str(tmp_path),
+                     "--epochs", "1", "--window-size", "120", "--set", "target_size=40",
+                     "--set", "precision=float64", *SMALL_MODEL]) == 0
+        state = load_checkpoint(run_dir_of(tmp_path, "train") / "model.dygw")
+        assert {arr.dtype for arr in state.values()} == {np.dtype(np.float64)}
+        assert any(name.startswith("decoder/") for name in state)
 
     def test_ssl_log_has_component_columns(self, artifacts):
         out, _ = artifacts

@@ -106,8 +106,7 @@ class TestFlpDecoder:
     def test_history_less_source_falls_back_to_window_end(self):
         edges = edges_from([(0, 1, 4.0)])
         cache = WindowFeatureCache(edges)
-        assert cache.recency(9, fallback=7.5) == 7.5
-        assert cache.recency(0, fallback=7.5) == 4.0
+        assert cache.index.last_time([9, 0], fallback=7.5).tolist() == [7.5, 4.0]
 
 
 class TestDncDecoder:

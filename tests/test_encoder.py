@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dygwin.tensor as T
-from dygwin.encoder import (EncoderParams, NodeEmbeddings, encode, init_encoder,
-                            layer_forward, window_end_time)
-from dygwin.errors import ConsistencyError
+from dygwin.encoder import (EncoderParams, NodeEmbeddings, _flatten_layer, encode,
+                            init_encoder, layer_forward, window_end_time)
+from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.gradcheck import finite_difference_check
-from dygwin.windows import Interval, make_window_batch
+from dygwin.windows import (IncidenceIndex, Interval, build_layered_neighborhood,
+                            make_window_batch)
 
+import oracles
 from graphs import ctdg_from, edges_from
 from oracles import edge_message, mha
 
@@ -128,7 +132,7 @@ class TestLayerForward:
                 message = edge_message(
                     T.constant(h[other:other + 1], dtype=np.float64),
                     float(edges.t[position]),
-                    cache.recency(anchor, 3.0),
+                    oracles.last_time(edges, anchor, 3.0),
                     np.empty(0), params, counts=cache.counts(int(position)))
                 keys.append(message.values)
             key_tensor = T.constant(np.vstack(keys), dtype=np.float64) if keys else None
@@ -189,7 +193,7 @@ class TestEncode:
                                        int(batch.input_edges.v[p]))]
             if not positions:
                 continue
-            recency = cache.recency(anchor, 2.0)
+            recency = oracles.last_time(batch.input_edges, anchor, 2.0)
             keys = []
             for p in positions:
                 angles = (recency - batch.input_edges.t[p]) * omega + phase
@@ -270,3 +274,61 @@ class TestEncode:
         report = finite_difference_check(forward, {"proj": params.input_proj}, h=1e-6)
         assert report.max_rel_error < 1e-4
         assert np.any(params.input_proj.grad != 0)
+
+
+class TestArrayPaths:
+    """The array lookups and flattening against one-item-at-a-time oracles."""
+
+    def test_unsorted_ids_rejected(self):
+        with pytest.raises(ContractError):
+            NodeEmbeddings(np.array([0, 2, 1]), T.constant(np.zeros((3, 2))))
+        with pytest.raises(ContractError):
+            NodeEmbeddings(np.array([0, 1, 1]), T.constant(np.zeros((3, 2))))
+
+    def test_missing_node_is_consistency_error(self):
+        emb = NodeEmbeddings(np.array([2, 4, 7]), T.constant(np.zeros((3, 2))))
+        assert emb.rows([7, 2, 4, 2]).tolist() == oracles.dict_rows(emb.ids, [7, 2, 4, 2])
+        for node in (0, 3, 8):  # below, between and above the tracked ids
+            with pytest.raises(ConsistencyError):
+                emb.rows([2, node])
+            with pytest.raises(ConsistencyError):
+                oracles.dict_rows(emb.ids, [2, node])
+        with pytest.raises(ConsistencyError):
+            NodeEmbeddings(np.empty(0), T.constant(np.zeros((0, 2)))).rows([0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_array_paths_match_item_oracles(data):
+    num_nodes = data.draw(st.integers(1, 6))
+    # node ids stay below num_nodes, so u == v draws self-loops and repeated
+    # pairs draw parallel edges; timestamps are sorted and may tie
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, num_nodes - 1),
+                                         st.integers(0, num_nodes - 1)), max_size=25))
+    times = sorted(data.draw(st.lists(st.integers(0, 6), min_size=len(pairs),
+                                      max_size=len(pairs))))
+    edges = edges_from([(u, v, float(t)) for (u, v), t in zip(pairs, times)])
+    # seeds range past num_nodes: isolated seeds have no edge in the window
+    seeds = data.draw(st.lists(st.integers(0, num_nodes + 2), max_size=6))
+    num_layers = data.draw(st.integers(1, 3))
+    max_neighbors = data.draw(st.integers(1, 4))
+
+    hood = build_layered_neighborhood(edges, seeds, num_layers, max_neighbors, (5,))
+    assert hood.active_nodes.tolist() == oracles.active_nodes(seeds, hood.layers, edges)
+
+    emb = NodeEmbeddings(hood.active_nodes, T.constant(np.zeros((len(hood.active_nodes), 2))))
+    for samples in hood.layers:
+        anchor_rows, positions, neighbor_rows = _flatten_layer(samples, emb, edges)
+        assert list(zip(anchor_rows.tolist(), positions.tolist(), neighbor_rows.tolist())) \
+            == oracles.flatten_layer(samples, emb.ids, edges)
+
+    nodes = np.arange(num_nodes + 3)
+    assert IncidenceIndex(edges).last_time(nodes, -1.5).tolist() == \
+        [oracles.last_time(edges, int(n), -1.5) for n in nodes]
+
+    queries = data.draw(st.lists(st.integers(0, num_nodes + 2), max_size=8))
+    if set(queries) <= set(hood.active_nodes.tolist()):
+        assert emb.rows(queries).tolist() == oracles.dict_rows(emb.ids, queries)
+    else:
+        with pytest.raises(ConsistencyError):
+            emb.rows(queries)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dygwin.tensor as T
-from dygwin.data import chronological_split, split_edge_indices
+from dygwin.data import CTDG, chronological_split, split_edge_indices
 from dygwin.encoder import init_encoder
 from dygwin.errors import ContractError
 from dygwin.gradcheck import finite_difference_check
@@ -189,3 +189,17 @@ class TestPretrainLoop:
     def test_log_rows_have_components(self, run):
         _, (_, _, history, _, _) = run
         assert set(history[0]) == {"epoch", "loss", "v", "c", "s"}
+
+
+def test_pretrain_reads_node_features():
+    log = make_synthetic_ctdg(num_nodes=20, num_edges=200, history=40, seed=2)
+    node_features = np.random.default_rng(0).normal(size=(log.num_nodes, 3))
+    log = CTDG(log.u, log.v, log.t, log.feats, log.labels, log.label_present,
+               log.num_nodes, node_features=node_features)
+    encoder = init_encoder(num_layers=1, node_dim=8, time_dim=4, node_feature_dim=3,
+                           heads=2, seed=0)
+    before = encoder.input_proj.values.copy()
+    config = PretrainConfig(window=100, stride=50, epochs=1, lr=1e-2, max_neighbors=5)
+    history, _ = pretrain(log, encoder, init_predictor(8), config)
+    assert np.isfinite(history[0]["loss"])
+    assert not np.array_equal(encoder.input_proj.values, before)

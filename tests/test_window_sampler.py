@@ -147,4 +147,4 @@ class TestLayeredNeighborhood:
         index = IncidenceIndex(edges)
         assert index.degree_before(1, 2.0) == 2
         assert index.degree_before(1, 0.5) == 0
-        assert index.last_time(9) is None
+        assert index.last_time([9, 1, 3], fallback=0.5).tolist() == [0.5, 2.0, 3.0]
