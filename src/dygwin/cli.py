@@ -82,9 +82,9 @@ def _make_encoder(config: RunConfig, ctdg: CTDG) -> EncoderParams:
 def _train_config(config: RunConfig) -> TrainConfig:
     return TrainConfig(window=config.window_size, target_size=config.target_size,
                        stride=config.stride, epochs=config.epochs, lr=config.lr,
-                       weight_decay=config.effective_weight_decay,
+                       weight_decay=config.weight_decay,
                        max_neighbors=config.num_neighbors, seed=config.seed,
-                       hidden_dim=config.effective_hidden_dim, val_every=config.val_every)
+                       hidden_dim=config.hidden_dim, val_every=config.val_every)
 
 
 def _write_history(path: Path, history: list[dict]) -> None:
@@ -149,6 +149,7 @@ def cmd_pretrain(config: RunConfig) -> int:
 def _cmd_train_impl(config: RunConfig, force_freeze: bool) -> int:
     ctdg = _load_dataset(config)
     split = _get_split(config, ctdg)
+    split.masked_filter(ctdg)  # a split that does not fit the log leaves no run dir
     encoder = _make_encoder(config, ctdg)
     if config.encoder_init == "checkpoint":
         load_model(config.checkpoint, encoder=encoder)
@@ -183,7 +184,7 @@ def cmd_eval(config: RunConfig) -> int:
     split = _get_split(config, ctdg)
     encoder = _make_encoder(config, ctdg)
     decoder = init_decoder(config.task, config.node_dim, config.time_dim,
-                           config.effective_hidden_dim, seed=config.seed, dtype=encoder.dtype)
+                           config.hidden_dim, seed=config.seed, dtype=encoder.dtype)
     load_model(config.checkpoint, encoder=encoder, decoder=decoder)
 
     train_end, val_end = split.boundaries

@@ -99,16 +99,6 @@ class RunConfig:
         if self.encoder_init == "checkpoint" and not self.checkpoint:
             raise ConfigError("encoder_init=checkpoint requires a checkpoint path")
 
-    @property
-    def effective_weight_decay(self) -> float:
-        if self.weight_decay >= 0:
-            return self.weight_decay
-        return 1e-5 if self.task == "dnc" else 0.0
-
-    @property
-    def effective_hidden_dim(self) -> int:
-        return self.hidden_dim if self.hidden_dim > 0 else self.node_dim
-
 
 _FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
 

@@ -52,9 +52,9 @@ class FLPDecoderParams:
                 f"{prefix}/w2": self.w2, f"{prefix}/b2": self.b2}
 
 
-def init_flp_decoder(node_dim: int, time_dim: int, hidden_dim: int | None = None,
+def init_flp_decoder(node_dim: int, time_dim: int, hidden_dim: int = 0,
                      seed: int = 0, dtype=np.float32) -> FLPDecoderParams:
-    hidden = hidden_dim or node_dim
+    hidden = hidden_dim if hidden_dim > 0 else node_dim
     rng = np.random.default_rng((seed, FLP_INIT_STREAM))
     return FLPDecoderParams(
         t2v=init_time2vec(time_dim, dtype=dtype),
@@ -84,9 +84,9 @@ class DNCDecoderParams:
                 f"{prefix}/w3": self.w3, f"{prefix}/b3": self.b3}
 
 
-def init_dnc_decoder(node_dim: int, time_dim: int, hidden_dim: int | None = None,
+def init_dnc_decoder(node_dim: int, time_dim: int, hidden_dim: int = 0,
                      seed: int = 0, dropout: float = 0.1, dtype=np.float32) -> DNCDecoderParams:
-    hidden = hidden_dim or node_dim
+    hidden = hidden_dim if hidden_dim > 0 else node_dim
     rng = np.random.default_rng((seed, DNC_INIT_STREAM))
     return DNCDecoderParams(
         t2v=init_time2vec(time_dim, dtype=dtype),
@@ -99,7 +99,7 @@ def init_dnc_decoder(node_dim: int, time_dim: int, hidden_dim: int | None = None
         dropout=dropout)
 
 
-def init_decoder(task: str, node_dim: int, time_dim: int, hidden_dim: int | None = None,
+def init_decoder(task: str, node_dim: int, time_dim: int, hidden_dim: int = 0,
                  seed: int = 0, dtype=np.float32):
     """The decoder a task trains: FLP's pair scorer or DNC's source classifier."""
     if task == "flp":
@@ -141,25 +141,22 @@ def dnc_score(decoder: DNCDecoderParams, embeddings: NodeEmbeddings,
 # Negatives and loss
 # ---------------------------------------------------------------------------
 
-def sample_negatives(target_edges: EdgeArray, mode: str, rng: np.random.Generator,
-                     num_nodes: int, num_per_positive: int | None = None) -> np.ndarray:
+def sample_negatives(target_edges: EdgeArray, rng: np.random.Generator, num_nodes: int,
+                     per_positive: int = 1) -> np.ndarray:
     """Random destination replacements, shape (positives, per_positive).
 
-    Train mode draws 1 per positive, rank_eval mode 500. Destinations are
-    uniform over all nodes; collisions with the true destination resample.
+    Destinations are uniform over all nodes; collisions with the true
+    destination resample.
     """
-    if mode not in ("train", "rank_eval"):
-        raise ContractError(f"unknown negative sampling mode {mode!r}")
     if num_nodes < 2:
         raise ContractError("negative sampling impossible with a single node")
-    per = num_per_positive if num_per_positive is not None else (1 if mode == "train" else 500)
-    true_dst = np.repeat(target_edges.v, per)
+    true_dst = np.repeat(target_edges.v, per_positive)
     draw = rng.integers(0, num_nodes, size=true_dst.shape[0])
     collided = draw == true_dst
     while np.any(collided):
         draw[collided] = rng.integers(0, num_nodes, size=int(collided.sum()))
         collided = draw == true_dst
-    return draw.reshape(len(target_edges), per)
+    return draw.reshape(len(target_edges), per_positive)
 
 
 def bce_loss(logits: Tensor, labels) -> Tensor:
@@ -192,12 +189,11 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         cache = WindowFeatureCache(batch.input_edges)
         fallback = window_end_time(batch)
         neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
-        negatives = sample_negatives(targets, "train", neg_rng, ctdg.num_nodes)
+        negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
         rank_neg = np.empty(0, dtype=np.int64)
         if rank_negatives > 0:
             rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
-            rank_neg = sample_negatives(targets, "rank_eval", rank_rng, ctdg.num_nodes,
-                                        num_per_positive=rank_negatives)
+            rank_neg = sample_negatives(targets, rank_rng, ctdg.num_nodes, rank_negatives)
         embeddings = encode(batch, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
                             extra_nodes=np.concatenate([negatives.ravel(), rank_neg.ravel()]),
                             training=False, cache=cache, node_features=ctdg.node_features)
@@ -263,10 +259,10 @@ class TrainConfig:
     stride: int = 0  # 0 -> equal to target_size, so each edge is a target once
     epochs: int = 100
     lr: float = 1e-4
-    weight_decay: float | None = None  # None -> 0 for FLP, 1e-5 for DNC
+    weight_decay: float = -1.0  # negative -> 0 for FLP, 1e-5 for DNC
     max_neighbors: int = 20
     seed: int = 0
-    hidden_dim: int | None = None
+    hidden_dim: int = 0  # 0 -> node_dim
     val_every: int = 1
 
 
@@ -319,7 +315,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
         raise ConfigError(f"unknown task {task!r}")
     config = config or TrainConfig()
     weight_decay = config.weight_decay
-    if weight_decay is None:
+    if weight_decay < 0:
         weight_decay = 1e-5 if task == "dnc" else 0.0
 
     train_idx, _, _ = split_edge_indices(ctdg, split)
@@ -377,8 +373,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                 continue
             if task == "flp":
                 neg_rng = np.random.default_rng((config.seed, NEG_STREAM, epoch, index))
-                negatives = sample_negatives(batch.target_edges, "train", neg_rng,
-                                             ctdg.num_nodes)
+                negatives = sample_negatives(batch.target_edges, neg_rng, ctdg.num_nodes)
             if timer:
                 timer.stop("sample")
                 timer.start("encode")

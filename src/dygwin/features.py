@@ -57,54 +57,59 @@ def time2vec(params: Time2VecParams, delta_t) -> Tensor:
     return T.add(T.mul(angles, keep_linear), T.mul(T.sin(angles), keep_sin))
 
 
-def _neighbors_before(index: IncidenceIndex, node: int, t: float) -> np.ndarray:
-    positions = index.incident(node)
-    if positions.size == 0:
-        return positions
-    keep = int(np.searchsorted(index.edges.t[positions], t, side="right"))
-    positions = positions[:keep]
-    others = np.where(index.edges.u[positions] == node,
-                      index.edges.v[positions], index.edges.u[positions])
-    return np.unique(others)
-
-
-def common_neighbors_at(input_edges: EdgeArray, u: int, v: int, t: float,
-                        index: IncidenceIndex | None = None) -> int:
+def common_neighbors_at(input_edges: EdgeArray, u: int, v: int, t: float) -> int:
     """Distinct nodes adjacent to both u and v via edges with timestamp <= t,
     excluding u and v themselves."""
-    if index is None:
-        index = IncidenceIndex(input_edges)
-    nu = _neighbors_before(index, u, t)
-    nv = _neighbors_before(index, v, t)
-    common = np.intersect1d(nu, nv, assume_unique=True)
-    return int(np.sum((common != u) & (common != v)))
+    return int(WindowFeatureCache(input_edges).counts_at([u], [v], [t])[0, 2])
 
 
 class WindowFeatureCache:
-    """Memoized per-edge structural counts for one slice, beside its incidence index."""
+    """Batched structural counts for one slice from two sorted keys: node * R +
+    time rank per incidence entry (R distinct times), and node * M + other
+    endpoint per contact pair (ids below M), kept at the pair's earliest time."""
 
     def __init__(self, edges: EdgeArray):
         self.edges = edges
         self.index = IncidenceIndex(edges)
-        self._counts: dict[int, tuple[int, int, int]] = {}
+        nodes, positions = self.index.nodes, self.index.positions
+        self._times = np.unique(edges.t)
+        ranks = np.searchsorted(self._times, edges.t[positions])
+        self._degree_keys = np.sort(nodes * len(self._times) + ranks)
+        others = np.where(edges.u[positions] == nodes, edges.v[positions], edges.u[positions])
+        self._stride = int(nodes.max()) + 1 if nodes.size else 1
+        order = np.lexsort((ranks, others, nodes))
+        pair_keys = nodes[order] * self._stride + others[order]
+        earliest = np.diff(pair_keys, prepend=-1) != 0
+        self._pair_keys, self._pair_ranks = pair_keys[earliest], ranks[order][earliest]
 
-    def counts(self, position: int) -> tuple[int, int, int]:
-        cached = self._counts.get(position)
-        if cached is None:
-            u = int(self.edges.u[position])
-            v = int(self.edges.v[position])
-            t = float(self.edges.t[position])
-            cached = (self.index.degree_before(u, t),
-                      self.index.degree_before(v, t),
-                      common_neighbors_at(self.edges, u, v, t, self.index))
-            self._counts[position] = cached
-        return cached
+    def counts_at(self, us, vs, ts) -> np.ndarray:
+        """(deg_u, deg_v, common neighbours) per (u, v, t) query, shape (n, 3): edges
+        at or before t count, a self-loop once, and u and v are never their own
+        common neighbour. Times and nodes need not occur in the slice."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        n, ends = len(us), np.concatenate([us, vs])
+        before = np.tile(np.searchsorted(self._times, ts, side="right"), 2)
+        low = ends * len(self._times)
+        degrees = (np.searchsorted(self._degree_keys, low + before)
+                   - np.searchsorted(self._degree_keys, low))
+        # Both endpoints' contact rows, expanded ragged: a neighbour of both,
+        # contacted by t and neither u nor v, shows up twice under its query.
+        lo = np.searchsorted(self._pair_keys, ends * self._stride)
+        lengths = np.searchsorted(self._pair_keys, (ends + 1) * self._stride) - lo
+        query = np.repeat(np.tile(np.arange(n), 2), lengths)
+        rows = np.arange(query.size) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+        others = self._pair_keys[rows] % self._stride
+        keep = ((self._pair_ranks[rows] < before[query])
+                & (others != us[query]) & (others != vs[query]))
+        keys = np.sort(query[keep] * self._stride + others[keep])
+        common = np.bincount(keys[1:][keys[1:] == keys[:-1]] // self._stride, minlength=n)
+        return np.column_stack([degrees.reshape(2, n).T, common])
 
-    def counts_matrix(self, positions: np.ndarray) -> np.ndarray:
-        out = np.empty((len(positions), 3), dtype=np.float64)
-        for row, position in enumerate(positions):
-            out[row] = self.counts(int(position))
-        return out
+    def counts_matrix(self, positions) -> np.ndarray:
+        """``counts_at`` each edge position's own (u, v, t), as float64 rows."""
+        unique, inverse = np.unique(np.asarray(positions, dtype=np.int64), return_inverse=True)
+        counts = self.counts_at(self.edges.u[unique], self.edges.v[unique], self.edges.t[unique])
+        return counts[inverse].astype(np.float64)
 
 
 @dataclass

@@ -281,20 +281,6 @@ def relu(a: Tensor) -> Tensor:
     return _finish("relu", (a,), out, bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-
-    def bwd(g: Array):
-        return (g * out * (1.0 - out),)
-
-    return _finish("sigmoid", (a,), out, bwd)
-
-
 def sin(a: Tensor) -> Tensor:
     out = np.sin(a.values)
 
@@ -311,20 +297,6 @@ def sqrt(a: Tensor) -> Tensor:
         return (g * 0.5 / out,)
 
     return _finish("sqrt", (a,), out, bwd)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-d tensor, got shape {a.shape}")
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g: Array):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _finish("softmax_rows", (a,), out, bwd)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:

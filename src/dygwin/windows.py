@@ -91,38 +91,27 @@ def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int,
 
 
 class IncidenceIndex:
-    """Per-node incident edge positions within one edge slice.
-
-    Positions are ascending, hence time-ordered; a self-loop contributes a
-    single position to its node.
-    """
+    """Per-node incident edge positions within one edge slice, sorted by
+    (node, position): each node's run is ascending, hence time-ordered, and a
+    self-loop is one entry. Read-only, since ``incident`` returns views."""
 
     def __init__(self, edges: EdgeArray):
         self.edges = edges
-        count = len(edges)
-        nodes = np.concatenate([edges.u, edges.v])
-        positions = np.concatenate([np.arange(count), np.arange(count)])
-        order = np.argsort(nodes, kind="stable")
-        self._nodes = nodes[order]
-        self._positions = positions[order]
-        starts = np.flatnonzero(np.diff(self._nodes, prepend=self._nodes[:1] - 1))
-        self._node_ids = self._nodes[starts]
-        self._last_t = edges.t[np.maximum.reduceat(self._positions, starts)]
+        loop = edges.u == edges.v
+        nodes = np.concatenate([edges.u, edges.v[~loop]])
+        positions = np.concatenate([np.arange(len(edges)), np.flatnonzero(~loop)])
+        order = np.lexsort((positions, nodes))
+        self.nodes = nodes[order]
+        self.positions = positions[order]
+        starts = np.flatnonzero(np.diff(self.nodes, prepend=self.nodes[:1] - 1))
+        self._node_ids = self.nodes[starts]
+        self._last_t = edges.t[np.maximum.reduceat(self.positions, starts)]
+        for array in (self.nodes, self.positions, self._node_ids, self._last_t):
+            array.flags.writeable = False
 
     def incident(self, node: int) -> np.ndarray:
-        lo = np.searchsorted(self._nodes, node, side="left")
-        hi = np.searchsorted(self._nodes, node, side="right")
-        positions = self._positions[lo:hi]
-        if positions.size == 0:
-            return positions
-        return np.unique(positions)
-
-    def degree_before(self, node: int, t: float) -> int:
-        """Incident edges of ``node`` with timestamp <= t (parallel edges count)."""
-        positions = self.incident(node)
-        if positions.size == 0:
-            return 0
-        return int(np.searchsorted(self.edges.t[positions], t, side="right"))
+        lo, hi = np.searchsorted(self.nodes, [node, node + 1])
+        return self.positions[lo:hi]
 
     def last_time(self, nodes, fallback: float) -> np.ndarray:
         """Latest incident timestamp of each node, ``fallback`` for a node

@@ -1,10 +1,12 @@
 """Single-item reference paths the batched encoder and counts are tested against.
 
 Each function computes one anchor's attention, one edge's encoding, one
-node's row or recency, or one sampled position the direct way, so a test
-can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
-``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
-``WindowFeatureCache.counts_matrix``.
+node's row, recency, degree or common neighbours, or one sampled position
+the direct way, so a test can compare it item by item with
+``layer_forward``, ``NodeEmbeddings.rows``, ``IncidenceIndex.last_time``,
+``build_layered_neighborhood`` and ``WindowFeatureCache.counts_at``. The
+``sigmoid`` and ``softmax_rows`` primitives serve the reference ``mha`` and
+the gradient checks only.
 """
 
 import numpy as np
@@ -12,11 +14,37 @@ import numpy as np
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
 from dygwin.encoder import EncoderParams, LayerParams
-from dygwin.errors import ConsistencyError, ContractError
-from dygwin.features import (TemporalEdgeEncoding, apply_count_scale, common_neighbors_at,
-                             time2vec)
-from dygwin.tensor import Tensor
-from dygwin.windows import IncidenceIndex
+from dygwin.errors import ConsistencyError, ContractError, ShapeError
+from dygwin.features import TemporalEdgeEncoding, apply_count_scale, time2vec
+from dygwin.tensor import Tensor, _finish
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    x = a.values
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+
+    def bwd(g):
+        return (g * out * (1.0 - out),)
+
+    return _finish("sigmoid", (a,), out, bwd)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    if a.values.ndim != 2:
+        raise ShapeError(f"softmax_rows expects a 2-d tensor, got shape {a.shape}")
+    shifted = a.values - a.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def bwd(g):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        return (out * (g - dot),)
+
+    return _finish("softmax_rows", (a,), out, bwd)
 
 
 def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,
@@ -55,7 +83,7 @@ def mha(query: Tensor, keys: Tensor | None, layer: LayerParams,
         k = T.matmul(keys, layer.wk[h])                     # (rows, head_dim)
         v = T.matmul(keys, layer.wv[h])
         scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(head_dim))
-        attn = T.softmax_rows(scores)                       # (1, rows)
+        attn = softmax_rows(scores)                         # (1, rows)
         if dropout_p > 0.0:
             attn = T.dropout(attn, dropout_p, rng, training=training)
         contexts.append(T.matmul(attn, v))                  # (1, head_dim)
@@ -68,16 +96,32 @@ def encode_counts(enc: TemporalEdgeEncoding, counts: np.ndarray) -> Tensor:
     return T.matmul(T.constant(scaled, dtype=enc.w2.dtype), enc.w2)
 
 
+def brute_degree(triples, node, t):
+    """Count incident edges with timestamp <= t by direct scan."""
+    return sum(1 for (u, v, ts) in triples if ts <= t and (u == node or v == node))
+
+
+def brute_common_neighbors(triples, a, b, t):
+    """Distinct shared neighbours via explicit set construction."""
+    def nbrs(x):
+        out = set()
+        for (u, v, ts) in triples:
+            if ts > t:
+                continue
+            if u == x:
+                out.add(v)
+            if v == x:
+                out.add(u)
+        return out - {a, b}
+    return len(nbrs(a) & nbrs(b))
+
+
 def edge_encoding(enc: TemporalEdgeEncoding, input_edges: EdgeArray,
-                  u: int, v: int, t: float,
-                  index: IncidenceIndex | None = None) -> Tensor:
+                  u: int, v: int, t: float) -> Tensor:
     """Encoding vector for a (u, v, t) interaction; shape (1, dim)."""
-    if index is None:
-        index = IncidenceIndex(input_edges)
-    counts = np.asarray([[index.degree_before(u, t),
-                          index.degree_before(v, t),
-                          common_neighbors_at(input_edges, u, v, t, index)]],
-                        dtype=np.float64)
+    triples = list(zip(input_edges.u.tolist(), input_edges.v.tolist(), input_edges.t.tolist()))
+    counts = np.asarray([[brute_degree(triples, u, t), brute_degree(triples, v, t),
+                          brute_common_neighbors(triples, u, v, t)]], dtype=np.float64)
     return encode_counts(enc, counts)
 
 

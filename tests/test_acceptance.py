@@ -15,7 +15,7 @@ from dygwin.data import chronological_split, split_edge_indices
 from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, flp_score,
                                init_flp_decoder, sample_negatives, train_downstream)
 from dygwin.encoder import encode, init_encoder, window_end_time
-from dygwin.features import WindowFeatureCache, common_neighbors_at
+from dygwin.features import WindowFeatureCache
 from dygwin.gradcheck import finite_difference_check
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
 from dygwin.pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor,
@@ -26,9 +26,9 @@ from dygwin.windows import (Interval, evaluation_windows, generate_intervals,
                             make_window_batch)
 
 from graphs import ctdg_from, edges_from
+from oracles import brute_common_neighbors, brute_degree
 from test_metrics import (oracle_auc, oracle_average_precision, oracle_rank, ragged,
                           records)
-from test_temporal_features import brute_common_neighbors, brute_degree
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -63,8 +63,7 @@ def test_criterion_1_full_model_gradient_check():
                            heads=2, dropout=0.0, seed=1, dtype=np.float64)
     decoder = init_flp_decoder(node_dim=8, time_dim=6, seed=1, dtype=np.float64)
     predictor = init_predictor(8, seed=1, dtype=np.float64)
-    negatives = sample_negatives(batch.target_edges, "train",
-                                 np.random.default_rng(2), ctdg.num_nodes)
+    negatives = sample_negatives(batch.target_edges, np.random.default_rng(2), ctdg.num_nodes)
     view_a = distort(batch, DistortionConfig(0.3, 0.3), np.random.default_rng(3))
     view_b = distort(batch, DistortionConfig(0.3, 0.3), np.random.default_rng(4))
     common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
@@ -158,17 +157,14 @@ def test_criterion_3_temporal_feature_oracles():
         triples = [(int(a), int(b), float(i))
                    for i, (a, b) in enumerate(rng.integers(0, n_nodes,
                                                            size=(n_edges, 2)))]
-        edges = edges_from(triples)
-        from dygwin.windows import IncidenceIndex
-        index = IncidenceIndex(edges)
-        for t in {tr[2] for tr in triples}:
-            for u in range(n_nodes):
-                if index.degree_before(u, t) != brute_degree(triples, u, t):
-                    mismatches += 1
-                for v in range(u, n_nodes):
-                    if common_neighbors_at(edges, u, v, t, index) != \
-                            brute_common_neighbors(triples, u, v, t):
-                        mismatches += 1
+        queries = [(u, v, t) for t in {tr[2] for tr in triples}
+                   for u in range(n_nodes) for v in range(u, n_nodes)]
+        us, vs, ts = (np.asarray(column) for column in zip(*queries))
+        counts = WindowFeatureCache(edges_from(triples)).counts_at(us, vs, ts)
+        for (u, v, t), row in zip(queries, counts.tolist()):
+            if row != [brute_degree(triples, u, t), brute_degree(triples, v, t),
+                       brute_common_neighbors(triples, u, v, t)]:
+                mismatches += 1
     elapsed = time.perf_counter() - started
     report(3, mismatches == 0 and elapsed < 10.0,
            f"degree/common-neighbor counts vs brute force on 100 graphs: "

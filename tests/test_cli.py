@@ -105,6 +105,17 @@ class TestSubcommands:
         assert code == 3
         assert not list(tmp_path.glob("split-*"))
 
+    @pytest.mark.parametrize("subcommand", ["train", "probe"])
+    def test_split_past_log_leaves_no_run_dir(self, dataset, tmp_path, subcommand):
+        manifest = tmp_path / "split.txt"
+        manifest.write_text("mode = transductive\ntrain_end = 500\nval_end = 250\n"
+                            "seed = 0\nmasked_nodes = \n")
+        out = tmp_path / "runs"
+        code = main([subcommand, "--dataset", str(dataset), "--output-dir", str(out),
+                     "--split-file", str(manifest), "--epochs", "1", *SMALL_MODEL])
+        assert code == 3
+        assert not list(out.glob("*"))
+
     def test_eval_without_checkpoint_is_config_error(self, dataset, tmp_path):
         code = main(["eval", "--dataset", str(dataset), "--output-dir", str(tmp_path)])
         assert code == 2
@@ -217,6 +228,24 @@ class TestPipeline:
         state = load_checkpoint(run_dir_of(tmp_path, "train") / "model.dygw")
         assert {arr.dtype for arr in state.values()} == {np.dtype(np.float64)}
         assert any(name.startswith("decoder/") for name in state)
+
+    @pytest.mark.parametrize("task, decay", [("flp", 0.0), ("dnc", 1e-5)])
+    def test_task_defaults_without_keys(self, dataset, tmp_path, monkeypatch, task, decay):
+        import dygwin.downstream as downstream
+        seen = []
+
+        class RecordingAdam(downstream.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.weight_decay)
+
+        monkeypatch.setattr(downstream, "Adam", RecordingAdam)
+        assert main(["train", "--dataset", str(dataset), "--output-dir", str(tmp_path),
+                     "--epochs", "1", "--window-size", "120", "--set", "target_size=40",
+                     "--task", task, *SMALL_MODEL]) == 0
+        assert seen == [decay]
+        state = load_checkpoint(run_dir_of(tmp_path, "train") / "model.dygw")
+        assert state["decoder/w1"].shape == (16 + 8, 16)  # hidden width = node_dim
 
     def test_ssl_log_has_component_columns(self, artifacts):
         out, _ = artifacts

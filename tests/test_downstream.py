@@ -31,28 +31,28 @@ def one_edge_logit(decoder, emb, u, v, t, cache, fallback_time):
 class TestSampleNegatives:
     def test_train_mode_one_per_positive(self):
         targets = edges_from([(i % 7, (i + 1) % 7, float(i)) for i in range(200)])
-        negs = sample_negatives(targets, "train", np.random.default_rng(0), num_nodes=7)
+        negs = sample_negatives(targets, np.random.default_rng(0), num_nodes=7)
         assert negs.shape == (200, 1)
         assert np.all(negs.ravel() != targets.v)
         assert np.all((negs >= 0) & (negs < 7))
 
     def test_rank_mode_five_hundred_per_positive(self):
         targets = edges_from([(0, 1, 0.0), (1, 2, 1.0), (2, 3, 2.0)])
-        negs = sample_negatives(targets, "rank_eval", np.random.default_rng(0),
-                                num_nodes=50)
+        negs = sample_negatives(targets, np.random.default_rng(0), num_nodes=50,
+                                per_positive=500)
         assert negs.size == 1500
         for row, v in zip(negs, targets.v):
             assert np.all(row != v)
 
     def test_two_node_graph_forced_destination(self):
         targets = edges_from([(0, 1, 0.0)])
-        negs = sample_negatives(targets, "train", np.random.default_rng(0), num_nodes=2)
+        negs = sample_negatives(targets, np.random.default_rng(0), num_nodes=2)
         assert negs.ravel().tolist() == [0]
 
     def test_single_node_impossible(self):
         targets = edges_from([(0, 0, 0.0)])
         with pytest.raises(ContractError):
-            sample_negatives(targets, "train", np.random.default_rng(0), num_nodes=1)
+            sample_negatives(targets, np.random.default_rng(0), num_nodes=1)
 
 
 class TestBceLoss:

@@ -133,7 +133,7 @@ class TestLayerForward:
                     T.constant(h[other:other + 1], dtype=np.float64),
                     float(edges.t[position]),
                     oracles.last_time(edges, anchor, 3.0),
-                    np.empty(0), params, counts=cache.counts(int(position)))
+                    np.empty(0), params, counts=cache.counts_matrix([position])[0])
                 keys.append(message.values)
             key_tensor = T.constant(np.vstack(keys), dtype=np.float64) if keys else None
             reference = (h[anchor:anchor + 1] @ layer.w1.values +
@@ -198,8 +198,7 @@ class TestEncode:
             for p in positions:
                 angles = (recency - batch.input_edges.t[p]) * omega + phase
                 f_time = np.concatenate([angles[:, :1], np.sin(angles[:, 1:])], axis=1)
-                f = f_time + np.log1p(np.array([cache.counts(p)],
-                                               dtype=np.float64)) @ params.edge_enc.w2.values
+                f = f_time + np.log1p(cache.counts_matrix([p])) @ params.edge_enc.w2.values
                 keys.append(np.concatenate([np.zeros((1, 2)), f], axis=1))
             keys = np.vstack(keys)
             q = np.zeros((1, 2)) @ layer.wq[0].values

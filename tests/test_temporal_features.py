@@ -1,38 +1,19 @@
 """Time encodings and structural counts against brute-force oracles."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dygwin.tensor as T
-from dygwin.features import (TemporalEdgeEncoding, Time2VecParams, common_neighbors_at,
-                             init_time2vec, time2vec)
-from dygwin.windows import IncidenceIndex
+from dygwin.features import (TemporalEdgeEncoding, Time2VecParams, WindowFeatureCache,
+                             common_neighbors_at, init_time2vec, time2vec)
 
 from graphs import edges_from
-from oracles import edge_encoding
+from oracles import brute_common_neighbors, brute_degree, edge_encoding
 
 
 def degree_at(edges, node, t):
-    return IncidenceIndex(edges).degree_before(node, t)
-
-
-def brute_degree(triples, node, t):
-    """Oracle: count incident edges with timestamp <= t by direct scan."""
-    return sum(1 for (u, v, ts) in triples if ts <= t and (u == node or v == node))
-
-
-def brute_common_neighbors(triples, a, b, t):
-    """Oracle: distinct shared neighbors via explicit set construction."""
-    def nbrs(x):
-        out = set()
-        for (u, v, ts) in triples:
-            if ts > t:
-                continue
-            if u == x:
-                out.add(v)
-            if v == x:
-                out.add(u)
-        return out - {a, b}
-    return len(nbrs(a) & nbrs(b))
+    return int(WindowFeatureCache(edges).counts_at([node], [node], [t])[0, 0])
 
 
 def t2v_params(omega, phase):
@@ -125,6 +106,45 @@ class TestCounts:
                     for v in range(u, n_nodes):
                         assert common_neighbors_at(edges, u, v, t) == \
                             brute_common_neighbors(triples, u, v, t)
+
+    def test_counts_matrix_repeated_positions_match_rows(self):
+        rng = np.random.default_rng(5)
+        times = np.sort(rng.integers(0, 10, size=30)).astype(float)
+        triples = [(int(a), int(b), float(t))
+                   for (a, b), t in zip(rng.integers(0, 6, size=(30, 2)), times)]
+        positions = rng.integers(0, 30, size=80)  # unsorted, with repeats
+        got = WindowFeatureCache(edges_from(triples)).counts_matrix(positions)
+        expected = [[brute_degree(triples, u, t), brute_degree(triples, v, t),
+                     brute_common_neighbors(triples, u, v, t)]
+                    for u, v, t in (triples[p] for p in positions)]
+        assert got.dtype == np.float64
+        assert got.tolist() == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_counts_at_matches_brute_force(data):
+    num_nodes = data.draw(st.integers(1, 6))
+    # node ids stay below num_nodes, so u == v draws self-loops and repeated
+    # pairs draw parallel edges; timestamps are sorted and may tie; the
+    # window may be empty
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, num_nodes - 1),
+                                         st.integers(0, num_nodes - 1)), max_size=25))
+    times = sorted(data.draw(st.lists(st.integers(0, 6), min_size=len(pairs),
+                                      max_size=len(pairs))))
+    triples = [(u, v, float(t)) for (u, v), t in zip(pairs, times)]
+    # query nodes past num_nodes are absent from the window, u == v is drawn,
+    # and half-step times fall between, before and after the window's times
+    queries = data.draw(st.lists(st.tuples(st.integers(0, num_nodes + 1),
+                                           st.integers(0, num_nodes + 1),
+                                           st.integers(-2, 16).map(lambda x: x / 2)),
+                                 max_size=20))
+    got = WindowFeatureCache(edges_from(triples)).counts_at(
+        [q[0] for q in queries], [q[1] for q in queries], [q[2] for q in queries])
+    assert got.shape == (len(queries), 3)
+    assert got.tolist() == [[brute_degree(triples, u, t), brute_degree(triples, v, t),
+                             brute_common_neighbors(triples, u, v, t)]
+                            for u, v, t in queries]
 
 
 class TestEdgeEncoding:

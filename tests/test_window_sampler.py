@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dygwin.errors import ContractError
+from dygwin.features import WindowFeatureCache
 from dygwin.windows import (Interval, IncidenceIndex, build_layered_neighborhood,
                             evaluation_windows, generate_intervals,
                             make_window_batch, sample_neighbors)
@@ -144,7 +145,18 @@ class TestLayeredNeighborhood:
 
     def test_incidence_index_degree_before(self):
         edges = edges_from([(1, 2, 1.0), (1, 3, 2.0), (2, 3, 3.0)])
+        assert WindowFeatureCache(edges).counts_at([1, 1], [1, 1], [2.0, 0.5])[:, 0].tolist() \
+            == [2, 0]
+        assert IncidenceIndex(edges).last_time([9, 1, 3], fallback=0.5).tolist() == [0.5, 2.0, 3.0]
+
+    def test_incident_positions_once_ascending_and_read_only(self):
+        # a self-loop, parallel edges and a tied timestamp
+        edges = edges_from([(1, 1, 0.0), (1, 2, 1.0), (2, 1, 1.0), (3, 1, 2.0), (2, 2, 3.0)])
         index = IncidenceIndex(edges)
-        assert index.degree_before(1, 2.0) == 2
-        assert index.degree_before(1, 0.5) == 0
-        assert index.last_time([9, 1, 3], fallback=0.5).tolist() == [0.5, 2.0, 3.0]
+        assert index.incident(1).tolist() == [0, 1, 2, 3]
+        assert index.incident(2).tolist() == [1, 2, 4]
+        assert index.incident(9).tolist() == []
+        with pytest.raises(ValueError):
+            index.incident(1)[0] = 7
+        with pytest.raises(ValueError):
+            index.nodes[0] = 7
