@@ -3,7 +3,8 @@
 Every subcommand resolves one configuration (defaults < config file < CLI
 flags), writes it into a fresh run directory named by config hash and
 timestamp, and leaves all artifacts there. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 numeric failure.
+2 configuration error, 3 data error, 4 numeric failure, 5 internal error
+(a broken invariant, such as a row the encoder was not asked for).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .data import (CTDG, chronological_split, inductive_split, load_cache, load_
 from .downstream import (TrainConfig, evaluate_dnc, evaluate_flp, init_decoder,
                          train_downstream)
 from .encoder import EncoderParams, init_encoder
-from .errors import ConfigError, ContractError, DataError, NumericFailure
+from .errors import (ConfigError, ConsistencyError, ContractError, DataError, HarnessError,
+                     NumericFailure)
 from .metrics import write_metrics_report
 from .pretrain import (DistortionConfig, PretrainConfig, init_predictor, pretrain)
 from .timing import PhaseTimer
@@ -305,6 +307,8 @@ def main(argv=None) -> int:
         return _fail("data", str(exc), 3)
     except NumericFailure as exc:
         return _fail("numeric", str(exc), 4)
+    except (ConsistencyError, HarnessError) as exc:
+        return _fail("internal", str(exc), 5)
 
 
 if __name__ == "__main__":

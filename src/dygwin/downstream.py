@@ -194,9 +194,10 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         if rank_negatives > 0:
             rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
             rank_neg = sample_negatives(targets, rank_rng, ctdg.num_nodes, rank_negatives)
+        scored = np.concatenate([targets.u, targets.v, negatives.ravel(), rank_neg.ravel()])
         embeddings = encode(batch, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            extra_nodes=np.concatenate([negatives.ravel(), rank_neg.ravel()]),
-                            training=False, cache=cache, node_features=ctdg.node_features)
+                            scored, training=False, cache=cache,
+                            node_features=ctdg.node_features)
         pos_scores.append(flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
                                     cache, fallback).values.ravel())
         neg_scores.append(flp_score(decoder, embeddings, targets.u, negatives.ravel(),
@@ -236,7 +237,8 @@ def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         cut = batch.interval.end
         cache = WindowFeatureCache(batch.input_edges)
         embeddings = encode(batch, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            training=False, cache=cache, node_features=ctdg.node_features)
+                            labeled.u, training=False, cache=cache,
+                            node_features=ctdg.node_features)
         scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
                                 window_end_time(batch), training=False).values.ravel())
         labels.append((labeled.labels > 0.5).astype(np.int64))
@@ -338,6 +340,8 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     def run_validation() -> float | None:
         if val_end <= train_end:
             return None
+        if timer:
+            timer.start("validate")
         region = (train_end, val_end)
         if task == "flp":
             report = evaluate_flp(ctdg, region, encoder, decoder, config.window,
@@ -347,12 +351,16 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
             report = evaluate_dnc(ctdg, region, encoder, decoder, config.window,
                                   config.target_size, config.max_neighbors,
                                   config.seed, target_filter=masked_filter)
+        if timer:
+            timer.stop("validate")
         return report["ap"]
 
     frozen_cache: dict[int, tuple] = {}
     history: list[dict] = []
     initial_ap = run_validation()
     history.append({"epoch": 0, "train_loss": None, "val_ap": initial_ap})
+    if timer:
+        timer.end_epoch(0)
     best_ap = -np.inf if initial_ap is None else initial_ap
     best_epoch = 0
     best_snapshot = snapshot_params(trainable)
@@ -384,12 +392,18 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                 else:
                     cache = WindowFeatureCache(batch.input_edges)
                     fallback = window_end_time(batch)
+                    # Every window node, not only the scored ones: dropout masks are
+                    # drawn by message position, so fewer messages would change every
+                    # draw, and a frozen encoder's cached rows serve later epochs'
+                    # negatives.
                     extra = np.arange(ctdg.num_nodes) if freeze_encoder else \
                         (negatives.ravel() if task == "flp" else np.empty(0, dtype=np.int64))
+                    nodes = np.concatenate([batch.input_edges.endpoints(),
+                                            batch.target_edges.endpoints(), extra])
                     enc_epoch = 0 if freeze_encoder else epoch
                     embeddings = encode(batch, encoder, config.max_neighbors,
                                         (config.seed, ENC_STREAM, enc_epoch, index),
-                                        extra_nodes=extra, training=not freeze_encoder,
+                                        nodes, training=not freeze_encoder,
                                         cache=cache, node_features=ctdg.node_features)
                     if freeze_encoder:
                         frozen_cache[index] = (embeddings, cache, fallback)

@@ -4,7 +4,8 @@ Message passing is flat: every layer aggregates from the same input slice.
 A node's layer update is ``h = h_prev @ W1 + MHA(h_prev, messages)`` where
 each message concatenates the neighbor's previous embedding, a relative
 time encoding plus structural edge encoding, and the raw edge features.
-One embedding matrix serves every prediction against the batch's targets.
+Each layer is computed only for the receptive field of the rows a caller
+requests.
 """
 
 from __future__ import annotations
@@ -130,16 +131,18 @@ class NodeEmbeddings:
 
 
 def _flatten_layer(samples: dict[int, np.ndarray], embeddings: NodeEmbeddings,
-                   edges: EdgeArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-anchor samples into (anchor_row, edge_position, neighbor_row),
-    anchors ascending and each anchor's positions in sample order."""
-    anchors = sorted(samples)
-    positions = np.concatenate([np.empty(0, dtype=np.int64),
-                                *(samples[a] for a in anchors)])
-    anchor_ids = np.repeat(np.asarray(anchors, dtype=np.int64),
-                           [samples[a].size for a in anchors])
+                   edges: EdgeArray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten per-anchor samples into (anchors, segment, edge_position,
+    neighbor_row): anchors ascending, one segment (the index of its anchor)
+    per sampled position, each anchor's positions in sample order, and
+    neighbour rows in ``embeddings``."""
+    keys = sorted(samples)
+    positions = np.concatenate([np.empty(0, dtype=np.int64), *(samples[a] for a in keys)])
+    segments = np.repeat(np.arange(len(keys)), [samples[a].size for a in keys])
+    anchors = np.asarray(keys, dtype=np.int64)
+    anchor_ids = anchors[segments]
     others = np.where(edges.u[positions] == anchor_ids, edges.v[positions], edges.u[positions])
-    return embeddings.rows(anchor_ids), positions, embeddings.rows(others)
+    return anchors, segments, positions, embeddings.rows(others)
 
 
 def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
@@ -147,20 +150,23 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
                   cache: WindowFeatureCache, fallback_time: float,
                   dropout_rng: np.random.Generator | None = None,
                   training: bool = False) -> NodeEmbeddings:
-    """One attention layer over every tracked node.
+    """One attention layer from the input rows to one row per anchor of ``samples``.
 
-    Nodes without a sample this layer (no incident edges, or not yet an
-    anchor) take the bare ``h @ W1`` path; attention context is added for
-    the rest. Output rows are invariant to each anchor's sample order.
+    Anchors and their sampled neighbours must have input rows. An anchor with
+    an empty sample (no incident edges) takes the bare ``h @ W1`` path;
+    attention context is added for the rest. Output rows are invariant to
+    each anchor's sample order.
     """
+    anchors, segments, positions, neighbor_rows = _flatten_layer(samples, embeddings, edges)
+    rows = embeddings.rows(anchors)
     H = embeddings.matrix
-    num_rows = len(embeddings)
-    h_new = T.matmul(H, layer.w1)
-    anchor_rows, positions, neighbor_rows = _flatten_layer(samples, embeddings, edges)
+    # A request covering the window (training) makes every input row an anchor.
+    H_out = H if rows.size == len(embeddings) else T.slice_rows(H, rows)
+    h_new = T.matmul(H_out, layer.w1)
     if positions.size == 0:
-        return NodeEmbeddings(embeddings.ids, h_new)
+        return NodeEmbeddings(anchors, h_new)
 
-    delta = cache.index.last_time(embeddings.ids[anchor_rows], fallback_time) - edges.t[positions]
+    delta = cache.index.last_time(anchors[segments], fallback_time) - edges.t[positions]
     masked = edges.enc_masked[positions]
 
     counts = cache.counts_matrix(positions)
@@ -179,18 +185,18 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     head_dim = layer.wq[0].shape[1]
     contexts = []
     for h in range(params.heads):
-        q_all = T.matmul(H, layer.wq[h])
-        q = T.slice_rows(q_all, anchor_rows)
+        q_all = T.matmul(H_out, layer.wq[h])
+        q = T.slice_rows(q_all, segments)
         k = T.matmul(messages, layer.wk[h])
         v = T.matmul(messages, layer.wv[h])
         scores = T.scale(T.tensor_sum(T.mul(q, k), axis=1, keepdims=True),
                          1.0 / np.sqrt(head_dim))
-        attn = T.segment_softmax(scores, anchor_rows)
+        attn = T.segment_softmax(scores, segments)
         if params.dropout > 0.0 and training:
             attn = T.dropout(attn, params.dropout, dropout_rng, training=True)
-        contexts.append(T.segment_sum(T.mul(attn, v), anchor_rows, num_rows))
+        contexts.append(T.segment_sum(T.mul(attn, v), segments, len(anchors)))
     mha_out = T.matmul(T.concat_last_dim(contexts), layer.wo)
-    return NodeEmbeddings(embeddings.ids, T.add(h_new, mha_out))
+    return NodeEmbeddings(anchors, T.add(h_new, mha_out))
 
 
 def window_end_time(batch: WindowBatch) -> float:
@@ -202,28 +208,31 @@ def window_end_time(batch: WindowBatch) -> float:
 
 
 def encode(batch: WindowBatch, params: EncoderParams, max_neighbors: int,
-           rng_key: tuple[int, ...] | int, extra_nodes=(),
+           rng_key: tuple[int, ...] | int, nodes,
            input_override: EdgeArray | None = None,
            node_features: np.ndarray | None = None,
            training: bool = False,
            cache: WindowFeatureCache | None = None,
            hood: LayeredNeighborhood | None = None) -> NodeEmbeddings:
-    """Encode one window into task-agnostic node embeddings.
+    """Encode one window into task-agnostic embeddings of the requested nodes.
 
-    Rows cover every node in the input slice, the target endpoints, and
-    ``extra_nodes`` (e.g. sampled negative destinations). Target edge
-    content is never read; targets only contribute node ids. Pass
-    ``input_override`` to encode a distorted view of the input slice.
+    Returns one row per distinct id in ``nodes``, ids ascending, and no other
+    row. Layer i is computed only for the nodes within L - i sampled hops of
+    the request, so each row equals the row a request of every window node
+    gives, up to rounding. A requested node without edges in the slice takes
+    the bare ``W1`` chain. Target edges are read only for the fallback time
+    of an empty slice (``window_end_time``). Pass
+    ``input_override`` to encode a distorted view of the input slice, and a
+    ``hood`` built for these ``nodes`` to reuse its samples.
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
     edges = batch.input_edges if input_override is None else input_override
-    seeds = np.unique(np.concatenate([edges.endpoints(), batch.target_edges.endpoints(),
-                                      np.asarray(extra_nodes, dtype=np.int64)]))
+    requested = np.unique(np.asarray(nodes, dtype=np.int64))
     if cache is None:
         cache = WindowFeatureCache(edges)
     if hood is None:
-        hood = build_layered_neighborhood(edges, seeds, params.num_layers,
+        hood = build_layered_neighborhood(edges, requested, params.num_layers,
                                           max_neighbors, rng_key + (NEIGHBOR_STREAM,),
                                           index=cache.index)
     active = hood.active_nodes
@@ -242,4 +251,6 @@ def encode(batch: WindowBatch, params: EncoderParams, max_neighbors: int,
             if training and params.dropout > 0.0 else None
         embeddings = layer_forward(embeddings, hood.layers[i], layer, params,
                                    edges, cache, fallback, dropout_rng, training)
+    if not np.array_equal(embeddings.ids, requested):
+        raise ContractError("the neighbourhood was built for other nodes than requested")
     return embeddings

@@ -184,12 +184,14 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
             if timer:
                 timer.start("encode")
             with Tape() as tape:
+                # Every view node, not only the common ones: dropout masks are
+                # drawn by message position, so fewer messages would change every draw.
                 h_a = encode(batch, encoder, config.max_neighbors,
-                             (config.seed, VIEW_STREAM, epoch, index, 0),
+                             (config.seed, VIEW_STREAM, epoch, index, 0), view_a.endpoints(),
                              input_override=view_a, training=True,
                              node_features=train_ctdg.node_features)
                 h_b = encode(batch, encoder, config.max_neighbors,
-                             (config.seed, VIEW_STREAM, epoch, index, 1),
+                             (config.seed, VIEW_STREAM, epoch, index, 1), view_b.endpoints(),
                              input_override=view_b, training=True,
                              node_features=train_ctdg.node_features)
                 if timer:

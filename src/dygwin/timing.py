@@ -6,7 +6,7 @@ import csv
 import time
 from pathlib import Path
 
-PHASES = ("sample", "encode", "decode", "step")
+PHASES = ("sample", "encode", "decode", "step", "validate")
 
 
 class PhaseTimer:

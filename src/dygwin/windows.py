@@ -143,7 +143,7 @@ def sample_neighbors(input_edges: EdgeArray, anchor: int, max_neighbors: int,
 
 @dataclass
 class LayeredNeighborhood:
-    """Per-layer anchor samples plus every node the encoder must track."""
+    """Per-layer anchor samples, bottom layer first, plus the rows layer 1 reads."""
 
     layers: list[dict[int, np.ndarray]]
     active_nodes: np.ndarray  # sorted unique ids
@@ -153,12 +153,13 @@ def build_layered_neighborhood(input_edges: EdgeArray, seed_nodes,
                                num_layers: int, max_neighbors: int,
                                rng_key: tuple[int, ...] | int,
                                index: IncidenceIndex | None = None) -> LayeredNeighborhood:
-    """Flat multi-hop expansion: every layer samples against the same slice.
+    """Receptive field of the seeds, sampled top-down against one flat slice.
 
-    Layer-1 anchors are the seeds; each later layer adds the endpoints of
-    the previous layer's samples. Draws are independent per (layer, anchor)
-    with an rng stream derived from ``rng_key``, so the sample for a node
-    never depends on which other anchors are present.
+    The top layer's anchors are the seeds; each lower layer's anchors are the
+    anchors above it plus the endpoints of their samples, and ``active_nodes``
+    adds the endpoints of layer 1's samples. Draws are independent per (layer,
+    anchor) with an rng stream derived from ``rng_key``, so the sample for a
+    node never depends on which other anchors are present.
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
@@ -166,12 +167,12 @@ def build_layered_neighborhood(input_edges: EdgeArray, seed_nodes,
         index = IncidenceIndex(input_edges)
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
     layers: list[dict[int, np.ndarray]] = []
-    for layer in range(1, num_layers + 1):
+    for layer in range(num_layers, 0, -1):
         samples = {anchor: sample_neighbors(input_edges, anchor, max_neighbors,
                                             np.random.default_rng(rng_key + (layer, anchor)),
                                             index)
                    for anchor in anchors.tolist()}
-        layers.append(samples)
+        layers.insert(0, samples)
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
         anchors = np.union1d(anchors, np.concatenate([input_edges.u[sampled],
                                                       input_edges.v[sampled]]))

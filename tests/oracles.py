@@ -1,9 +1,9 @@
 """Single-item reference paths the batched encoder and counts are tested against.
 
 Each function computes one anchor's attention, one edge's encoding, one
-node's row, recency, degree or common neighbours, or one sampled position
-the direct way, so a test can compare it item by item with
-``layer_forward``, ``NodeEmbeddings.rows``, ``IncidenceIndex.last_time``,
+node's row, recency, degree or common neighbours, one sampled position or
+one layer's receptive field the direct way, so a test can compare it item
+by item with ``layer_forward``, ``NodeEmbeddings.rows``, ``IncidenceIndex.last_time``,
 ``build_layered_neighborhood`` and ``WindowFeatureCache.counts_at``. The
 ``sigmoid`` and ``softmax_rows`` primitives serve the reference ``mha`` and
 the gradient checks only.
@@ -142,24 +142,32 @@ def last_time(edges: EdgeArray, node: int, fallback: float) -> float:
 
 def flatten_layer(samples: dict[int, np.ndarray], ids,
                   edges: EdgeArray) -> list[tuple[int, int, int]]:
-    """(anchor_row, edge_position, neighbor_row) per sampled position, one at a
-    time: anchors ascending, each anchor's positions in sample order."""
-    anchors, positions, others = [], [], []
-    for anchor in sorted(samples):
+    """(segment, edge_position, neighbor_row) per sampled position, one at a
+    time: anchors ascending, the segment of a position the index of its anchor
+    among them, each anchor's positions in sample order."""
+    anchors = sorted(samples)
+    segments, positions, others = [], [], []
+    for segment, anchor in enumerate(anchors):
         for position in samples[anchor]:
             position = int(position)
             u, v = int(edges.u[position]), int(edges.v[position])
-            anchors.append(anchor)
+            segments.append(segment)
             positions.append(position)
             others.append(v if u == anchor else u)
-    return list(zip(dict_rows(ids, anchors), positions, dict_rows(ids, others)))
+    return list(zip(segments, positions, dict_rows(ids, others)))
 
 
-def active_nodes(seeds, layers: list[dict[int, np.ndarray]], edges: EdgeArray) -> list[int]:
-    """Seeds plus both endpoints of every sampled position, sorted."""
-    active = {int(n) for n in seeds}
-    for samples in layers:
-        for sampled in samples.values():
-            for position in sampled:
-                active.update((int(edges.u[position]), int(edges.v[position])))
-    return sorted(active)
+def active_nodes(seeds, layers: list[dict[int, np.ndarray]],
+                 edges: EdgeArray) -> list[list[int]]:
+    """Rows each layer needs, top-down, one at a time: element L is the sorted
+    seeds, and element i - 1 adds to element i both endpoints of every position
+    sampled for its anchors at layer i, so element i (i >= 1) is layer i's
+    anchors and element 0 the rows layer 1 reads."""
+    needed = [sorted({int(n) for n in seeds})]
+    for samples in reversed(layers):
+        below = set(needed[0])
+        for anchor in needed[0]:
+            for position in samples[anchor]:
+                below.update((int(edges.u[position]), int(edges.v[position])))
+        needed.insert(0, sorted(below))
+    return needed

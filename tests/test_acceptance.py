@@ -86,17 +86,16 @@ def test_criterion_1_full_model_gradient_check():
                                         index=cache_b.index)
 
     def forward():
-        embeddings = encode(batch, encoder, 5, rng_key=(9,),
-                            extra_nodes=negatives.ravel(), cache=cache, hood=hood)
+        embeddings = encode(batch, encoder, 5, (9,), seeds, cache=cache, hood=hood)
         pos = flp_score(decoder, embeddings, batch.target_edges.u,
                         batch.target_edges.v, batch.target_edges.t, cache, fallback)
         neg = flp_score(decoder, embeddings, batch.target_edges.u, negatives.ravel(),
                         batch.target_edges.t, cache, fallback)
         supervised = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
                               labels.reshape(1, -1))
-        h_a = encode(batch, encoder, 5, rng_key=(10,), input_override=view_a,
+        h_a = encode(batch, encoder, 5, (10,), view_a.endpoints(), input_override=view_a,
                      cache=cache_a, hood=hood_a)
-        h_b = encode(batch, encoder, 5, rng_key=(11,), input_override=view_b,
+        h_b = encode(batch, encoder, 5, (11,), view_b.endpoints(), input_override=view_b,
                      cache=cache_b, hood=hood_b)
         self_supervised, _ = ssl_loss_terms(predict(predictor, h_a.gather(common)),
                                             predict(predictor, h_b.gather(common)))
@@ -201,13 +200,15 @@ def test_criterion_4_window_invariants():
             continue
         params = init_encoder(num_layers=2, node_dim=6, time_dim=4, heads=2,
                               dropout=0.0, seed=trial, dtype=np.float64)
-        baseline = encode(batch, params, 4, rng_key=(trial,))
+        nodes = np.concatenate([batch.input_edges.endpoints(),
+                                batch.target_edges.endpoints()])
+        baseline = encode(batch, params, 4, (trial,), nodes)
         corrupted_targets = batch.target_edges.take(
             np.random.default_rng(trial).permutation(len(batch.target_edges)))
         corrupted_targets.t = corrupted_targets.t * 3.0 + 1e5
         corrupted = make_window_batch(ctdg, batch.interval, 0)
         corrupted.target_edges = corrupted_targets
-        after = encode(corrupted, params, 4, rng_key=(trial,))
+        after = encode(corrupted, params, 4, (trial,), nodes)
         if baseline.matrix.values.tobytes() != after.matrix.values.tobytes():
             failures.append(f"trial {trial}: encoder read target content")
     report(4, not failures,

@@ -10,7 +10,7 @@ import pytest
 from dygwin.checkpoint import load_checkpoint
 from dygwin.cli import _make_run_dir, build_parser, main, timing_report
 from dygwin.config import config_hash, parse_config_file, resolve_config
-from dygwin.errors import ConfigError
+from dygwin.errors import ConfigError, ConsistencyError, HarnessError
 from dygwin.synthetic import make_synthetic_ctdg, write_synthetic_csv
 
 
@@ -138,6 +138,20 @@ class TestSubcommands:
                      "--set", "lr=1e18", *SMALL_MODEL])
         assert code == 4
 
+    @pytest.mark.parametrize("error", [ConsistencyError, HarnessError])
+    def test_internal_error_exit_code(self, dataset, tmp_path, monkeypatch, capsys, error):
+        import dygwin.cli as cli
+
+        def broken(*args, **kwargs):
+            raise error("no embedding row for node 7")
+
+        monkeypatch.setattr(cli, "train_downstream", broken)
+        code = main(["train", "--dataset", str(dataset), "--output-dir", str(tmp_path),
+                     "--epochs", "1", *SMALL_MODEL])
+        assert code == 5
+        assert 'error kind=internal reason="no embedding row for node 7"' \
+            in capsys.readouterr().err
+
     def test_reruns_create_new_directories(self, dataset, tmp_path):
         assert main(["ingest", "--dataset", str(dataset), "--output-dir", str(tmp_path)]) == 0
         assert main(["ingest", "--dataset", str(dataset), "--output-dir", str(tmp_path)]) == 0
@@ -178,8 +192,12 @@ class TestPipeline:
     def test_timing_table_shape(self, artifacts):
         out, _ = artifacts
         rows = timing_report(run_dir_of(out, "train"))
-        assert len(rows) == 2 * 4  # epochs x phases
-        assert {phase for _, phase, _ in rows} == {"sample", "encode", "decode", "step"}
+        assert len(rows) == 3 * 5  # (initial validation + 2 epochs) x phases
+        assert {phase for _, phase, _ in rows} == {"sample", "encode", "decode", "step",
+                                                  "validate"}
+        validate = [ms for _, phase, ms in rows if phase == "validate"]
+        assert all(ms > 0 for ms in validate)
+        assert sum(ms for epoch, _, ms in rows if epoch == 0) == validate[0]
 
     def test_probe_keeps_pretrained_encoder(self, artifacts):
         out, _ = artifacts

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dygwin.tensor as T
-from dygwin.encoder import (EncoderParams, NodeEmbeddings, _flatten_layer, encode,
-                            init_encoder, layer_forward, window_end_time)
+from dygwin.data import EdgeArray
+from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
+                            encode, init_encoder, layer_forward, window_end_time)
 from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.gradcheck import finite_difference_check
-from dygwin.windows import (IncidenceIndex, Interval, build_layered_neighborhood,
+from dygwin.windows import (IncidenceIndex, Interval, WindowBatch, build_layered_neighborhood,
                             make_window_batch)
 
 import oracles
@@ -82,8 +83,8 @@ class TestLayerForward:
         cache = WindowFeatureCache(edges)
         h = np.array([[0.5, -1.0], [2.0, 0.25]])
         emb = self._embeddings(h)
-        out = layer_forward(emb, {0: np.array([0])}, layer, params, edges, cache,
-                            fallback_time=3.0)
+        out = layer_forward(emb, {0: np.array([0]), 1: np.empty(0, dtype=np.int64)},
+                            layer, params, edges, cache, fallback_time=3.0)
 
         # hand evaluation of the anchor-0 row with plain numpy
         omega, phase = params.t2v.omega.values, params.t2v.phase.values
@@ -161,7 +162,7 @@ class TestEncode:
                          num_nodes=3)
         batch = make_window_batch(ctdg, Interval(0, 0), target_size=3)
         out = encode(batch, params, max_neighbors=5, rng_key=(0,),
-                     node_features=node_features)
+                     nodes=batch.target_edges.endpoints(), node_features=node_features)
         chain = node_features[out.ids].astype(np.float64) @ params.input_proj.values
         for layer in params.layers:
             chain = chain @ layer.w1.values
@@ -172,8 +173,8 @@ class TestEncode:
         params = init_encoder(num_layers=2, node_dim=8, time_dim=6, heads=2,
                               dropout=0.0, seed=1, dtype=np.float64)
         batch = make_window_batch(ctdg, Interval(0, 30), target_size=5)
-        a = encode(batch, params, 4, rng_key=(9,))
-        b = encode(batch, params, 4, rng_key=(9,))
+        a = encode(batch, params, 4, (9,), batch.input_edges.endpoints())
+        b = encode(batch, params, 4, (9,), batch.input_edges.endpoints())
         assert a.matrix.values.tobytes() == b.matrix.values.tobytes()
         assert np.array_equal(a.ids, b.ids)
 
@@ -181,7 +182,8 @@ class TestEncode:
         params = tiny_params(node_dim=2, time_dim=2, heads=1, seed=5)
         ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0)], num_nodes=3)
         batch = make_window_batch(ctdg, Interval(0, 2), target_size=0)
-        out = encode(batch, params, max_neighbors=5, rng_key=(3,))
+        out = encode(batch, params, max_neighbors=5, rng_key=(3,),
+                     nodes=batch.input_edges.endpoints())
         # zero initial embeddings: messages carry only time and count terms
         layer = params.layers[0]
         cache = WindowFeatureCache(batch.input_edges)
@@ -216,13 +218,15 @@ class TestEncode:
         params = init_encoder(num_layers=3, node_dim=8, time_dim=4, heads=2,
                               dropout=0.0, seed=0, dtype=np.float64)
         batch = make_window_batch(ctdg, Interval(10, 60), target_size=15)
-        baseline = encode(batch, params, 5, rng_key=(1,))
+        nodes = np.concatenate([batch.input_edges.endpoints(),
+                                batch.target_edges.endpoints()])
+        baseline = encode(batch, params, 5, (1,), nodes)
 
         corrupted_targets = batch.target_edges.take(
             np.random.default_rng(0).permutation(len(batch.target_edges)))
         corrupted_targets.t = corrupted_targets.t + 1e6
         corrupted = type(batch)(batch.interval, batch.input_edges, corrupted_targets)
-        after = encode(corrupted, params, 5, rng_key=(1,))
+        after = encode(corrupted, params, 5, (1,), nodes)
         assert baseline.matrix.values.tobytes() == after.matrix.values.tobytes()
         assert np.array_equal(baseline.ids, after.ids)
 
@@ -234,7 +238,32 @@ class TestEncode:
         batch = make_window_batch(ctdg, Interval(0, 12), target_size=0)
 
         def forward():
-            out = encode(batch, params, max_neighbors=4, rng_key=(8,))
+            out = encode(batch, params, max_neighbors=4, rng_key=(8,),
+                         nodes=batch.input_edges.endpoints())
+            return T.mean(T.mul(out.matrix, out.matrix))
+
+        report = finite_difference_check(forward, params.named(), h=1e-6,
+                                         max_coords_per_param=10)
+        assert report.max_rel_error < 1e-4, report
+
+    def test_gradients_flow_through_a_pruned_request(self):
+        params = init_encoder(num_layers=2, node_dim=6, time_dim=4, node_feature_dim=3,
+                              heads=2, dropout=0.0, seed=6, dtype=np.float64)
+        node_features = np.random.default_rng(1).normal(size=(7, 3))
+        # a path 0-1-2-...-6 plus a parallel edge: two layers over node 1
+        # reach nodes 0 to 3 only
+        ctdg = ctdg_from([(i, i + 1, float(i)) for i in range(6)] + [(0, 1, 6.0)],
+                         num_nodes=7)
+        batch = make_window_batch(ctdg, Interval(0, 7), target_size=0)
+        hood = build_layered_neighborhood(batch.input_edges, [1], 2, 4, (8, NEIGHBOR_STREAM))
+        assert hood.active_nodes.tolist() == [0, 1, 2, 3]
+        assert [sorted(layer) for layer in hood.layers] == [[0, 1, 2], [1]]
+        with pytest.raises(ContractError):  # a hood built for other nodes
+            encode(batch, params, 4, (8,), [2], node_features=node_features, hood=hood)
+
+        def forward():
+            out = encode(batch, params, max_neighbors=4, rng_key=(8,), nodes=[1],
+                         node_features=node_features)
             return T.mean(T.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, params.named(), h=1e-6,
@@ -267,7 +296,7 @@ class TestEncode:
 
         def forward():
             out = encode(batch, params, max_neighbors=3, rng_key=(4,),
-                         node_features=node_features)
+                         nodes=batch.input_edges.endpoints(), node_features=node_features)
             return T.mean(T.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, {"proj": params.input_proj}, h=1e-6)
@@ -296,9 +325,7 @@ class TestArrayPaths:
             NodeEmbeddings(np.empty(0), T.constant(np.zeros((0, 2)))).rows([0])
 
 
-@settings(deadline=None, max_examples=60)
-@given(data=st.data())
-def test_array_paths_match_item_oracles(data):
+def random_window(data) -> tuple[int, EdgeArray]:
     num_nodes = data.draw(st.integers(1, 6))
     # node ids stay below num_nodes, so u == v draws self-loops and repeated
     # pairs draw parallel edges; timestamps are sorted and may tie
@@ -306,19 +333,28 @@ def test_array_paths_match_item_oracles(data):
                                          st.integers(0, num_nodes - 1)), max_size=25))
     times = sorted(data.draw(st.lists(st.integers(0, 6), min_size=len(pairs),
                                       max_size=len(pairs))))
-    edges = edges_from([(u, v, float(t)) for (u, v), t in zip(pairs, times)])
+    return num_nodes, edges_from([(u, v, float(t)) for (u, v), t in zip(pairs, times)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_array_paths_match_item_oracles(data):
+    num_nodes, edges = random_window(data)
     # seeds range past num_nodes: isolated seeds have no edge in the window
     seeds = data.draw(st.lists(st.integers(0, num_nodes + 2), max_size=6))
     num_layers = data.draw(st.integers(1, 3))
     max_neighbors = data.draw(st.integers(1, 4))
 
     hood = build_layered_neighborhood(edges, seeds, num_layers, max_neighbors, (5,))
-    assert hood.active_nodes.tolist() == oracles.active_nodes(seeds, hood.layers, edges)
+    needed = oracles.active_nodes(seeds, hood.layers, edges)
+    assert [sorted(samples) for samples in hood.layers] == needed[1:]
+    assert hood.active_nodes.tolist() == needed[0]
 
     emb = NodeEmbeddings(hood.active_nodes, T.constant(np.zeros((len(hood.active_nodes), 2))))
     for samples in hood.layers:
-        anchor_rows, positions, neighbor_rows = _flatten_layer(samples, emb, edges)
-        assert list(zip(anchor_rows.tolist(), positions.tolist(), neighbor_rows.tolist())) \
+        anchors, segments, positions, neighbor_rows = _flatten_layer(samples, emb, edges)
+        assert anchors.tolist() == sorted(samples)
+        assert list(zip(segments.tolist(), positions.tolist(), neighbor_rows.tolist())) \
             == oracles.flatten_layer(samples, emb.ids, edges)
 
     nodes = np.arange(num_nodes + 3)
@@ -331,3 +367,35 @@ def test_array_paths_match_item_oracles(data):
     else:
         with pytest.raises(ConsistencyError):
             emb.rows(queries)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_requested_rows_match_all_rows_encode(data):
+    num_nodes, edges = random_window(data)
+    batch = WindowBatch(Interval(0, len(edges)), edges, edges.take(np.zeros(len(edges), bool)))
+    # requests range past num_nodes (nodes absent from the window) and are
+    # mostly a strict subset of the window's nodes
+    request = np.asarray(data.draw(st.lists(st.integers(0, num_nodes + 2), max_size=5)),
+                         dtype=np.int64)
+    every_row = np.concatenate([edges.endpoints(), request])
+    num_layers = data.draw(st.integers(1, 3))
+    max_neighbors = data.draw(st.integers(1, 4))
+
+    pruned = build_layered_neighborhood(edges, request, num_layers, max_neighbors, (5,))
+    full = build_layered_neighborhood(edges, every_row, num_layers, max_neighbors, (5,))
+    for pruned_layer, full_layer in zip(pruned.layers, full.layers):
+        for anchor, sample in pruned_layer.items():
+            assert sample.tolist() == full_layer[anchor].tolist()
+
+    params = init_encoder(num_layers=num_layers, node_dim=4, time_dim=3, node_feature_dim=2,
+                          heads=2, dropout=0.0, seed=data.draw(st.integers(0, 3)),
+                          dtype=np.float64)
+    node_features = np.random.default_rng(0).normal(size=(num_nodes + 3, 2))
+    out = encode(batch, params, max_neighbors, (8,), request, node_features=node_features)
+    reference = encode(batch, params, max_neighbors, (8,), every_row,
+                       node_features=node_features)
+    assert out.ids.tolist() == sorted(set(request.tolist()))
+    expected = reference.matrix.values[reference.rows(out.ids)]
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    assert np.abs(out.matrix.values - expected).max(initial=0.0) <= 1e-12 * scale

@@ -116,12 +116,13 @@ class TestLayeredNeighborhood:
         assert list(hood.layers[0]) == [0]
 
     def test_path_graph_expansion(self):
-        # a-b edge then b-c edge; seeds {a}
+        # a-b edge then b-c edge; seeds {a}: the top layer samples a, the layer
+        # below also samples b, the endpoint of a's sample
         edges = edges_from([(0, 1, 0.0), (1, 2, 1.0)])
         hood = build_layered_neighborhood(edges, [0], num_layers=2,
                                           max_neighbors=20, rng_key=(0,))
-        assert sorted(hood.layers[0]) == [0]
-        assert sorted(hood.layers[1]) == [0, 1]
+        assert sorted(hood.layers[1]) == [0]
+        assert sorted(hood.layers[0]) == [0, 1]
         assert hood.active_nodes.tolist() == [0, 1, 2]
 
     def test_disconnected_seed_has_empty_layers(self):
