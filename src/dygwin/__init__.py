@@ -2,16 +2,15 @@
 
 from .data import (CTDG, EdgeArray, SplitSpec, chronological_split,
                    inductive_split, load_csv, split_edge_indices, temporal_subgraph)
-from .downstream import (DNCDecoderParams, FLPDecoderParams, TrainConfig, bce_loss,
-                         evaluate_dnc, evaluate_flp, init_decoder, init_dnc_decoder,
-                         init_flp_decoder, sample_negatives, train_downstream)
+from .downstream import (DecoderParams, TrainConfig, bce_loss, evaluate, evaluate_dnc,
+                         evaluate_flp, init_decoder, init_flp_decoder, sample_negatives,
+                         train_downstream)
 from .encoder import (EncoderParams, NodeEmbeddings, encode, init_encoder,
                       layer_forward)
 from .errors import (ConfigError, ConsistencyError, ContractError, DataError,
                      HarnessError, NumericFailure, ShapeError)
 from .features import (TemporalEdgeEncoding, Time2VecParams, common_neighbors_at,
                        init_edge_encoding, init_time2vec, time2vec)
-from .gradcheck import finite_difference_check
 from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .pretrain import (DistortionConfig, PredictorParams, PretrainConfig,

@@ -23,8 +23,7 @@ from .config import RunConfig, config_hash, parse_config_file, resolve_config, w
 from .data import (CTDG, chronological_split, inductive_split, load_cache, load_csv,
                    load_split_manifest, save_cache, save_split_manifest,
                    split_edge_indices)
-from .downstream import (TrainConfig, evaluate_dnc, evaluate_flp, init_decoder,
-                         train_downstream)
+from .downstream import TrainConfig, evaluate, init_decoder, train_downstream
 from .encoder import EncoderParams, init_encoder
 from .errors import (ConfigError, ConsistencyError, ContractError, DataError, HarnessError,
                      NumericFailure)
@@ -196,26 +195,13 @@ def cmd_eval(config: RunConfig) -> int:
 
     rows = []
     for split_name in wanted:
-        region = regions[split_name]
         for horizon in config.eval_horizon:
-            if config.task == "flp":
-                report = evaluate_flp(ctdg, region, encoder, decoder,
-                                      config.window_size, horizon,
-                                      config.num_neighbors, config.seed,
-                                      target_filter=target_filter,
-                                      rank_negatives=config.rank_negatives)
-                rows.append(("ap", horizon, split_name, report["ap"], config.seed))
-                if config.rank_negatives > 0:
-                    rows.append(("mrr", horizon, split_name, report["mrr"], config.seed))
-                    rows.append(("recall_at_10", horizon, split_name,
-                                 report["recall_at_10"], config.seed))
-            else:
-                report = evaluate_dnc(ctdg, region, encoder, decoder,
-                                      config.window_size, horizon,
-                                      config.num_neighbors, config.seed,
-                                      target_filter=target_filter)
-                rows.append(("auc", horizon, split_name, report["auc"], config.seed))
-                rows.append(("ap", horizon, split_name, report["ap"], config.seed))
+            report = evaluate(config.task, ctdg, regions[split_name], encoder, decoder,
+                              config.window_size, horizon, config.num_neighbors,
+                              config.seed, target_filter=target_filter,
+                              rank_negatives=config.rank_negatives)
+            rows.extend((metric, horizon, split_name, value, config.seed)
+                        for metric, value in report.items() if not metric.startswith("num_"))
     run_dir = _make_run_dir(config, "eval")
     write_metrics_report(run_dir / "report.csv", rows)
     for metric, horizon, split_name, value, _ in rows:
@@ -223,17 +209,6 @@ def cmd_eval(config: RunConfig) -> int:
         print(f"{split_name} {metric}@K={horizon}: {shown}")
     print(f"report -> {run_dir / 'report.csv'}")
     return 0
-
-
-def timing_report(run_dir) -> list[tuple[int, str, float]]:
-    """Read back a run's per-epoch phase timing table."""
-    rows = []
-    with (Path(run_dir) / "timings.csv").open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for epoch, phase, ms in reader:
-            rows.append((int(epoch), phase, float(ms)))
-    return rows
 
 
 _COMMANDS = {

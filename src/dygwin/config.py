@@ -93,9 +93,14 @@ class RunConfig:
             raise ConfigError(f"label_fraction must be in (0, 1], got {self.label_fraction}")
         for key in ("window_size", "target_size", "num_neighbors", "num_layers",
                     "num_heads", "node_dim", "time_dim", "ssl_window", "ssl_stride",
-                    "epochs"):
+                    "epochs", "val_every"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("stride", "rank_negatives"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.encoder_init == "checkpoint" and not self.checkpoint:
             raise ConfigError("encoder_init=checkpoint requires a checkpoint path")
 

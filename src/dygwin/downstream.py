@@ -2,7 +2,7 @@
 
 Covers supervised training, linear probing on a frozen encoder, and
 semi-supervised probing on a seeded fraction of the training intervals.
-Both decoders carry their own time encoding so that probing never touches
+The decoder carries its own time encoding so that probing never touches
 encoder parameters.
 """
 
@@ -20,6 +20,7 @@ from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2ve
 from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
+from .timing import PhaseTimer
 from .windows import evaluation_windows, generate_intervals, make_window_batch
 
 NEG_STREAM = 31
@@ -37,104 +38,82 @@ RANK_NEG_STREAM = 53
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FLPDecoderParams:
-    """Two-layer MLP over (summed pair embedding || time encoding) -> logit."""
+class DecoderParams:
+    """MLP over (node input || time encoding) -> logit, one ``(w, b)`` per layer.
+
+    FLP's pair scorer has one hidden layer; DNC's source classifier has two,
+    with dropout after the first while training.
+    """
 
     t2v: Time2VecParams
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    layers: list[tuple[Tensor, Tensor]]
+    dropout: float
 
     def named(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        return {f"{prefix}/t2v/omega": self.t2v.omega, f"{prefix}/t2v/phase": self.t2v.phase,
-                f"{prefix}/w1": self.w1, f"{prefix}/b1": self.b1,
-                f"{prefix}/w2": self.w2, f"{prefix}/b2": self.b2}
+        named = {f"{prefix}/t2v/omega": self.t2v.omega, f"{prefix}/t2v/phase": self.t2v.phase}
+        for i, (w, b) in enumerate(self.layers, start=1):
+            named[f"{prefix}/w{i}"] = w
+            named[f"{prefix}/b{i}"] = b
+        return named
 
 
-def init_flp_decoder(node_dim: int, time_dim: int, hidden_dim: int = 0,
-                     seed: int = 0, dtype=np.float32) -> FLPDecoderParams:
-    hidden = hidden_dim if hidden_dim > 0 else node_dim
-    rng = np.random.default_rng((seed, FLP_INIT_STREAM))
-    return FLPDecoderParams(
-        t2v=init_time2vec(time_dim, dtype=dtype),
-        w1=T.xavier_uniform(rng, node_dim + time_dim, hidden, dtype=dtype),
-        b1=T.zeros_parameter((1, hidden), dtype=dtype),
-        w2=T.xavier_uniform(rng, hidden, 1, dtype=dtype),
-        b2=T.zeros_parameter((1, 1), dtype=dtype))
-
-
-@dataclass
-class DNCDecoderParams:
-    """Three-layer MLP over (source embedding || time encoding) with dropout."""
-
-    t2v: Time2VecParams
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    w3: Tensor
-    b3: Tensor
-    dropout: float = 0.1
-
-    def named(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        return {f"{prefix}/t2v/omega": self.t2v.omega, f"{prefix}/t2v/phase": self.t2v.phase,
-                f"{prefix}/w1": self.w1, f"{prefix}/b1": self.b1,
-                f"{prefix}/w2": self.w2, f"{prefix}/b2": self.b2,
-                f"{prefix}/w3": self.w3, f"{prefix}/b3": self.b3}
-
-
-def init_dnc_decoder(node_dim: int, time_dim: int, hidden_dim: int = 0,
-                     seed: int = 0, dropout: float = 0.1, dtype=np.float32) -> DNCDecoderParams:
-    hidden = hidden_dim if hidden_dim > 0 else node_dim
-    rng = np.random.default_rng((seed, DNC_INIT_STREAM))
-    return DNCDecoderParams(
-        t2v=init_time2vec(time_dim, dtype=dtype),
-        w1=T.xavier_uniform(rng, node_dim + time_dim, hidden, dtype=dtype),
-        b1=T.zeros_parameter((1, hidden), dtype=dtype),
-        w2=T.xavier_uniform(rng, hidden, hidden, dtype=dtype),
-        b2=T.zeros_parameter((1, hidden), dtype=dtype),
-        w3=T.xavier_uniform(rng, hidden, 1, dtype=dtype),
-        b3=T.zeros_parameter((1, 1), dtype=dtype),
-        dropout=dropout)
+# task -> (init stream, hidden layers, dropout)
+_DECODER_SHAPES = {"flp": (FLP_INIT_STREAM, 1, 0.0), "dnc": (DNC_INIT_STREAM, 2, 0.1)}
 
 
 def init_decoder(task: str, node_dim: int, time_dim: int, hidden_dim: int = 0,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int = 0, dtype=np.float32) -> DecoderParams:
     """The decoder a task trains: FLP's pair scorer or DNC's source classifier."""
-    if task == "flp":
-        return init_flp_decoder(node_dim, time_dim, hidden_dim, seed=seed, dtype=dtype)
-    if task == "dnc":
-        return init_dnc_decoder(node_dim, time_dim, hidden_dim, seed=seed, dtype=dtype)
-    raise ConfigError(f"unknown task {task!r}")
+    if task not in _DECODER_SHAPES:
+        raise ConfigError(f"unknown task {task!r}")
+    stream, hidden_layers, dropout = _DECODER_SHAPES[task]
+    hidden = hidden_dim if hidden_dim > 0 else node_dim
+    widths = [node_dim + time_dim] + [hidden] * hidden_layers + [1]
+    rng = np.random.default_rng((seed, stream))
+    t2v = init_time2vec(time_dim, dtype=dtype)
+    layers = [(T.xavier_uniform(rng, fan_in, fan_out, dtype=dtype),
+               T.zeros_parameter((1, fan_out), dtype=dtype))
+              for fan_in, fan_out in zip(widths, widths[1:])]
+    return DecoderParams(t2v, layers, dropout)
 
 
-def flp_score(decoder: FLPDecoderParams, embeddings: NodeEmbeddings,
-              src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-              cache: WindowFeatureCache, fallback_time: float) -> Tensor:
-    """Batched logits for candidate (src, dst, t) edges; one row each.
+def init_flp_decoder(node_dim: int, time_dim: int, hidden_dim: int = 0,
+                     seed: int = 0, dtype=np.float32) -> DecoderParams:
+    """``init_decoder("flp", ...)`` under its own name."""
+    return init_decoder("flp", node_dim, time_dim, hidden_dim, seed=seed, dtype=dtype)
+
+
+def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarray,
+            cache: WindowFeatureCache, fallback_time: float, training: bool = False,
+            rng: np.random.Generator | None = None) -> Tensor:
+    """Logits for ``rows`` at times ``ts``.
 
     The time input is t minus the source's latest interaction in the input
     window (window end when the source has no history there).
     """
-    pair = T.add(embeddings.gather(src), embeddings.gather(dst))
     delta = np.asarray(ts, dtype=np.float64) - cache.index.last_time(src, fallback_time)
-    x = T.concat_last_dim([pair, time2vec(decoder.t2v, delta)])
-    hidden = T.relu(T.linear(x, decoder.w1, decoder.b1))
-    return T.linear(hidden, decoder.w2, decoder.b2)
+    x = T.concat_last_dim([rows, time2vec(decoder.t2v, delta)])
+    hidden = T.dropout(T.relu(T.linear(x, *decoder.layers[0])), decoder.dropout, rng, training)
+    for w, b in decoder.layers[1:-1]:
+        hidden = T.relu(T.linear(hidden, w, b))
+    return T.linear(hidden, *decoder.layers[-1])
 
 
-def dnc_score(decoder: DNCDecoderParams, embeddings: NodeEmbeddings,
+def flp_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
+              src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
+              cache: WindowFeatureCache, fallback_time: float) -> Tensor:
+    """Batched logits for candidate (src, dst, t) edges from the summed pair embedding."""
+    pair = T.add(embeddings.gather(src), embeddings.gather(dst))
+    return _decode(decoder, pair, src, ts, cache, fallback_time)
+
+
+def dnc_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
               src: np.ndarray, ts: np.ndarray, cache: WindowFeatureCache,
               fallback_time: float, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-    delta = np.asarray(ts, dtype=np.float64) - cache.index.last_time(src, fallback_time)
-    x = T.concat_last_dim([embeddings.gather(src), time2vec(decoder.t2v, delta)])
-    hidden = T.relu(T.linear(x, decoder.w1, decoder.b1))
-    if training and decoder.dropout > 0.0:
-        hidden = T.dropout(hidden, decoder.dropout, rng, training=True)
-    hidden = T.relu(T.linear(hidden, decoder.w2, decoder.b2))
-    return T.linear(hidden, decoder.w3, decoder.b3)
+    """Batched label logits for source nodes at times ``ts``."""
+    return _decode(decoder, embeddings.gather(src), src, ts, cache, fallback_time,
+                   training, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +151,7 @@ def bce_loss(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
-                 decoder: FLPDecoderParams, window: int, horizon: int,
+                 decoder: DecoderParams, window: int, horizon: int,
                  max_neighbors: int, seed: int, target_filter=None,
                  rank_negatives: int = 0) -> dict:
     """Score every region edge exactly once against sampled negatives.
@@ -225,7 +204,7 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
 
 
 def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
-                 decoder: DNCDecoderParams, window: int, horizon: int,
+                 decoder: DecoderParams, window: int, horizon: int,
                  max_neighbors: int, seed: int, target_filter=None) -> dict:
     """AUC (and AP) of source-node labels over the region's labeled edges."""
     scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
@@ -248,6 +227,19 @@ def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
     return {"num_records": labels.size,
             "auc": auc(scores, labels) if labels.size else None,
             "ap": average_precision(scores, labels) if labels.size else None}
+
+
+def evaluate(task: str, ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
+             decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
+             seed: int, target_filter=None, rank_negatives: int = 0) -> dict:
+    """The task's evaluation pass over ``region``; ``rank_negatives`` is FLP's only."""
+    if task == "flp":
+        return evaluate_flp(ctdg, region, encoder, decoder, window, horizon, max_neighbors,
+                            seed, target_filter, rank_negatives)
+    if task == "dnc":
+        return evaluate_dnc(ctdg, region, encoder, decoder, window, horizon, max_neighbors,
+                            seed, target_filter)
+    raise ConfigError(f"unknown task {task!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +281,8 @@ def restore_params(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -
 def training_intervals(num_train_edges: int, config: TrainConfig,
                        label_fraction: float = 1.0):
     """Stride-K training intervals, optionally a seeded fixed subset of them."""
-    window = min(config.window, max(1, num_train_edges))
     stride = config.stride if config.stride > 0 else config.target_size
-    intervals = generate_intervals(num_train_edges, stride, window)
+    intervals = generate_intervals(num_train_edges, stride, config.window)
     if not 0.0 < label_fraction <= 1.0:
         raise ContractError(f"label_fraction must be in (0, 1], got {label_fraction}")
     if label_fraction < 1.0 and intervals:
@@ -316,6 +307,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     if task not in ("flp", "dnc"):
         raise ConfigError(f"unknown task {task!r}")
     config = config or TrainConfig()
+    timer = timer or PhaseTimer()
     weight_decay = config.weight_decay
     if weight_decay < 0:
         weight_decay = 1e-5 if task == "dnc" else 0.0
@@ -340,27 +332,17 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     def run_validation() -> float | None:
         if val_end <= train_end:
             return None
-        if timer:
-            timer.start("validate")
-        region = (train_end, val_end)
-        if task == "flp":
-            report = evaluate_flp(ctdg, region, encoder, decoder, config.window,
-                                  config.target_size, config.max_neighbors,
-                                  config.seed, target_filter=masked_filter)
-        else:
-            report = evaluate_dnc(ctdg, region, encoder, decoder, config.window,
-                                  config.target_size, config.max_neighbors,
-                                  config.seed, target_filter=masked_filter)
-        if timer:
-            timer.stop("validate")
+        with timer.phase("validate"):
+            report = evaluate(task, ctdg, (train_end, val_end), encoder, decoder,
+                              config.window, config.target_size, config.max_neighbors,
+                              config.seed, target_filter=masked_filter)
         return report["ap"]
 
     frozen_cache: dict[int, tuple] = {}
     history: list[dict] = []
     initial_ap = run_validation()
     history.append({"epoch": 0, "train_loss": None, "val_ap": initial_ap})
-    if timer:
-        timer.end_epoch(0)
+    timer.end_epoch(0)
     best_ap = -np.inf if initial_ap is None else initial_ap
     best_epoch = 0
     best_snapshot = snapshot_params(trainable)
@@ -369,76 +351,64 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
         total_loss = 0.0
         steps = 0
         for index, interval in enumerate(intervals):
-            if timer:
-                timer.start("sample")
-            batch = make_window_batch(train_ctdg, interval, config.target_size)
-            targets = batch.target_edges
-            if task == "dnc":
-                targets = targets.take(targets.label_present)
-            if len(targets) == 0:
-                if timer:
-                    timer.stop("sample")
-                continue
-            if task == "flp":
-                neg_rng = np.random.default_rng((config.seed, NEG_STREAM, epoch, index))
-                negatives = sample_negatives(batch.target_edges, neg_rng, ctdg.num_nodes)
-            if timer:
-                timer.stop("sample")
-                timer.start("encode")
+            with timer.phase("sample"):
+                batch = make_window_batch(train_ctdg, interval, config.target_size)
+                targets = batch.target_edges
+                if task == "dnc":
+                    targets = targets.take(targets.label_present)
+                if len(targets) == 0:
+                    continue
+                if task == "flp":
+                    neg_rng = np.random.default_rng((config.seed, NEG_STREAM, epoch, index))
+                    negatives = sample_negatives(batch.target_edges, neg_rng, ctdg.num_nodes)
 
             with Tape() as tape:
-                if freeze_encoder and index in frozen_cache:
-                    embeddings, cache, fallback = frozen_cache[index]
-                else:
-                    cache = WindowFeatureCache(batch.input_edges)
-                    fallback = window_end_time(batch)
-                    # Every window node, not only the scored ones: dropout masks are
-                    # drawn by message position, so fewer messages would change every
-                    # draw, and a frozen encoder's cached rows serve later epochs'
-                    # negatives.
-                    extra = np.arange(ctdg.num_nodes) if freeze_encoder else \
-                        (negatives.ravel() if task == "flp" else np.empty(0, dtype=np.int64))
-                    nodes = np.concatenate([batch.input_edges.endpoints(),
-                                            batch.target_edges.endpoints(), extra])
-                    enc_epoch = 0 if freeze_encoder else epoch
-                    embeddings = encode(batch, encoder, config.max_neighbors,
-                                        (config.seed, ENC_STREAM, enc_epoch, index),
-                                        nodes, training=not freeze_encoder,
-                                        cache=cache, node_features=ctdg.node_features)
-                    if freeze_encoder:
-                        frozen_cache[index] = (embeddings, cache, fallback)
-                if timer:
-                    timer.stop("encode")
-                    timer.start("decode")
-                if task == "flp":
-                    pos = flp_score(decoder, embeddings, batch.target_edges.u,
-                                    batch.target_edges.v, batch.target_edges.t,
-                                    cache, fallback)
-                    neg = flp_score(decoder, embeddings, batch.target_edges.u,
-                                    negatives.ravel(), batch.target_edges.t,
-                                    cache, fallback)
-                    labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
-                    loss = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
-                                    labels.reshape(1, -1))
-                else:
-                    drop_rng = np.random.default_rng((config.seed, DNC_INIT_STREAM,
-                                                      epoch, index))
-                    logits = dnc_score(decoder, embeddings, targets.u, targets.t,
-                                       cache, fallback, training=True, rng=drop_rng)
-                    loss = bce_loss(logits, (targets.labels > 0.5).astype(np.float64)
-                                    .reshape(-1, 1))
-                if timer:
-                    timer.stop("decode")
+                with timer.phase("encode"):
+                    if freeze_encoder and index in frozen_cache:
+                        embeddings, cache, fallback = frozen_cache[index]
+                    else:
+                        cache = WindowFeatureCache(batch.input_edges)
+                        fallback = window_end_time(batch)
+                        # Every window node, not only the scored ones: dropout masks are
+                        # drawn by message position, so fewer messages would change every
+                        # draw, and a frozen encoder's cached rows serve later epochs'
+                        # negatives.
+                        extra = np.arange(ctdg.num_nodes) if freeze_encoder else \
+                            (negatives.ravel() if task == "flp" else np.empty(0, dtype=np.int64))
+                        nodes = np.concatenate([batch.input_edges.endpoints(),
+                                                batch.target_edges.endpoints(), extra])
+                        enc_epoch = 0 if freeze_encoder else epoch
+                        embeddings = encode(batch, encoder, config.max_neighbors,
+                                            (config.seed, ENC_STREAM, enc_epoch, index),
+                                            nodes, training=not freeze_encoder,
+                                            cache=cache, node_features=ctdg.node_features)
+                        if freeze_encoder:
+                            frozen_cache[index] = (embeddings, cache, fallback)
+                with timer.phase("decode"):
+                    if task == "flp":
+                        pos = flp_score(decoder, embeddings, batch.target_edges.u,
+                                        batch.target_edges.v, batch.target_edges.t,
+                                        cache, fallback)
+                        neg = flp_score(decoder, embeddings, batch.target_edges.u,
+                                        negatives.ravel(), batch.target_edges.t,
+                                        cache, fallback)
+                        labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
+                        loss = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
+                                        labels.reshape(1, -1))
+                    else:
+                        drop_rng = np.random.default_rng((config.seed, DNC_INIT_STREAM,
+                                                          epoch, index))
+                        logits = dnc_score(decoder, embeddings, targets.u, targets.t,
+                                           cache, fallback, training=True, rng=drop_rng)
+                        loss = bce_loss(logits, (targets.labels > 0.5).astype(np.float64)
+                                        .reshape(-1, 1))
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericFailure(f"non-finite training loss at epoch {epoch}")
-            if timer:
-                timer.start("step")
-            optimizer.zero_grad()
-            backward(tape, loss)
-            optimizer.step()
-            if timer:
-                timer.stop("step")
+            with timer.phase("step"):
+                optimizer.zero_grad()
+                backward(tape, loss)
+                optimizer.step()
             total_loss += value
             steps += 1
 
@@ -448,8 +418,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
         history.append(row)
         if log_fn:
             log_fn(row)
-        if timer:
-            timer.end_epoch(epoch)
+        timer.end_epoch(epoch)
         if val_ap is not None and val_ap > best_ap:
             best_ap = val_ap
             best_epoch = epoch

@@ -19,6 +19,7 @@ from .encoder import EncoderParams, encode
 from .errors import ContractError, NumericFailure
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
+from .timing import PhaseTimer
 from .windows import WindowBatch, generate_intervals, make_window_batch
 
 DISTORT_STREAM = 21
@@ -153,12 +154,12 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
              log_fn=None) -> tuple[list[dict], int]:
     """Train encoder and predictor in place over every window of the training log.
 
-    Windows longer than the log clamp to its length. Batches whose two
+    Windows longer than the log start at its first edge. Batches whose two
     views share fewer than two nodes are skipped and counted. Returns the
     per-epoch history (mean loss and term values) and the skip count.
     """
-    window = min(config.window, max(1, len(train_ctdg)))
-    intervals = generate_intervals(len(train_ctdg), config.stride, window)
+    timer = timer or PhaseTimer()
+    intervals = generate_intervals(len(train_ctdg), config.stride, config.window)
     params = {**encoder.named(), **predictor.named()}
     encoder.set_requires_grad(True)
     optimizer = Adam(params, lr=config.lr)
@@ -168,50 +169,39 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
         sums = {"loss": 0.0, "v": 0.0, "c": 0.0, "s": 0.0}
         steps = 0
         for index, interval in enumerate(intervals):
-            if timer:
-                timer.start("sample")
-            batch = make_window_batch(train_ctdg, interval, 0)
-            view_a = distort(batch, config.distortion,
-                             np.random.default_rng((config.seed, DISTORT_STREAM, epoch, index, 0)))
-            view_b = distort(batch, config.distortion,
-                             np.random.default_rng((config.seed, DISTORT_STREAM, epoch, index, 1)))
-            common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
-            if timer:
-                timer.stop("sample")
+            with timer.phase("sample"):
+                batch = make_window_batch(train_ctdg, interval, 0)
+                view_a = distort(batch, config.distortion, np.random.default_rng(
+                    (config.seed, DISTORT_STREAM, epoch, index, 0)))
+                view_b = distort(batch, config.distortion, np.random.default_rng(
+                    (config.seed, DISTORT_STREAM, epoch, index, 1)))
+                common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
             if common.size < 2:
                 skipped += 1
                 continue
-            if timer:
-                timer.start("encode")
             with Tape() as tape:
-                # Every view node, not only the common ones: dropout masks are
-                # drawn by message position, so fewer messages would change every draw.
-                h_a = encode(batch, encoder, config.max_neighbors,
-                             (config.seed, VIEW_STREAM, epoch, index, 0), view_a.endpoints(),
-                             input_override=view_a, training=True,
-                             node_features=train_ctdg.node_features)
-                h_b = encode(batch, encoder, config.max_neighbors,
-                             (config.seed, VIEW_STREAM, epoch, index, 1), view_b.endpoints(),
-                             input_override=view_b, training=True,
-                             node_features=train_ctdg.node_features)
-                if timer:
-                    timer.stop("encode")
-                    timer.start("decode")
-                z_a = predict(predictor, h_a.gather(common))
-                z_b = predict(predictor, h_b.gather(common))
-                loss, terms = ssl_loss_terms(z_a, z_b, config.weights)
-                if timer:
-                    timer.stop("decode")
+                with timer.phase("encode"):
+                    # Every view node, not only the common ones: dropout masks are
+                    # drawn by message position, so fewer messages would change every draw.
+                    h_a = encode(batch, encoder, config.max_neighbors,
+                                 (config.seed, VIEW_STREAM, epoch, index, 0), view_a.endpoints(),
+                                 input_override=view_a, training=True,
+                                 node_features=train_ctdg.node_features)
+                    h_b = encode(batch, encoder, config.max_neighbors,
+                                 (config.seed, VIEW_STREAM, epoch, index, 1), view_b.endpoints(),
+                                 input_override=view_b, training=True,
+                                 node_features=train_ctdg.node_features)
+                with timer.phase("decode"):
+                    z_a = predict(predictor, h_a.gather(common))
+                    z_b = predict(predictor, h_b.gather(common))
+                    loss, terms = ssl_loss_terms(z_a, z_b, config.weights)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericFailure(f"non-finite pre-training loss at epoch {epoch}")
-            if timer:
-                timer.start("step")
-            optimizer.zero_grad()
-            backward(tape, loss)
-            optimizer.step()
-            if timer:
-                timer.stop("step")
+            with timer.phase("step"):
+                optimizer.zero_grad()
+                backward(tape, loss)
+                optimizer.step()
             sums["loss"] += value
             for key in ("v", "c", "s"):
                 sums[key] += terms[key]
@@ -224,6 +214,5 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
         history.append(row)
         if log_fn:
             log_fn(row)
-        if timer:
-            timer.end_epoch(epoch)
+        timer.end_epoch(epoch)
     return history, skipped

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 PHASES = ("sample", "encode", "decode", "step", "validate")
@@ -14,16 +15,14 @@ class PhaseTimer:
 
     def __init__(self):
         self.rows: list[tuple[int, str, float]] = []
-        self._running: dict[str, float] = {}
         self._accum: dict[str, float] = {phase: 0.0 for phase in PHASES}
 
-    def start(self, phase: str) -> None:
-        self._running[phase] = time.perf_counter()
-
-    def stop(self, phase: str) -> None:
-        started = self._running.pop(phase, None)
-        if started is not None:
-            self._accum[phase] += (time.perf_counter() - started) * 1000.0
+    @contextmanager
+    def phase(self, name: str):
+        """Span: the time spent inside the ``with`` block counts toward ``name``."""
+        started = time.perf_counter()
+        yield
+        self._accum[name] += (time.perf_counter() - started) * 1000.0
 
     def end_epoch(self, epoch: int) -> None:
         for phase in PHASES:

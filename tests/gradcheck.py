@@ -7,8 +7,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HarnessError
-from .tensor import Tape, Tensor, backward
+from dygwin.errors import HarnessError
+from dygwin.tensor import Tape, Tensor, backward
 
 
 @dataclass

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CTDG
+from dygwin.data import CTDG
 
 
 def make_synthetic_ctdg(num_nodes: int = 100, num_edges: int = 5000,

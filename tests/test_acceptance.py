@@ -16,17 +16,17 @@ from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, flp_score,
                                init_flp_decoder, sample_negatives, train_downstream)
 from dygwin.encoder import encode, init_encoder, window_end_time
 from dygwin.features import WindowFeatureCache
-from dygwin.gradcheck import finite_difference_check
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
 from dygwin.pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor,
                              predict, pretrain, ssl_loss_terms, vicreg_covariance,
                              vicreg_invariance, vicreg_variance)
-from dygwin.synthetic import make_synthetic_ctdg, write_synthetic_csv
 from dygwin.windows import (Interval, evaluation_windows, generate_intervals,
                             make_window_batch)
 
+from gradcheck import finite_difference_check
 from graphs import ctdg_from, edges_from
 from oracles import brute_common_neighbors, brute_degree
+from synthetic import make_synthetic_ctdg, write_synthetic_csv
 from test_metrics import (oracle_auc, oracle_average_precision, oracle_rank, ragged,
                           records)
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the operator entry point."""
 
+import csv
 import re
 import shlex
 from pathlib import Path
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from dygwin.checkpoint import load_checkpoint
-from dygwin.cli import _make_run_dir, build_parser, main, timing_report
+from dygwin.cli import _make_run_dir, build_parser, main
 from dygwin.config import config_hash, parse_config_file, resolve_config
 from dygwin.errors import ConfigError, ConsistencyError, HarnessError
-from dygwin.synthetic import make_synthetic_ctdg, write_synthetic_csv
+
+from synthetic import make_synthetic_ctdg, write_synthetic_csv
 
 
 SMALL_MODEL = ["--set", "node_dim=16", "--set", "time_dim=8", "--set", "num_layers=2",
@@ -30,6 +32,14 @@ def run_dir_of(output_dir, prefix):
     matches = sorted(output_dir.glob(f"{prefix}-*"))
     assert matches, f"no {prefix} run directory under {output_dir}"
     return matches[-1]
+
+
+def timing_report(run_dir) -> list[tuple[int, str, float]]:
+    """Read back a run's per-epoch phase timing table."""
+    with (Path(run_dir) / "timings.csv").open() as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [(int(epoch), phase, float(ms)) for epoch, phase, ms in reader]
 
 
 class TestConfig:
@@ -216,6 +226,24 @@ class TestPipeline:
         report = (run_dir_of(out, "eval") / "report.csv").read_text().splitlines()
         assert report[0] == "metric,horizon,split,value,seed"
         assert len(report) == 1 + 2 * 2  # horizons x splits
+
+    @pytest.mark.parametrize("subcommand, setting", [
+        ("train", "val_every=0"),
+        ("train", "stride=-4"),
+        ("train", "dropout=1.5"),
+        ("train", "dropout=-0.1"),
+        ("eval", "rank_negatives=-3"),
+    ])
+    def test_out_of_range_key_is_config_error(self, artifacts, dataset, tmp_path,
+                                              subcommand, setting):
+        _, trained = artifacts
+        out = tmp_path / "runs"
+        code = main([subcommand, "--dataset", str(dataset), "--output-dir", str(out),
+                     "--epochs", "1", "--window-size", "120", "--checkpoint", str(trained),
+                     "--eval-horizon", "40", "--set", "target_size=40", "--set", setting,
+                     *SMALL_MODEL])
+        assert code == 2
+        assert not out.exists()
 
     def test_truncated_checkpoint_is_data_error(self, artifacts, dataset, tmp_path):
         _, trained = artifacts

@@ -7,15 +7,15 @@ import dygwin.tensor as T
 from dygwin.checkpoint import checkpoint_digest
 from dygwin.data import chronological_split
 from dygwin.downstream import (TrainConfig, bce_loss, dnc_score, evaluate_dnc,
-                               evaluate_flp, flp_score, init_dnc_decoder, init_flp_decoder,
+                               evaluate_flp, flp_score, init_decoder, init_flp_decoder,
                                sample_negatives, train_downstream, training_intervals)
 from dygwin.encoder import NodeEmbeddings, init_encoder
 from dygwin.errors import ConfigError, ContractError
 from dygwin.features import WindowFeatureCache
-from dygwin.gradcheck import finite_difference_check
-from dygwin.synthetic import make_synthetic_ctdg
 
+from gradcheck import finite_difference_check
 from graphs import ctdg_from, edges_from
+from synthetic import make_synthetic_ctdg
 
 
 def embeddings_of(values):
@@ -84,9 +84,9 @@ class TestBceLoss:
 class TestFlpDecoder:
     def test_zero_weights_logit_is_bias(self):
         decoder = init_flp_decoder(node_dim=4, time_dim=3, seed=0, dtype=np.float64)
-        for p in (decoder.w1, decoder.w2):
-            p.values[:] = 0.0
-        decoder.b2.values[:] = 1.25
+        for w, _ in decoder.layers:
+            w.values[:] = 0.0
+        decoder.layers[-1][1].values[:] = 1.25
         emb = embeddings_of(np.random.default_rng(0).normal(size=(5, 4)))
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
@@ -111,7 +111,7 @@ class TestFlpDecoder:
 
 class TestDncDecoder:
     def test_eval_mode_deterministic(self):
-        decoder = init_dnc_decoder(node_dim=4, time_dim=3, seed=0, dtype=np.float64)
+        decoder = init_decoder("dnc", node_dim=4, time_dim=3, seed=0, dtype=np.float64)
         emb = embeddings_of(np.random.default_rng(2).normal(size=(3, 4)))
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
@@ -120,10 +120,10 @@ class TestDncDecoder:
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_zero_weights_constant_logit(self):
-        decoder = init_dnc_decoder(node_dim=4, time_dim=3, seed=0, dtype=np.float64)
-        for p in (decoder.w1, decoder.w2, decoder.w3):
-            p.values[:] = 0.0
-        decoder.b3.values[:] = -0.5
+        decoder = init_decoder("dnc", node_dim=4, time_dim=3, seed=0, dtype=np.float64)
+        for w, _ in decoder.layers:
+            w.values[:] = 0.0
+        decoder.layers[-1][1].values[:] = -0.5
         emb = embeddings_of(np.random.default_rng(3).normal(size=(4, 4)))
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
@@ -132,7 +132,7 @@ class TestDncDecoder:
         assert np.allclose(logits.values, -0.5)
 
     def test_gradient_through_three_layers(self):
-        decoder = init_dnc_decoder(node_dim=4, time_dim=3, seed=4, dtype=np.float64)
+        decoder = init_decoder("dnc", node_dim=4, time_dim=3, seed=4, dtype=np.float64)
         emb = embeddings_of(np.random.default_rng(4).normal(size=(6, 4)))
         edges = edges_from([(0, 1, 1.0), (2, 3, 2.0)])
         cache = WindowFeatureCache(edges)
@@ -145,6 +145,19 @@ class TestDncDecoder:
 
         report = finite_difference_check(forward, decoder.named(), h=1e-6)
         assert report.max_rel_error < 1e-4, report
+
+
+@pytest.mark.parametrize("task, tail", [
+    ("flp", [("decoder/w2", (5, 1)), ("decoder/b2", (1, 1))]),
+    ("dnc", [("decoder/w2", (5, 5)), ("decoder/b2", (1, 5)),
+             ("decoder/w3", (5, 1)), ("decoder/b3", (1, 1))]),
+])
+def test_decoder_checkpoint_names_order_and_shapes(task, tail):
+    # Saved model files store the decoder under these names; changing them breaks loading.
+    decoder = init_decoder(task, node_dim=4, time_dim=3, hidden_dim=5)
+    assert [(name, p.shape) for name, p in decoder.named().items()] == [
+        ("decoder/t2v/omega", (1, 3)), ("decoder/t2v/phase", (1, 3)),
+        ("decoder/w1", (7, 5)), ("decoder/b1", (1, 5)), *tail]
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +212,7 @@ class TestTrainingProtocols:
         _, val_end = split.boundaries
         region = (val_end, len(ctdg))
         encoder = self._encoder()
-        untrained = init_dnc_decoder(16, 8, seed=0)
+        untrained = init_decoder("dnc", 16, 8, seed=0)
         before = evaluate_dnc(ctdg, region, encoder, untrained, 200, 60, 10, seed=0)
         result = train_downstream(ctdg, split, "dnc", encoder, freeze_encoder=True,
                                   config=self._config(epochs=6))
@@ -212,7 +225,7 @@ class TestTrainingProtocols:
         ctdg = ctdg_from([(i % 4, (i + 1) % 4, float(i)) for i in range(40)],
                          labels=[1.0] * 40)
         encoder = self._encoder()
-        decoder = init_dnc_decoder(16, 8, seed=0)
+        decoder = init_decoder("dnc", 16, 8, seed=0)
         with pytest.warns(UserWarning):
             report = evaluate_dnc(ctdg, (20, 40), encoder, decoder, 20, 10, 5, seed=0)
         assert report["auc"] is None
@@ -242,8 +255,8 @@ class TestTrainingProtocols:
         ctdg, split = small_world
         _, val_end = split.boundaries
         decoder = init_flp_decoder(16, 8, seed=0)
-        decoder.w2.values[:] = 0.0
-        decoder.b2.values[:] = 0.0
+        for p in decoder.layers[-1]:
+            p.values[:] = 0.0
         report = evaluate_flp(ctdg, (val_end, len(ctdg)), self._encoder(), decoder,
                               200, horizon, 10, seed=0)
         assert report["ap"] <= 0.5
@@ -251,9 +264,9 @@ class TestTrainingProtocols:
     def test_constant_dnc_scorer_not_rewarded(self, small_world):
         ctdg, split = small_world
         _, val_end = split.boundaries
-        decoder = init_dnc_decoder(16, 8, seed=0)
-        decoder.w3.values[:] = 0.0
-        decoder.b3.values[:] = 0.0
+        decoder = init_decoder("dnc", 16, 8, seed=0)
+        for p in decoder.layers[-1]:
+            p.values[:] = 0.0
         report = evaluate_dnc(ctdg, (val_end, len(ctdg)), self._encoder(), decoder,
                               200, 60, 10, seed=0)
         present = ctdg.label_present[val_end:]

@@ -11,11 +11,11 @@ from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _fla
                             encode, init_encoder, layer_forward, window_end_time)
 from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
-from dygwin.gradcheck import finite_difference_check
 from dygwin.windows import (IncidenceIndex, Interval, WindowBatch, build_layered_neighborhood,
                             make_window_batch)
 
 import oracles
+from gradcheck import finite_difference_check
 from graphs import ctdg_from, edges_from
 from oracles import edge_message, mha
 

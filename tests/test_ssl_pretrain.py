@@ -9,14 +9,14 @@ import dygwin.tensor as T
 from dygwin.data import CTDG, chronological_split, split_edge_indices
 from dygwin.encoder import init_encoder
 from dygwin.errors import ContractError
-from dygwin.gradcheck import finite_difference_check
 from dygwin.pretrain import (DistortionConfig, PretrainConfig, VicregWeights, distort,
                              init_predictor, predict, pretrain, ssl_loss_terms, vicreg_covariance, vicreg_invariance,
                              vicreg_variance)
-from dygwin.synthetic import make_synthetic_ctdg
 from dygwin.windows import Interval, make_window_batch
 
+from gradcheck import finite_difference_check
 from graphs import ctdg_from
+from synthetic import make_synthetic_ctdg
 
 
 def const(values):

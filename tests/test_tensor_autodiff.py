@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import dygwin.tensor as T
 from dygwin.errors import ContractError, HarnessError, ShapeError
-from dygwin.gradcheck import finite_difference_check
 from dygwin.tensor import Tape, backward
 
+from gradcheck import finite_difference_check
 from oracles import sigmoid, softmax_rows
 
 

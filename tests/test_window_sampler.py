@@ -19,8 +19,9 @@ class TestGenerateIntervals:
             [(0, 2), (0, 4), (2, 6), (4, 8), (6, 10)]
 
     def test_single_full_window(self):
-        intervals = generate_intervals(4, stride=4, window=4)
-        assert [(i.start, i.end) for i in intervals] == [(0, 4)]
+        for window in (4, 400):  # a window longer than the log starts at its first edge
+            intervals = generate_intervals(4, stride=4, window=window)
+            assert [(i.start, i.end) for i in intervals] == [(0, 4)]
 
     def test_monotone_bounds(self):
         intervals = generate_intervals(103, stride=7, window=20)
