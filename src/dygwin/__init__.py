@@ -8,7 +8,7 @@ from .downstream import (DecoderParams, TrainConfig, bce_loss, evaluate, evaluat
 from .encoder import (EncoderParams, NodeEmbeddings, encode, init_encoder,
                       layer_forward)
 from .errors import (ConfigError, ConsistencyError, ContractError, DataError,
-                     HarnessError, NumericFailure, ShapeError)
+                     NumericFailure, ShapeError)
 from .features import (TemporalEdgeEncoding, Time2VecParams, common_neighbors_at,
                        init_edge_encoding, init_time2vec, time2vec)
 from .metrics import auc, average_precision, mrr, recall_at_k

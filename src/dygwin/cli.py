@@ -25,8 +25,7 @@ from .data import (CTDG, chronological_split, inductive_split, load_cache, load_
                    split_edge_indices)
 from .downstream import TrainConfig, evaluate, init_decoder, train_downstream
 from .encoder import EncoderParams, init_encoder
-from .errors import (ConfigError, ConsistencyError, ContractError, DataError, HarnessError,
-                     NumericFailure)
+from .errors import ConfigError, ConsistencyError, ContractError, DataError, NumericFailure
 from .metrics import write_metrics_report
 from .pretrain import (DistortionConfig, PretrainConfig, init_predictor, pretrain)
 from .timing import PhaseTimer
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
         return _fail("data", str(exc), 3)
     except NumericFailure as exc:
         return _fail("numeric", str(exc), 4)
-    except (ConsistencyError, HarnessError) as exc:
+    except ConsistencyError as exc:
         return _fail("internal", str(exc), 5)
 
 

@@ -14,14 +14,14 @@ import numpy as np
 
 from . import tensor as T
 from .data import CTDG, EdgeArray, SplitSpec, split_edge_indices
-from .encoder import EncoderParams, NodeEmbeddings, encode, window_end_time
+from .encoder import EncoderParams, NodeEmbeddings, encode
 from .errors import ConfigError, ContractError, NumericFailure
 from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2vec
 from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 from .timing import PhaseTimer
-from .windows import evaluation_windows, generate_intervals, make_window_batch
+from .windows import WindowBatch, evaluation_windows, generate_intervals, make_window_batch
 
 NEG_STREAM = 31
 ENC_STREAM = 33
@@ -81,6 +81,15 @@ def init_flp_decoder(node_dim: int, time_dim: int, hidden_dim: int = 0,
                      seed: int = 0, dtype=np.float32) -> DecoderParams:
     """``init_decoder("flp", ...)`` under its own name."""
     return init_decoder("flp", node_dim, time_dim, hidden_dim, seed=seed, dtype=dtype)
+
+
+def window_end_time(batch: WindowBatch) -> float:
+    """Recency fallback: the input slice's last time, else the first target's, else 0."""
+    if len(batch.input_edges):
+        return float(batch.input_edges.t.max())
+    if len(batch.target_edges):
+        return float(batch.target_edges.t.min())
+    return 0.0
 
 
 def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarray,
@@ -174,9 +183,8 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
             rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
             rank_neg = sample_negatives(targets, rank_rng, ctdg.num_nodes, rank_negatives)
         scored = np.concatenate([targets.u, targets.v, negatives.ravel(), rank_neg.ravel()])
-        embeddings = encode(batch, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            scored, training=False, cache=cache,
-                            node_features=ctdg.node_features)
+        embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
+                            scored, node_features=ctdg.node_features)
         pos_scores.append(flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
                                     cache, fallback).values.ravel())
         neg_scores.append(flp_score(decoder, embeddings, targets.u, negatives.ravel(),
@@ -215,9 +223,8 @@ def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
             continue
         cut = batch.interval.end
         cache = WindowFeatureCache(batch.input_edges)
-        embeddings = encode(batch, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            labeled.u, training=False, cache=cache,
-                            node_features=ctdg.node_features)
+        embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
+                            labeled.u, node_features=ctdg.node_features)
         scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
                                 window_end_time(batch), training=False).values.ravel())
         labels.append((labeled.labels > 0.5).astype(np.int64))
@@ -258,6 +265,11 @@ class TrainConfig:
     seed: int = 0
     hidden_dim: int = 0  # 0 -> node_dim
     val_every: int = 1
+
+    def __post_init__(self):
+        if self.val_every < 1 or self.stride < 0:
+            raise ContractError(f"val_every must be >= 1 and stride >= 0, "
+                                f"got {self.val_every} and {self.stride}")
 
 
 @dataclass
@@ -378,10 +390,10 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                         nodes = np.concatenate([batch.input_edges.endpoints(),
                                                 batch.target_edges.endpoints(), extra])
                         enc_epoch = 0 if freeze_encoder else epoch
-                        embeddings = encode(batch, encoder, config.max_neighbors,
+                        embeddings = encode(cache, encoder, config.max_neighbors,
                                             (config.seed, ENC_STREAM, enc_epoch, index),
                                             nodes, training=not freeze_encoder,
-                                            cache=cache, node_features=ctdg.node_features)
+                                            node_features=ctdg.node_features)
                         if freeze_encoder:
                             frozen_cache[index] = (embeddings, cache, fallback)
                 with timer.phase("decode"):

@@ -20,7 +20,7 @@ from .errors import ConsistencyError, ContractError
 from .features import (TemporalEdgeEncoding, Time2VecParams, WindowFeatureCache,
                        apply_count_scale, init_edge_encoding, init_time2vec, time2vec)
 from .tensor import Tensor
-from .windows import LayeredNeighborhood, WindowBatch, build_layered_neighborhood
+from .windows import LayeredNeighborhood, build_layered_neighborhood
 
 NEIGHBOR_STREAM = 11
 DROPOUT_STREAM = 13
@@ -146,17 +146,17 @@ def _flatten_layer(samples: dict[int, np.ndarray], embeddings: NodeEmbeddings,
 
 
 def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
-                  layer: LayerParams, params: EncoderParams, edges: EdgeArray,
-                  cache: WindowFeatureCache, fallback_time: float,
+                  layer: LayerParams, params: EncoderParams, cache: WindowFeatureCache,
                   dropout_rng: np.random.Generator | None = None,
                   training: bool = False) -> NodeEmbeddings:
     """One attention layer from the input rows to one row per anchor of ``samples``.
 
-    Anchors and their sampled neighbours must have input rows. An anchor with
-    an empty sample (no incident edges) takes the bare ``h @ W1`` path;
-    attention context is added for the rest. Output rows are invariant to
-    each anchor's sample order.
+    Sampled positions index ``cache.edges``. Anchors and their sampled
+    neighbours must have input rows. An anchor with an empty sample (no
+    incident edges) takes the bare ``h @ W1`` path; attention context is added
+    for the rest. Output rows are invariant to each anchor's sample order.
     """
+    edges = cache.edges
     anchors, segments, positions, neighbor_rows = _flatten_layer(samples, embeddings, edges)
     rows = embeddings.rows(anchors)
     H = embeddings.matrix
@@ -166,7 +166,8 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     if positions.size == 0:
         return NodeEmbeddings(anchors, h_new)
 
-    delta = cache.index.last_time(anchors[segments], fallback_time) - edges.t[positions]
+    # An anchor with a sampled position has an incident edge, so no fallback is read.
+    delta = cache.index.last_time(anchors[segments], np.nan) - edges.t[positions]
     masked = edges.enc_masked[positions]
 
     counts = cache.counts_matrix(positions)
@@ -199,42 +200,26 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     return NodeEmbeddings(anchors, T.add(h_new, mha_out))
 
 
-def window_end_time(batch: WindowBatch) -> float:
-    if len(batch.input_edges):
-        return float(batch.input_edges.t.max())
-    if len(batch.target_edges):
-        return float(batch.target_edges.t.min())
-    return 0.0
-
-
-def encode(batch: WindowBatch, params: EncoderParams, max_neighbors: int,
+def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
            rng_key: tuple[int, ...] | int, nodes,
-           input_override: EdgeArray | None = None,
            node_features: np.ndarray | None = None,
            training: bool = False,
-           cache: WindowFeatureCache | None = None,
            hood: LayeredNeighborhood | None = None) -> NodeEmbeddings:
-    """Encode one window into task-agnostic embeddings of the requested nodes.
+    """Encode the slice ``cache.edges`` into embeddings of the requested nodes.
 
     Returns one row per distinct id in ``nodes``, ids ascending, and no other
     row. Layer i is computed only for the nodes within L - i sampled hops of
     the request, so each row equals the row a request of every window node
     gives, up to rounding. A requested node without edges in the slice takes
-    the bare ``W1`` chain. Target edges are read only for the fallback time
-    of an empty slice (``window_end_time``). Pass
-    ``input_override`` to encode a distorted view of the input slice, and a
-    ``hood`` built for these ``nodes`` to reuse its samples.
+    the bare ``W1`` chain. Pass a ``hood`` built for these ``nodes`` to reuse
+    its samples.
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
-    edges = batch.input_edges if input_override is None else input_override
     requested = np.unique(np.asarray(nodes, dtype=np.int64))
-    if cache is None:
-        cache = WindowFeatureCache(edges)
     if hood is None:
-        hood = build_layered_neighborhood(edges, requested, params.num_layers,
-                                          max_neighbors, rng_key + (NEIGHBOR_STREAM,),
-                                          index=cache.index)
+        hood = build_layered_neighborhood(cache.index, requested, params.num_layers,
+                                          max_neighbors, rng_key + (NEIGHBOR_STREAM,))
     active = hood.active_nodes
 
     if params.input_proj is not None:
@@ -245,12 +230,11 @@ def encode(batch: WindowBatch, params: EncoderParams, max_neighbors: int,
         h0 = T.constant(np.zeros((len(active), params.node_dim)), dtype=params.dtype)
 
     embeddings = NodeEmbeddings(active, h0)
-    fallback = window_end_time(batch)
     for i, layer in enumerate(params.layers):
         dropout_rng = np.random.default_rng(rng_key + (DROPOUT_STREAM, i)) \
             if training and params.dropout > 0.0 else None
-        embeddings = layer_forward(embeddings, hood.layers[i], layer, params,
-                                   edges, cache, fallback, dropout_rng, training)
+        embeddings = layer_forward(embeddings, hood.layers[i], layer, params, cache,
+                                   dropout_rng, training)
     if not np.array_equal(embeddings.ids, requested):
         raise ContractError("the neighbourhood was built for other nodes than requested")
     return embeddings

@@ -21,9 +21,5 @@ class ConsistencyError(RuntimeError):
     """Internal state disagrees with itself (e.g. a missing embedding row)."""
 
 
-class HarnessError(RuntimeError):
-    """A verification harness detected a broken assumption (e.g. non-determinism)."""
-
-
 class NumericFailure(RuntimeError):
     """Training produced a non-finite loss."""

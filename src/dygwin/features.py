@@ -64,23 +64,23 @@ def common_neighbors_at(input_edges: EdgeArray, u: int, v: int, t: float) -> int
 
 
 class WindowFeatureCache:
-    """Batched structural counts for one slice from two sorted keys: node * R +
-    time rank per incidence entry (R distinct times), and node * M + other
-    endpoint per contact pair (ids below M), kept at the pair's earliest time."""
+    """Batched structural counts for one time-sorted slice of E edges, keyed by
+    position (at or before t means below ``searchsorted(edges.t, t, "right")``):
+    node * (E + 1) + position per incidence entry, and node * M + other endpoint
+    per contact pair (ids below M), kept at the pair's earliest position."""
 
     def __init__(self, edges: EdgeArray):
         self.edges = edges
         self.index = IncidenceIndex(edges)
         nodes, positions = self.index.nodes, self.index.positions
-        self._times = np.unique(edges.t)
-        ranks = np.searchsorted(self._times, edges.t[positions])
-        self._degree_keys = np.sort(nodes * len(self._times) + ranks)
+        self._degree_keys = nodes * (len(edges) + 1) + positions  # sorted, as the index is
         others = np.where(edges.u[positions] == nodes, edges.v[positions], edges.u[positions])
         self._stride = int(nodes.max()) + 1 if nodes.size else 1
-        order = np.lexsort((ranks, others, nodes))
+        # Stable: positions ascend within a node, so each pair's first entry is its earliest.
+        order = np.argsort(nodes * self._stride + others, kind="stable")
         pair_keys = nodes[order] * self._stride + others[order]
         earliest = np.diff(pair_keys, prepend=-1) != 0
-        self._pair_keys, self._pair_ranks = pair_keys[earliest], ranks[order][earliest]
+        self._pair_keys, self._pair_positions = pair_keys[earliest], positions[order][earliest]
 
     def counts_at(self, us, vs, ts) -> np.ndarray:
         """(deg_u, deg_v, common neighbours) per (u, v, t) query, shape (n, 3): edges
@@ -88,8 +88,8 @@ class WindowFeatureCache:
         common neighbour. Times and nodes need not occur in the slice."""
         us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         n, ends = len(us), np.concatenate([us, vs])
-        before = np.tile(np.searchsorted(self._times, ts, side="right"), 2)
-        low = ends * len(self._times)
+        before = np.tile(np.searchsorted(self.edges.t, ts, side="right"), 2)
+        low = ends * (len(self.edges) + 1)
         degrees = (np.searchsorted(self._degree_keys, low + before)
                    - np.searchsorted(self._degree_keys, low))
         # Both endpoints' contact rows, expanded ragged: a neighbour of both,
@@ -99,7 +99,7 @@ class WindowFeatureCache:
         query = np.repeat(np.tile(np.arange(n), 2), lengths)
         rows = np.arange(query.size) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
         others = self._pair_keys[rows] % self._stride
-        keep = ((self._pair_ranks[rows] < before[query])
+        keep = ((self._pair_positions[rows] < before[query])
                 & (others != us[query]) & (others != vs[query]))
         keys = np.sort(query[keep] * self._stride + others[keep])
         common = np.bincount(keys[1:][keys[1:] == keys[:-1]] // self._stride, minlength=n)

@@ -17,6 +17,7 @@ from . import tensor as T
 from .data import CTDG, EdgeArray
 from .encoder import EncoderParams, encode
 from .errors import ContractError, NumericFailure
+from .features import WindowFeatureCache
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 from .timing import PhaseTimer
@@ -183,14 +184,12 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
                 with timer.phase("encode"):
                     # Every view node, not only the common ones: dropout masks are
                     # drawn by message position, so fewer messages would change every draw.
-                    h_a = encode(batch, encoder, config.max_neighbors,
+                    h_a = encode(WindowFeatureCache(view_a), encoder, config.max_neighbors,
                                  (config.seed, VIEW_STREAM, epoch, index, 0), view_a.endpoints(),
-                                 input_override=view_a, training=True,
-                                 node_features=train_ctdg.node_features)
-                    h_b = encode(batch, encoder, config.max_neighbors,
+                                 training=True, node_features=train_ctdg.node_features)
+                    h_b = encode(WindowFeatureCache(view_b), encoder, config.max_neighbors,
                                  (config.seed, VIEW_STREAM, epoch, index, 1), view_b.endpoints(),
-                                 input_override=view_b, training=True,
-                                 node_features=train_ctdg.node_features)
+                                 training=True, node_features=train_ctdg.node_features)
                 with timer.phase("decode"):
                     z_a = predict(predictor, h_a.gather(common))
                     z_b = predict(predictor, h_b.gather(common))

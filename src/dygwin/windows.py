@@ -79,23 +79,23 @@ def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int,
         raise ContractError(f"bad evaluation region [{region_start}, {region_end})")
     batches = []
     for cut in range(region_start, region_end, horizon):
-        interval = Interval(max(0, cut - window), cut)
-        input_edges = ctdg.window(interval.start, interval.end)
-        target_edges = ctdg.window(cut, min(cut + horizon, region_end))
+        batch = make_window_batch(ctdg, Interval(max(0, cut - window), cut),
+                                  min(horizon, region_end - cut))
         if target_filter is not None:
-            target_edges = target_edges.take(target_filter(target_edges))
-        if len(target_edges) == 0:
-            continue
-        batches.append(WindowBatch(interval, input_edges, target_edges))
+            batch.target_edges = batch.target_edges.take(target_filter(batch.target_edges))
+        if len(batch.target_edges):
+            batches.append(batch)
     return batches
 
 
 class IncidenceIndex:
-    """Per-node incident edge positions within one edge slice, sorted by
+    """Per-node incident edge positions within one time-sorted slice, sorted by
     (node, position): each node's run is ascending, hence time-ordered, and a
     self-loop is one entry. Read-only, since ``incident`` returns views."""
 
     def __init__(self, edges: EdgeArray):
+        if np.any(edges.t[1:] < edges.t[:-1]):
+            raise ContractError("edge slice timestamps must not decrease")
         self.edges = edges
         loop = edges.u == edges.v
         nodes = np.concatenate([edges.u, edges.v[~loop]])
@@ -122,9 +122,8 @@ class IncidenceIndex:
         return np.where(np.isin(nodes, self._node_ids), last, fallback)
 
 
-def sample_neighbors(input_edges: EdgeArray, anchor: int, max_neighbors: int,
-                     rng: np.random.Generator,
-                     index: IncidenceIndex | None = None) -> np.ndarray:
+def sample_neighbors(index: IncidenceIndex, anchor: int, max_neighbors: int,
+                     rng: np.random.Generator) -> np.ndarray:
     """Uniform sample (without replacement) of incident edge positions.
 
     Anchors with at most ``max_neighbors`` incident edges keep all of them;
@@ -132,8 +131,6 @@ def sample_neighbors(input_edges: EdgeArray, anchor: int, max_neighbors: int,
     """
     if max_neighbors < 1:
         raise ContractError(f"max_neighbors must be >= 1, got {max_neighbors}")
-    if index is None:
-        index = IncidenceIndex(input_edges)
     positions = index.incident(anchor)
     if positions.size <= max_neighbors:
         return positions
@@ -149,11 +146,10 @@ class LayeredNeighborhood:
     active_nodes: np.ndarray  # sorted unique ids
 
 
-def build_layered_neighborhood(input_edges: EdgeArray, seed_nodes,
+def build_layered_neighborhood(index: IncidenceIndex, seed_nodes,
                                num_layers: int, max_neighbors: int,
-                               rng_key: tuple[int, ...] | int,
-                               index: IncidenceIndex | None = None) -> LayeredNeighborhood:
-    """Receptive field of the seeds, sampled top-down against one flat slice.
+                               rng_key: tuple[int, ...] | int) -> LayeredNeighborhood:
+    """Receptive field of the seeds, sampled top-down against the index's slice.
 
     The top layer's anchors are the seeds; each lower layer's anchors are the
     anchors above it plus the endpoints of their samples, and ``active_nodes``
@@ -163,17 +159,14 @@ def build_layered_neighborhood(input_edges: EdgeArray, seed_nodes,
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
-    if index is None:
-        index = IncidenceIndex(input_edges)
+    edges = index.edges
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
     layers: list[dict[int, np.ndarray]] = []
     for layer in range(num_layers, 0, -1):
-        samples = {anchor: sample_neighbors(input_edges, anchor, max_neighbors,
-                                            np.random.default_rng(rng_key + (layer, anchor)),
-                                            index)
+        samples = {anchor: sample_neighbors(index, anchor, max_neighbors,
+                                            np.random.default_rng(rng_key + (layer, anchor)))
                    for anchor in anchors.tolist()}
         layers.insert(0, samples)
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
-        anchors = np.union1d(anchors, np.concatenate([input_edges.u[sampled],
-                                                      input_edges.v[sampled]]))
+        anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]]))
     return LayeredNeighborhood(layers=layers, active_nodes=anchors)

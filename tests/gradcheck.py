@@ -7,8 +7,11 @@ from typing import Callable
 
 import numpy as np
 
-from dygwin.errors import HarnessError
 from dygwin.tensor import Tape, Tensor, backward
+
+
+class HarnessError(RuntimeError):
+    """The harness detected a broken assumption (e.g. non-determinism)."""
 
 
 @dataclass

@@ -13,8 +13,9 @@ import dygwin.tensor as T
 from dygwin.cli import main as cli_main
 from dygwin.data import chronological_split, split_edge_indices
 from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, flp_score,
-                               init_flp_decoder, sample_negatives, train_downstream)
-from dygwin.encoder import encode, init_encoder, window_end_time
+                               init_flp_decoder, sample_negatives, train_downstream,
+                               window_end_time)
+from dygwin.encoder import encode, init_encoder
 from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
 from dygwin.pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor,
@@ -78,25 +79,20 @@ def test_criterion_1_full_model_gradient_check():
     seeds = np.unique(np.concatenate([batch.input_edges.endpoints(),
                                       batch.target_edges.endpoints(),
                                       negatives.ravel()]))
-    hood = build_layered_neighborhood(batch.input_edges, seeds, 3, 5, (9, 11),
-                                      index=cache.index)
-    hood_a = build_layered_neighborhood(view_a, view_a.endpoints(), 3, 5, (10, 11),
-                                        index=cache_a.index)
-    hood_b = build_layered_neighborhood(view_b, view_b.endpoints(), 3, 5, (11, 11),
-                                        index=cache_b.index)
+    hood = build_layered_neighborhood(cache.index, seeds, 3, 5, (9, 11))
+    hood_a = build_layered_neighborhood(cache_a.index, view_a.endpoints(), 3, 5, (10, 11))
+    hood_b = build_layered_neighborhood(cache_b.index, view_b.endpoints(), 3, 5, (11, 11))
 
     def forward():
-        embeddings = encode(batch, encoder, 5, (9,), seeds, cache=cache, hood=hood)
+        embeddings = encode(cache, encoder, 5, (9,), seeds, hood=hood)
         pos = flp_score(decoder, embeddings, batch.target_edges.u,
                         batch.target_edges.v, batch.target_edges.t, cache, fallback)
         neg = flp_score(decoder, embeddings, batch.target_edges.u, negatives.ravel(),
                         batch.target_edges.t, cache, fallback)
         supervised = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
                               labels.reshape(1, -1))
-        h_a = encode(batch, encoder, 5, (10,), view_a.endpoints(), input_override=view_a,
-                     cache=cache_a, hood=hood_a)
-        h_b = encode(batch, encoder, 5, (11,), view_b.endpoints(), input_override=view_b,
-                     cache=cache_b, hood=hood_b)
+        h_a = encode(cache_a, encoder, 5, (10,), view_a.endpoints(), hood=hood_a)
+        h_b = encode(cache_b, encoder, 5, (11,), view_b.endpoints(), hood=hood_b)
         self_supervised, _ = ssl_loss_terms(predict(predictor, h_a.gather(common)),
                                             predict(predictor, h_b.gather(common)))
         return T.add(supervised, T.scale(self_supervised, 0.01))
@@ -202,13 +198,13 @@ def test_criterion_4_window_invariants():
                               dropout=0.0, seed=trial, dtype=np.float64)
         nodes = np.concatenate([batch.input_edges.endpoints(),
                                 batch.target_edges.endpoints()])
-        baseline = encode(batch, params, 4, (trial,), nodes)
+        baseline = encode(WindowFeatureCache(batch.input_edges), params, 4, (trial,), nodes)
         corrupted_targets = batch.target_edges.take(
             np.random.default_rng(trial).permutation(len(batch.target_edges)))
         corrupted_targets.t = corrupted_targets.t * 3.0 + 1e5
         corrupted = make_window_batch(ctdg, batch.interval, 0)
         corrupted.target_edges = corrupted_targets
-        after = encode(corrupted, params, 4, (trial,), nodes)
+        after = encode(WindowFeatureCache(corrupted.input_edges), params, 4, (trial,), nodes)
         if baseline.matrix.values.tobytes() != after.matrix.values.tobytes():
             failures.append(f"trial {trial}: encoder read target content")
     report(4, not failures,

@@ -1,8 +1,11 @@
 """End-to-end runs of the operator entry point."""
 
 import csv
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from dygwin.checkpoint import load_checkpoint
 from dygwin.cli import _make_run_dir, build_parser, main
 from dygwin.config import config_hash, parse_config_file, resolve_config
-from dygwin.errors import ConfigError, ConsistencyError, HarnessError
+from dygwin.errors import ConfigError, ConsistencyError
 
 from synthetic import make_synthetic_ctdg, write_synthetic_csv
 
@@ -148,7 +151,7 @@ class TestSubcommands:
                      "--set", "lr=1e18", *SMALL_MODEL])
         assert code == 4
 
-    @pytest.mark.parametrize("error", [ConsistencyError, HarnessError])
+    @pytest.mark.parametrize("error", [ConsistencyError])
     def test_internal_error_exit_code(self, dataset, tmp_path, monkeypatch, capsys, error):
         import dygwin.cli as cli
 
@@ -324,3 +327,17 @@ class TestPipeline:
                          "--eval-horizon", "40"]) == 0
             reports.append((run_dir_of(out, "eval") / "report.csv").read_bytes())
         assert reports[0] == reports[1]
+
+
+def test_artifact_digests_script_is_well_formed_and_repeatable():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    outputs = [subprocess.run([sys.executable, str(root / "scripts" / "artifact_digests.py")],
+                              env=env, capture_output=True, text=True, check=True).stdout
+               for _ in range(2)]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 14
+    for line in lines:
+        assert re.fullmatch(r"\S+ (model\.dygw|history\.csv|ssl_log\.csv|report\.csv) "
+                            r"[0-9a-f]{64}", line), line
+    assert outputs[1] == outputs[0]

@@ -160,6 +160,13 @@ def test_decoder_checkpoint_names_order_and_shapes(task, tail):
         ("decoder/w1", (7, 5)), ("decoder/b1", (1, 5)), *tail]
 
 
+@pytest.mark.parametrize("field, value", [("val_every", 0), ("val_every", -1), ("stride", -4)])
+def test_train_config_rejects_out_of_range(field, value):
+    # Library callers reach train_downstream without the CLI's config checks.
+    with pytest.raises(ContractError):
+        TrainConfig(**{field: value})
+
+
 @pytest.fixture(scope="module")
 def small_world():
     ctdg = make_synthetic_ctdg(num_nodes=30, num_edges=900, history=60,

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
+from dygwin.downstream import window_end_time
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
-                            encode, init_encoder, layer_forward, window_end_time)
+                            encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
-from dygwin.windows import (IncidenceIndex, Interval, WindowBatch, build_layered_neighborhood,
-                            make_window_batch)
+from dygwin.windows import IncidenceIndex, Interval, build_layered_neighborhood, make_window_batch
 
 import oracles
 from gradcheck import finite_difference_check
@@ -73,7 +73,7 @@ class TestLayerForward:
         emb = self._embeddings([[1.0, 2.0], [3.0, 4.0]])
         out = layer_forward(emb, {0: np.empty(0, dtype=np.int64),
                                   1: np.empty(0, dtype=np.int64)},
-                            layer, params, edges, cache, fallback_time=1.0)
+                            layer, params, cache)
         assert np.allclose(out.matrix.values, emb.matrix.values)
 
     def test_single_neighbor_matches_hand_computation(self):
@@ -84,7 +84,7 @@ class TestLayerForward:
         h = np.array([[0.5, -1.0], [2.0, 0.25]])
         emb = self._embeddings(h)
         out = layer_forward(emb, {0: np.array([0]), 1: np.empty(0, dtype=np.int64)},
-                            layer, params, edges, cache, fallback_time=3.0)
+                            layer, params, cache)
 
         # hand evaluation of the anchor-0 row with plain numpy
         omega, phase = params.t2v.omega.values, params.t2v.phase.values
@@ -108,9 +108,9 @@ class TestLayerForward:
         h = rng.normal(size=(7, 4))
         emb = self._embeddings(h)
         forward_order = layer_forward(emb, {0: np.array([0, 1, 2, 3, 4, 5])},
-                                      layer, params, edges, cache, 5.0)
+                                      layer, params, cache)
         shuffled = layer_forward(emb, {0: np.array([4, 2, 5, 0, 3, 1])},
-                                 layer, params, edges, cache, 5.0)
+                                 layer, params, cache)
         assert np.allclose(forward_order.matrix.values, shuffled.matrix.values,
                            atol=1e-12)
 
@@ -123,7 +123,7 @@ class TestLayerForward:
         h = rng.normal(size=(3, 4))
         emb = self._embeddings(h)
         samples = {0: np.array([0, 1]), 1: np.array([2]), 2: np.empty(0, dtype=np.int64)}
-        batched = layer_forward(emb, samples, layer, params, edges, cache, 3.0)
+        batched = layer_forward(emb, samples, layer, params, cache)
 
         for anchor, sampled in samples.items():
             keys = []
@@ -148,8 +148,7 @@ class TestLayerForward:
         edges = edges_from([(0, 5, 1.0)])
         cache = WindowFeatureCache(edges)
         with pytest.raises(ConsistencyError):
-            layer_forward(emb, {0: np.array([0])}, params.layers[0], params,
-                          edges, cache, 1.0)
+            layer_forward(emb, {0: np.array([0])}, params.layers[0], params, cache)
 
 
 class TestEncode:
@@ -161,8 +160,9 @@ class TestEncode:
         ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)],
                          num_nodes=3)
         batch = make_window_batch(ctdg, Interval(0, 0), target_size=3)
-        out = encode(batch, params, max_neighbors=5, rng_key=(0,),
-                     nodes=batch.target_edges.endpoints(), node_features=node_features)
+        out = encode(WindowFeatureCache(batch.input_edges), params, max_neighbors=5,
+                     rng_key=(0,), nodes=batch.target_edges.endpoints(),
+                     node_features=node_features)
         chain = node_features[out.ids].astype(np.float64) @ params.input_proj.values
         for layer in params.layers:
             chain = chain @ layer.w1.values
@@ -173,8 +173,10 @@ class TestEncode:
         params = init_encoder(num_layers=2, node_dim=8, time_dim=6, heads=2,
                               dropout=0.0, seed=1, dtype=np.float64)
         batch = make_window_batch(ctdg, Interval(0, 30), target_size=5)
-        a = encode(batch, params, 4, (9,), batch.input_edges.endpoints())
-        b = encode(batch, params, 4, (9,), batch.input_edges.endpoints())
+        a = encode(WindowFeatureCache(batch.input_edges), params, 4, (9,),
+                   batch.input_edges.endpoints())
+        b = encode(WindowFeatureCache(batch.input_edges), params, 4, (9,),
+                   batch.input_edges.endpoints())
         assert a.matrix.values.tobytes() == b.matrix.values.tobytes()
         assert np.array_equal(a.ids, b.ids)
 
@@ -182,11 +184,11 @@ class TestEncode:
         params = tiny_params(node_dim=2, time_dim=2, heads=1, seed=5)
         ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0)], num_nodes=3)
         batch = make_window_batch(ctdg, Interval(0, 2), target_size=0)
-        out = encode(batch, params, max_neighbors=5, rng_key=(3,),
+        cache = WindowFeatureCache(batch.input_edges)
+        out = encode(cache, params, max_neighbors=5, rng_key=(3,),
                      nodes=batch.input_edges.endpoints())
         # zero initial embeddings: messages carry only time and count terms
         layer = params.layers[0]
-        cache = WindowFeatureCache(batch.input_edges)
         expected = np.zeros((3, 2))
         omega, phase = params.t2v.omega.values, params.t2v.phase.values
         for anchor in range(3):
@@ -220,13 +222,13 @@ class TestEncode:
         batch = make_window_batch(ctdg, Interval(10, 60), target_size=15)
         nodes = np.concatenate([batch.input_edges.endpoints(),
                                 batch.target_edges.endpoints()])
-        baseline = encode(batch, params, 5, (1,), nodes)
+        baseline = encode(WindowFeatureCache(batch.input_edges), params, 5, (1,), nodes)
 
         corrupted_targets = batch.target_edges.take(
             np.random.default_rng(0).permutation(len(batch.target_edges)))
         corrupted_targets.t = corrupted_targets.t + 1e6
         corrupted = type(batch)(batch.interval, batch.input_edges, corrupted_targets)
-        after = encode(corrupted, params, 5, (1,), nodes)
+        after = encode(WindowFeatureCache(corrupted.input_edges), params, 5, (1,), nodes)
         assert baseline.matrix.values.tobytes() == after.matrix.values.tobytes()
         assert np.array_equal(baseline.ids, after.ids)
 
@@ -238,8 +240,8 @@ class TestEncode:
         batch = make_window_batch(ctdg, Interval(0, 12), target_size=0)
 
         def forward():
-            out = encode(batch, params, max_neighbors=4, rng_key=(8,),
-                         nodes=batch.input_edges.endpoints())
+            out = encode(WindowFeatureCache(batch.input_edges), params, max_neighbors=4,
+                         rng_key=(8,), nodes=batch.input_edges.endpoints())
             return T.mean(T.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, params.named(), h=1e-6,
@@ -255,14 +257,15 @@ class TestEncode:
         ctdg = ctdg_from([(i, i + 1, float(i)) for i in range(6)] + [(0, 1, 6.0)],
                          num_nodes=7)
         batch = make_window_batch(ctdg, Interval(0, 7), target_size=0)
-        hood = build_layered_neighborhood(batch.input_edges, [1], 2, 4, (8, NEIGHBOR_STREAM))
+        cache = WindowFeatureCache(batch.input_edges)
+        hood = build_layered_neighborhood(cache.index, [1], 2, 4, (8, NEIGHBOR_STREAM))
         assert hood.active_nodes.tolist() == [0, 1, 2, 3]
         assert [sorted(layer) for layer in hood.layers] == [[0, 1, 2], [1]]
         with pytest.raises(ContractError):  # a hood built for other nodes
-            encode(batch, params, 4, (8,), [2], node_features=node_features, hood=hood)
+            encode(cache, params, 4, (8,), [2], node_features=node_features, hood=hood)
 
         def forward():
-            out = encode(batch, params, max_neighbors=4, rng_key=(8,), nodes=[1],
+            out = encode(cache, params, max_neighbors=4, rng_key=(8,), nodes=[1],
                          node_features=node_features)
             return T.mean(T.mul(out.matrix, out.matrix))
 
@@ -295,8 +298,9 @@ class TestEncode:
         batch = make_window_batch(ctdg, Interval(0, 10), target_size=0)
 
         def forward():
-            out = encode(batch, params, max_neighbors=3, rng_key=(4,),
-                         nodes=batch.input_edges.endpoints(), node_features=node_features)
+            out = encode(WindowFeatureCache(batch.input_edges), params, max_neighbors=3,
+                         rng_key=(4,), nodes=batch.input_edges.endpoints(),
+                         node_features=node_features)
             return T.mean(T.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, {"proj": params.input_proj}, h=1e-6)
@@ -345,7 +349,8 @@ def test_array_paths_match_item_oracles(data):
     num_layers = data.draw(st.integers(1, 3))
     max_neighbors = data.draw(st.integers(1, 4))
 
-    hood = build_layered_neighborhood(edges, seeds, num_layers, max_neighbors, (5,))
+    hood = build_layered_neighborhood(IncidenceIndex(edges), seeds, num_layers, max_neighbors,
+                                      (5,))
     needed = oracles.active_nodes(seeds, hood.layers, edges)
     assert [sorted(samples) for samples in hood.layers] == needed[1:]
     assert hood.active_nodes.tolist() == needed[0]
@@ -373,7 +378,7 @@ def test_array_paths_match_item_oracles(data):
 @given(data=st.data())
 def test_requested_rows_match_all_rows_encode(data):
     num_nodes, edges = random_window(data)
-    batch = WindowBatch(Interval(0, len(edges)), edges, edges.take(np.zeros(len(edges), bool)))
+    cache = WindowFeatureCache(edges)
     # requests range past num_nodes (nodes absent from the window) and are
     # mostly a strict subset of the window's nodes
     request = np.asarray(data.draw(st.lists(st.integers(0, num_nodes + 2), max_size=5)),
@@ -382,8 +387,8 @@ def test_requested_rows_match_all_rows_encode(data):
     num_layers = data.draw(st.integers(1, 3))
     max_neighbors = data.draw(st.integers(1, 4))
 
-    pruned = build_layered_neighborhood(edges, request, num_layers, max_neighbors, (5,))
-    full = build_layered_neighborhood(edges, every_row, num_layers, max_neighbors, (5,))
+    pruned = build_layered_neighborhood(cache.index, request, num_layers, max_neighbors, (5,))
+    full = build_layered_neighborhood(cache.index, every_row, num_layers, max_neighbors, (5,))
     for pruned_layer, full_layer in zip(pruned.layers, full.layers):
         for anchor, sample in pruned_layer.items():
             assert sample.tolist() == full_layer[anchor].tolist()
@@ -392,8 +397,8 @@ def test_requested_rows_match_all_rows_encode(data):
                           heads=2, dropout=0.0, seed=data.draw(st.integers(0, 3)),
                           dtype=np.float64)
     node_features = np.random.default_rng(0).normal(size=(num_nodes + 3, 2))
-    out = encode(batch, params, max_neighbors, (8,), request, node_features=node_features)
-    reference = encode(batch, params, max_neighbors, (8,), every_row,
+    out = encode(cache, params, max_neighbors, (8,), request, node_features=node_features)
+    reference = encode(cache, params, max_neighbors, (8,), every_row,
                        node_features=node_features)
     assert out.ids.tolist() == sorted(set(request.tolist()))
     expected = reference.matrix.values[reference.rows(out.ids)]

@@ -173,10 +173,12 @@ class TestPretrainLoop:
 
     def test_no_collapse_after_training(self, run):
         from dygwin.encoder import encode
+        from dygwin.features import WindowFeatureCache
         from dygwin.windows import Interval, make_window_batch
         _, (encoder, predictor, _, _, train) = run
         batch = make_window_batch(train, Interval(0, len(train)), target_size=0)
-        h = encode(batch, encoder, 10, (123,), batch.input_edges.endpoints())
+        h = encode(WindowFeatureCache(batch.input_edges), encoder, 10, (123,),
+                   batch.input_edges.endpoints())
         z = predict(predictor, h.matrix)
         assert z.values.var(axis=0).sum() > 1e-4
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dygwin.tensor as T
-from dygwin.errors import ContractError, HarnessError, ShapeError
+from dygwin.errors import ContractError, ShapeError
 from dygwin.tensor import Tape, backward
 
-from gradcheck import finite_difference_check
+from gradcheck import HarnessError, finite_difference_check
 from oracles import sigmoid, softmax_rows
 
 

@@ -77,19 +77,21 @@ class TestMakeWindowBatch:
 class TestSampleNeighbors:
     def test_undersized_neighborhood_returned_whole(self):
         edges = edges_from([(0, i + 1, float(i)) for i in range(5)])
-        out = sample_neighbors(edges, 0, max_neighbors=20, rng=np.random.default_rng(0))
+        out = sample_neighbors(IncidenceIndex(edges), 0, max_neighbors=20,
+                               rng=np.random.default_rng(0))
         assert out.tolist() == [0, 1, 2, 3, 4]
 
     def test_isolated_anchor_empty(self):
         edges = edges_from([(1, 2, 0.0)])
-        out = sample_neighbors(edges, 7, max_neighbors=3, rng=np.random.default_rng(0))
+        out = sample_neighbors(IncidenceIndex(edges), 7, max_neighbors=3,
+                               rng=np.random.default_rng(0))
         assert out.size == 0
 
     def test_uniformity_over_seeded_draws(self):
-        edges = edges_from([(0, i + 1, float(i)) for i in range(100)])
+        index = IncidenceIndex(edges_from([(0, i + 1, float(i)) for i in range(100)]))
         counts = np.zeros(100)
         for draw in range(10_000):
-            picked = sample_neighbors(edges, 0, max_neighbors=20,
+            picked = sample_neighbors(index, 0, max_neighbors=20,
                                       rng=np.random.default_rng((99, draw)))
             assert len(set(picked.tolist())) == 20
             counts[picked] += 1
@@ -98,20 +100,20 @@ class TestSampleNeighbors:
 
     def test_deterministic_for_fixed_stream(self):
         edges = edges_from([(0, i + 1, float(i)) for i in range(50)])
-        a = sample_neighbors(edges, 0, 10, np.random.default_rng(123))
-        b = sample_neighbors(edges, 0, 10, np.random.default_rng(123))
+        a = sample_neighbors(IncidenceIndex(edges), 0, 10, np.random.default_rng(123))
+        b = sample_neighbors(IncidenceIndex(edges), 0, 10, np.random.default_rng(123))
         assert a.tolist() == b.tolist()
 
     def test_self_loop_counts_once(self):
         edges = edges_from([(3, 3, 0.0), (3, 4, 1.0)])
-        out = sample_neighbors(edges, 3, 10, np.random.default_rng(0))
+        out = sample_neighbors(IncidenceIndex(edges), 3, 10, np.random.default_rng(0))
         assert out.tolist() == [0, 1]
 
 
 class TestLayeredNeighborhood:
     def test_single_layer_single_seed(self):
         edges = edges_from([(0, 1, 0.0), (1, 2, 1.0)])
-        hood = build_layered_neighborhood(edges, [0], num_layers=1,
+        hood = build_layered_neighborhood(IncidenceIndex(edges), [0], num_layers=1,
                                           max_neighbors=5, rng_key=(0,))
         assert len(hood.layers) == 1
         assert list(hood.layers[0]) == [0]
@@ -120,7 +122,7 @@ class TestLayeredNeighborhood:
         # a-b edge then b-c edge; seeds {a}: the top layer samples a, the layer
         # below also samples b, the endpoint of a's sample
         edges = edges_from([(0, 1, 0.0), (1, 2, 1.0)])
-        hood = build_layered_neighborhood(edges, [0], num_layers=2,
+        hood = build_layered_neighborhood(IncidenceIndex(edges), [0], num_layers=2,
                                           max_neighbors=20, rng_key=(0,))
         assert sorted(hood.layers[1]) == [0]
         assert sorted(hood.layers[0]) == [0, 1]
@@ -128,7 +130,7 @@ class TestLayeredNeighborhood:
 
     def test_disconnected_seed_has_empty_layers(self):
         edges = edges_from([(0, 1, 0.0)])
-        hood = build_layered_neighborhood(edges, [5], num_layers=3,
+        hood = build_layered_neighborhood(IncidenceIndex(edges), [5], num_layers=3,
                                           max_neighbors=4, rng_key=(0,))
         for layer in hood.layers:
             assert layer[5].size == 0
@@ -139,8 +141,8 @@ class TestLayeredNeighborhood:
         triples = [(int(a), int(b), float(i)) for i, (a, b) in
                    enumerate(rng.integers(0, 8, size=(60, 2)))]
         edges = edges_from([(u, v, t) for u, v, t in triples if u != v])
-        solo = build_layered_neighborhood(edges, [0], 2, 3, rng_key=(7,))
-        joint = build_layered_neighborhood(edges, [0, 5], 2, 3, rng_key=(7,))
+        solo = build_layered_neighborhood(IncidenceIndex(edges), [0], 2, 3, rng_key=(7,))
+        joint = build_layered_neighborhood(IncidenceIndex(edges), [0, 5], 2, 3, rng_key=(7,))
         for layer_solo, layer_joint in zip(solo.layers, joint.layers):
             for anchor, sample in layer_solo.items():
                 assert layer_joint[anchor].tolist() == sample.tolist()
@@ -150,6 +152,12 @@ class TestLayeredNeighborhood:
         assert WindowFeatureCache(edges).counts_at([1, 1], [1, 1], [2.0, 0.5])[:, 0].tolist() \
             == [2, 0]
         assert IncidenceIndex(edges).last_time([9, 1, 3], fallback=0.5).tolist() == [0.5, 2.0, 3.0]
+
+    def test_decreasing_timestamps_rejected(self):
+        # Positions stand for time order, so this slice would give node 0 the
+        # last time 1.0 instead of 2.0.
+        with pytest.raises(ContractError):
+            IncidenceIndex(edges_from([(0, 1, 2.0), (0, 2, 1.0)]))
 
     def test_incident_positions_once_ascending_and_read_only(self):
         # a self-loop, parallel edges and a tied timestamp
