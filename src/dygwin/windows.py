@@ -126,8 +126,9 @@ def sample_neighbors(index: IncidenceIndex, anchor: int, max_neighbors: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Uniform sample (without replacement) of incident edge positions.
 
-    Anchors with at most ``max_neighbors`` incident edges keep all of them;
-    isolated anchors return an empty array. Output positions are ascending.
+    Anchors with at most ``max_neighbors`` incident edges keep all of them
+    without reading ``rng``, so callers build a stream only for an anchor with
+    more; isolated anchors return an empty array. Output positions ascend.
     """
     if max_neighbors < 1:
         raise ContractError(f"max_neighbors must be >= 1, got {max_neighbors}")
@@ -153,19 +154,25 @@ def build_layered_neighborhood(index: IncidenceIndex, seed_nodes,
 
     The top layer's anchors are the seeds; each lower layer's anchors are the
     anchors above it plus the endpoints of their samples, and ``active_nodes``
-    adds the endpoints of layer 1's samples. Draws are independent per (layer,
-    anchor) with an rng stream derived from ``rng_key``, so the sample for a
-    node never depends on which other anchors are present.
+    adds the endpoints of layer 1's samples. One pair of searches reads every
+    anchor's incident run; only an anchor with more than ``max_neighbors``
+    builds an rng stream, from ``rng_key`` and (layer, anchor), and samples
+    it, so the sample for a node never depends on which other anchors exist.
     """
+    if max_neighbors < 1:
+        raise ContractError(f"max_neighbors must be >= 1, got {max_neighbors}")
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
     edges = index.edges
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
     layers: list[dict[int, np.ndarray]] = []
     for layer in range(num_layers, 0, -1):
-        samples = {anchor: sample_neighbors(index, anchor, max_neighbors,
-                                            np.random.default_rng(rng_key + (layer, anchor)))
-                   for anchor in anchors.tolist()}
+        runs = zip(anchors.tolist(), np.searchsorted(index.nodes, anchors).tolist(),
+                   np.searchsorted(index.nodes, anchors, side="right").tolist())
+        samples = {anchor: index.positions[lo:hi] if hi - lo <= max_neighbors else
+                   sample_neighbors(index, anchor, max_neighbors,
+                                    np.random.default_rng(rng_key + (layer, anchor)))
+                   for anchor, lo, hi in runs}
         layers.insert(0, samples)
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
         anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]]))

@@ -1,10 +1,11 @@
 """Single-item reference paths the batched encoder and counts are tested against.
 
 Each function computes one anchor's attention, one edge's encoding, one
-node's row, recency, degree or common neighbours, one sampled position or
-one layer's receptive field the direct way, so a test can compare it item
-by item with ``layer_forward``, ``NodeEmbeddings.rows``, ``IncidenceIndex.last_time``,
-``build_layered_neighborhood`` and ``WindowFeatureCache.counts_at``. The
+node's row, recency, degree or common neighbours, one sampled position,
+one layer's receptive field or one anchor's draw the direct way, so a test
+can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
+``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
+``WindowFeatureCache.counts_at``. The
 ``sigmoid`` and ``softmax_rows`` primitives serve the reference ``mha`` and
 the gradient checks only.
 """
@@ -17,6 +18,7 @@ from dygwin.encoder import EncoderParams, LayerParams
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import TemporalEdgeEncoding, apply_count_scale, time2vec
 from dygwin.tensor import Tensor, _finish
+from dygwin.windows import IncidenceIndex, LayeredNeighborhood, sample_neighbors
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -171,3 +173,21 @@ def active_nodes(seeds, layers: list[dict[int, np.ndarray]],
                 below.update((int(edges.u[position]), int(edges.v[position])))
         needed.insert(0, sorted(below))
     return needed
+
+
+def layered_neighborhood(index: IncidenceIndex, seed_nodes, num_layers: int,
+                         max_neighbors: int, rng_key: tuple[int, ...]) -> LayeredNeighborhood:
+    """``build_layered_neighborhood`` one anchor at a time: every (layer,
+    anchor) builds its Generator from ``rng_key + (layer, anchor)`` and goes
+    through ``sample_neighbors``, whatever its degree."""
+    edges = index.edges
+    anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
+    layers = []
+    for layer in range(num_layers, 0, -1):
+        samples = {anchor: sample_neighbors(index, anchor, max_neighbors,
+                                            np.random.default_rng(rng_key + (layer, anchor)))
+                   for anchor in anchors.tolist()}
+        layers.insert(0, samples)
+        sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
+        anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]]))
+    return LayeredNeighborhood(layers=layers, active_nodes=anchors)

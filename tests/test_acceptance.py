@@ -199,11 +199,14 @@ def test_criterion_4_window_invariants():
         nodes = np.concatenate([batch.input_edges.endpoints(),
                                 batch.target_edges.endpoints()])
         baseline = encode(WindowFeatureCache(batch.input_edges), params, 4, (trial,), nodes)
-        corrupted_targets = batch.target_edges.take(
-            np.random.default_rng(trial).permutation(len(batch.target_edges)))
-        corrupted_targets.t = corrupted_targets.t * 3.0 + 1e5
-        corrupted = make_window_batch(ctdg, batch.interval, 0)
-        corrupted.target_edges = corrupted_targets
+        # the log itself changes from the cut on: shuffled endpoints, and times
+        # stretched past every earlier one, so they stay non-decreasing
+        post = [triples[cut + i][:2] for i in
+                np.random.default_rng(trial).permutation(total - cut).tolist()]
+        corrupted_log = ctdg_from(triples[:cut] + [(u, v, t * 3.0 + 1e5) for (u, v), (_, _, t)
+                                                   in zip(post, triples[cut:])],
+                                  num_nodes=n_nodes)
+        corrupted = make_window_batch(corrupted_log, batch.interval, horizon)
         after = encode(WindowFeatureCache(corrupted.input_edges), params, 4, (trial,), nodes)
         if baseline.matrix.values.tobytes() != after.matrix.values.tobytes():
             failures.append(f"trial {trial}: encoder read target content")

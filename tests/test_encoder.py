@@ -216,18 +216,22 @@ class TestEncode:
         rng = np.random.default_rng(2)
         triples = [(int(a), int(b), float(i)) for i, (a, b) in
                    enumerate(rng.integers(0, 12, size=(80, 2))) if a != b]
-        ctdg = ctdg_from(triples, num_nodes=12)
+        cut = 60
+        # the log's edges from the cut on get shuffled endpoints and times
+        # shifted by 1e6, which keeps the log's timestamps non-decreasing
+        post = [triples[cut + i][:2] for i in
+                np.random.default_rng(0).permutation(len(triples) - cut).tolist()]
+        corrupted_triples = triples[:cut] + [(u, v, t + 1e6) for (u, v), (_, _, t)
+                                             in zip(post, triples[cut:])]
         params = init_encoder(num_layers=3, node_dim=8, time_dim=4, heads=2,
                               dropout=0.0, seed=0, dtype=np.float64)
-        batch = make_window_batch(ctdg, Interval(10, 60), target_size=15)
+        batch = make_window_batch(ctdg_from(triples, num_nodes=12), Interval(10, cut), 15)
+        corrupted = make_window_batch(ctdg_from(corrupted_triples, num_nodes=12),
+                                      Interval(10, cut), 15)
+        assert corrupted.target_edges.t.tolist() != batch.target_edges.t.tolist()
         nodes = np.concatenate([batch.input_edges.endpoints(),
                                 batch.target_edges.endpoints()])
         baseline = encode(WindowFeatureCache(batch.input_edges), params, 5, (1,), nodes)
-
-        corrupted_targets = batch.target_edges.take(
-            np.random.default_rng(0).permutation(len(batch.target_edges)))
-        corrupted_targets.t = corrupted_targets.t + 1e6
-        corrupted = type(batch)(batch.interval, batch.input_edges, corrupted_targets)
         after = encode(WindowFeatureCache(corrupted.input_edges), params, 5, (1,), nodes)
         assert baseline.matrix.values.tobytes() == after.matrix.values.tobytes()
         assert np.array_equal(baseline.ids, after.ids)

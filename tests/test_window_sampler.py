@@ -1,15 +1,34 @@
 """Interval arithmetic, batch slicing, and neighbor sampling."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dygwin import windows
 from dygwin.errors import ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.windows import (Interval, IncidenceIndex, build_layered_neighborhood,
                             evaluation_windows, generate_intervals,
                             make_window_batch, sample_neighbors)
 
+import oracles
 from graphs import ctdg_from, edges_from
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with ``df`` degrees of freedom, by the
+    recurrence Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1) of the
+    regularized upper incomplete gamma, from Q(1/2, y) or Q(1, y)."""
+    y = x / 2.0
+    a, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    while a < df / 2.0:
+        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
 
 
 class TestGenerateIntervals:
@@ -147,6 +166,57 @@ class TestLayeredNeighborhood:
             for anchor, sample in layer_solo.items():
                 assert layer_joint[anchor].tolist() == sample.tolist()
 
+    @pytest.mark.parametrize("seed,max_neighbors", [(7, 0), (0, 0), (0, -1)])
+    def test_max_neighbors_below_one_rejected(self, seed, max_neighbors):
+        # node 7 is isolated and node 0 has one incident edge: neither reaches
+        # a draw, so the bound is checked before any anchor is sampled
+        edges = edges_from([(0, 1, 0.0)])
+        with pytest.raises(ContractError):
+            build_layered_neighborhood(IncidenceIndex(edges), [seed], 2, max_neighbors, (0,))
+
+    def test_hub_inclusion_uniform_and_leaves_whole(self):
+        # a hub with 30 incident edges, each to a leaf of degree 1
+        degree, max_neighbors, keys = 30, 10, 2000
+        edges = edges_from([(0, i + 1, float(i)) for i in range(degree)])
+        index = IncidenceIndex(edges)
+        counts = np.zeros(degree)
+        for key in range(keys):
+            hood = build_layered_neighborhood(index, [0], 2, max_neighbors, (key,))
+            top, bottom = hood.layers[1], hood.layers[0]
+            picked = top[0]
+            assert len(set(picked.tolist())) == max_neighbors
+            counts[picked] += 1
+            leaves = picked + 1
+            assert sorted(bottom) == [0, *leaves.tolist()]
+            for leaf in leaves.tolist():
+                assert bottom[leaf].tolist() == index.incident(leaf).tolist() == [leaf - 1]
+        # inclusion counts of a k-of-n draw without replacement have covariance
+        # N p (1 - p) n / (n - 1) times the centring projection, so this
+        # statistic is chi-square with n - 1 degrees of freedom
+        p = max_neighbors / degree
+        statistic = float(np.sum((counts - keys * p) ** 2)) * (degree - 1) \
+            / (keys * p * (1 - p) * degree)
+        assert chi2_sf(statistic, degree - 1) > 1e-3
+
+    def test_streams_built_only_for_over_degree_anchors(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        edges = edges_from([(int(a), int(b), float(i)) for i, (a, b) in
+                            enumerate(rng.integers(0, 30, size=(300, 2)))])
+        index = IncidenceIndex(edges)
+        callers = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(windows.np.random, "default_rng", counting_default_rng)
+        hood = build_layered_neighborhood(index, range(34), 3, 20, (7,))
+        over = sum(index.incident(anchor).size > 20
+                   for samples in hood.layers for anchor in samples)
+        assert 0 < over < sum(len(samples) for samples in hood.layers)
+        assert callers.count("dygwin.windows") == over
+
     def test_incidence_index_degree_before(self):
         edges = edges_from([(1, 2, 1.0), (1, 3, 2.0), (2, 3, 3.0)])
         assert WindowFeatureCache(edges).counts_at([1, 1], [1, 1], [2.0, 0.5])[:, 0].tolist() \
@@ -170,3 +240,38 @@ class TestLayeredNeighborhood:
             index.incident(1)[0] = 7
         with pytest.raises(ValueError):
             index.nodes[0] = 7
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_layered_neighborhood_matches_per_anchor_oracle(data):
+    max_neighbors = data.draw(st.integers(1, 4))
+    num_nodes = data.draw(st.integers(1, 6))
+    # node 0 gets k - 1, k or k + 1 incident edges around k = max_neighbors:
+    # a partner 0 is a self-loop, which is one entry, and a repeated partner a
+    # parallel edge; the other edges avoid node 0, and k - 1 = 0 with no other
+    # edge is an empty window
+    hub = [(0, data.draw(st.integers(0, num_nodes - 1)))
+           for _ in range(max_neighbors + data.draw(st.integers(-1, 1)))]
+    others = data.draw(st.lists(st.tuples(st.integers(1, num_nodes), st.integers(1, num_nodes)),
+                                max_size=25))
+    pairs = data.draw(st.permutations(hub + others))
+    times = sorted(data.draw(st.lists(st.integers(0, 6), min_size=len(pairs),
+                                      max_size=len(pairs))))
+    index = IncidenceIndex(edges_from([(u, v, float(t)) for (u, v), t in zip(pairs, times)]))
+    # seeds repeat and range past num_nodes: isolated nodes and nodes absent
+    # from the window
+    seeds = data.draw(st.lists(st.integers(0, num_nodes + 2), max_size=6))
+    num_layers = data.draw(st.integers(1, 3))
+    rng_key = (data.draw(st.integers(0, 2**32)),)
+
+    hood = build_layered_neighborhood(index, seeds, num_layers, max_neighbors, rng_key)
+    oracle = oracles.layered_neighborhood(index, seeds, num_layers, max_neighbors, rng_key)
+    assert len(hood.layers) == len(oracle.layers) == num_layers
+    for samples, expected in zip(hood.layers, oracle.layers):
+        assert list(samples) == list(expected)
+        for anchor, sample in samples.items():
+            assert sample.dtype == expected[anchor].dtype
+            assert sample.tolist() == expected[anchor].tolist()
+    assert hood.active_nodes.dtype == oracle.active_nodes.dtype
+    assert hood.active_nodes.tolist() == oracle.active_nodes.tolist()
