@@ -1,7 +1,7 @@
 """Window-based encoder-decoder engine for continuous-time dynamic graphs."""
 
 from .data import (CTDG, EdgeArray, SplitSpec, chronological_split,
-                   inductive_split, load_csv, split_edge_indices, temporal_subgraph)
+                   inductive_split, load_csv, split_edge_indices)
 from .downstream import (DecoderParams, TrainConfig, bce_loss, evaluate, evaluate_dnc,
                          evaluate_flp, init_decoder, init_flp_decoder, sample_negatives,
                          train_downstream)

@@ -12,7 +12,6 @@ and ``load_model`` know those prefixes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -98,15 +97,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes after the last entry")
     return out
-
-
-def checkpoint_digest(params: dict[str, Tensor]) -> str:
-    """Order-independent content hash of a parameter map."""
-    h = hashlib.sha256()
-    for name in sorted(params):
-        h.update(name.encode("utf-8"))
-        h.update(params[name].values.tobytes())
-    return h.hexdigest()
 
 
 def _model_params(encoder, decoder, predictor) -> dict[str, Tensor]:

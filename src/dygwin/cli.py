@@ -75,16 +75,14 @@ def _make_encoder(config: RunConfig, ctdg: CTDG) -> EncoderParams:
     return init_encoder(num_layers=config.num_layers, node_dim=config.node_dim,
                         time_dim=config.time_dim, edge_dim=ctdg.edge_dim,
                         node_feature_dim=ctdg.node_dim, heads=config.num_heads,
-                        dropout=config.dropout, edge_enc_scale=config.edge_enc_scale,
-                        seed=config.seed, dtype=_dtype(config))
+                        dropout=config.dropout, seed=config.seed, dtype=_dtype(config))
 
 
 def _train_config(config: RunConfig) -> TrainConfig:
     return TrainConfig(window=config.window_size, target_size=config.target_size,
-                       stride=config.stride, epochs=config.epochs, lr=config.lr,
-                       weight_decay=config.weight_decay,
+                       epochs=config.epochs, lr=config.lr,
                        max_neighbors=config.num_neighbors, seed=config.seed,
-                       hidden_dim=config.hidden_dim, val_every=config.val_every)
+                       val_every=config.val_every)
 
 
 def _write_history(path: Path, history: list[dict]) -> None:
@@ -183,8 +181,8 @@ def cmd_eval(config: RunConfig) -> int:
     ctdg = _load_dataset(config)
     split = _get_split(config, ctdg)
     encoder = _make_encoder(config, ctdg)
-    decoder = init_decoder(config.task, config.node_dim, config.time_dim,
-                           config.hidden_dim, seed=config.seed, dtype=encoder.dtype)
+    decoder = init_decoder(config.task, config.node_dim, config.time_dim, seed=config.seed,
+                           dtype=encoder.dtype)
     load_model(config.checkpoint, encoder=encoder, decoder=decoder)
 
     train_end, val_end = split.boundaries
@@ -221,7 +219,9 @@ _COMMANDS = {
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
+    """Every flag but ``--config`` and ``--set`` sets the config key of its dest;
+    a flag not given is absent from the parsed namespace."""
+    parser.add_argument("--config", default=None, help="flat key = value config file")
     parser.add_argument("--dataset", help="CSV dataset or .npz cache")
     parser.add_argument("--output-dir", dest="output_dir")
     parser.add_argument("--seed", type=int)
@@ -241,13 +241,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in ("dataset", "output_dir", "seed", "task", "epochs", "window_size",
-                "checkpoint", "encoder_init", "freeze_encoder", "label_fraction",
-                "split_mode", "split_file", "eval_horizon"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("subcommand", "config", "set")}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Window-based dynamic graph learning engine")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
-        _add_common_flags(subparsers.add_parser(name))
+        _add_common_flags(subparsers.add_parser(name, argument_default=argparse.SUPPRESS))
     return parser
 
 

@@ -36,7 +36,6 @@ class RunConfig:
     # window framework
     window_size: int = 4096
     target_size: int = 200
-    stride: int = 0                     # 0 -> equal to target_size
     num_neighbors: int = 20
 
     # encoder
@@ -45,7 +44,6 @@ class RunConfig:
     node_dim: int = 100
     time_dim: int = 100
     dropout: float = 0.1
-    edge_enc_scale: str = "log1p"       # log1p | raw
 
     # pre-training
     ssl_window: int = 32000
@@ -56,9 +54,7 @@ class RunConfig:
     # optimization
     epochs: int = 100
     lr: float = 1e-4
-    weight_decay: float = -1.0          # negative -> task default (0 FLP, 1e-5 DNC)
     val_every: int = 1
-    hidden_dim: int = 0                 # 0 -> node_dim
 
     # protocols
     freeze_encoder: bool = False
@@ -85,8 +81,6 @@ class RunConfig:
             raise ConfigError(f"split_mode must be transductive or inductive, got {self.split_mode!r}")
         if self.encoder_init not in ("random", "checkpoint"):
             raise ConfigError(f"encoder_init must be random or checkpoint, got {self.encoder_init!r}")
-        if self.edge_enc_scale not in ("log1p", "raw"):
-            raise ConfigError(f"edge_enc_scale must be log1p or raw, got {self.edge_enc_scale!r}")
         if self.eval_split not in ("test", "val", "both"):
             raise ConfigError(f"eval_split must be test, val or both, got {self.eval_split!r}")
         if not 0.0 < self.label_fraction <= 1.0:
@@ -96,9 +90,8 @@ class RunConfig:
                     "epochs", "val_every"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("stride", "rank_negatives"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.rank_negatives < 0:
+            raise ConfigError(f"rank_negatives must be >= 0, got {self.rank_negatives}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.encoder_init == "checkpoint" and not self.checkpoint:

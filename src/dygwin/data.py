@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,9 +170,7 @@ def _parse_node_id(text: str, line_no: int, column: str) -> int:
     return int(value)
 
 
-def load_csv(path, has_node_labels: bool | None = None,
-             node_features: np.ndarray | None = None,
-             write_idmap: bool = True) -> CTDG:
+def load_csv(path) -> CTDG:
     """Read a ``u,v,t[,label][,f0..fk]`` CSV into a CTDG.
 
     Rows out of time order are stably sorted. Node ids are compacted to a
@@ -193,10 +192,6 @@ def load_csv(path, has_node_labels: bool | None = None,
         rest = header[3:]
         labeled = bool(rest) and rest[0] == "label"
         feat_cols = rest[1:] if labeled else rest
-        if has_node_labels is True and not labeled:
-            raise DataError(f"{path}: node labels expected but no 'label' column present")
-        if has_node_labels is False and labeled:
-            raise DataError(f"{path}: unexpected 'label' column")
 
         us, vs, ts, labels, present = [], [], [], [], []
         feats = []
@@ -246,14 +241,11 @@ def load_csv(path, has_node_labels: bool | None = None,
     u = np.asarray([compact[int(x)] for x in u], dtype=np.int64)
     v = np.asarray([compact[int(x)] for x in v], dtype=np.int64)
 
-    if write_idmap:
-        idmap_path = path.with_suffix(".idmap")
-        with idmap_path.open("w") as fh:
-            for orig, comp in compact.items():
-                fh.write(f"{orig},{comp}\n")
+    with path.with_suffix(".idmap").open("w") as fh:
+        for orig, comp in compact.items():
+            fh.write(f"{orig},{comp}\n")
 
-    return CTDG(u, v, t, m, lab, lab_present, num_nodes=len(original),
-                original_ids=original, node_features=node_features)
+    return CTDG(u, v, t, m, lab, lab_present, num_nodes=len(original), original_ids=original)
 
 
 def save_cache(ctdg: CTDG, path) -> None:
@@ -268,20 +260,17 @@ def save_cache(ctdg: CTDG, path) -> None:
 
 
 def load_cache(path) -> CTDG:
-    with np.load(path) as data:
-        node_features = data["node_features"] if "node_features" in data.files else None
-        return CTDG(data["u"], data["v"], data["t"], data["feats"], data["labels"],
-                    data["label_present"], int(data["num_nodes"]),
-                    original_ids=data["original_ids"], node_features=node_features)
-
-
-def temporal_subgraph(ctdg: CTDG, t_i: float, t_j: float) -> EdgeArray:
-    """All edges with timestamp in the closed interval [t_i, t_j], in order."""
-    if t_i > t_j:
-        raise ContractError(f"temporal_subgraph: t_i={t_i} > t_j={t_j}")
-    start = int(np.searchsorted(ctdg.t, t_i, side="left"))
-    end = int(np.searchsorted(ctdg.t, t_j, side="right"))
-    return ctdg.window(start, end)
+    """Read a ``save_cache`` file; one that is not a zip archive, lacks a
+    column or holds a non-scalar ``num_nodes`` is a ``DataError``."""
+    try:
+        with np.load(path) as data:
+            columns = [data[name] for name in ("u", "v", "t", "feats", "labels",
+                                               "label_present")]
+            num_nodes, original_ids = int(data["num_nodes"]), data["original_ids"]
+            node_features = data["node_features"] if "node_features" in data.files else None
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: malformed cache: {exc}") from None
+    return CTDG(*columns, num_nodes, original_ids=original_ids, node_features=node_features)
 
 
 def chronological_split(ctdg: CTDG, fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)) -> SplitSpec:

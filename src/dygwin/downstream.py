@@ -21,7 +21,7 @@ from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 from .timing import PhaseTimer
-from .windows import WindowBatch, evaluation_windows, generate_intervals, make_window_batch
+from .windows import evaluation_windows, generate_intervals, make_window_batch
 
 NEG_STREAM = 31
 ENC_STREAM = 33
@@ -57,18 +57,19 @@ class DecoderParams:
         return named
 
 
-# task -> (init stream, hidden layers, dropout)
-_DECODER_SHAPES = {"flp": (FLP_INIT_STREAM, 1, 0.0), "dnc": (DNC_INIT_STREAM, 2, 0.1)}
+# task -> (init stream, hidden layers, dropout, Adam weight decay)
+_DECODER_SHAPES = {"flp": (FLP_INIT_STREAM, 1, 0.0, 0.0),
+                   "dnc": (DNC_INIT_STREAM, 2, 0.1, 1e-5)}
 
 
-def init_decoder(task: str, node_dim: int, time_dim: int, hidden_dim: int = 0,
-                 seed: int = 0, dtype=np.float32) -> DecoderParams:
-    """The decoder a task trains: FLP's pair scorer or DNC's source classifier."""
+def init_decoder(task: str, node_dim: int, time_dim: int, seed: int = 0,
+                 dtype=np.float32) -> DecoderParams:
+    """The decoder a task trains: FLP's pair scorer or DNC's source classifier,
+    with hidden layers ``node_dim`` wide."""
     if task not in _DECODER_SHAPES:
         raise ConfigError(f"unknown task {task!r}")
-    stream, hidden_layers, dropout = _DECODER_SHAPES[task]
-    hidden = hidden_dim if hidden_dim > 0 else node_dim
-    widths = [node_dim + time_dim] + [hidden] * hidden_layers + [1]
+    stream, hidden_layers, dropout, _ = _DECODER_SHAPES[task]
+    widths = [node_dim + time_dim] + [node_dim] * hidden_layers + [1]
     rng = np.random.default_rng((seed, stream))
     t2v = init_time2vec(time_dim, dtype=dtype)
     layers = [(T.xavier_uniform(rng, fan_in, fan_out, dtype=dtype),
@@ -77,30 +78,24 @@ def init_decoder(task: str, node_dim: int, time_dim: int, hidden_dim: int = 0,
     return DecoderParams(t2v, layers, dropout)
 
 
-def init_flp_decoder(node_dim: int, time_dim: int, hidden_dim: int = 0,
-                     seed: int = 0, dtype=np.float32) -> DecoderParams:
+def init_flp_decoder(node_dim: int, time_dim: int, seed: int = 0,
+                     dtype=np.float32) -> DecoderParams:
     """``init_decoder("flp", ...)`` under its own name."""
-    return init_decoder("flp", node_dim, time_dim, hidden_dim, seed=seed, dtype=dtype)
-
-
-def window_end_time(batch: WindowBatch) -> float:
-    """Recency fallback: the input slice's last time, else the first target's, else 0."""
-    if len(batch.input_edges):
-        return float(batch.input_edges.t.max())
-    if len(batch.target_edges):
-        return float(batch.target_edges.t.min())
-    return 0.0
+    return init_decoder("flp", node_dim, time_dim, seed=seed, dtype=dtype)
 
 
 def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarray,
-            cache: WindowFeatureCache, fallback_time: float, training: bool = False,
+            cache: WindowFeatureCache, training: bool = False,
             rng: np.random.Generator | None = None) -> Tensor:
     """Logits for ``rows`` at times ``ts``.
 
     The time input is t minus the source's latest interaction in the input
-    window (window end when the source has no history there).
+    slice: the slice's last time when the source has no history there, and t
+    itself (a gap of 0) when the slice is empty.
     """
-    delta = np.asarray(ts, dtype=np.float64) - cache.index.last_time(src, fallback_time)
+    ts = np.asarray(ts, dtype=np.float64)
+    last = cache.index.last_time(src, cache.edges.t[-1] if len(cache.edges) else np.nan)
+    delta = np.where(np.isnan(last), 0.0, ts - last)
     x = T.concat_last_dim([rows, time2vec(decoder.t2v, delta)])
     hidden = T.dropout(T.relu(T.linear(x, *decoder.layers[0])), decoder.dropout, rng, training)
     for w, b in decoder.layers[1:-1]:
@@ -110,19 +105,17 @@ def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarra
 
 def flp_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
               src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-              cache: WindowFeatureCache, fallback_time: float) -> Tensor:
+              cache: WindowFeatureCache) -> Tensor:
     """Batched logits for candidate (src, dst, t) edges from the summed pair embedding."""
     pair = T.add(embeddings.gather(src), embeddings.gather(dst))
-    return _decode(decoder, pair, src, ts, cache, fallback_time)
+    return _decode(decoder, pair, src, ts, cache)
 
 
 def dnc_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
               src: np.ndarray, ts: np.ndarray, cache: WindowFeatureCache,
-              fallback_time: float, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
+              training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Batched label logits for source nodes at times ``ts``."""
-    return _decode(decoder, embeddings.gather(src), src, ts, cache, fallback_time,
-                   training, rng)
+    return _decode(decoder, embeddings.gather(src), src, ts, cache, training, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +168,6 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         targets = batch.target_edges
         cut = batch.interval.end
         cache = WindowFeatureCache(batch.input_edges)
-        fallback = window_end_time(batch)
         neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
         negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
         rank_neg = np.empty(0, dtype=np.int64)
@@ -186,14 +178,14 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
                             scored, node_features=ctdg.node_features)
         pos_scores.append(flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
-                                    cache, fallback).values.ravel())
+                                    cache).values.ravel())
         neg_scores.append(flp_score(decoder, embeddings, targets.u, negatives.ravel(),
-                                    targets.t, cache, fallback).values.ravel())
+                                    targets.t, cache).values.ravel())
         if rank_negatives > 0:
             rank_scores.append(flp_score(decoder, embeddings,
                                          np.repeat(targets.u, rank_negatives), rank_neg.ravel(),
-                                         np.repeat(targets.t, rank_negatives), cache,
-                                         fallback).values.reshape(len(targets), rank_negatives))
+                                         np.repeat(targets.t, rank_negatives),
+                                         cache).values.reshape(len(targets), rank_negatives))
     pos, neg = np.concatenate(pos_scores), np.concatenate(neg_scores)
     # Negatives first: AP keeps input order on ties, so a tied positive ranks
     # below every negative and a constant scorer cannot look informative.
@@ -226,7 +218,7 @@ def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
                             labeled.u, node_features=ctdg.node_features)
         scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
-                                window_end_time(batch), training=False).values.ravel())
+                                training=False).values.ravel())
         labels.append((labeled.labels > 0.5).astype(np.int64))
     labels = np.concatenate(labels)
     order = np.argsort(labels, kind="stable")  # negatives first, as in evaluate_flp
@@ -257,25 +249,21 @@ def evaluate(task: str, ctdg: CTDG, region: tuple[int, int], encoder: EncoderPar
 class TrainConfig:
     window: int = 4096
     target_size: int = 200
-    stride: int = 0  # 0 -> equal to target_size, so each edge is a target once
     epochs: int = 100
     lr: float = 1e-4
-    weight_decay: float = -1.0  # negative -> 0 for FLP, 1e-5 for DNC
     max_neighbors: int = 20
     seed: int = 0
-    hidden_dim: int = 0  # 0 -> node_dim
     val_every: int = 1
 
     def __post_init__(self):
-        if self.val_every < 1 or self.stride < 0:
-            raise ContractError(f"val_every must be >= 1 and stride >= 0, "
-                                f"got {self.val_every} and {self.stride}")
+        if self.val_every < 1:
+            raise ContractError(f"val_every must be >= 1, got {self.val_every}")
 
 
 @dataclass
 class TrainResult:
     encoder: EncoderParams
-    decoder: object
+    decoder: DecoderParams
     history: list[dict]
     best_epoch: int
     best_val_ap: float | None
@@ -292,9 +280,9 @@ def restore_params(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -
 
 def training_intervals(num_train_edges: int, config: TrainConfig,
                        label_fraction: float = 1.0):
-    """Stride-K training intervals, optionally a seeded fixed subset of them."""
-    stride = config.stride if config.stride > 0 else config.target_size
-    intervals = generate_intervals(num_train_edges, stride, config.window)
+    """Stride-K training intervals (S = K, so each edge is a target once),
+    optionally a seeded fixed subset of them."""
+    intervals = generate_intervals(num_train_edges, config.target_size, config.window)
     if not 0.0 < label_fraction <= 1.0:
         raise ContractError(f"label_fraction must be in (0, 1], got {label_fraction}")
     if label_fraction < 1.0 and intervals:
@@ -306,7 +294,7 @@ def training_intervals(num_train_edges: int, config: TrainConfig,
 
 
 def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
-                     encoder: EncoderParams, decoder=None,
+                     encoder: EncoderParams,
                      freeze_encoder: bool = False, label_fraction: float = 1.0,
                      config: TrainConfig | None = None, timer=None,
                      log_fn=None) -> TrainResult:
@@ -320,23 +308,19 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
         raise ConfigError(f"unknown task {task!r}")
     config = config or TrainConfig()
     timer = timer or PhaseTimer()
-    weight_decay = config.weight_decay
-    if weight_decay < 0:
-        weight_decay = 1e-5 if task == "dnc" else 0.0
 
     train_idx, _, _ = split_edge_indices(ctdg, split)
     train_ctdg = ctdg.subset(train_idx)
     intervals = training_intervals(len(train_ctdg), config, label_fraction)
 
-    if decoder is None:
-        decoder = init_decoder(task, encoder.node_dim, encoder.time_dim,
-                               config.hidden_dim, seed=config.seed, dtype=encoder.dtype)
+    decoder = init_decoder(task, encoder.node_dim, encoder.time_dim, seed=config.seed,
+                           dtype=encoder.dtype)
 
     encoder.set_requires_grad(not freeze_encoder)
     trainable = dict(decoder.named())
     if not freeze_encoder:
         trainable.update(encoder.named())
-    optimizer = Adam(trainable, lr=config.lr, weight_decay=weight_decay)
+    optimizer = Adam(trainable, lr=config.lr, weight_decay=_DECODER_SHAPES[task][3])
 
     train_end, val_end = split.boundaries
     masked_filter = split.masked_filter(ctdg)
@@ -377,10 +361,9 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
             with Tape() as tape:
                 with timer.phase("encode"):
                     if freeze_encoder and index in frozen_cache:
-                        embeddings, cache, fallback = frozen_cache[index]
+                        embeddings, cache = frozen_cache[index]
                     else:
                         cache = WindowFeatureCache(batch.input_edges)
-                        fallback = window_end_time(batch)
                         # Every window node, not only the scored ones: dropout masks are
                         # drawn by message position, so fewer messages would change every
                         # draw, and a frozen encoder's cached rows serve later epochs'
@@ -395,15 +378,13 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                                             nodes, training=not freeze_encoder,
                                             node_features=ctdg.node_features)
                         if freeze_encoder:
-                            frozen_cache[index] = (embeddings, cache, fallback)
+                            frozen_cache[index] = (embeddings, cache)
                 with timer.phase("decode"):
                     if task == "flp":
                         pos = flp_score(decoder, embeddings, batch.target_edges.u,
-                                        batch.target_edges.v, batch.target_edges.t,
-                                        cache, fallback)
+                                        batch.target_edges.v, batch.target_edges.t, cache)
                         neg = flp_score(decoder, embeddings, batch.target_edges.u,
-                                        negatives.ravel(), batch.target_edges.t,
-                                        cache, fallback)
+                                        negatives.ravel(), batch.target_edges.t, cache)
                         labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
                         loss = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
                                         labels.reshape(1, -1))
@@ -411,7 +392,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                         drop_rng = np.random.default_rng((config.seed, DNC_INIT_STREAM,
                                                           epoch, index))
                         logits = dnc_score(decoder, embeddings, targets.u, targets.t,
-                                           cache, fallback, training=True, rng=drop_rng)
+                                           cache, training=True, rng=drop_rng)
                         loss = bce_loss(logits, (targets.labels > 0.5).astype(np.float64)
                                         .reshape(-1, 1))
             value = loss.item()

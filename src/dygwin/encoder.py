@@ -18,9 +18,9 @@ from . import tensor as T
 from .data import EdgeArray
 from .errors import ConsistencyError, ContractError
 from .features import (TemporalEdgeEncoding, Time2VecParams, WindowFeatureCache,
-                       apply_count_scale, init_edge_encoding, init_time2vec, time2vec)
+                       init_edge_encoding, init_time2vec, time2vec)
 from .tensor import Tensor
-from .windows import LayeredNeighborhood, build_layered_neighborhood
+from .windows import build_layered_neighborhood
 
 NEIGHBOR_STREAM = 11
 DROPOUT_STREAM = 13
@@ -83,8 +83,7 @@ class EncoderParams:
 
 def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
                  edge_dim: int = 0, node_feature_dim: int = 0, heads: int = 2,
-                 dropout: float = 0.1, edge_enc_scale: str = "log1p",
-                 seed: int = 0, dtype=np.float32) -> EncoderParams:
+                 dropout: float = 0.1, seed: int = 0, dtype=np.float32) -> EncoderParams:
     if node_dim % heads != 0:
         raise ContractError(f"head count {heads} must divide node_dim {node_dim}")
     rng = np.random.default_rng((seed, 17))
@@ -102,7 +101,7 @@ def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
     input_proj = (T.xavier_uniform(rng, node_feature_dim, node_dim, dtype=dtype)
                   if node_feature_dim > 0 else None)
     return EncoderParams(layers=layers, t2v=init_time2vec(time_dim, dtype=dtype),
-                         edge_enc=init_edge_encoding(time_dim, rng, edge_enc_scale, dtype=dtype),
+                         edge_enc=init_edge_encoding(time_dim, rng, dtype=dtype),
                          input_proj=input_proj, node_dim=node_dim, time_dim=time_dim,
                          edge_dim=edge_dim, heads=heads, dropout=dropout)
 
@@ -173,8 +172,7 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     counts = cache.counts_matrix(positions)
     counts[masked] = 0.0
     f = T.add(time2vec(params.t2v, delta),
-              T.matmul(T.constant(apply_count_scale(counts, params.edge_enc.scale),
-                                  dtype=params.edge_enc.w2.dtype),
+              T.matmul(T.constant(np.log1p(counts), dtype=params.edge_enc.w2.dtype),
                        params.edge_enc.w2))
     message_parts = [T.slice_rows(H, neighbor_rows), f]
     if params.edge_dim > 0:
@@ -203,23 +201,20 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
 def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
            rng_key: tuple[int, ...] | int, nodes,
            node_features: np.ndarray | None = None,
-           training: bool = False,
-           hood: LayeredNeighborhood | None = None) -> NodeEmbeddings:
+           training: bool = False) -> NodeEmbeddings:
     """Encode the slice ``cache.edges`` into embeddings of the requested nodes.
 
     Returns one row per distinct id in ``nodes``, ids ascending, and no other
     row. Layer i is computed only for the nodes within L - i sampled hops of
     the request, so each row equals the row a request of every window node
     gives, up to rounding. A requested node without edges in the slice takes
-    the bare ``W1`` chain. Pass a ``hood`` built for these ``nodes`` to reuse
-    its samples.
+    the bare ``W1`` chain.
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
     requested = np.unique(np.asarray(nodes, dtype=np.int64))
-    if hood is None:
-        hood = build_layered_neighborhood(cache.index, requested, params.num_layers,
-                                          max_neighbors, rng_key + (NEIGHBOR_STREAM,))
+    hood = build_layered_neighborhood(cache.index, requested, params.num_layers,
+                                      max_neighbors, rng_key + (NEIGHBOR_STREAM,))
     active = hood.active_nodes
 
     if params.input_proj is not None:
@@ -235,6 +230,4 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
             if training and params.dropout > 0.0 else None
         embeddings = layer_forward(embeddings, hood.layers[i], layer, params, cache,
                                    dropout_rng, training)
-    if not np.array_equal(embeddings.ids, requested):
-        raise ContractError("the neighbourhood was built for other nodes than requested")
     return embeddings

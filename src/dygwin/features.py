@@ -114,26 +114,12 @@ class WindowFeatureCache:
 
 @dataclass
 class TemporalEdgeEncoding:
-    """Learned map from [deg_u, deg_v, common_neighbors] to the time-encoding width."""
+    """Learned map from log1p of [deg_u, deg_v, common_neighbors] to the
+    time-encoding width."""
 
     w2: Tensor  # (3, dim)
-    scale: str = "log1p"  # "log1p" | "raw"
-
-    @property
-    def dim(self) -> int:
-        return self.w2.shape[1]
 
 
-def init_edge_encoding(dim: int, rng: np.random.Generator, scale: str = "log1p",
+def init_edge_encoding(dim: int, rng: np.random.Generator,
                        dtype=np.float32) -> TemporalEdgeEncoding:
-    if scale not in ("log1p", "raw"):
-        raise ContractError(f"unknown edge_enc_scale {scale!r}")
-    return TemporalEdgeEncoding(w2=T.xavier_uniform(rng, 3, dim, dtype=dtype), scale=scale)
-
-
-def apply_count_scale(counts: np.ndarray, scale: str) -> np.ndarray:
-    if scale == "raw":
-        return counts
-    if scale == "log1p":
-        return np.log1p(counts)
-    raise ContractError(f"unknown edge_enc_scale {scale!r}")
+    return TemporalEdgeEncoding(w2=T.xavier_uniform(rng, 3, dim, dtype=dtype))

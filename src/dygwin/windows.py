@@ -8,6 +8,7 @@ exactly one target window.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,25 +68,25 @@ def make_window_batch(ctdg: CTDG, interval: Interval, target_size: int) -> Windo
 
 def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int,
                        window: int, horizon: int,
-                       target_filter=None) -> list[WindowBatch]:
-    """Target windows of size ``horizon`` tiling [region_start, region_end).
+                       target_filter=None) -> Iterator[WindowBatch]:
+    """Target windows of size ``horizon`` tiling [region_start, region_end),
+    yielded one at a time.
 
     Each region edge appears in exactly one target window. Input windows
-    draw on the full preceding history, crossing split boundaries.
+    draw on the full preceding history, crossing split boundaries. The
+    arguments are checked on the first ``next``.
     """
     if horizon < 1:
         raise ContractError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= region_start <= region_end <= len(ctdg):
         raise ContractError(f"bad evaluation region [{region_start}, {region_end})")
-    batches = []
     for cut in range(region_start, region_end, horizon):
         batch = make_window_batch(ctdg, Interval(max(0, cut - window), cut),
                                   min(horizon, region_end - cut))
         if target_filter is not None:
             batch.target_edges = batch.target_edges.take(target_filter(batch.target_edges))
         if len(batch.target_edges):
-            batches.append(batch)
-    return batches
+            yield batch
 
 
 class IncidenceIndex:

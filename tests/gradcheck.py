@@ -10,6 +10,9 @@ import numpy as np
 from dygwin.tensor import Tape, Tensor, backward
 
 
+LARGE_GRADIENT = 1e-6  # a coordinate counts as large when either gradient exceeds this
+
+
 class HarnessError(RuntimeError):
     """The harness detected a broken assumption (e.g. non-determinism)."""
 
@@ -19,6 +22,8 @@ class GradCheckReport:
     max_rel_error: float
     worst_parameter: str
     per_parameter: dict[str, float]
+    large_coords: int         # checked coordinates with max(|a|, |n|) > LARGE_GRADIENT
+    large_rel_error: float    # their largest relative error, no atol zeroing
 
     def passes(self, tolerance: float) -> bool:
         return self.max_rel_error < tolerance
@@ -66,6 +71,7 @@ def finite_difference_check(forward_fn: Callable[[], Tensor],
     worst = 0.0
     worst_name = ""
     per_param: dict[str, float] = {}
+    large_coords, large_worst = 0, 0.0
     for name, p in params.items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.values)
         coords = list(np.ndindex(*p.values.shape)) if p.values.shape else [()]
@@ -76,11 +82,14 @@ def finite_difference_check(forward_fn: Callable[[], Tensor],
         for index in coords:
             a = float(analytic[index])
             n = numerical_gradient(forward_fn, p, index, h=h)
-            diff = abs(a - n)
-            err = 0.0 if diff <= atol else diff / max(abs(a), abs(n))
+            diff, scale = abs(a - n), max(abs(a), abs(n))
+            err = 0.0 if diff <= atol else diff / scale
             p_worst = max(p_worst, err)
+            if scale > LARGE_GRADIENT:
+                large_coords += 1
+                large_worst = max(large_worst, diff / scale)
         per_param[name] = p_worst
         if p_worst > worst:
             worst = p_worst
             worst_name = name
-    return GradCheckReport(worst, worst_name, per_param)
+    return GradCheckReport(worst, worst_name, per_param, large_coords, large_worst)

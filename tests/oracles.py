@@ -7,8 +7,11 @@ can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
 ``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
 ``WindowFeatureCache.counts_at``. The
 ``sigmoid`` and ``softmax_rows`` primitives serve the reference ``mha`` and
-the gradient checks only.
+the gradient checks only, and ``checkpoint_digest`` lets a test compare
+parameter maps by content.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -16,7 +19,7 @@ import dygwin.tensor as T
 from dygwin.data import EdgeArray
 from dygwin.encoder import EncoderParams, LayerParams
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
-from dygwin.features import TemporalEdgeEncoding, apply_count_scale, time2vec
+from dygwin.features import TemporalEdgeEncoding, time2vec
 from dygwin.tensor import Tensor, _finish
 from dygwin.windows import IncidenceIndex, LayeredNeighborhood, sample_neighbors
 
@@ -56,8 +59,7 @@ def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,
     if anchor_recency < t_p:
         raise ContractError(f"anchor recency {anchor_recency} precedes edge time {t_p}")
     f = time2vec(params.t2v, anchor_recency - t_p)
-    scaled = apply_count_scale(np.asarray(counts, dtype=np.float64).reshape(1, 3),
-                               params.edge_enc.scale)
+    scaled = np.log1p(np.asarray(counts, dtype=np.float64).reshape(1, 3))
     f = T.add(f, T.matmul(T.constant(scaled, dtype=params.edge_enc.w2.dtype),
                           params.edge_enc.w2))
     parts = [h_u_prev, f]
@@ -93,8 +95,8 @@ def mha(query: Tensor, keys: Tensor | None, layer: LayerParams,
 
 
 def encode_counts(enc: TemporalEdgeEncoding, counts: np.ndarray) -> Tensor:
-    """Map a (rows, 3) count matrix through the learned bias-free projection."""
-    scaled = apply_count_scale(np.asarray(counts, dtype=np.float64), enc.scale)
+    """Map log1p of a (rows, 3) count matrix through the learned bias-free projection."""
+    scaled = np.log1p(np.asarray(counts, dtype=np.float64))
     return T.matmul(T.constant(scaled, dtype=enc.w2.dtype), enc.w2)
 
 
@@ -191,3 +193,12 @@ def layered_neighborhood(index: IncidenceIndex, seed_nodes, num_layers: int,
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
         anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]]))
     return LayeredNeighborhood(layers=layers, active_nodes=anchors)
+
+
+def checkpoint_digest(params: dict[str, Tensor]) -> str:
+    """Order-independent content hash of a parameter map."""
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode("utf-8"))
+        h.update(params[name].values.tobytes())
+    return h.hexdigest()

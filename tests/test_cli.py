@@ -1,5 +1,6 @@
 """End-to-end runs of the operator entry point."""
 
+import argparse
 import csv
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from dygwin.checkpoint import load_checkpoint
-from dygwin.cli import _make_run_dir, build_parser, main
+from dygwin.cli import _add_common_flags, _make_run_dir, build_parser, main
 from dygwin.config import config_hash, parse_config_file, resolve_config
 from dygwin.errors import ConfigError, ConsistencyError
 
@@ -138,6 +139,70 @@ class TestSubcommands:
                      "--set", "bogus=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["stride", "weight_decay", "hidden_dim",
+                                     "edge_enc_scale"])
+    def test_removed_key_is_unknown(self, dataset, tmp_path, capsys, key):
+        out = tmp_path / "runs"
+        code = main(["train", "--dataset", str(dataset), "--output-dir", str(out),
+                     "--epochs", "1", "--set", f"{key}=4", *SMALL_MODEL])
+        assert code == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_common_flag_lands_in_config(self, dataset, tmp_path):
+        out = tmp_path / "runs"
+        given = {  # flag -> (value, config.txt line)
+            "--dataset": (str(dataset), f"dataset = {dataset}"),
+            "--output-dir": (str(out), f"output_dir = {out}"),
+            "--seed": ("5", "seed = 5"),
+            "--task": ("dnc", "task = dnc"),
+            "--epochs": ("3", "epochs = 3"),
+            "--window-size": ("64", "window_size = 64"),
+            "--checkpoint": ("model.dygw", "checkpoint = model.dygw"),
+            "--encoder-init": ("checkpoint", "encoder_init = checkpoint"),
+            "--freeze-encoder": (None, "freeze_encoder = True"),
+            "--label-fraction": ("0.5", "label_fraction = 0.5"),
+            "--split-mode": ("inductive", "split_mode = inductive"),
+            "--split-file": ("split.txt", "split_file = split.txt"),
+            "--eval-horizon": ("1,7", "eval_horizon = 1,7"),
+        }
+        parser = argparse.ArgumentParser(add_help=False)
+        _add_common_flags(parser)
+        assert {action.option_strings[0] for action in parser._actions} \
+            == {*given, "--config", "--set"}
+        argv = ["ingest"]
+        for flag, (value, _) in given.items():
+            argv += [flag] if value is None else [flag, value]
+        assert main(argv) == 0
+        lines = (run_dir_of(out, "ingest") / "config.txt").read_text().splitlines()
+        for flag, (_, line) in given.items():
+            assert line in lines, flag
+
+    @pytest.mark.parametrize("case", ["empty_file", "not_a_zip", "truncated_zip",
+                                      "missing_column", "non_scalar_num_nodes"])
+    def test_malformed_cache_is_data_error(self, tmp_path, capsys, case):
+        cache = tmp_path / "bad.npz"
+        columns = {"u": [0, 1], "v": [1, 2], "t": [1.0, 2.0], "feats": np.zeros((2, 0)),
+                   "labels": [np.nan] * 2, "label_present": [False] * 2,
+                   "num_nodes": 3, "original_ids": [0, 1, 2]}
+        if case == "empty_file":
+            cache.write_bytes(b"")
+        elif case == "not_a_zip":
+            cache.write_bytes(b"u,v,t\n0,1,1.0\n")
+        else:
+            if case == "missing_column":
+                del columns["v"]
+            elif case == "non_scalar_num_nodes":
+                columns["num_nodes"] = [3, 4]
+            np.savez(cache, **columns)
+            if case == "truncated_zip":
+                cache.write_bytes(cache.read_bytes()[:-40])
+        out = tmp_path / "runs"
+        code = main(["ingest", "--dataset", str(cache), "--output-dir", str(out)])
+        assert code == 3
+        assert "error kind=data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = main(["ingest", "--dataset", str(tmp_path / "nope.csv"),
                      "--output-dir", str(tmp_path)])
@@ -232,7 +297,6 @@ class TestPipeline:
 
     @pytest.mark.parametrize("subcommand, setting", [
         ("train", "val_every=0"),
-        ("train", "stride=-4"),
         ("train", "dropout=1.5"),
         ("train", "dropout=-0.1"),
         ("eval", "rank_negatives=-3"),

@@ -1,14 +1,12 @@
-"""Dataset ingestion, temporal slicing, and split semantics."""
+"""Dataset ingestion, caching, and split semantics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dygwin.data import (chronological_split, inductive_split, load_cache,
                          load_csv, load_split_manifest, save_cache,
-                         save_split_manifest, split_edge_indices, temporal_subgraph)
-from dygwin.errors import ContractError, DataError
+                         save_split_manifest, split_edge_indices)
+from dygwin.errors import DataError
 
 from graphs import ctdg_from
 
@@ -53,15 +51,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path)
 
-    def test_node_label_flag_enforced(self, tmp_path):
-        unlabeled = write_csv(tmp_path, "u2.csv", "u,v,t\n0,1,1.0\n")
-        labeled = write_csv(tmp_path, "l2.csv", "u,v,t,label\n0,1,1.0,1\n")
-        with pytest.raises(DataError):
-            load_csv(unlabeled, has_node_labels=True)
-        with pytest.raises(DataError):
-            load_csv(labeled, has_node_labels=False)
-        assert load_csv(labeled, has_node_labels=True).label_present.all()
-
     def test_negative_timestamp_rejected(self, tmp_path):
         path = write_csv(tmp_path, "neg.csv", "u,v,t\n0,1,-5.0\n")
         with pytest.raises(DataError, match="negative"):
@@ -84,38 +73,6 @@ class TestLoadCsv:
         assert np.array_equal(ctdg.u, again.u)
         assert np.array_equal(ctdg.feats, again.feats)
         assert np.array_equal(ctdg.label_present, again.label_present)
-
-
-class TestTemporalSubgraph:
-    def test_inclusive_interval(self):
-        ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 4, 4.0), (4, 0, 5.0)])
-        sliced = temporal_subgraph(ctdg, 2.0, 4.0)
-        assert sliced.t.tolist() == [2.0, 3.0, 4.0]
-
-    def test_beyond_last_timestamp_empty(self):
-        ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 5.0)])
-        assert len(temporal_subgraph(ctdg, 6.0, 9.0)) == 0
-
-    def test_full_range_identity(self):
-        ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
-        assert len(temporal_subgraph(ctdg, 1.0, 3.0)) == 3
-
-    def test_reversed_bounds_rejected(self):
-        ctdg = ctdg_from([(0, 1, 1.0)])
-        with pytest.raises(ContractError):
-            temporal_subgraph(ctdg, 2.0, 1.0)
-
-    @settings(deadline=None, max_examples=40)
-    @given(times=st.lists(st.floats(0, 100), min_size=1, max_size=30),
-           a=st.floats(0, 100), b=st.floats(0, 100))
-    def test_slicing_idempotent(self, times, a, b):
-        lo, hi = min(a, b), max(a, b)
-        ctdg = ctdg_from([(0, 1, t) for t in sorted(times)])
-        once = temporal_subgraph(ctdg, lo, hi)
-        sub = ctdg_from([(0, 1, t) for t in once.t]) if len(once) else None
-        if sub is not None:
-            twice = temporal_subgraph(sub, lo, hi)
-            assert twice.t.tolist() == once.t.tolist()
 
 
 class TestChronologicalSplit:

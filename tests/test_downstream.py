@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import dygwin.downstream as downstream
 import dygwin.tensor as T
-from dygwin.checkpoint import checkpoint_digest
 from dygwin.data import chronological_split
 from dygwin.downstream import (TrainConfig, bce_loss, dnc_score, evaluate_dnc,
                                evaluate_flp, flp_score, init_decoder, init_flp_decoder,
@@ -15,6 +15,7 @@ from dygwin.features import WindowFeatureCache
 
 from gradcheck import finite_difference_check
 from graphs import ctdg_from, edges_from
+from oracles import checkpoint_digest
 from synthetic import make_synthetic_ctdg
 
 
@@ -23,9 +24,8 @@ def embeddings_of(values):
     return NodeEmbeddings(np.arange(len(arr)), T.constant(arr))
 
 
-def one_edge_logit(decoder, emb, u, v, t, cache, fallback_time):
-    return flp_score(decoder, emb, np.array([u]), np.array([v]), np.array([t]),
-                     cache, fallback_time)
+def one_edge_logit(decoder, emb, u, v, t, cache):
+    return flp_score(decoder, emb, np.array([u]), np.array([v]), np.array([t]), cache)
 
 
 class TestSampleNegatives:
@@ -91,7 +91,7 @@ class TestFlpDecoder:
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
         for u, v, t in [(0, 1, 2.0), (3, 4, 9.0)]:
-            logit = one_edge_logit(decoder, emb, u, v, t, cache, fallback_time=1.0)
+            logit = one_edge_logit(decoder, emb, u, v, t, cache)
             assert logit.values.item() == 1.25
 
     def test_symmetric_under_equal_recency(self):
@@ -99,8 +99,8 @@ class TestFlpDecoder:
         emb = embeddings_of(np.random.default_rng(1).normal(size=(4, 4)))
         edges = edges_from([(0, 1, 5.0)])  # both endpoints last active at t=5
         cache = WindowFeatureCache(edges)
-        a = one_edge_logit(decoder, emb, 0, 1, 8.0, cache, fallback_time=5.0)
-        b = one_edge_logit(decoder, emb, 1, 0, 8.0, cache, fallback_time=5.0)
+        a = one_edge_logit(decoder, emb, 0, 1, 8.0, cache)
+        b = one_edge_logit(decoder, emb, 1, 0, 8.0, cache)
         assert np.allclose(a.values, b.values, atol=1e-12)
 
     def test_history_less_source_falls_back_to_window_end(self):
@@ -115,8 +115,8 @@ class TestDncDecoder:
         emb = embeddings_of(np.random.default_rng(2).normal(size=(3, 4)))
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
-        a = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, 1.0, training=False)
-        b = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, 1.0, training=False)
+        a = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, training=False)
+        b = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, training=False)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_zero_weights_constant_logit(self):
@@ -128,7 +128,7 @@ class TestDncDecoder:
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
         logits = dnc_score(decoder, emb, np.array([0, 1, 2]), np.array([2.0, 3.0, 4.0]),
-                           cache, 1.0)
+                           cache)
         assert np.allclose(logits.values, -0.5)
 
     def test_gradient_through_three_layers(self):
@@ -140,11 +140,53 @@ class TestDncDecoder:
 
         def forward():
             logits = dnc_score(decoder, emb, np.array([0, 2, 4]),
-                               np.array([3.0, 4.0, 5.0]), cache, 2.0, training=False)
+                               np.array([3.0, 4.0, 5.0]), cache, training=False)
             return bce_loss(logits, labels)
 
         report = finite_difference_check(forward, decoder.named(), h=1e-6)
         assert report.max_rel_error < 1e-4, report
+
+
+class TestRecencyGap:
+    """The decoder's time input is t minus the source's last time in the input slice."""
+
+    def _logit(self, triples, src, t):
+        decoder = init_flp_decoder(node_dim=4, time_dim=3, seed=2, dtype=np.float64)
+        emb = embeddings_of(np.ones((6, 4)))  # equal rows: only the gap tells sources apart
+        return one_edge_logit(decoder, emb, src, 0, t,
+                              WindowFeatureCache(edges_from(triples))).values.item()
+
+    def test_history_less_source_gap_runs_to_the_slice_end(self):
+        window = [(0, 1, 4.0), (2, 3, 9.0)]
+        assert self._logit(window, 5, 12.0) == self._logit(window, 2, 12.0)
+        assert self._logit(window, 5, 12.0) != self._logit(window, 0, 12.0)
+
+    def test_empty_slice_gives_a_gap_of_zero(self):
+        assert self._logit([], 5, 12.0) == self._logit([(5, 1, 12.0)], 5, 12.0)
+
+    @pytest.mark.parametrize("task", ["flp", "dnc"])
+    def test_empty_slice_scores_ignore_other_targets(self, task, monkeypatch):
+        # The region starts at edge 0, so its first cut has no input edges.
+        encoder = init_encoder(num_layers=1, node_dim=4, time_dim=3, heads=1, seed=0)
+        decoder = init_decoder(task, 4, 3, seed=0)
+        name = f"{task}_score"
+        original = getattr(downstream, name)
+        scored = []
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            scored.append(out.values.ravel().copy())
+            return out
+
+        monkeypatch.setattr(downstream, name, recording)
+        later = []
+        for first_time in (1.0, 4.0):
+            scored.clear()
+            ctdg = ctdg_from([(0, 1, first_time), (2, 3, 5.0), (1, 4, 6.0)], num_nodes=5,
+                             labels=[1.0, 0.0, 1.0])
+            downstream.evaluate(task, ctdg, (0, 3), encoder, decoder, 10, 3, 5, seed=0)
+            later.append(scored[0][1:])  # the positives of the targets at t=5 and t=6
+        assert np.array_equal(later[0], later[1])
 
 
 @pytest.mark.parametrize("task, tail", [
@@ -154,13 +196,13 @@ class TestDncDecoder:
 ])
 def test_decoder_checkpoint_names_order_and_shapes(task, tail):
     # Saved model files store the decoder under these names; changing them breaks loading.
-    decoder = init_decoder(task, node_dim=4, time_dim=3, hidden_dim=5)
+    decoder = init_decoder(task, node_dim=5, time_dim=2)
     assert [(name, p.shape) for name, p in decoder.named().items()] == [
-        ("decoder/t2v/omega", (1, 3)), ("decoder/t2v/phase", (1, 3)),
+        ("decoder/t2v/omega", (1, 2)), ("decoder/t2v/phase", (1, 2)),
         ("decoder/w1", (7, 5)), ("decoder/b1", (1, 5)), *tail]
 
 
-@pytest.mark.parametrize("field, value", [("val_every", 0), ("val_every", -1), ("stride", -4)])
+@pytest.mark.parametrize("field, value", [("val_every", 0), ("val_every", -1)])
 def test_train_config_rejects_out_of_range(field, value):
     # Library callers reach train_downstream without the CLI's config checks.
     with pytest.raises(ContractError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
-from dygwin.downstream import window_end_time
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
                             encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
@@ -265,8 +264,6 @@ class TestEncode:
         hood = build_layered_neighborhood(cache.index, [1], 2, 4, (8, NEIGHBOR_STREAM))
         assert hood.active_nodes.tolist() == [0, 1, 2, 3]
         assert [sorted(layer) for layer in hood.layers] == [[0, 1, 2], [1]]
-        with pytest.raises(ContractError):  # a hood built for other nodes
-            encode(cache, params, 4, (8,), [2], node_features=node_features, hood=hood)
 
         def forward():
             out = encode(cache, params, max_neighbors=4, rng_key=(8,), nodes=[1],
@@ -276,13 +273,6 @@ class TestEncode:
         report = finite_difference_check(forward, params.named(), h=1e-6,
                                          max_coords_per_param=10)
         assert report.max_rel_error < 1e-4, report
-
-    def test_window_end_time_fallbacks(self):
-        ctdg = ctdg_from([(0, 1, 5.0), (1, 2, 9.0)], num_nodes=3)
-        with_input = make_window_batch(ctdg, Interval(0, 2), target_size=0)
-        assert window_end_time(with_input) == 9.0
-        no_input = make_window_batch(ctdg, Interval(0, 0), target_size=2)
-        assert window_end_time(no_input) == 5.0
 
     def test_message_width_at_reference_dimensions(self):
         params = init_encoder(num_layers=1, node_dim=100, time_dim=100, edge_dim=172,

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ class TestMakeWindowBatch:
         for batch in evaluation_windows(ctdg, 20, 37, window=10, horizon=5):
             seen.extend(batch.target_edges.idx.tolist())
         assert seen == list(range(20, 37))
+
+    def test_evaluation_windows_hold_one_batch_at_a_time(self):
+        # Each K=1 batch holds a W-entry index and mask, so a list of N of them
+        # grows with N and a stream of them does not.
+        ctdg = ctdg_from([(i % 7, (i + 1) % 7, float(i)) for i in range(2400)])
+        peaks = []
+        for cuts in (40, 400):
+            tracemalloc.start()
+            for _ in evaluation_windows(ctdg, 2000, 2000 + cuts, window=2000, horizon=1):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestSampleNeighbors:
