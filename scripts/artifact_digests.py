@@ -1,11 +1,12 @@
 """Print a sha256 for every artifact of a fixed, seeded CLI pipeline.
 
-The pipeline writes a fixed interaction log, then runs pretrain, train and
-probe for FLP and DNC, an inductive FLP train, and eval for both tasks (K=1,
-40 and 200 on val and test; FLP also ranks 20 negatives per edge). It prints
-one ``run file sha256`` line per ``model.dygw``, ``history.csv``,
-``ssl_log.csv`` and ``report.csv``. The package comes from ``PYTHONPATH``, so
-two checkouts that should save the same bytes print the same lines:
+The pipeline writes a fixed interaction log, then runs ingest, pretrain, train
+and probe for FLP and DNC, an inductive FLP train, and eval for both tasks
+(K=1, 40 and 200 on val and test; FLP also ranks 20 negatives per edge). It
+prints one ``run file sha256`` line per ``ctdg.npz``, ``model.dygw``,
+``history.csv``, ``ssl_log.csv`` and ``report.csv``. The package comes from
+``PYTHONPATH``, so two checkouts that should save the same bytes print the
+same lines:
 
     PYTHONPATH=src python scripts/artifact_digests.py > change.txt
     PYTHONPATH=../parent/src python scripts/artifact_digests.py > parent.txt
@@ -27,7 +28,7 @@ import numpy as np
 import dygwin
 from dygwin.cli import main
 
-ARTIFACTS = ("model.dygw", "history.csv", "ssl_log.csv", "report.csv")
+ARTIFACTS = ("ctdg.npz", "model.dygw", "history.csv", "ssl_log.csv", "report.csv")
 MODEL = ["--seed", "1", "--epochs", "3", "--window-size", "120", "--set", "target_size=40",
          "--set", "lr=0.01", "--set", "node_dim=16", "--set", "time_dim=8",
          "--set", "num_layers=2", "--set", "num_neighbors=8"]
@@ -70,8 +71,9 @@ def print_digests() -> None:
         log = root / "log.csv"
         write_log(log)
         base = ["--dataset", str(log), *MODEL]
-        runs = {"pretrain": run(root, "pretrain", [
-            "pretrain", *base, "--set", "ssl_window=150", "--set", "ssl_stride=75"])}
+        runs = {"ingest": run(root, "ingest", ["ingest", "--dataset", str(log)])}
+        runs["pretrain"] = run(root, "pretrain", [
+            "pretrain", *base, "--set", "ssl_window=150", "--set", "ssl_stride=75"])
         ssl = ["--encoder-init", "checkpoint", "--checkpoint",
                str(runs["pretrain"] / "model.dygw")]
         for task in ("flp", "dnc"):

@@ -9,14 +9,12 @@ from .encoder import (EncoderParams, NodeEmbeddings, encode, init_encoder,
                       layer_forward)
 from .errors import (ConfigError, ConsistencyError, ContractError, DataError,
                      NumericFailure, ShapeError)
-from .features import (TemporalEdgeEncoding, Time2VecParams, common_neighbors_at,
-                       init_edge_encoding, init_time2vec, time2vec)
+from .features import Time2VecParams, common_neighbors_at, init_time2vec, time2vec
 from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
-from .pretrain import (DistortionConfig, PredictorParams, PretrainConfig,
-                       VicregWeights, distort, init_predictor, pretrain,
+from .pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor, pretrain,
                        vicreg_covariance, vicreg_invariance, vicreg_variance)
-from .tensor import Tape, Tensor, backward
+from .tensor import MLP, Tape, Tensor, backward
 from .windows import (Interval, LayeredNeighborhood, WindowBatch,
                       build_layered_neighborhood, generate_intervals,
                       make_window_batch, sample_neighbors)

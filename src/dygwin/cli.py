@@ -98,6 +98,10 @@ def cmd_ingest(config: RunConfig) -> int:
     ctdg = _load_dataset(config)
     run_dir = _make_run_dir(config, "ingest")
     save_cache(ctdg, run_dir / "ctdg.npz")
+    with (run_dir / "idmap.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["original_id", "compact_id"])
+        writer.writerows(zip(ctdg.original_ids.tolist(), range(ctdg.num_nodes)))
     print(f"ingested {len(ctdg)} edges over {ctdg.num_nodes} nodes -> {run_dir / 'ctdg.npz'}")
     return 0
 

@@ -1,8 +1,9 @@
 """Loading, validation, slicing, and splitting of continuous-time dynamic graphs.
 
 A graph is an immutable, time-ordered interaction log. Node ids are
-compacted to ``0..N-1`` at load time; the original-to-compact map is
-persisted next to the dataset. Parallel edges and self-loops are legal.
+compacted to ``0..N-1`` at load time; the log keeps each compact id's
+original id, and loading writes no file. Parallel edges and self-loops are
+legal.
 """
 
 from __future__ import annotations
@@ -64,18 +65,16 @@ class EdgeArray:
                          self.labels, self.label_present, mask)
 
 
-class CTDG:
-    """Immutable time-ordered interaction log with optional features."""
+class CTDG(EdgeArray):
+    """Immutable time-ordered interaction log: every edge, with ``idx`` 0..E-1,
+    plus the node count, each compact id's original id and optional node features."""
+
+    __slots__ = ("num_nodes", "original_ids", "node_features")
 
     def __init__(self, u, v, t, feats, labels, label_present,
                  num_nodes: int, original_ids: np.ndarray | None = None,
                  node_features: np.ndarray | None = None):
-        self.u = np.asarray(u, dtype=np.int64)
-        self.v = np.asarray(v, dtype=np.int64)
-        self.t = np.asarray(t, dtype=np.float64)
-        self.feats = np.asarray(feats, dtype=np.float32)
-        self.labels = np.asarray(labels, dtype=np.float64)
-        self.label_present = np.asarray(label_present, dtype=bool)
+        super().__init__(u, v, t, feats, np.arange(len(u)), labels, label_present)
         self.num_nodes = int(num_nodes)
         self.original_ids = (np.arange(num_nodes, dtype=np.int64)
                              if original_ids is None else np.asarray(original_ids, dtype=np.int64))
@@ -84,8 +83,14 @@ class CTDG:
 
     def _validate(self) -> None:
         E = len(self.u)
-        if not (len(self.v) == len(self.t) == len(self.feats) == E):
+        if any(len(column) != E for column in (self.v, self.t, self.feats, self.labels,
+                                                self.label_present)):
             raise DataError("column lengths disagree")
+        if len(self.original_ids) != self.num_nodes:
+            raise DataError(f"{len(self.original_ids)} original ids for {self.num_nodes} nodes")
+        if self.node_features is not None and len(self.node_features) != self.num_nodes:
+            raise DataError(f"{len(self.node_features)} node feature rows for "
+                            f"{self.num_nodes} nodes")
         if E and np.any(np.diff(self.t) < 0):
             raise DataError("edges are not sorted by timestamp")
         if E and not np.all(np.isfinite(self.t)):
@@ -93,13 +98,6 @@ class CTDG:
         if E and (self.u.min() < 0 or self.v.min() < 0
                   or max(self.u.max(), self.v.max()) >= self.num_nodes):
             raise DataError("node id outside [0, num_nodes)")
-
-    def __len__(self) -> int:
-        return len(self.u)
-
-    @property
-    def edge_dim(self) -> int:
-        return self.feats.shape[1]
 
     @property
     def node_dim(self) -> int:
@@ -109,10 +107,7 @@ class CTDG:
         """Edges with index in [start, end)."""
         if not (0 <= start <= end <= len(self)):
             raise ContractError(f"window [{start}, {end}) outside [0, {len(self)}]")
-        sel = slice(start, end)
-        return EdgeArray(self.u[sel], self.v[sel], self.t[sel], self.feats[sel],
-                         np.arange(start, end, dtype=np.int64),
-                         self.labels[sel], self.label_present[sel])
+        return self.take(slice(start, end))
 
     def subset(self, indices: np.ndarray) -> "CTDG":
         """Re-indexed log keeping only ``indices`` (ascending); node ids unchanged."""
@@ -174,8 +169,7 @@ def load_csv(path) -> CTDG:
     """Read a ``u,v,t[,label][,f0..fk]`` CSV into a CTDG.
 
     Rows out of time order are stably sorted. Node ids are compacted to a
-    dense range; the original ids are written to ``<dataset>.idmap`` as
-    ``original_id,compact_id`` lines.
+    dense range in ascending order; ``original_ids`` maps them back.
     """
     path = Path(path)
     if not path.exists():
@@ -236,16 +230,9 @@ def load_csv(path) -> CTDG:
         u, v, t, m, lab, lab_present = (u[order], v[order], t[order],
                                         m[order], lab[order], lab_present[order])
 
-    original = np.unique(np.concatenate([u, v])) if E else np.empty(0, dtype=np.int64)
-    compact = {int(orig): i for i, orig in enumerate(original)}
-    u = np.asarray([compact[int(x)] for x in u], dtype=np.int64)
-    v = np.asarray([compact[int(x)] for x in v], dtype=np.int64)
-
-    with path.with_suffix(".idmap").open("w") as fh:
-        for orig, comp in compact.items():
-            fh.write(f"{orig},{comp}\n")
-
-    return CTDG(u, v, t, m, lab, lab_present, num_nodes=len(original), original_ids=original)
+    original, compact = np.unique(np.concatenate([u, v]), return_inverse=True)
+    return CTDG(compact[:E], compact[E:], t, m, lab, lab_present, num_nodes=len(original),
+                original_ids=original)
 
 
 def save_cache(ctdg: CTDG, path) -> None:

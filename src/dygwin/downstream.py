@@ -38,23 +38,18 @@ RANK_NEG_STREAM = 53
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DecoderParams:
-    """MLP over (node input || time encoding) -> logit, one ``(w, b)`` per layer.
+class DecoderParams(T.MLP):
+    """MLP over (node input || its own time encoding) -> logit.
 
     FLP's pair scorer has one hidden layer; DNC's source classifier has two,
     with dropout after the first while training.
     """
 
     t2v: Time2VecParams
-    layers: list[tuple[Tensor, Tensor]]
-    dropout: float
 
     def named(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        named = {f"{prefix}/t2v/omega": self.t2v.omega, f"{prefix}/t2v/phase": self.t2v.phase}
-        for i, (w, b) in enumerate(self.layers, start=1):
-            named[f"{prefix}/w{i}"] = w
-            named[f"{prefix}/b{i}"] = b
-        return named
+        return {f"{prefix}/t2v/omega": self.t2v.omega, f"{prefix}/t2v/phase": self.t2v.phase,
+                **super().named(prefix)}
 
 
 # task -> (init stream, hidden layers, dropout, Adam weight decay)
@@ -70,12 +65,8 @@ def init_decoder(task: str, node_dim: int, time_dim: int, seed: int = 0,
         raise ConfigError(f"unknown task {task!r}")
     stream, hidden_layers, dropout, _ = _DECODER_SHAPES[task]
     widths = [node_dim + time_dim] + [node_dim] * hidden_layers + [1]
-    rng = np.random.default_rng((seed, stream))
-    t2v = init_time2vec(time_dim, dtype=dtype)
-    layers = [(T.xavier_uniform(rng, fan_in, fan_out, dtype=dtype),
-               T.zeros_parameter((1, fan_out), dtype=dtype))
-              for fan_in, fan_out in zip(widths, widths[1:])]
-    return DecoderParams(t2v, layers, dropout)
+    layers = T.init_mlp_layers(np.random.default_rng((seed, stream)), widths, dtype=dtype)
+    return DecoderParams(layers, dropout, init_time2vec(time_dim, dtype=dtype))
 
 
 def init_flp_decoder(node_dim: int, time_dim: int, seed: int = 0,
@@ -96,11 +87,8 @@ def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarra
     ts = np.asarray(ts, dtype=np.float64)
     last = cache.index.last_time(src, cache.edges.t[-1] if len(cache.edges) else np.nan)
     delta = np.where(np.isnan(last), 0.0, ts - last)
-    x = T.concat_last_dim([rows, time2vec(decoder.t2v, delta)])
-    hidden = T.dropout(T.relu(T.linear(x, *decoder.layers[0])), decoder.dropout, rng, training)
-    for w, b in decoder.layers[1:-1]:
-        hidden = T.relu(T.linear(hidden, w, b))
-    return T.linear(hidden, *decoder.layers[-1])
+    return decoder.forward(T.concat_last_dim([rows, time2vec(decoder.t2v, delta)]),
+                           training, rng)
 
 
 def flp_score(decoder: DecoderParams, embeddings: NodeEmbeddings,

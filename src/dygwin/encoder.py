@@ -17,8 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import EdgeArray
 from .errors import ConsistencyError, ContractError
-from .features import (TemporalEdgeEncoding, Time2VecParams, WindowFeatureCache,
-                       init_edge_encoding, init_time2vec, time2vec)
+from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2vec
 from .tensor import Tensor
 from .windows import build_layered_neighborhood
 
@@ -39,7 +38,7 @@ class LayerParams:
 class EncoderParams:
     layers: list[LayerParams]
     t2v: Time2VecParams
-    edge_enc: TemporalEdgeEncoding
+    edge_enc: Tensor          # (3, time_dim): log1p [deg_u, deg_v, common] -> time width
     input_proj: Tensor | None
     node_dim: int
     time_dim: int
@@ -63,7 +62,7 @@ class EncoderParams:
         out: dict[str, Tensor] = {
             f"{prefix}/time2vec/omega": self.t2v.omega,
             f"{prefix}/time2vec/phase": self.t2v.phase,
-            f"{prefix}/edge_enc/w2": self.edge_enc.w2,
+            f"{prefix}/edge_enc/w2": self.edge_enc,
         }
         if self.input_proj is not None:
             out[f"{prefix}/input_proj"] = self.input_proj
@@ -101,7 +100,7 @@ def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
     input_proj = (T.xavier_uniform(rng, node_feature_dim, node_dim, dtype=dtype)
                   if node_feature_dim > 0 else None)
     return EncoderParams(layers=layers, t2v=init_time2vec(time_dim, dtype=dtype),
-                         edge_enc=init_edge_encoding(time_dim, rng, dtype=dtype),
+                         edge_enc=T.xavier_uniform(rng, 3, time_dim, dtype=dtype),
                          input_proj=input_proj, node_dim=node_dim, time_dim=time_dim,
                          edge_dim=edge_dim, heads=heads, dropout=dropout)
 
@@ -172,8 +171,8 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     counts = cache.counts_matrix(positions)
     counts[masked] = 0.0
     f = T.add(time2vec(params.t2v, delta),
-              T.matmul(T.constant(np.log1p(counts), dtype=params.edge_enc.w2.dtype),
-                       params.edge_enc.w2))
+              T.matmul(T.constant(np.log1p(counts), dtype=params.edge_enc.dtype),
+                       params.edge_enc))
     message_parts = [T.slice_rows(H, neighbor_rows), f]
     if params.edge_dim > 0:
         feats = edges.feats[positions].astype(np.float64)

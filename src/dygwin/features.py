@@ -110,16 +110,3 @@ class WindowFeatureCache:
         unique, inverse = np.unique(np.asarray(positions, dtype=np.int64), return_inverse=True)
         counts = self.counts_at(self.edges.u[unique], self.edges.v[unique], self.edges.t[unique])
         return counts[inverse].astype(np.float64)
-
-
-@dataclass
-class TemporalEdgeEncoding:
-    """Learned map from log1p of [deg_u, deg_v, common_neighbors] to the
-    time-encoding width."""
-
-    w2: Tensor  # (3, dim)
-
-
-def init_edge_encoding(dim: int, rng: np.random.Generator,
-                       dtype=np.float32) -> TemporalEdgeEncoding:
-    return TemporalEdgeEncoding(w2=T.xavier_uniform(rng, 3, dim, dtype=dtype))

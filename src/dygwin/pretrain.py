@@ -54,24 +54,24 @@ def distort(batch: WindowBatch, config: DistortionConfig,
     return view.with_enc_mask(mask)
 
 
-@dataclass
-class VicregWeights:
-    invariance: float = 25.0   # lambda
-    variance: float = 25.0     # mu
-    covariance: float = 1.0    # nu
-    gamma: float = 1.0
-    eps: float = 1e-4
+# VICReg's loss weights (Bardes et al., ICLR 2022): invariance lambda, variance
+# mu, covariance nu; the variance hinge's target std gamma and its epsilon.
+INVARIANCE_WEIGHT = 25.0
+VARIANCE_WEIGHT = 25.0
+COVARIANCE_WEIGHT = 1.0
+VARIANCE_TARGET = 1.0
+VARIANCE_EPS = 1e-4
 
 
-def vicreg_variance(z: Tensor, gamma: float = 1.0, eps: float = 1e-4) -> Tensor:
+def vicreg_variance(z: Tensor) -> Tensor:
     """Hinge on the regularized per-dimension standard deviation (population)."""
     n, d = z.shape
     if n < 2:
         raise ContractError(f"variance term needs at least 2 rows, got {n}")
     centered = T.sub(z, T.mean(z, axis=0, keepdims=True))
     var = T.mean(T.mul(centered, centered), axis=0, keepdims=True)
-    std = T.sqrt(T.add(var, T.constant(np.full((1, d), eps), dtype=z.dtype)))
-    hinge = T.relu(T.sub(T.constant(np.full((1, d), gamma), dtype=z.dtype), std))
+    std = T.sqrt(T.add(var, T.constant(np.full((1, d), VARIANCE_EPS), dtype=z.dtype)))
+    hinge = T.relu(T.sub(T.constant(np.full((1, d), VARIANCE_TARGET), dtype=z.dtype), std))
     return T.mean(hinge)
 
 
@@ -95,47 +95,24 @@ def vicreg_invariance(z_a: Tensor, z_b: Tensor) -> Tensor:
     return T.scale(T.tensor_sum(T.mul(diff, diff)), 1.0 / z_a.shape[0])
 
 
-def ssl_loss_terms(z_a: Tensor, z_b: Tensor,
-                   weights: VicregWeights | None = None) -> tuple[Tensor, dict[str, float]]:
+def ssl_loss_terms(z_a: Tensor, z_b: Tensor) -> tuple[Tensor, dict[str, float]]:
     """Weighted loss plus the unweighted term values for logging."""
-    if weights is None:
-        weights = VicregWeights()
     s = vicreg_invariance(z_a, z_b)
-    v_a = vicreg_variance(z_a, weights.gamma, weights.eps)
-    v_b = vicreg_variance(z_b, weights.gamma, weights.eps)
+    v_a = vicreg_variance(z_a)
+    v_b = vicreg_variance(z_b)
     c_a = vicreg_covariance(z_a)
     c_b = vicreg_covariance(z_b)
-    loss = T.add(T.add(T.scale(s, weights.invariance),
-                       T.scale(T.add(v_a, v_b), weights.variance)),
-                 T.scale(T.add(c_a, c_b), weights.covariance))
+    loss = T.add(T.add(T.scale(s, INVARIANCE_WEIGHT),
+                       T.scale(T.add(v_a, v_b), VARIANCE_WEIGHT)),
+                 T.scale(T.add(c_a, c_b), COVARIANCE_WEIGHT))
     terms = {"s": s.item(), "v": v_a.item() + v_b.item(), "c": c_a.item() + c_b.item()}
     return loss, terms
 
 
-@dataclass
-class PredictorParams:
+def init_predictor(dim: int, seed: int = 0, dtype=np.float32) -> T.MLP:
     """Two-layer MLP mapping node embeddings to final representations."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def named(self, prefix: str = "predictor") -> dict[str, Tensor]:
-        return {f"{prefix}/w1": self.w1, f"{prefix}/b1": self.b1,
-                f"{prefix}/w2": self.w2, f"{prefix}/b2": self.b2}
-
-
-def init_predictor(dim: int, seed: int = 0, dtype=np.float32) -> PredictorParams:
     rng = np.random.default_rng((seed, INIT_STREAM))
-    return PredictorParams(w1=T.xavier_uniform(rng, dim, dim, dtype=dtype),
-                           b1=T.zeros_parameter((1, dim), dtype=dtype),
-                           w2=T.xavier_uniform(rng, dim, dim, dtype=dtype),
-                           b2=T.zeros_parameter((1, dim), dtype=dtype))
-
-
-def predict(params: PredictorParams, h: Tensor) -> Tensor:
-    return T.linear(T.relu(T.linear(h, params.w1, params.b1)), params.w2, params.b2)
+    return T.MLP(T.init_mlp_layers(rng, [dim, dim, dim], dtype=dtype), 0.0)
 
 
 @dataclass
@@ -147,10 +124,9 @@ class PretrainConfig:
     max_neighbors: int = 20
     seed: int = 0
     distortion: DistortionConfig = field(default_factory=DistortionConfig)
-    weights: VicregWeights = field(default_factory=VicregWeights)
 
 
-def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParams,
+def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
              config: PretrainConfig, timer=None,
              log_fn=None) -> tuple[list[dict], int]:
     """Train encoder and predictor in place over every window of the training log.
@@ -161,7 +137,7 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
     """
     timer = timer or PhaseTimer()
     intervals = generate_intervals(len(train_ctdg), config.stride, config.window)
-    params = {**encoder.named(), **predictor.named()}
+    params = {**encoder.named(), **predictor.named("predictor")}
     encoder.set_requires_grad(True)
     optimizer = Adam(params, lr=config.lr)
     history: list[dict] = []
@@ -191,9 +167,9 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: PredictorParam
                                  (config.seed, VIEW_STREAM, epoch, index, 1), view_b.endpoints(),
                                  training=True, node_features=train_ctdg.node_features)
                 with timer.phase("decode"):
-                    z_a = predict(predictor, h_a.gather(common))
-                    z_b = predict(predictor, h_b.gather(common))
-                    loss, terms = ssl_loss_terms(z_a, z_b, config.weights)
+                    z_a = predictor.forward(h_a.gather(common))
+                    z_b = predictor.forward(h_b.gather(common))
+                    loss, terms = ssl_loss_terms(z_a, z_b)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericFailure(f"non-finite pre-training loss at epoch {epoch}")

@@ -19,13 +19,6 @@ from .errors import ContractError, ShapeError
 Array = np.ndarray
 
 _ACTIVE_TAPE: "Tape | None" = None
-_DEBUG_CHECK_FINITE: bool = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf checks after every forward primitive (slow)."""
-    global _DEBUG_CHECK_FINITE
-    _DEBUG_CHECK_FINITE = enabled
 
 
 class Tensor:
@@ -131,8 +124,6 @@ class Tape:
 
 
 def _finish(op: str, inputs: tuple[Tensor, ...], out_values: Array, backward) -> Tensor:
-    if _DEBUG_CHECK_FINITE and not np.all(np.isfinite(out_values)):
-        raise FloatingPointError(f"{op} produced non-finite values")
     out = Tensor(out_values)
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -430,3 +421,35 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = add(out, bias)
     return out
+
+
+@dataclass
+class MLP:
+    """ReLU layers, one ``(w, b)`` each, then a linear last layer; dropout
+    follows the first hidden layer while training. At least two layers.
+    ``named`` calls them ``w1, b1, w2, b2, ...``."""
+
+    layers: list[tuple[Tensor, Tensor]]
+    dropout: float
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        named = {}
+        for i, (w, b) in enumerate(self.layers, start=1):
+            named[f"{prefix}/w{i}"] = w
+            named[f"{prefix}/b{i}"] = b
+        return named
+
+    def forward(self, x: Tensor, training: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        hidden = dropout(relu(linear(x, *self.layers[0])), self.dropout, rng, training)
+        for w, b in self.layers[1:-1]:
+            hidden = relu(linear(hidden, w, b))
+        return linear(hidden, *self.layers[-1])
+
+
+def init_mlp_layers(rng: np.random.Generator, widths: Sequence[int],
+                    dtype=np.float32) -> list[tuple[Tensor, Tensor]]:
+    """Xavier weights and zero biases per consecutive width pair, drawn in layer order."""
+    return [(xavier_uniform(rng, fan_in, fan_out, dtype=dtype),
+             zeros_parameter((1, fan_out), dtype=dtype))
+            for fan_in, fan_out in zip(widths, widths[1:])]

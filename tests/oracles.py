@@ -19,7 +19,7 @@ import dygwin.tensor as T
 from dygwin.data import EdgeArray
 from dygwin.encoder import EncoderParams, LayerParams
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
-from dygwin.features import TemporalEdgeEncoding, time2vec
+from dygwin.features import time2vec
 from dygwin.tensor import Tensor, _finish
 from dygwin.windows import IncidenceIndex, LayeredNeighborhood, sample_neighbors
 
@@ -60,8 +60,7 @@ def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,
         raise ContractError(f"anchor recency {anchor_recency} precedes edge time {t_p}")
     f = time2vec(params.t2v, anchor_recency - t_p)
     scaled = np.log1p(np.asarray(counts, dtype=np.float64).reshape(1, 3))
-    f = T.add(f, T.matmul(T.constant(scaled, dtype=params.edge_enc.w2.dtype),
-                          params.edge_enc.w2))
+    f = T.add(f, T.matmul(T.constant(scaled, dtype=params.edge_enc.dtype), params.edge_enc))
     parts = [h_u_prev, f]
     if params.edge_dim > 0:
         parts.append(T.constant(np.asarray(m_p, dtype=np.float64).reshape(1, -1),
@@ -94,10 +93,11 @@ def mha(query: Tensor, keys: Tensor | None, layer: LayerParams,
     return T.matmul(T.concat_last_dim(contexts), layer.wo)
 
 
-def encode_counts(enc: TemporalEdgeEncoding, counts: np.ndarray) -> Tensor:
-    """Map log1p of a (rows, 3) count matrix through the learned bias-free projection."""
+def encode_counts(edge_enc: Tensor, counts: np.ndarray) -> Tensor:
+    """Map log1p of a (rows, 3) count matrix through the learned bias-free
+    (3, dim) projection."""
     scaled = np.log1p(np.asarray(counts, dtype=np.float64))
-    return T.matmul(T.constant(scaled, dtype=enc.w2.dtype), enc.w2)
+    return T.matmul(T.constant(scaled, dtype=edge_enc.dtype), edge_enc)
 
 
 def brute_degree(triples, node, t):
@@ -120,13 +120,13 @@ def brute_common_neighbors(triples, a, b, t):
     return len(nbrs(a) & nbrs(b))
 
 
-def edge_encoding(enc: TemporalEdgeEncoding, input_edges: EdgeArray,
+def edge_encoding(edge_enc: Tensor, input_edges: EdgeArray,
                   u: int, v: int, t: float) -> Tensor:
     """Encoding vector for a (u, v, t) interaction; shape (1, dim)."""
     triples = list(zip(input_edges.u.tolist(), input_edges.v.tolist(), input_edges.t.tolist()))
     counts = np.asarray([[brute_degree(triples, u, t), brute_degree(triples, v, t),
                           brute_common_neighbors(triples, u, v, t)]], dtype=np.float64)
-    return encode_counts(enc, counts)
+    return encode_counts(edge_enc, counts)
 
 
 def dict_rows(ids, nodes) -> list[int]:

@@ -15,6 +15,7 @@ import pytest
 from dygwin.checkpoint import load_checkpoint
 from dygwin.cli import _add_common_flags, _make_run_dir, build_parser, main
 from dygwin.config import config_hash, parse_config_file, resolve_config
+from dygwin.data import load_cache
 from dygwin.errors import ConfigError, ConsistencyError
 
 from synthetic import make_synthetic_ctdg, write_synthetic_csv
@@ -94,7 +95,24 @@ class TestSubcommands:
         run = run_dir_of(tmp_path, "ingest")
         assert (run / "ctdg.npz").exists()
         assert (run / "config.txt").exists()
-        assert dataset.with_suffix(".idmap").exists()
+        with (run / "idmap.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        ctdg = load_cache(run / "ctdg.npz")
+        assert rows[0] == ["original_id", "compact_id"]
+        assert rows[1:] == [[str(orig), str(comp)]
+                            for comp, orig in enumerate(ctdg.original_ids.tolist())]
+
+    def test_loading_a_csv_leaves_its_directory_unchanged(self, dataset, tmp_path):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        copy = data_dir / dataset.name
+        copy.write_bytes(dataset.read_bytes())
+        out = tmp_path / "runs"
+        assert main(["split", "--dataset", str(copy), "--output-dir", str(out)]) == 0
+        assert main(["train", "--dataset", str(copy), "--output-dir", str(out),
+                     "--epochs", "1", "--window-size", "120", "--set", "target_size=40",
+                     *SMALL_MODEL]) == 0
+        assert [p.name for p in data_dir.iterdir()] == [dataset.name]
 
     def test_split_manifest(self, dataset, tmp_path):
         code = main(["split", "--dataset", str(dataset), "--output-dir", str(tmp_path),
@@ -203,14 +221,32 @@ class TestSubcommands:
         assert "error kind=data" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("column, rows", [("feats", 1), ("labels", 1),
+                                              ("label_present", 1), ("original_ids", 2),
+                                              ("node_features", 2)])
+    def test_cache_column_of_another_length_is_data_error(self, tmp_path, capsys,
+                                                          column, rows):
+        # Two edges over three nodes: edge columns need 2 rows, node columns 3.
+        columns = {"u": [0, 1], "v": [1, 2], "t": [1.0, 2.0], "feats": np.zeros((2, 1)),
+                   "labels": [np.nan] * 2, "label_present": [False] * 2,
+                   "num_nodes": 3, "original_ids": [0, 1, 2],
+                   "node_features": np.zeros((3, 4))}
+        columns[column] = np.asarray(columns[column])[:rows]
+        cache = tmp_path / "short.npz"
+        np.savez(cache, **columns)
+        out = tmp_path / "runs"
+        code = main(["ingest", "--dataset", str(cache), "--output-dir", str(out)])
+        assert code == 3
+        assert "error kind=data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = main(["ingest", "--dataset", str(tmp_path / "nope.csv"),
                      "--output-dir", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.allow_nonfinite  # let the loss itself go non-finite
     def test_diverging_loss_is_numeric_failure(self, dataset, tmp_path):
-        from dygwin import tensor as tensor_mod
-        tensor_mod.set_debug_checks(False)  # let the loss itself go non-finite
         code = main(["train", "--dataset", str(dataset), "--output-dir", str(tmp_path),
                      "--epochs", "3", "--window-size", "120", "--set", "target_size=40",
                      "--set", "lr=1e18", *SMALL_MODEL])
@@ -400,8 +436,8 @@ def test_artifact_digests_script_is_well_formed_and_repeatable():
                               env=env, capture_output=True, text=True, check=True).stdout
                for _ in range(2)]
     lines = outputs[0].splitlines()
-    assert len(lines) == 14
+    assert len(lines) == 15
     for line in lines:
-        assert re.fullmatch(r"\S+ (model\.dygw|history\.csv|ssl_log\.csv|report\.csv) "
-                            r"[0-9a-f]{64}", line), line
+        assert re.fullmatch(r"\S+ (ctdg\.npz|model\.dygw|history\.csv|ssl_log\.csv"
+                            r"|report\.csv) [0-9a-f]{64}", line), line
     assert outputs[1] == outputs[0]

@@ -24,7 +24,7 @@ class TestLoadCsv:
         assert ctdg.num_nodes == 3
         assert len(ctdg) == 3
         assert ctdg.edge_dim == 0
-        assert (tmp_path / "tiny.idmap").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]  # loading writes nothing
 
     def test_out_of_order_rows_stably_sorted(self, tmp_path):
         sorted_path = write_csv(tmp_path, "s.csv", "u,v,t\n0,1,2.0\n1,2,5.0\n")
@@ -60,10 +60,8 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "gap.csv", "u,v,t\n10,50,1.0\n50,99,2.0\n")
         ctdg = load_csv(path)
         assert ctdg.num_nodes == 3
-        assert ctdg.u.max() < 3 and ctdg.v.max() < 3
-        idmap = dict(line.split(",") for line in
-                     (tmp_path / "gap.idmap").read_text().splitlines())
-        assert set(idmap) == {"10", "50", "99"}
+        assert ctdg.u.tolist() == [0, 1] and ctdg.v.tolist() == [1, 2]
+        assert ctdg.original_ids.tolist() == [10, 50, 99]
 
     def test_cache_round_trip(self, tmp_path):
         path = write_csv(tmp_path, "c.csv", "u,v,t,label,f0\n0,1,1.0,1,0.5\n1,2,2.0,,0.25\n")

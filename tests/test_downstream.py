@@ -5,6 +5,7 @@ import pytest
 
 import dygwin.downstream as downstream
 import dygwin.tensor as T
+from dygwin.checkpoint import load_checkpoint, save_model
 from dygwin.data import chronological_split
 from dygwin.downstream import (TrainConfig, bce_loss, dnc_score, evaluate_dnc,
                                evaluate_flp, flp_score, init_decoder, init_flp_decoder,
@@ -12,6 +13,7 @@ from dygwin.downstream import (TrainConfig, bce_loss, dnc_score, evaluate_dnc,
 from dygwin.encoder import NodeEmbeddings, init_encoder
 from dygwin.errors import ConfigError, ContractError
 from dygwin.features import WindowFeatureCache
+from dygwin.pretrain import init_predictor
 
 from gradcheck import finite_difference_check
 from graphs import ctdg_from, edges_from
@@ -193,13 +195,25 @@ class TestRecencyGap:
     ("flp", [("decoder/w2", (5, 1)), ("decoder/b2", (1, 1))]),
     ("dnc", [("decoder/w2", (5, 5)), ("decoder/b2", (1, 5)),
              ("decoder/w3", (5, 1)), ("decoder/b3", (1, 1))]),
+    ("predictor", [("predictor/w1", (5, 5)), ("predictor/b1", (1, 5)),
+                   ("predictor/w2", (5, 5)), ("predictor/b2", (1, 5))]),
+    ("encoder", [("encoder/time2vec/omega", (1, 2)), ("encoder/time2vec/phase", (1, 2)),
+                 ("encoder/edge_enc/w2", (3, 2)), ("encoder/input_proj", (3, 4))]),
 ])
-def test_decoder_checkpoint_names_order_and_shapes(task, tail):
-    # Saved model files store the decoder under these names; changing them breaks loading.
-    decoder = init_decoder(task, node_dim=5, time_dim=2)
-    assert [(name, p.shape) for name, p in decoder.named().items()] == [
-        ("decoder/t2v/omega", (1, 2)), ("decoder/t2v/phase", (1, 2)),
-        ("decoder/w1", (7, 5)), ("decoder/b1", (1, 5)), *tail]
+def test_decoder_checkpoint_names_order_and_shapes(task, tail, tmp_path):
+    # Saved model files store the parameters under these names; changing them breaks loading.
+    path = tmp_path / "model.dygw"
+    if task == "predictor":
+        save_model(path, predictor=init_predictor(5))
+    elif task == "encoder":  # the names outside encoder/layer{i}/
+        save_model(path, encoder=init_encoder(num_layers=1, node_dim=4, time_dim=2,
+                                              node_feature_dim=3))
+    else:
+        save_model(path, decoder=init_decoder(task, node_dim=5, time_dim=2))
+        tail = [("decoder/t2v/omega", (1, 2)), ("decoder/t2v/phase", (1, 2)),
+                ("decoder/w1", (7, 5)), ("decoder/b1", (1, 5)), *tail]
+    saved = [(name, values.shape) for name, values in load_checkpoint(path).items()]
+    assert [entry for entry in saved if "/layer" not in entry[0]] == tail
 
 
 @pytest.mark.parametrize("field, value", [("val_every", 0), ("val_every", -1)])

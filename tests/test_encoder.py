@@ -90,7 +90,7 @@ class TestLayerForward:
         angles = 0.0 * omega + phase  # recency 3.0 minus edge time 3.0
         f_time = np.concatenate([angles[:, :1], np.sin(angles[:, 1:])], axis=1)
         counts = np.log1p(np.array([[1.0, 1.0, 0.0]]))  # deg(0), deg(1), cn at t=3
-        f = f_time + counts @ params.edge_enc.w2.values
+        f = f_time + counts @ params.edge_enc.values
         phi = np.concatenate([h[1:2], f], axis=1)
         attn_value = phi @ layer.wv[0].values  # single key -> weight 1
         expected_row0 = h[0:1] @ layer.w1.values + attn_value @ layer.wo.values
@@ -201,7 +201,7 @@ class TestEncode:
             for p in positions:
                 angles = (recency - batch.input_edges.t[p]) * omega + phase
                 f_time = np.concatenate([angles[:, :1], np.sin(angles[:, 1:])], axis=1)
-                f = f_time + np.log1p(cache.counts_matrix([p])) @ params.edge_enc.w2.values
+                f = f_time + np.log1p(cache.counts_matrix([p])) @ params.edge_enc.values
                 keys.append(np.concatenate([np.zeros((1, 2)), f], axis=1))
             keys = np.vstack(keys)
             q = np.zeros((1, 2)) @ layer.wq[0].values

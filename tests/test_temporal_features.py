@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dygwin.tensor as T
-from dygwin.features import (TemporalEdgeEncoding, Time2VecParams, WindowFeatureCache,
-                             common_neighbors_at, init_time2vec, time2vec)
+from dygwin.features import (Time2VecParams, WindowFeatureCache, common_neighbors_at,
+                             init_time2vec, time2vec)
 
 from graphs import edges_from
 from oracles import brute_common_neighbors, brute_degree, edge_encoding
@@ -149,14 +149,14 @@ def test_counts_at_matches_brute_force(data):
 
 class TestEdgeEncoding:
     def test_zero_map_gives_zero(self):
-        enc = TemporalEdgeEncoding(w2=T.parameter(np.zeros((3, 5))))
+        enc = T.parameter(np.zeros((3, 5)))
         edges = edges_from([(0, 1, 1.0), (0, 2, 2.0)])
         out = edge_encoding(enc, edges, 0, 1, 3.0)
         assert np.array_equal(out.values, np.zeros((1, 5)))
 
     def test_isolated_pair_bias_free_zero(self):
         rng = np.random.default_rng(0)
-        enc = TemporalEdgeEncoding(w2=T.parameter(rng.normal(size=(3, 4))))
+        enc = T.parameter(rng.normal(size=(3, 4)))
         edges = edges_from([(5, 6, 1.0)])
         out = edge_encoding(enc, edges, 0, 1, 0.5)
         assert np.array_equal(out.values, np.zeros((1, 4)))
@@ -164,7 +164,7 @@ class TestEdgeEncoding:
     def test_selector_rows_expose_log1p_counts(self):
         w2 = np.zeros((3, 5))
         w2[:3, :3] = np.eye(3)
-        enc = TemporalEdgeEncoding(w2=T.parameter(w2))
+        enc = T.parameter(w2)
         # deg(0)=2, deg(1)=3, common neighbor {2}
         triples = [(0, 2, 1.0), (1, 2, 2.0), (0, 1, 3.0), (1, 3, 4.0)]
         edges = edges_from(triples)
@@ -174,7 +174,7 @@ class TestEdgeEncoding:
     def test_log1p_scale(self):
         w2 = np.zeros((3, 3))
         w2[0, 0] = 1.0
-        enc = TemporalEdgeEncoding(w2=T.parameter(w2))
+        enc = T.parameter(w2)
         edges = edges_from([(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0)])
         out = edge_encoding(enc, edges, 0, 1, 4.0)
         assert abs(out.values[0, 0] - np.log1p(3)) < 1e-12

@@ -244,3 +244,9 @@ def test_add_mul_gradients_property(rows, cols, data):
     n = rows * cols
     assert np.allclose(a.grad, b.values / n, atol=1e-9)
     assert np.allclose(b.grad, (a.values + 2 * b.values) / n, atol=1e-9)
+
+
+def test_finite_check_fixture_raises_on_inf():
+    # tests/conftest.py wraps every primitive's output in a finite check.
+    with pytest.raises(FloatingPointError, match="add produced non-finite values"):
+        T.add(T.constant([[np.inf]]), T.constant([[1.0]]))
