@@ -153,15 +153,20 @@ class SplitSpec:
 
 def _parse_number(text: str, line_no: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"line {line_no}: non-numeric value {text!r} in column {column!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"line {line_no}: non-finite value {text!r} in column {column!r}")
+    return value
 
 
 def _parse_node_id(text: str, line_no: int, column: str) -> int:
     value = _parse_number(text, line_no, column)
     if not value.is_integer():
         raise DataError(f"line {line_no}: node id {text!r} in column {column!r} is not an integer")
+    if abs(value) >= 2.0**63:
+        raise DataError(f"line {line_no}: node id {text!r} in column {column!r} is outside int64")
     return int(value)
 
 

@@ -178,6 +178,16 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+def _row_sum(values: Array, ids: Array, num_rows: int) -> Array:
+    """Sum the rows of ``values`` sharing an id, through one ``np.bincount`` over
+    ``id * width + column`` keys: in float64 bit for bit what ``ufunc.at`` adds
+    row by row, in float32 rounded once instead of once per row."""
+    width = int(np.prod(values.shape[1:]))
+    keys = (ids[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(keys, weights=values.ravel(), minlength=num_rows * width)
+    return sums.reshape((num_rows,) + values.shape[1:]).astype(values.dtype, copy=False)
+
+
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -339,9 +349,7 @@ def slice_rows(a: Tensor, rows) -> Tensor:
     out = a.values[rows]
 
     def bwd(g: Array):
-        full = np.zeros_like(a.values)
-        np.add.at(full, rows, g)
-        return (full,)
+        return (_row_sum(g, rows, a.shape[0]).astype(a.values.dtype, copy=False),)
 
     return _finish("slice_rows", (a,), out, bwd)
 
@@ -358,26 +366,22 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def segment_softmax(a: Tensor, segment_ids) -> Tensor:
-    """Softmax along axis 0 within contiguous groups sharing a segment id."""
+    """Softmax along axis 0 within each segment id's rows, which must be contiguous."""
     seg = np.asarray(segment_ids, dtype=np.int64)
     if a.values.ndim != 2 or seg.shape != (a.shape[0],):
         raise ShapeError(
             f"segment_softmax: values {a.shape} vs segment ids {seg.shape}"
         )
-    if seg.size == 0:
-        return _finish("segment_softmax", (a,), a.values.copy(), lambda g: (g,))
-    num = int(seg.max()) + 1
-    seg_max = np.full((num,) + a.shape[1:], -np.inf, dtype=a.values.dtype)
-    np.maximum.at(seg_max, seg, a.values)
-    e = np.exp(a.values - seg_max[seg])
-    denom = np.zeros((num,) + a.shape[1:], dtype=a.values.dtype)
-    np.add.at(denom, seg, e)
-    out = e / denom[seg]
+    head = np.diff(seg, prepend=seg[:1] - 1) != 0
+    starts = np.flatnonzero(head)
+    if np.unique(seg[starts]).size < starts.size:
+        raise ShapeError("segment_softmax: a segment id's rows are not contiguous")
+    run = np.cumsum(head) - 1
+    e = np.exp(a.values - np.maximum.reduceat(a.values, starts)[run])
+    out = e / _row_sum(e, run, starts.size)[run]
 
     def bwd(g: Array):
-        dot = np.zeros((num,) + a.shape[1:], dtype=g.dtype)
-        np.add.at(dot, seg, out * g)
-        return (out * (g - dot[seg]),)
+        return (out * (g - _row_sum(out * g, run, starts.size)[run]),)
 
     return _finish("segment_softmax", (a,), out, bwd)
 
@@ -389,8 +393,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
         raise ShapeError(f"segment_sum: values {a.shape} vs segment ids {seg.shape}")
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ShapeError("segment_sum: segment id outside [0, num_segments)")
-    out = np.zeros((num_segments, a.shape[1]), dtype=a.values.dtype)
-    np.add.at(out, seg, a.values)
+    out = _row_sum(a.values, seg, num_segments)
 
     def bwd(g: Array):
         return (g[seg],)

@@ -7,8 +7,10 @@ can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
 ``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
 ``WindowFeatureCache.counts_at``. The
 ``sigmoid`` and ``softmax_rows`` primitives serve the reference ``mha`` and
-the gradient checks only, and ``checkpoint_digest`` lets a test compare
-parameter maps by content.
+the gradient checks only. ``slice_rows``, ``segment_softmax`` and
+``segment_sum`` scatter through ``np.add.at`` and ``np.maximum.at``, one cell
+at a time, for comparison with the ``np.bincount`` forms in ``dygwin.tensor``.
+``checkpoint_digest`` lets a test compare parameter maps by content.
 """
 
 import hashlib
@@ -50,6 +52,49 @@ def softmax_rows(a: Tensor) -> Tensor:
         return (out * (g - dot),)
 
     return _finish("softmax_rows", (a,), out, bwd)
+
+
+def slice_rows(a: Tensor, rows) -> Tensor:
+    rows = np.asarray(rows, dtype=np.int64)
+    out = a.values[rows]
+
+    def bwd(g):
+        full = np.zeros_like(a.values)
+        np.add.at(full, rows, g)
+        return (full,)
+
+    return _finish("slice_rows", (a,), out, bwd)
+
+
+def segment_softmax(a: Tensor, segment_ids) -> Tensor:
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    if seg.size == 0:
+        return _finish("segment_softmax", (a,), a.values.copy(), lambda g: (g,))
+    num = int(seg.max()) + 1
+    seg_max = np.full((num,) + a.shape[1:], -np.inf, dtype=a.values.dtype)
+    np.maximum.at(seg_max, seg, a.values)
+    e = np.exp(a.values - seg_max[seg])
+    denom = np.zeros((num,) + a.shape[1:], dtype=a.values.dtype)
+    np.add.at(denom, seg, e)
+    out = e / denom[seg]
+
+    def bwd(g):
+        dot = np.zeros((num,) + a.shape[1:], dtype=g.dtype)
+        np.add.at(dot, seg, out * g)
+        return (out * (g - dot[seg]),)
+
+    return _finish("segment_softmax", (a,), out, bwd)
+
+
+def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    out = np.zeros((num_segments, a.shape[1]), dtype=a.values.dtype)
+    np.add.at(out, seg, a.values)
+
+    def bwd(g):
+        return (g[seg],)
+
+    return _finish("segment_sum", (a,), out, bwd)
 
 
 def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,

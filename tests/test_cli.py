@@ -245,6 +245,23 @@ class TestSubcommands:
                      "--output-dir", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("u,v,t\n0,1,1.0\n1e20,2,2.0\n", "line 3: node id '1e20' in column 'u' is outside int64"),
+        ("u,v,t,f0\n0,1,1.0,0.5\n1,2,2.0,nan\n", "line 3: non-finite value 'nan' in column 'f0'"),
+        ("u,v,t,label,f0\n0,1,1.0,1,inf\n1,2,2.0,0,1\n",
+         "line 2: non-finite value 'inf' in column 'f0'"),
+        ("u,v,t,label\n0,1,1.0,1\n1,2,2.0,nan\n", "line 3: non-finite value 'nan' in column 'label'"),
+    ])
+    def test_unrepresentable_csv_value_is_data_error(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        out = tmp_path / "runs"
+        code = main(["ingest", "--dataset", str(csv_path), "--output-dir", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error kind=data" in err and message in err
+        assert not out.exists()
+
     @pytest.mark.allow_nonfinite  # let the loss itself go non-finite
     def test_diverging_loss_is_numeric_failure(self, dataset, tmp_path):
         code = main(["train", "--dataset", str(dataset), "--output-dir", str(tmp_path),

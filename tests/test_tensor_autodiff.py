@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dygwin.tensor as T
@@ -10,6 +10,7 @@ from dygwin.errors import ContractError, ShapeError
 from dygwin.tensor import Tape, backward
 
 from gradcheck import HarnessError, finite_difference_check
+import oracles
 from oracles import sigmoid, softmax_rows
 
 
@@ -163,11 +164,11 @@ def _composition_cases():
         {"q": q, "k": k})
 
     x_seg = param(rng.normal(size=(6, 3)))
-    seg = np.array([0, 0, 1, 1, 1, 2])
+    seg = np.array([0, 0, 2, 2, 2, 3])  # segments 1 and 4 stay empty
 
     def segment_pipeline():
         soft = T.segment_softmax(T.tensor_sum(x_seg, axis=1, keepdims=True), seg)
-        pooled = T.segment_sum(T.mul(soft, x_seg), seg, 3)
+        pooled = T.segment_sum(T.mul(soft, x_seg), seg, 5)
         return T.mean(T.mul(pooled, pooled))
 
     cases["segment_pipeline"] = (segment_pipeline, {"x": x_seg})
@@ -176,7 +177,7 @@ def _composition_cases():
     other = param(rng.normal(size=(4, 2)))
     cases["gather_concat"] = (
         lambda: T.mean(sigmoid(T.concat_last_dim(
-            [T.slice_rows(table, [0, 2, 2, 4]), other]))),
+            [T.slice_rows(table, [4, 2, 0, 2]), other]))),
         {"table": table, "other": other})
 
     x_trig = param(np.abs(rng.normal(size=(3, 3))) + 0.5)
@@ -250,3 +251,79 @@ def test_finite_check_fixture_raises_on_inf():
     # tests/conftest.py wraps every primitive's output in a finite check.
     with pytest.raises(FloatingPointError, match="add produced non-finite values"):
         T.add(T.constant([[np.inf]]), T.constant([[1.0]]))
+
+
+DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+def _value_and_grad(primitive, values, g, *args):
+    """Forward values and the input gradient that ``primitive`` returns for ``g``."""
+    with Tape() as tape:
+        out = primitive(T.parameter(values), *args)
+    return out.values, tape.entries[-1].backward(g)[0]
+
+
+def _assert_matches_oracle(primitive, oracle, values, g, *args):
+    """Bit for bit when every input is float64; within float32 rounding otherwise.
+    An empty result may differ in dtype only."""
+    for new, old in zip(_value_and_grad(primitive, values, g, *args),
+                        _value_and_grad(oracle, values, g, *args)):
+        assert new.shape == old.shape and (new.dtype == old.dtype or new.size == 0)
+        if values.dtype == g.dtype == np.float64:
+            np.testing.assert_array_equal(new, old)
+        else:
+            np.testing.assert_allclose(new, old, rtol=1e-5, atol=1e-5)
+
+
+@settings(deadline=None, max_examples=60)
+@given(num_rows=st.integers(1, 6), tail=st.lists(st.integers(1, 3), max_size=2),
+       picks=st.lists(st.integers(0, 99), max_size=8), dtype=DTYPES, g_dtype=DTYPES,
+       seed=st.integers(0, 2**16))
+@example(num_rows=3, tail=[2], picks=[], dtype=np.float64, g_dtype=np.float64, seed=0)
+@example(num_rows=4, tail=[], picks=[3, 1, 3, 0, 1], dtype=np.float64, g_dtype=np.float64,
+         seed=1)
+@example(num_rows=4, tail=[2, 3], picks=[2, 0, 2, 2], dtype=np.float32, g_dtype=np.float64,
+         seed=2)
+def test_slice_rows_matches_scatter_oracle(num_rows, tail, picks, dtype, g_dtype, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.asarray(picks, dtype=np.int64) % num_rows  # unsorted and repeated
+    values = rng.normal(scale=3.0, size=(num_rows, *tail)).astype(dtype)
+    g = rng.normal(scale=3.0, size=(len(rows), *tail)).astype(g_dtype)
+    _assert_matches_oracle(T.slice_rows, oracles.slice_rows, values, g, rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(num_segments=st.integers(1, 5), width=st.integers(1, 3),
+       picks=st.lists(st.integers(0, 99), max_size=8), dtype=DTYPES, g_dtype=DTYPES,
+       seed=st.integers(0, 2**16))
+@example(num_segments=3, width=2, picks=[], dtype=np.float64, g_dtype=np.float64, seed=0)
+@example(num_segments=5, width=2, picks=[3, 0, 3, 3, 0], dtype=np.float64,
+         g_dtype=np.float64, seed=1)
+def test_segment_sum_matches_scatter_oracle(num_segments, width, picks, dtype, g_dtype, seed):
+    rng = np.random.default_rng(seed)
+    seg = np.asarray(picks, dtype=np.int64) % num_segments  # unsorted, ids skipped
+    values = rng.normal(scale=3.0, size=(len(seg), width)).astype(dtype)
+    g = rng.normal(scale=3.0, size=(num_segments, width)).astype(g_dtype)
+    _assert_matches_oracle(T.segment_sum, oracles.segment_sum, values, g, seg, num_segments)
+
+
+@settings(deadline=None, max_examples=60)
+@given(runs=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4)), max_size=5,
+                     unique_by=lambda run: run[0]),
+       width=st.integers(1, 3), dtype=DTYPES, g_dtype=DTYPES, seed=st.integers(0, 2**16))
+@example(runs=[], width=1, dtype=np.float64, g_dtype=np.float64, seed=0)
+@example(runs=[(0, 2), (2, 3), (7, 1)], width=1, dtype=np.float64, g_dtype=np.float64,
+         seed=1)
+@example(runs=[(5, 3), (1, 2)], width=2, dtype=np.float32, g_dtype=np.float64, seed=2)
+def test_segment_softmax_matches_scatter_oracle(runs, width, dtype, g_dtype, seed):
+    rng = np.random.default_rng(seed)
+    # Each id one contiguous run; ids in any order, with gaps between them.
+    seg = np.repeat([i for i, _ in runs], [n for _, n in runs]).astype(np.int64)
+    values = rng.normal(scale=3.0, size=(len(seg), width)).astype(dtype)
+    g = rng.normal(scale=3.0, size=(len(seg), width)).astype(g_dtype)
+    _assert_matches_oracle(T.segment_softmax, oracles.segment_softmax, values, g, seg)
+
+
+def test_segment_softmax_rejects_a_split_segment():
+    with pytest.raises(ShapeError, match="not contiguous"):
+        T.segment_softmax(T.constant(np.zeros((3, 1))), [0, 1, 0])
