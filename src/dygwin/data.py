@@ -162,12 +162,17 @@ def _parse_number(text: str, line_no: int, column: str) -> float:
 
 
 def _parse_node_id(text: str, line_no: int, column: str) -> int:
-    value = _parse_number(text, line_no, column)
-    if not value.is_integer():
-        raise DataError(f"line {line_no}: node id {text!r} in column {column!r} is not an integer")
-    if abs(value) >= 2.0**63:
+    try:
+        value = int(text)  # exact at any size, where a float keeps 53 bits
+    except ValueError:
+        number = _parse_number(text, line_no, column)  # forms like 3.0 or 1e3
+        if not number.is_integer():
+            raise DataError(f"line {line_no}: node id {text!r} in column {column!r} "
+                            "is not an integer") from None
+        value = int(number)
+    if abs(value) >= 2**63:
         raise DataError(f"line {line_no}: node id {text!r} in column {column!r} is outside int64")
-    return int(value)
+    return value
 
 
 def load_csv(path) -> CTDG:

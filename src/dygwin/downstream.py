@@ -8,6 +8,7 @@ encoder parameters.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 from .timing import PhaseTimer
-from .windows import evaluation_windows, generate_intervals, make_window_batch
+from .windows import generate_intervals, make_window_batch
 
 NEG_STREAM = 31
 ENC_STREAM = 33
@@ -80,12 +81,12 @@ def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarra
             rng: np.random.Generator | None = None) -> Tensor:
     """Logits for ``rows`` at times ``ts``.
 
-    The time input is t minus the source's latest interaction in the input
-    slice: the slice's last time when the source has no history there, and t
-    itself (a gap of 0) when the slice is empty.
+    The time input is t minus the source's latest interaction in its input
+    window: the window's last time when the source has no history there, and
+    t itself (a gap of 0) when the window is empty.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    last = cache.index.last_time(src, cache.edges.t[-1] if len(cache.edges) else np.nan)
+    last = cache.index.last_time(src)
     delta = np.where(np.isnan(last), 0.0, ts - last)
     return decoder.forward(T.concat_last_dim([rows, time2vec(decoder.t2v, delta)]),
                            training, rng)
@@ -140,6 +141,104 @@ def bce_loss(logits: Tensor, labels) -> Tensor:
 # Evaluation passes
 # ---------------------------------------------------------------------------
 
+# Consecutive cuts share one encode while their target edges total at most this
+# (a cut with more goes alone), so a pass's memory is bounded; K >= PASS_TARGETS
+# without a target filter gives one cut per pass.
+PASS_TARGETS = 16
+
+
+def evaluation_passes(ctdg: CTDG, region: tuple[int, int], window: int, horizon: int,
+                      target_filter=None, labeled: bool = False
+                      ) -> Iterator[tuple[WindowFeatureCache, list[int], list[EdgeArray]]]:
+    """Target windows of size ``horizon`` tiling ``region``, in passes of
+    consecutive cuts, yielded one pass at a time.
+
+    Each region edge is a target of exactly one cut. A cut's input window is
+    the ``window`` edges before it, crossing split boundaries, and one cache
+    over [max(0, start - window), end) serves every cut. A cut scores the
+    targets ``target_filter`` selects (all by default), only the labeled ones
+    if ``labeled``, and is skipped if none is left. A pass yields the cache
+    over its cuts' windows, with row ids ``slot * num_nodes + node``, the cuts
+    and their scored targets. The arguments are checked on the first ``next``.
+    """
+    start, end = region
+    if horizon < 1:
+        raise ContractError(f"horizon must be >= 1, got {horizon}")
+    if not 0 <= start <= end <= len(ctdg):
+        raise ContractError(f"bad evaluation region [{start}, {end})")
+    log_start = max(0, start - window)
+    cache = WindowFeatureCache(ctdg.window(log_start, end))
+
+    def one_pass():
+        his = np.asarray(cuts) - log_start
+        return cache.windows(np.maximum(his - window, 0), his, ctdg.num_nodes), cuts, targets
+
+    cuts, targets = [], []
+    for cut in range(start, end, horizon):
+        chosen = ctdg.window(cut, min(cut + horizon, end))
+        if target_filter is not None:
+            chosen = chosen.take(target_filter(chosen))
+        if labeled:
+            chosen = chosen.take(chosen.label_present)
+        if len(chosen) == 0:
+            continue
+        if cuts and sum(map(len, targets)) + len(chosen) > PASS_TARGETS:
+            yield one_pass()
+            cuts, targets = [], []
+        cuts.append(cut)
+        targets.append(chosen)
+    if cuts:
+        yield one_pass()
+
+
+def _pass_rows(ctdg: CTDG, targets: list[EdgeArray]) -> tuple[np.ndarray, EdgeArray]:
+    """Each target's row-id offset, slot * num_nodes, and the targets as one array."""
+    offsets = np.repeat(np.arange(len(targets)) * ctdg.num_nodes, [len(t) for t in targets])
+    merged = EdgeArray(*(np.concatenate([getattr(t, c) for t in targets])
+                         for c in EdgeArray.__slots__))
+    return offsets, merged
+
+
+def flp_scores(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
+               decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
+               seed: int, target_filter=None, rank_negatives: int = 0
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits of every region edge, in log order: (positives, their 1:1
+    negatives, (positives, rank_negatives) rank negatives). Draws are keyed
+    by cut."""
+    pos_scores, neg_scores = [np.empty(0)], [np.empty(0)]
+    rank_scores = [np.empty((0, rank_negatives))]
+    for cache, cuts, targets in evaluation_passes(ctdg, region, window, horizon,
+                                                  target_filter):
+        negatives, rank_neg = [], []
+        for cut, cut_targets in zip(cuts, targets):
+            neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
+            negatives.append(sample_negatives(cut_targets, neg_rng, ctdg.num_nodes))
+            if rank_negatives > 0:
+                rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
+                rank_neg.append(sample_negatives(cut_targets, rank_rng, ctdg.num_nodes,
+                                                 rank_negatives))
+        offsets, merged = _pass_rows(ctdg, targets)
+        src, dst = merged.u + offsets, merged.v + offsets
+        negatives = np.concatenate(negatives).ravel() + offsets
+        rank_neg = (np.concatenate(rank_neg) + offsets[:, None] if rank_neg else
+                    np.empty((len(merged), 0), dtype=np.int64)).ravel()
+        embeddings = encode(cache, encoder, max_neighbors,
+                            [(seed, EVAL_ENC_STREAM, cut) for cut in cuts],
+                            np.concatenate([src, dst, negatives, rank_neg]),
+                            node_features=ctdg.node_features)
+        pos_scores.append(flp_score(decoder, embeddings, src, dst, merged.t,
+                                    cache).values.ravel())
+        neg_scores.append(flp_score(decoder, embeddings, src, negatives, merged.t,
+                                    cache).values.ravel())
+        if rank_negatives > 0:
+            rank_scores.append(flp_score(decoder, embeddings,
+                                         np.repeat(src, rank_negatives), rank_neg,
+                                         np.repeat(merged.t, rank_negatives),
+                                         cache).values.reshape(len(merged), rank_negatives))
+    return np.concatenate(pos_scores), np.concatenate(neg_scores), np.concatenate(rank_scores)
+
+
 def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
                  decoder: DecoderParams, window: int, horizon: int,
                  max_neighbors: int, seed: int, target_filter=None,
@@ -149,32 +248,8 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
     Returns AP over 1:1 negatives, plus MRR / recall@10 over
     ``rank_negatives``-sized candidate groups when requested.
     """
-    pos_scores, neg_scores = [np.empty(0)], [np.empty(0)]
-    rank_scores = [np.empty((0, rank_negatives))]
-    for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
-                                    target_filter):
-        targets = batch.target_edges
-        cut = batch.interval.end
-        cache = WindowFeatureCache(batch.input_edges)
-        neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
-        negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
-        rank_neg = np.empty(0, dtype=np.int64)
-        if rank_negatives > 0:
-            rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
-            rank_neg = sample_negatives(targets, rank_rng, ctdg.num_nodes, rank_negatives)
-        scored = np.concatenate([targets.u, targets.v, negatives.ravel(), rank_neg.ravel()])
-        embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            scored, node_features=ctdg.node_features)
-        pos_scores.append(flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
-                                    cache).values.ravel())
-        neg_scores.append(flp_score(decoder, embeddings, targets.u, negatives.ravel(),
-                                    targets.t, cache).values.ravel())
-        if rank_negatives > 0:
-            rank_scores.append(flp_score(decoder, embeddings,
-                                         np.repeat(targets.u, rank_negatives), rank_neg.ravel(),
-                                         np.repeat(targets.t, rank_negatives),
-                                         cache).values.reshape(len(targets), rank_negatives))
-    pos, neg = np.concatenate(pos_scores), np.concatenate(neg_scores)
+    pos, neg, rank = flp_scores(ctdg, region, encoder, decoder, window, horizon,
+                                max_neighbors, seed, target_filter, rank_negatives)
     # Negatives first: AP keeps input order on ties, so a tied positive ranks
     # below every negative and a constant scorer cannot look informative.
     scores = np.concatenate([neg, pos])
@@ -183,7 +258,7 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
               "ap": average_precision(scores, labels) if scores.size else None}
     if rank_negatives > 0:
         # One group per positive, a row: its own score, then its rank negatives.
-        candidates = np.hstack([pos[:, None], np.concatenate(rank_scores)])
+        candidates = np.hstack([pos[:, None], rank])
         groups, column = np.indices(candidates.shape)
         ranked = (candidates, column == 0, groups)
         result["mrr"] = mrr(*ranked) if pos.size else None
@@ -191,26 +266,32 @@ def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
     return result
 
 
+def dnc_scores(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
+               decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
+               seed: int, target_filter=None) -> tuple[np.ndarray, np.ndarray]:
+    """Source logits and 0/1 labels of the region's labeled edges, in log order."""
+    scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for cache, cuts, targets in evaluation_passes(ctdg, region, window, horizon,
+                                                  target_filter, labeled=True):
+        offsets, labeled = _pass_rows(ctdg, targets)
+        src = labeled.u + offsets
+        embeddings = encode(cache, encoder, max_neighbors,
+                            [(seed, EVAL_ENC_STREAM, cut) for cut in cuts], src,
+                            node_features=ctdg.node_features)
+        scores.append(dnc_score(decoder, embeddings, src, labeled.t, cache,
+                                training=False).values.ravel())
+        labels.append((labeled.labels > 0.5).astype(np.int64))
+    return np.concatenate(scores), np.concatenate(labels)
+
+
 def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
                  decoder: DecoderParams, window: int, horizon: int,
                  max_neighbors: int, seed: int, target_filter=None) -> dict:
     """AUC (and AP) of source-node labels over the region's labeled edges."""
-    scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
-                                    target_filter):
-        labeled = batch.target_edges.take(batch.target_edges.label_present)
-        if len(labeled) == 0:
-            continue
-        cut = batch.interval.end
-        cache = WindowFeatureCache(batch.input_edges)
-        embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            labeled.u, node_features=ctdg.node_features)
-        scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
-                                training=False).values.ravel())
-        labels.append((labeled.labels > 0.5).astype(np.int64))
-    labels = np.concatenate(labels)
+    scores, labels = dnc_scores(ctdg, region, encoder, decoder, window, horizon,
+                                max_neighbors, seed, target_filter)
     order = np.argsort(labels, kind="stable")  # negatives first, as in evaluate_flp
-    scores, labels = np.concatenate(scores)[order], labels[order]
+    scores, labels = scores[order], labels[order]
     return {"num_records": labels.size,
             "auc": auc(scores, labels) if labels.size else None,
             "ap": average_precision(scores, labels) if labels.size else None}

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import EdgeArray
 from .errors import ConsistencyError, ContractError
 from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2vec
 from .tensor import Tensor
-from .windows import build_layered_neighborhood
+from .windows import IncidenceIndex, LayeredNeighborhood, build_layered_neighborhood
 
 NEIGHBOR_STREAM = 11
 DROPOUT_STREAM = 13
@@ -119,43 +118,66 @@ class NodeEmbeddings:
 
     def rows(self, nodes) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64).ravel()
-        missing = ~np.isin(nodes, self.ids)
+        rows = np.searchsorted(self.ids, nodes)
+        missing = np.append(self.ids, -1)[rows] != nodes  # a node past the last id reads -1
         if np.any(missing):
             raise ConsistencyError(f"no embedding row for node {nodes[missing][0]}")
-        return np.searchsorted(self.ids, nodes)
+        return rows
 
     def gather(self, nodes) -> Tensor:
         return T.slice_rows(self.matrix, self.rows(nodes))
 
 
-def _flatten_layer(samples: dict[int, np.ndarray], embeddings: NodeEmbeddings,
-                   edges: EdgeArray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _flatten_layer(samples: dict[int, np.ndarray], index: IncidenceIndex
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flatten per-anchor samples into (anchors, segment, edge_position,
-    neighbor_row): anchors ascending, one segment (the index of its anchor)
-    per sampled position, each anchor's positions in sample order, and
-    neighbour rows in ``embeddings``."""
+    neighbor): anchors ascending, one segment (the index of its anchor) per
+    sampled position, each anchor's positions in sample order, and the row id
+    of each position's other endpoint in its anchor's window."""
     keys = sorted(samples)
     positions = np.concatenate([np.empty(0, dtype=np.int64), *(samples[a] for a in keys)])
     segments = np.repeat(np.arange(len(keys)), [samples[a].size for a in keys])
     anchors = np.asarray(keys, dtype=np.int64)
-    anchor_ids = anchors[segments]
-    others = np.where(edges.u[positions] == anchor_ids, edges.v[positions], edges.u[positions])
-    return anchors, segments, positions, embeddings.rows(others)
+    slots, nodes = np.divmod(anchors[segments], index.stride)
+    u, v = index.edges.u[positions], index.edges.v[positions]
+    return anchors, segments, positions, np.where(u == nodes, v, u) + slots * index.stride
+
+
+def message_counts(cache: WindowFeatureCache, hood: LayeredNeighborhood) -> list[np.ndarray]:
+    """Each layer's (deg_u, deg_v, common) rows, in ``_flatten_layer`` order, from
+    one ``counts_matrix`` call per window on its positions over all layers."""
+    index = cache.index
+    # Anchors ascend, so a window's messages are one block of each layer.
+    bounds = [np.searchsorted(slots, np.arange(len(index.lo) + 1)) for slots in hood.slots]
+    counts = [np.empty((positions.size, 3)) for positions in hood.positions]
+    for slot, lo in enumerate(index.lo.tolist()):
+        parts = [slice(b[slot], b[slot + 1]) for b in bounds]
+        positions = np.concatenate([p[part] for p, part in zip(hood.positions, parts)])
+        if positions.size == 0:
+            continue
+        union, inverse = np.unique(positions, return_inverse=True)
+        rows, start = cache.window(slot).counts_matrix(union - lo)[inverse], 0
+        for out, part in zip(counts, parts):
+            out[part] = rows[start:start + part.stop - part.start]
+            start += part.stop - part.start
+    return counts
 
 
 def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
-                  layer: LayerParams, params: EncoderParams, cache: WindowFeatureCache,
-                  dropout_rng: np.random.Generator | None = None,
+                  layer: LayerParams, params: EncoderParams, index: IncidenceIndex,
+                  counts: np.ndarray, dropout_rng: np.random.Generator | None = None,
                   training: bool = False) -> NodeEmbeddings:
     """One attention layer from the input rows to one row per anchor of ``samples``.
 
-    Sampled positions index ``cache.edges``. Anchors and their sampled
-    neighbours must have input rows. An anchor with an empty sample (no
-    incident edges) takes the bare ``h @ W1`` path; attention context is added
-    for the rest. Output rows are invariant to each anchor's sample order.
+    Anchors are row ids of ``index`` and sampled positions index its log;
+    ``counts`` holds each message's structural counts in ``_flatten_layer``
+    order. Anchors and their sampled neighbours must have input rows. An
+    anchor with an empty sample (no incident edges) takes the bare ``h @ W1``
+    path; attention context is added for the rest. Output rows are invariant
+    to each anchor's sample order.
     """
-    edges = cache.edges
-    anchors, segments, positions, neighbor_rows = _flatten_layer(samples, embeddings, edges)
+    edges = index.edges
+    anchors, segments, positions, neighbors = _flatten_layer(samples, index)
     rows = embeddings.rows(anchors)
     H = embeddings.matrix
     # A request covering the window (training) makes every input row an anchor.
@@ -165,15 +187,14 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
         return NodeEmbeddings(anchors, h_new)
 
     # An anchor with a sampled position has an incident edge, so no fallback is read.
-    delta = cache.index.last_time(anchors[segments], np.nan) - edges.t[positions]
+    delta = index.last_time(anchors, np.nan)[segments] - edges.t[positions]
     masked = edges.enc_masked[positions]
 
-    counts = cache.counts_matrix(positions)
-    counts[masked] = 0.0
+    counts = np.where(masked[:, None], 0.0, counts)
     f = T.add(time2vec(params.t2v, delta),
               T.matmul(T.constant(np.log1p(counts), dtype=params.edge_enc.dtype),
                        params.edge_enc))
-    message_parts = [T.slice_rows(H, neighbor_rows), f]
+    message_parts = [T.slice_rows(H, embeddings.rows(neighbors)), f]
     if params.edge_dim > 0:
         feats = edges.feats[positions].astype(np.float64)
         feats[masked] = 0.0
@@ -198,35 +219,39 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
 
 
 def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
-           rng_key: tuple[int, ...] | int, nodes,
-           node_features: np.ndarray | None = None,
+           rng_key, nodes, node_features: np.ndarray | None = None,
            training: bool = False) -> NodeEmbeddings:
-    """Encode the slice ``cache.edges`` into embeddings of the requested nodes.
+    """Encode the windows of ``cache`` into embeddings of the requested rows.
 
-    Returns one row per distinct id in ``nodes``, ids ascending, and no other
-    row. Layer i is computed only for the nodes within L - i sampled hops of
-    the request, so each row equals the row a request of every window node
-    gives, up to rounding. A requested node without edges in the slice takes
-    the bare ``W1`` chain.
+    ``nodes`` are row ids of ``cache.index`` (node ids for a cache of one
+    window), and window s draws from ``rng_key[s]`` (from ``rng_key`` for one
+    window, the only form training takes). Returns one row per distinct
+    requested id, ids ascending, and no other row. Layer i is computed only
+    for the rows within L - i sampled hops of the request, so each row equals
+    the row a request of every window node gives, up to rounding. A requested
+    node without edges in its window takes the bare ``W1`` chain.
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
+    keys = [rng_key] if isinstance(rng_key, tuple) else rng_key
     requested = np.unique(np.asarray(nodes, dtype=np.int64))
-    hood = build_layered_neighborhood(cache.index, requested, params.num_layers,
-                                      max_neighbors, rng_key + (NEIGHBOR_STREAM,))
+    hood = build_layered_neighborhood(cache.index, requested, params.num_layers, max_neighbors,
+                                      [key + (NEIGHBOR_STREAM,) for key in keys])
     active = hood.active_nodes
+    counts = message_counts(cache, hood)
 
     if params.input_proj is not None:
         if node_features is None:
             raise ConsistencyError("encoder has an input projection but no node features given")
-        h0 = T.matmul(T.constant(node_features[active], dtype=params.dtype), params.input_proj)
+        h0 = T.matmul(T.constant(node_features[active % cache.index.stride], dtype=params.dtype),
+                      params.input_proj)
     else:
         h0 = T.constant(np.zeros((len(active), params.node_dim)), dtype=params.dtype)
 
     embeddings = NodeEmbeddings(active, h0)
     for i, layer in enumerate(params.layers):
-        dropout_rng = np.random.default_rng(rng_key + (DROPOUT_STREAM, i)) \
+        dropout_rng = np.random.default_rng(keys[0] + (DROPOUT_STREAM, i)) \
             if training and params.dropout > 0.0 else None
-        embeddings = layer_forward(embeddings, hood.layers[i], layer, params, cache,
-                                   dropout_rng, training)
+        embeddings = layer_forward(embeddings, hood.layers[i], layer, params, cache.index,
+                                   counts[i], dropout_rng, training)
     return embeddings

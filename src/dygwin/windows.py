@@ -8,7 +8,7 @@ exactly one target window.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,61 +66,65 @@ def make_window_batch(ctdg: CTDG, interval: Interval, target_size: int) -> Windo
     return WindowBatch(interval, input_edges, target_edges)
 
 
-def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int,
-                       window: int, horizon: int,
-                       target_filter=None) -> Iterator[WindowBatch]:
-    """Target windows of size ``horizon`` tiling [region_start, region_end),
-    yielded one at a time.
-
-    Each region edge appears in exactly one target window. Input windows
-    draw on the full preceding history, crossing split boundaries. The
-    arguments are checked on the first ``next``.
-    """
-    if horizon < 1:
-        raise ContractError(f"horizon must be >= 1, got {horizon}")
-    if not 0 <= region_start <= region_end <= len(ctdg):
-        raise ContractError(f"bad evaluation region [{region_start}, {region_end})")
-    for cut in range(region_start, region_end, horizon):
-        batch = make_window_batch(ctdg, Interval(max(0, cut - window), cut),
-                                  min(horizon, region_end - cut))
-        if target_filter is not None:
-            batch.target_edges = batch.target_edges.take(target_filter(batch.target_edges))
-        if len(batch.target_edges):
-            yield batch
+ONE_WINDOW = np.iinfo(np.int64).max  # the stride of a single window: row id = node id
 
 
 class IncidenceIndex:
-    """Per-node incident edge positions within one time-sorted slice, sorted by
+    """Per-node incident edge positions within one time-sorted log, sorted by
     (node, position): each node's run is ascending, hence time-ordered, and a
-    self-loop is one entry. Read-only, since ``incident`` returns views."""
+    self-loop is one entry. Read-only, since ``incident`` returns views.
+
+    Positions are log positions. The index answers for windows of the log,
+    the position ranges [lo[s], hi[s]), and row id ``s * stride + node`` names
+    a node in window s. A new index has the one window [0, E), where a row id
+    is the node id; ``windows`` gives a view over others.
+    """
 
     def __init__(self, edges: EdgeArray):
         if np.any(edges.t[1:] < edges.t[:-1]):
             raise ContractError("edge slice timestamps must not decrease")
         self.edges = edges
-        loop = edges.u == edges.v
-        nodes = np.concatenate([edges.u, edges.v[~loop]])
-        positions = np.concatenate([np.arange(len(edges)), np.flatnonzero(~loop)])
-        order = np.lexsort((positions, nodes))
-        self.nodes = nodes[order]
-        self.positions = positions[order]
-        starts = np.flatnonzero(np.diff(self.nodes, prepend=self.nodes[:1] - 1))
-        self._node_ids = self.nodes[starts]
-        self._last_t = edges.t[np.maximum.reduceat(self.positions, starts)]
-        for array in (self.nodes, self.positions, self._node_ids, self._last_t):
+        span, positions = len(edges) + 1, np.arange(len(edges))
+        # node * (E + 1) + position, sorted: a run's part in a window is one key range.
+        self.keys = np.sort(np.concatenate([edges.u * span + positions,
+                                            (edges.v * span + positions)[edges.u != edges.v]]))
+        self.nodes, self.positions = np.divmod(self.keys, span)
+        self._run_times = np.append(edges.t[self.positions], np.nan)  # [-1]: no edge
+        for array in (self.nodes, self.positions, self.keys, self._run_times):
             array.flags.writeable = False
+        self.lo, self.hi, self.stride = np.zeros(1, np.int64), np.full(1, len(edges)), ONE_WINDOW
+
+    def windows(self, lo, hi, stride: int = ONE_WINDOW) -> IncidenceIndex:
+        """This index over the windows [lo[s], hi[s]) of its log, with row ids
+        ``s * stride + node``; ``stride`` must exceed every node id."""
+        view = copy.copy(self)
+        view.lo, view.hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+        if np.any((view.lo < 0) | (view.lo > view.hi) | (view.hi > len(self.edges))):
+            raise ContractError(f"windows outside [0, {len(self.edges)}]")
+        view.stride = stride
+        return view
+
+    def runs(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end, in ``positions``, of each row id's run within its window."""
+        slot, node = np.divmod(np.asarray(ids, dtype=np.int64), self.stride)
+        low = node * (len(self.edges) + 1)
+        return (np.searchsorted(self.keys, low + self.lo[slot]),
+                np.searchsorted(self.keys, low + self.hi[slot]))
 
     def incident(self, node: int) -> np.ndarray:
-        lo, hi = np.searchsorted(self.nodes, [node, node + 1])
-        return self.positions[lo:hi]
+        (start,), (end,) = self.runs([node])
+        return self.positions[start:end]
 
-    def last_time(self, nodes, fallback: float) -> np.ndarray:
-        """Latest incident timestamp of each node, ``fallback`` for a node
-        with no edge in the slice."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        at = np.searchsorted(self._node_ids, nodes)
-        last = np.append(self._last_t, fallback)[at]  # a node past the last id gets the fallback
-        return np.where(np.isin(nodes, self._node_ids), last, fallback)
+    def last_time(self, ids, fallback=None) -> np.ndarray:
+        """Latest incident timestamp of each row id within its window. A row
+        with no edge there gets ``fallback``, by default its window's last
+        timestamp (NaN for an empty window)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        start, end = self.runs(ids)
+        if fallback is None:
+            lo, hi = self.lo[ids // self.stride], self.hi[ids // self.stride]
+            fallback = np.append(self.edges.t, np.nan)[np.where(hi > lo, hi - 1, -1)]
+        return np.where(end > start, self._run_times[end - 1], fallback)
 
 
 def sample_neighbors(index: IncidenceIndex, anchor: int, max_neighbors: int,
@@ -142,39 +146,51 @@ def sample_neighbors(index: IncidenceIndex, anchor: int, max_neighbors: int,
 
 @dataclass
 class LayeredNeighborhood:
-    """Per-layer anchor samples, bottom layer first, plus the rows layer 1 reads."""
+    """Per-layer anchor samples, bottom layer first, plus the rows layer 1 reads.
+
+    Each layer's dict lists its anchors ascending; ``positions`` holds its
+    samples concatenated in that order and ``slots`` each sample's window.
+    """
 
     layers: list[dict[int, np.ndarray]]
     active_nodes: np.ndarray  # sorted unique ids
+    positions: list[np.ndarray]
+    slots: list[np.ndarray]
 
 
 def build_layered_neighborhood(index: IncidenceIndex, seed_nodes,
                                num_layers: int, max_neighbors: int,
-                               rng_key: tuple[int, ...] | int) -> LayeredNeighborhood:
-    """Receptive field of the seeds, sampled top-down against the index's slice.
+                               rng_key) -> LayeredNeighborhood:
+    """Receptive field of the seed rows, sampled top-down within their windows.
 
     The top layer's anchors are the seeds; each lower layer's anchors are the
     anchors above it plus the endpoints of their samples, and ``active_nodes``
-    adds the endpoints of layer 1's samples. One pair of searches reads every
+    adds the endpoints of layer 1's samples. Anchors, samples and active rows
+    are row ids of ``index`` and log positions. Two searches read every
     anchor's incident run; only an anchor with more than ``max_neighbors``
-    builds an rng stream, from ``rng_key`` and (layer, anchor), and samples
-    it, so the sample for a node never depends on which other anchors exist.
+    builds an rng stream, from its window's key (``rng_key`` for one window, or
+    ``rng_key[s]`` for window s) and (layer, node), and samples it, so the
+    sample for a node never depends on which other anchors or windows exist.
     """
     if max_neighbors < 1:
         raise ContractError(f"max_neighbors must be >= 1, got {max_neighbors}")
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
+    keys = [rng_key] if isinstance(rng_key, tuple) else rng_key
     edges = index.edges
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
-    layers: list[dict[int, np.ndarray]] = []
+    layers, positions, message_slots = [], [], []
     for layer in range(num_layers, 0, -1):
-        runs = zip(anchors.tolist(), np.searchsorted(index.nodes, anchors).tolist(),
-                   np.searchsorted(index.nodes, anchors, side="right").tolist())
+        starts, ends = index.runs(anchors)
         samples = {anchor: index.positions[lo:hi] if hi - lo <= max_neighbors else
-                   sample_neighbors(index, anchor, max_neighbors,
-                                    np.random.default_rng(rng_key + (layer, anchor)))
-                   for anchor, lo, hi in runs}
-        layers.insert(0, samples)
+                   sample_neighbors(index, anchor, max_neighbors, np.random.default_rng(
+                       keys[anchor // index.stride] + (layer, anchor % index.stride)))
+                   for anchor, lo, hi in zip(anchors.tolist(), starts.tolist(), ends.tolist())}
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
-        anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]]))
-    return LayeredNeighborhood(layers=layers, active_nodes=anchors)
+        slots = np.repeat(anchors // index.stride, np.minimum(ends - starts, max_neighbors))
+        layers.insert(0, samples)
+        positions.insert(0, sampled)
+        message_slots.insert(0, slots)
+        anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]])
+                             + np.tile(slots * index.stride, 2))
+    return LayeredNeighborhood(layers, anchors, positions, message_slots)

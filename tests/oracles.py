@@ -11,6 +11,9 @@ the gradient checks only. ``slice_rows``, ``segment_softmax`` and
 ``segment_sum`` scatter through ``np.add.at`` and ``np.maximum.at``, one cell
 at a time, for comparison with the ``np.bincount`` forms in ``dygwin.tensor``.
 ``checkpoint_digest`` lets a test compare parameter maps by content.
+``flp_scores_per_cut`` and ``dnc_scores_per_cut`` score an evaluation region
+one cut at a time, each cut with a cache built from its own input slice, for
+comparison with the batched passes of ``dygwin.downstream``.
 """
 
 import hashlib
@@ -18,12 +21,15 @@ import hashlib
 import numpy as np
 
 import dygwin.tensor as T
-from dygwin.data import EdgeArray
-from dygwin.encoder import EncoderParams, LayerParams
+from dygwin.data import CTDG, EdgeArray
+from dygwin.downstream import (EVAL_ENC_STREAM, EVAL_NEG_STREAM, RANK_NEG_STREAM,
+                               dnc_score, flp_score, sample_negatives)
+from dygwin.encoder import EncoderParams, LayerParams, encode
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
-from dygwin.features import time2vec
+from dygwin.features import WindowFeatureCache, time2vec
 from dygwin.tensor import Tensor, _finish
-from dygwin.windows import IncidenceIndex, LayeredNeighborhood, sample_neighbors
+from dygwin.windows import (IncidenceIndex, Interval, LayeredNeighborhood, make_window_batch,
+                            sample_neighbors)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -229,15 +235,17 @@ def layered_neighborhood(index: IncidenceIndex, seed_nodes, num_layers: int,
     through ``sample_neighbors``, whatever its degree."""
     edges = index.edges
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
-    layers = []
+    layers, positions = [], []
     for layer in range(num_layers, 0, -1):
         samples = {anchor: sample_neighbors(index, anchor, max_neighbors,
                                             np.random.default_rng(rng_key + (layer, anchor)))
                    for anchor in anchors.tolist()}
         layers.insert(0, samples)
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
+        positions.insert(0, sampled)
         anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]]))
-    return LayeredNeighborhood(layers=layers, active_nodes=anchors)
+    return LayeredNeighborhood(layers, anchors, positions,
+                               [np.zeros(p.size, dtype=np.int64) for p in positions])
 
 
 def checkpoint_digest(params: dict[str, Tensor]) -> str:
@@ -247,3 +255,67 @@ def checkpoint_digest(params: dict[str, Tensor]) -> str:
         h.update(name.encode("utf-8"))
         h.update(params[name].values.tobytes())
     return h.hexdigest()
+
+
+def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int, window: int,
+                       horizon: int, target_filter=None):
+    """Target windows of size ``horizon`` tiling [region_start, region_end), one
+    input slice each, yielded one at a time; a window with no target left is
+    skipped."""
+    for cut in range(region_start, region_end, horizon):
+        batch = make_window_batch(ctdg, Interval(max(0, cut - window), cut),
+                                  min(horizon, region_end - cut))
+        if target_filter is not None:
+            batch.target_edges = batch.target_edges.take(target_filter(batch.target_edges))
+        if len(batch.target_edges):
+            yield batch
+
+
+def flp_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neighbors, seed,
+                       target_filter=None, rank_negatives=0):
+    """``downstream.flp_scores`` one cut at a time."""
+    pos_scores, neg_scores = [np.empty(0)], [np.empty(0)]
+    rank_scores = [np.empty((0, rank_negatives))]
+    for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
+                                    target_filter):
+        targets = batch.target_edges
+        cut = batch.interval.end
+        cache = WindowFeatureCache(batch.input_edges)
+        neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
+        negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
+        rank_neg = np.empty(0, dtype=np.int64)
+        if rank_negatives > 0:
+            rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
+            rank_neg = sample_negatives(targets, rank_rng, ctdg.num_nodes, rank_negatives)
+        scored = np.concatenate([targets.u, targets.v, negatives.ravel(), rank_neg.ravel()])
+        embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
+                            scored, node_features=ctdg.node_features)
+        pos_scores.append(flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
+                                    cache).values.ravel())
+        neg_scores.append(flp_score(decoder, embeddings, targets.u, negatives.ravel(),
+                                    targets.t, cache).values.ravel())
+        if rank_negatives > 0:
+            rank_scores.append(flp_score(decoder, embeddings,
+                                         np.repeat(targets.u, rank_negatives), rank_neg.ravel(),
+                                         np.repeat(targets.t, rank_negatives),
+                                         cache).values.reshape(len(targets), rank_negatives))
+    return np.concatenate(pos_scores), np.concatenate(neg_scores), np.concatenate(rank_scores)
+
+
+def dnc_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neighbors, seed,
+                       target_filter=None):
+    """``downstream.dnc_scores`` one cut at a time."""
+    scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
+                                    target_filter):
+        labeled = batch.target_edges.take(batch.target_edges.label_present)
+        if len(labeled) == 0:
+            continue
+        cut = batch.interval.end
+        cache = WindowFeatureCache(batch.input_edges)
+        embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
+                            labeled.u, node_features=ctdg.node_features)
+        scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
+                                training=False).values.ravel())
+        labels.append((labeled.labels > 0.5).astype(np.int64))
+    return np.concatenate(scores), np.concatenate(labels)

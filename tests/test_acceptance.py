@@ -12,16 +12,15 @@ import pytest
 import dygwin.tensor as T
 from dygwin.cli import main as cli_main
 from dygwin.data import chronological_split, split_edge_indices
-from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, flp_score,
-                               init_flp_decoder, sample_negatives, train_downstream)
+from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, evaluation_passes,
+                               flp_score, init_flp_decoder, sample_negatives, train_downstream)
 from dygwin.encoder import encode, init_encoder
 from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
 from dygwin.pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor,
                              pretrain, ssl_loss_terms, vicreg_covariance, vicreg_invariance,
                              vicreg_variance)
-from dygwin.windows import (Interval, evaluation_windows, generate_intervals,
-                            make_window_batch)
+from dygwin.windows import Interval, generate_intervals, make_window_batch
 
 from gradcheck import LARGE_GRADIENT, finite_difference_check
 from graphs import ctdg_from, edges_from
@@ -181,8 +180,8 @@ def test_criterion_4_window_invariants():
         ctdg = ctdg_from(triples, num_nodes=n_nodes)
         region_start = total // 2
         seen = []
-        for batch in evaluation_windows(ctdg, region_start, total, window, horizon):
-            seen.extend(batch.target_edges.idx.tolist())
+        for _, _, targets in evaluation_passes(ctdg, (region_start, total), window, horizon):
+            seen.extend(idx for cut_targets in targets for idx in cut_targets.idx.tolist())
         if seen != list(range(region_start, total)):
             failures.append(f"trial {trial}: evaluation coverage broken")
 

@@ -63,6 +63,26 @@ class TestLoadCsv:
         assert ctdg.u.tolist() == [0, 1] and ctdg.v.tolist() == [1, 2]
         assert ctdg.original_ids.tolist() == [10, 50, 99]
 
+    def test_node_ids_past_float_precision_stay_distinct(self, tmp_path):
+        # 2**53 < both ids, where a float64 rounds them to one value
+        path = write_csv(tmp_path, "big.csv",
+                         "u,v,t\n12345678901234567,12345678901234568,1.0\n1,2,2.0\n")
+        ctdg = load_csv(path)
+        assert ctdg.num_nodes == 4
+        assert ctdg.original_ids.tolist() == [1, 2, 12345678901234567, 12345678901234568]
+        assert ctdg.u.tolist() == [2, 0] and ctdg.v.tolist() == [3, 1]
+
+    @pytest.mark.parametrize("text, node", [("3.0", 3), ("1e3", 1000), (" 7 ", 7)])
+    def test_float_forms_of_integer_ids(self, tmp_path, text, node):
+        ctdg = load_csv(write_csv(tmp_path, "forms.csv", f"u,v,t\n{text},0,1.0\n"))
+        assert ctdg.original_ids.tolist() == sorted({node, 0})
+
+    @pytest.mark.parametrize("text", ["9223372036854775808", "-9223372036854775808", "1e19",
+                                      "2.5"])
+    def test_out_of_range_or_fractional_id_rejected(self, tmp_path, text):
+        with pytest.raises(DataError, match="line 2: node id"):
+            load_csv(write_csv(tmp_path, "bad.csv", f"u,v,t\n{text},0,1.0\n"))
+
     def test_cache_round_trip(self, tmp_path):
         path = write_csv(tmp_path, "c.csv", "u,v,t,label,f0\n0,1,1.0,1,0.5\n1,2,2.0,,0.25\n")
         ctdg = load_csv(path)

@@ -1,12 +1,15 @@
-"""Decoders, negative sampling, and the training protocols."""
+"""Decoders, negative sampling, the evaluation passes and the training protocols."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dygwin.downstream as downstream
+import dygwin.encoder as encoder_module
 import dygwin.tensor as T
 from dygwin.checkpoint import load_checkpoint, save_model
-from dygwin.data import chronological_split
+from dygwin.data import chronological_split, inductive_split
 from dygwin.downstream import (TrainConfig, bce_loss, dnc_score, evaluate_dnc,
                                evaluate_flp, flp_score, init_decoder, init_flp_decoder,
                                sample_negatives, train_downstream, training_intervals)
@@ -17,6 +20,7 @@ from dygwin.pretrain import init_predictor
 
 from gradcheck import finite_difference_check
 from graphs import ctdg_from, edges_from
+import oracles
 from oracles import checkpoint_digest
 from synthetic import make_synthetic_ctdg
 
@@ -336,3 +340,131 @@ class TestTrainingProtocols:
         positive_rate = np.mean(ctdg.labels[val_end:][present] > 0.5)
         assert 0.0 < positive_rate < 1.0
         assert report["ap"] <= positive_rate
+
+
+class TestEvaluationPasses:
+    """The batched cut loop against ``oracles``' one-cut-at-a-time reference."""
+
+    REGION = (500, 560)
+    WINDOW, NEIGHBORS, SEED = 120, 4, 3
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        ctdg = make_synthetic_ctdg(num_nodes=30, num_edges=600, history=60,
+                                   label_threshold=5, seed=4)
+        split = inductive_split(ctdg, node_fraction=0.3, seed=1)
+        return ctdg, split.masked_filter(ctdg)
+
+    def _models(self, task, dtype):
+        encoder = init_encoder(num_layers=2, node_dim=8, time_dim=4, heads=2, seed=5,
+                               dtype=dtype)
+        return encoder, init_decoder(task, 8, 4, seed=6, dtype=dtype)
+
+    def _args(self, world, task, dtype, horizon, region=REGION):
+        ctdg, _ = world
+        return (ctdg, region, *self._models(task, dtype), self.WINDOW, horizon,
+                self.NEIGHBORS, self.SEED)
+
+    @staticmethod
+    def _close(got, expected, dtype):
+        # float64 agrees to 1e-12 relative; float32 to a few of its own ulps
+        rtol = 1e-12 if dtype == np.float64 else 8 * np.finfo(np.float32).eps
+        assert got.shape == expected.shape
+        scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+        assert np.abs(got - expected).max(initial=0.0) <= rtol * scale
+
+    def test_evaluation_passes_cover_region_once(self):
+        ctdg = ctdg_from([(0, 1, float(i)) for i in range(37)])
+        seen = []
+        for _, _, targets in downstream.evaluation_passes(ctdg, (20, 37), window=10, horizon=5):
+            seen.extend(idx for cut_targets in targets for idx in cut_targets.idx.tolist())
+        assert seen == list(range(20, 37))
+
+    @pytest.mark.parametrize("horizon, sizes", [(1, [16, 16, 8]), (5, [3, 3, 2]),
+                                                (20, [1, 1])])
+    def test_passes_hold_at_most_pass_targets(self, horizon, sizes):
+        # a 20-edge cut is over PASS_TARGETS = 16, so it goes alone
+        ctdg = ctdg_from([(i % 7, (i + 1) % 7, float(i)) for i in range(100)])
+        passes = list(downstream.evaluation_passes(ctdg, (60, 100), 50, horizon))
+        assert [len(cuts) for _, cuts, _ in passes] == sizes
+        for cache, cuts, _ in passes:
+            assert cache.index.hi.tolist() == [cut - 10 for cut in cuts]  # the log starts at 10
+            assert cache.index.lo.tolist() == [max(0, cut - 60) for cut in cuts]
+            assert cache.index.stride == ctdg.num_nodes
+
+    def test_evaluation_passes_hold_one_pass_at_a_time(self):
+        # One pass holds at most PASS_TARGETS cuts' targets and window bounds, so
+        # past the region's one cache (W + cuts edges) a stream of passes does
+        # not grow with the cuts, and a list of them would.
+        ctdg = ctdg_from([(i % 7, (i + 1) % 7, float(i)) for i in range(2400)])
+        peaks = []
+        for cuts in (40, 400):
+            tracemalloc.start()
+            for _ in downstream.evaluation_passes(ctdg, (2000, 2000 + cuts), window=2000,
+                                                  horizon=1):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("horizon", [1, 7])
+    def test_sampled_positions_match_per_cut(self, world, horizon, monkeypatch):
+        original = encoder_module.build_layered_neighborhood
+        calls = []
+
+        def recording(index, *args, **kwargs):
+            hood = original(index, *args, **kwargs)
+            calls.append((index, hood))
+            return hood
+
+        monkeypatch.setattr(encoder_module, "build_layered_neighborhood", recording)
+        args = self._args(world, "flp", np.float64, horizon)
+        downstream.flp_scores(*args, target_filter=world[1], rank_negatives=3)
+        # one window's layers per cut, anchors as node ids and positions in its slice
+        batched = [[{anchor - slot * index.stride: sample - index.lo[slot]
+                     for anchor, sample in samples.items() if anchor // index.stride == slot}
+                    for samples in hood.layers]
+                   for index, hood in calls for slot in range(len(index.lo))]
+        passes, calls[:] = len(calls), []
+        oracles.flp_scores_per_cut(*args, target_filter=world[1], rank_negatives=3)
+        per_cut = [hood.layers for _, hood in calls]
+        assert len(batched) == len(per_cut) > passes  # passes of several cuts
+        for got, expected in zip(batched, per_cut):
+            assert [list(samples) for samples in got] == [list(samples) for samples in expected]
+            for samples, reference in zip(got, expected):
+                for anchor, sample in samples.items():
+                    assert sample.tolist() == reference[anchor].tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("horizon", [1, 7])
+    def test_flp_scores_match_per_cut(self, world, dtype, horizon):
+        args = self._args(world, "flp", dtype, horizon)
+        for target_filter in (None, world[1]):
+            got = downstream.flp_scores(*args, target_filter=target_filter, rank_negatives=5)
+            expected = oracles.flp_scores_per_cut(*args, target_filter=target_filter,
+                                                  rank_negatives=5)
+            assert got[0].size > 0
+            for part, reference in zip(got, expected):
+                self._close(part, reference, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("horizon", [1, 7])
+    def test_dnc_scores_match_per_cut(self, world, dtype, horizon):
+        args = self._args(world, "dnc", dtype, horizon)
+        for target_filter in (None, world[1]):
+            scores, labels = downstream.dnc_scores(*args, target_filter=target_filter)
+            reference, expected_labels = oracles.dnc_scores_per_cut(
+                *args, target_filter=target_filter)
+            assert labels.size > 0 and labels.tolist() == expected_labels.tolist()
+            self._close(scores, reference, dtype)
+
+    @pytest.mark.filterwarnings("ignore:auc undefined")  # one K=1 target has one label
+    @pytest.mark.parametrize("region, horizon", [((500, 501), 1), ((500, 540), 40)])
+    def test_single_cut_region_report_byte_identical(self, world, region, horizon,
+                                                     monkeypatch):
+        flp = self._args(world, "flp", np.float32, horizon, region)
+        dnc = self._args(world, "dnc", np.float32, horizon, region)
+        batched = (evaluate_flp(*flp, rank_negatives=5), evaluate_dnc(*dnc))
+        monkeypatch.setattr(downstream, "flp_scores", oracles.flp_scores_per_cut)
+        monkeypatch.setattr(downstream, "dnc_scores", oracles.dnc_scores_per_cut)
+        assert (evaluate_flp(*flp, rank_negatives=5), evaluate_dnc(*dnc)) == batched

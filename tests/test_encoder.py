@@ -58,6 +58,14 @@ class TestMha:
         assert np.array_equal(out.values, np.zeros((1, 4)))
 
 
+def window_forward(emb, samples, layer, params, cache):
+    """``layer_forward`` of one window, with each message's counts in sample order."""
+    positions = np.concatenate([np.empty(0, dtype=np.int64),
+                                *(samples[anchor] for anchor in sorted(samples))])
+    return layer_forward(emb, samples, layer, params, cache.index,
+                         cache.counts_matrix(positions))
+
+
 class TestLayerForward:
     def _embeddings(self, values):
         ids = np.arange(len(values))
@@ -70,7 +78,7 @@ class TestLayerForward:
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
         emb = self._embeddings([[1.0, 2.0], [3.0, 4.0]])
-        out = layer_forward(emb, {0: np.empty(0, dtype=np.int64),
+        out = window_forward(emb, {0: np.empty(0, dtype=np.int64),
                                   1: np.empty(0, dtype=np.int64)},
                             layer, params, cache)
         assert np.allclose(out.matrix.values, emb.matrix.values)
@@ -82,7 +90,7 @@ class TestLayerForward:
         cache = WindowFeatureCache(edges)
         h = np.array([[0.5, -1.0], [2.0, 0.25]])
         emb = self._embeddings(h)
-        out = layer_forward(emb, {0: np.array([0]), 1: np.empty(0, dtype=np.int64)},
+        out = window_forward(emb, {0: np.array([0]), 1: np.empty(0, dtype=np.int64)},
                             layer, params, cache)
 
         # hand evaluation of the anchor-0 row with plain numpy
@@ -106,9 +114,9 @@ class TestLayerForward:
         rng = np.random.default_rng(5)
         h = rng.normal(size=(7, 4))
         emb = self._embeddings(h)
-        forward_order = layer_forward(emb, {0: np.array([0, 1, 2, 3, 4, 5])},
+        forward_order = window_forward(emb, {0: np.array([0, 1, 2, 3, 4, 5])},
                                       layer, params, cache)
-        shuffled = layer_forward(emb, {0: np.array([4, 2, 5, 0, 3, 1])},
+        shuffled = window_forward(emb, {0: np.array([4, 2, 5, 0, 3, 1])},
                                  layer, params, cache)
         assert np.allclose(forward_order.matrix.values, shuffled.matrix.values,
                            atol=1e-12)
@@ -122,7 +130,7 @@ class TestLayerForward:
         h = rng.normal(size=(3, 4))
         emb = self._embeddings(h)
         samples = {0: np.array([0, 1]), 1: np.array([2]), 2: np.empty(0, dtype=np.int64)}
-        batched = layer_forward(emb, samples, layer, params, cache)
+        batched = window_forward(emb, samples, layer, params, cache)
 
         for anchor, sampled in samples.items():
             keys = []
@@ -147,7 +155,7 @@ class TestLayerForward:
         edges = edges_from([(0, 5, 1.0)])
         cache = WindowFeatureCache(edges)
         with pytest.raises(ConsistencyError):
-            layer_forward(emb, {0: np.array([0])}, params.layers[0], params, cache)
+            window_forward(emb, {0: np.array([0])}, params.layers[0], params, cache)
 
 
 class TestEncode:
@@ -343,16 +351,17 @@ def test_array_paths_match_item_oracles(data):
     num_layers = data.draw(st.integers(1, 3))
     max_neighbors = data.draw(st.integers(1, 4))
 
-    hood = build_layered_neighborhood(IncidenceIndex(edges), seeds, num_layers, max_neighbors,
-                                      (5,))
+    index = IncidenceIndex(edges)
+    hood = build_layered_neighborhood(index, seeds, num_layers, max_neighbors, (5,))
     needed = oracles.active_nodes(seeds, hood.layers, edges)
     assert [sorted(samples) for samples in hood.layers] == needed[1:]
     assert hood.active_nodes.tolist() == needed[0]
 
     emb = NodeEmbeddings(hood.active_nodes, T.constant(np.zeros((len(hood.active_nodes), 2))))
     for samples in hood.layers:
-        anchors, segments, positions, neighbor_rows = _flatten_layer(samples, emb, edges)
+        anchors, segments, positions, neighbors = _flatten_layer(samples, index)
         assert anchors.tolist() == sorted(samples)
+        neighbor_rows = emb.rows(neighbors)
         assert list(zip(segments.tolist(), positions.tolist(), neighbor_rows.tolist())) \
             == oracles.flatten_layer(samples, emb.ids, edges)
 

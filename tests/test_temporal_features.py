@@ -147,6 +147,45 @@ def test_counts_at_matches_brute_force(data):
                             for u, v, t in queries]
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_region_windows_match_slice_built_caches(data):
+    num_nodes = data.draw(st.integers(1, 6))
+    # self-loops, parallel edges and tied timestamps, as above
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, num_nodes - 1),
+                                         st.integers(0, num_nodes - 1)), max_size=25))
+    times = sorted(data.draw(st.lists(st.integers(0, 6), min_size=len(pairs),
+                                      max_size=len(pairs))))
+    log = edges_from([(u, v, float(t)) for (u, v), t in zip(pairs, times)])
+    # up to three windows [lo, hi) of the log at once, lo == hi allowed; a
+    # window's nodes are a subset of the log's, and queries reach past both
+    ranges = data.draw(st.lists(st.tuples(st.integers(0, len(log)), st.integers(0, len(log)))
+                                .map(sorted), min_size=1, max_size=3))
+    stride = num_nodes + 2
+    region = WindowFeatureCache(log).windows([lo for lo, _ in ranges],
+                                             [hi for _, hi in ranges], stride)
+    queries = data.draw(st.lists(st.tuples(st.integers(0, num_nodes + 1),
+                                           st.integers(0, num_nodes + 1),
+                                           st.integers(-2, 16).map(lambda x: x / 2)),
+                                 max_size=20))
+    us, vs, ts = (np.asarray([q[i] for q in queries]) for i in range(3))
+    nodes = np.arange(stride)
+    for slot, (lo, hi) in enumerate(ranges):
+        piece = WindowFeatureCache(log.take(slice(lo, hi)))
+        row = slot * stride
+        for node in nodes.tolist():
+            assert (region.index.incident(row + node) - lo).tolist() == \
+                piece.index.incident(node).tolist()
+        assert np.array_equal(region.index.last_time(row + nodes),
+                              piece.index.last_time(nodes), equal_nan=True)
+        assert region.counts_at(row + us, row + vs, ts).tolist() == \
+            piece.counts_at(us, vs, ts).tolist()
+        window = region.window(slot)
+        assert window.edges.idx.tolist() == list(range(lo, hi))
+        positions = np.arange(hi - lo)
+        assert window.counts_matrix(positions).tolist() == piece.counts_matrix(positions).tolist()
+
+
 class TestEdgeEncoding:
     def test_zero_map_gives_zero(self):
         enc = T.parameter(np.zeros((3, 5)))

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +12,7 @@ from dygwin import windows
 from dygwin.errors import ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.windows import (Interval, IncidenceIndex, build_layered_neighborhood,
-                            evaluation_windows, generate_intervals,
-                            make_window_batch, sample_neighbors)
+                            generate_intervals, make_window_batch, sample_neighbors)
 
 import oracles
 from graphs import ctdg_from, edges_from
@@ -85,26 +83,6 @@ class TestMakeWindowBatch:
             batch = make_window_batch(ctdg, interval, target_size=5)
             if len(batch.input_edges) and len(batch.target_edges):
                 assert batch.input_edges.t.max() <= batch.target_edges.t.min()
-
-    def test_evaluation_windows_cover_region_once(self):
-        ctdg = ctdg_from([(0, 1, float(i)) for i in range(37)])
-        seen = []
-        for batch in evaluation_windows(ctdg, 20, 37, window=10, horizon=5):
-            seen.extend(batch.target_edges.idx.tolist())
-        assert seen == list(range(20, 37))
-
-    def test_evaluation_windows_hold_one_batch_at_a_time(self):
-        # Each K=1 batch holds a W-entry index and mask, so a list of N of them
-        # grows with N and a stream of them does not.
-        ctdg = ctdg_from([(i % 7, (i + 1) % 7, float(i)) for i in range(2400)])
-        peaks = []
-        for cuts in (40, 400):
-            tracemalloc.start()
-            for _ in evaluation_windows(ctdg, 2000, 2000 + cuts, window=2000, horizon=1):
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestSampleNeighbors:
@@ -289,3 +267,5 @@ def test_layered_neighborhood_matches_per_anchor_oracle(data):
             assert sample.tolist() == expected[anchor].tolist()
     assert hood.active_nodes.dtype == oracle.active_nodes.dtype
     assert hood.active_nodes.tolist() == oracle.active_nodes.tolist()
+    for got, expected in zip(hood.positions + hood.slots, oracle.positions + oracle.slots):
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
