@@ -201,19 +201,11 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
         message_parts.append(T.constant(feats, dtype=H.dtype))
     messages = T.concat_last_dim(message_parts)            # (occurrences, message_dim)
 
-    head_dim = layer.wq[0].shape[1]
-    contexts = []
-    for h in range(params.heads):
-        q_all = T.matmul(H_out, layer.wq[h])
-        q = T.slice_rows(q_all, segments)
-        k = T.matmul(messages, layer.wk[h])
-        v = T.matmul(messages, layer.wv[h])
-        scores = T.scale(T.tensor_sum(T.mul(q, k), axis=1, keepdims=True),
-                         1.0 / np.sqrt(head_dim))
-        attn = T.segment_softmax(scores, segments)
-        if params.dropout > 0.0 and training:
-            attn = T.dropout(attn, params.dropout, dropout_rng, training=True)
-        contexts.append(T.segment_sum(T.mul(attn, v), segments, len(anchors)))
+    scale = 1.0 / np.sqrt(layer.wq[0].shape[1])  # a float64 scalar: float32 scores promote
+    dropout = (params.dropout, dropout_rng) if params.dropout > 0.0 and training else None
+    contexts = [T.segment_attention(T.matmul(H_out, wq), T.matmul(messages, wk),
+                                    T.matmul(messages, wv), segments, len(anchors), scale, dropout)
+                for wq, wk, wv in zip(layer.wq, layer.wk, layer.wv)]
     mha_out = T.matmul(T.concat_last_dim(contexts), layer.wo)
     return NodeEmbeddings(anchors, T.add(h_new, mha_out))
 

@@ -28,10 +28,6 @@ class Time2VecParams:
     omega: Tensor  # (1, dim) frequencies
     phase: Tensor  # (1, dim) offsets
 
-    @property
-    def dim(self) -> int:
-        return self.omega.shape[1]
-
 
 def init_time2vec(dim: int, dtype=np.float32) -> Time2VecParams:
     """Geometrically spaced frequencies cover time gaps from 1 to ~1e7."""
@@ -49,13 +45,7 @@ def time2vec(params: Time2VecParams, delta_t) -> Tensor:
     out[:, 0] = omega[0] * dt + phase[0]; out[:, k] = sin(omega[k] * dt + phase[k]).
     """
     dt = np.atleast_1d(np.asarray(delta_t, dtype=np.float64)).reshape(-1, 1)
-    dtype = params.omega.dtype
-    angles = T.add(T.matmul(T.constant(dt, dtype=dtype), params.omega), params.phase)
-    linear_mask = np.zeros((1, params.dim), dtype=dtype)
-    linear_mask[0, 0] = 1.0
-    keep_linear = T.constant(linear_mask)
-    keep_sin = T.constant(1.0 - linear_mask)
-    return T.add(T.mul(angles, keep_linear), T.mul(T.sin(angles), keep_sin))
+    return T.time_encoding(dt.astype(params.omega.dtype), params.omega, params.phase)
 
 
 def common_neighbors_at(input_edges: EdgeArray, u: int, v: int, t: float) -> int:

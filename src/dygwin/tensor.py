@@ -53,18 +53,9 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.values.dtype}{flag})"
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def constant(values, dtype=None) -> Tensor:
@@ -143,6 +134,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Array]:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
     holders: dict[int, Tensor] = {id(loss): loss}
+    owned: set[int] = set()  # sums made here, which no closure has seen yet
     for entry in reversed(tape.entries):
         out_grad = grads.pop(id(entry.output), None)
         if out_grad is None:
@@ -153,11 +145,16 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Array]:
             if g is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = g  # may be shared with a closure or another input
                 holders[key] = tensor
+            elif key in owned and acc.shape == g.shape \
+                    and acc.dtype == np.result_type(acc.dtype, g.dtype):
+                np.add(acc, g, out=acc)
+            else:
+                grads[key] = acc + g
+                owned.add(key)
     leaf_grads: dict[Tensor, Array] = {}
     for key, g in grads.items():
         tensor = holders[key]
@@ -205,7 +202,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values @ b.values
 
     def bwd(g: Array):
-        return g @ b.values.T, a.values.T @ g
+        return (g @ b.values.T if a.requires_grad else None,
+                a.values.T @ g if b.requires_grad else None)
 
     return _finish("matmul", (a, b), out, bwd)
 
@@ -215,7 +213,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.values + b.values
 
     def bwd(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _finish("add", (a, b), out, bwd)
 
@@ -225,7 +224,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.values - b.values
 
     def bwd(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _finish("sub", (a, b), out, bwd)
 
@@ -235,7 +235,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
 
     def bwd(g: Array):
-        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
+        return (_unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.values, b.shape) if b.requires_grad else None)
 
     return _finish("mul", (a, b), out, bwd)
 
@@ -280,15 +281,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.values > 0),)
 
     return _finish("relu", (a,), out, bwd)
-
-
-def sin(a: Tensor) -> Tensor:
-    out = np.sin(a.values)
-
-    def bwd(g: Array):
-        return (g * np.cos(a.values),)
-
-    return _finish("sin", (a,), out, bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -365,45 +357,67 @@ def transpose(a: Tensor) -> Tensor:
     return _finish("transpose", (a,), out, bwd)
 
 
-def segment_softmax(a: Tensor, segment_ids) -> Tensor:
-    """Softmax along axis 0 within each segment id's rows, which must be contiguous."""
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if a.values.ndim != 2 or seg.shape != (a.shape[0],):
-        raise ShapeError(
-            f"segment_softmax: values {a.shape} vs segment ids {seg.shape}"
-        )
+def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segments: int,
+                      scale, dropout: tuple | None = None) -> Tensor:
+    """One head of scaled dot-product attention, pooled per segment.
+
+    Message i (row i of ``k`` and ``v``) goes to segment ``segments[i]``, whose
+    query is that row of ``q_rows``; a segment's messages must be contiguous,
+    and a segment without any gets a zero row. Scores ``sum(q * k) * scale``
+    are softmaxed per segment, dropped out as ``dropout`` draws given ``(p,
+    rng)``, and weight the segment's ``v`` rows. Backward recomputes the
+    gathered queries and the softmax rather than keeping them.
+    """
+    seg = np.asarray(segments, dtype=np.int64)
     head = np.diff(seg, prepend=seg[:1] - 1) != 0
-    starts = np.flatnonzero(head)
+    starts, run = np.flatnonzero(head), np.cumsum(head) - 1
+    if k.shape != (seg.size, q_rows.shape[1]) or v.shape[0] != seg.size or seg.size and not (
+            0 <= seg.min() and seg.max() < min(num_segments, q_rows.shape[0])):
+        raise ShapeError(f"segment_attention: queries {q_rows.shape}, keys {k.shape}, values "
+                         f"{v.shape}, {seg.size} segment ids, {num_segments} segments")
     if np.unique(seg[starts]).size < starts.size:
-        raise ShapeError("segment_softmax: a segment id's rows are not contiguous")
-    run = np.cumsum(head) - 1
-    e = np.exp(a.values - np.maximum.reduceat(a.values, starts)[run])
-    out = e / _row_sum(e, run, starts.size)[run]
+        raise ShapeError("segment_attention: a segment id's rows are not contiguous")
+
+    def weights() -> tuple[Array, Array]:
+        q = q_rows.values[seg]
+        scores = (q * k.values).sum(axis=1, keepdims=True) * scale
+        e = np.exp(scores - np.maximum.reduceat(scores, starts)[run])
+        return q, e / _row_sum(e, run, starts.size)[run]
+
+    attn, keep = weights()[1], 1.0
+    if dropout is not None:
+        p, rng = dropout
+        keep = (rng.random(attn.shape) >= p).astype(attn.dtype) / (1.0 - p)
+    out = _row_sum(attn * keep * v.values, seg, num_segments)
 
     def bwd(g: Array):
-        return (out * (g - _row_sum(out * g, run, starts.size)[run]),)
+        q, attn = weights()
+        g_rows = g[seg]
+        g_attn = _unbroadcast(g_rows * v.values, attn.shape) * keep
+        g_scores = attn * (g_attn - _row_sum(attn * g_attn, run, starts.size)[run]) * scale
+        g_q = _row_sum(g_scores * k.values, seg, q_rows.shape[0])
+        return g_q.astype(q_rows.dtype, copy=False), g_scores * q, g_rows * (attn * keep)
 
-    return _finish("segment_softmax", (a,), out, bwd)
+    return _finish("segment_attention", (q_rows, k, v), out, bwd)
 
 
-def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows sharing a segment id; empty segments yield zero rows."""
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if a.values.ndim != 2 or seg.shape != (a.shape[0],):
-        raise ShapeError(f"segment_sum: values {a.shape} vs segment ids {seg.shape}")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ShapeError("segment_sum: segment id outside [0, num_segments)")
-    out = _row_sum(a.values, seg, num_segments)
+def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:
+    """Time2Vec of the gaps ``dt`` (n, 1): ``angles = dt @ omega + phase``, then
+    column 0 stays linear and every other column takes its sine."""
+    angles = dt @ omega.values + phase.values
+    out = np.sin(angles)
+    out[:, 0] = angles[:, 0]
 
     def bwd(g: Array):
-        return (g[seg],)
+        g_angles = g * np.cos(angles)
+        g_angles[:, 0] = g[:, 0]
+        return dt.T @ g_angles, _unbroadcast(g_angles, phase.shape)
 
-    return _finish("segment_sum", (a,), out, bwd)
+    return _finish("time_encoding", (omega, phase), out, bwd)
 
 
 def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
     """Mean binary cross-entropy in the numerically stable logit form."""
-    labels = _as_tensor(labels, logits.dtype)
     if logits.shape != labels.shape:
         raise ShapeError(f"bce_with_logits: logits {logits.shape} vs labels {labels.shape}")
     if logits.values.size == 0:

@@ -7,9 +7,13 @@ can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
 ``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
 ``WindowFeatureCache.counts_at``. The
 ``sigmoid`` and ``softmax_rows`` primitives serve the reference ``mha`` and
-the gradient checks only. ``slice_rows``, ``segment_softmax`` and
-``segment_sum`` scatter through ``np.add.at`` and ``np.maximum.at``, one cell
-at a time, for comparison with the ``np.bincount`` forms in ``dygwin.tensor``.
+the gradient checks only. ``slice_rows``, ``segment_softmax_at`` and
+``segment_sum_at`` scatter through ``np.add.at`` and ``np.maximum.at``, one
+cell at a time, for comparison with the ``np.bincount`` forms of
+``dygwin.tensor.slice_rows``, ``segment_softmax`` and ``segment_sum``. Those
+two and ``sin`` are unfused primitives: ``segment_attention`` and
+``time_encoding`` compose them with ``dygwin.tensor``'s into references for
+the one-entry ops of the same names, expression for expression.
 ``checkpoint_digest`` lets a test compare parameter maps by content.
 ``flp_scores_per_cut`` and ``dnc_scores_per_cut`` score an evaluation region
 one cut at a time, each cut with a cache built from its own input slice, for
@@ -27,7 +31,7 @@ from dygwin.downstream import (EVAL_ENC_STREAM, EVAL_NEG_STREAM, RANK_NEG_STREAM
 from dygwin.encoder import EncoderParams, LayerParams, encode
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import WindowFeatureCache, time2vec
-from dygwin.tensor import Tensor, _finish
+from dygwin.tensor import Tensor, _finish, _row_sum
 from dygwin.windows import (IncidenceIndex, Interval, LayeredNeighborhood, make_window_batch,
                             sample_neighbors)
 
@@ -72,7 +76,7 @@ def slice_rows(a: Tensor, rows) -> Tensor:
     return _finish("slice_rows", (a,), out, bwd)
 
 
-def segment_softmax(a: Tensor, segment_ids) -> Tensor:
+def segment_softmax_at(a: Tensor, segment_ids) -> Tensor:
     seg = np.asarray(segment_ids, dtype=np.int64)
     if seg.size == 0:
         return _finish("segment_softmax", (a,), a.values.copy(), lambda g: (g,))
@@ -92,7 +96,7 @@ def segment_softmax(a: Tensor, segment_ids) -> Tensor:
     return _finish("segment_softmax", (a,), out, bwd)
 
 
-def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
+def segment_sum_at(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     seg = np.asarray(segment_ids, dtype=np.int64)
     out = np.zeros((num_segments, a.shape[1]), dtype=a.values.dtype)
     np.add.at(out, seg, a.values)
@@ -101,6 +105,73 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
         return (g[seg],)
 
     return _finish("segment_sum", (a,), out, bwd)
+
+
+def sin(a: Tensor) -> Tensor:
+    out = np.sin(a.values)
+
+    def bwd(g):
+        return (g * np.cos(a.values),)
+
+    return _finish("sin", (a,), out, bwd)
+
+
+def segment_softmax(a: Tensor, segment_ids) -> Tensor:
+    """Softmax along axis 0 within each segment id's rows, which must be contiguous."""
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    if a.values.ndim != 2 or seg.shape != (a.shape[0],):
+        raise ShapeError(
+            f"segment_softmax: values {a.shape} vs segment ids {seg.shape}"
+        )
+    head = np.diff(seg, prepend=seg[:1] - 1) != 0
+    starts = np.flatnonzero(head)
+    if np.unique(seg[starts]).size < starts.size:
+        raise ShapeError("segment_softmax: a segment id's rows are not contiguous")
+    run = np.cumsum(head) - 1
+    e = np.exp(a.values - np.maximum.reduceat(a.values, starts)[run])
+    out = e / _row_sum(e, run, starts.size)[run]
+
+    def bwd(g):
+        return (out * (g - _row_sum(out * g, run, starts.size)[run]),)
+
+    return _finish("segment_softmax", (a,), out, bwd)
+
+
+def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
+    """Sum rows sharing a segment id; empty segments yield zero rows."""
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    if a.values.ndim != 2 or seg.shape != (a.shape[0],):
+        raise ShapeError(f"segment_sum: values {a.shape} vs segment ids {seg.shape}")
+    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
+        raise ShapeError("segment_sum: segment id outside [0, num_segments)")
+    out = _row_sum(a.values, seg, num_segments)
+
+    def bwd(g):
+        return (g[seg],)
+
+    return _finish("segment_sum", (a,), out, bwd)
+
+
+def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segments: int,
+                      scale, dropout=None) -> Tensor:
+    """``T.segment_attention`` as eight primitives: gather, product, row sum,
+    scale, segment softmax, dropout, product and segment sum."""
+    q = T.slice_rows(q_rows, segments)
+    scores = T.scale(T.tensor_sum(T.mul(q, k), axis=1, keepdims=True), scale)
+    attn = segment_softmax(scores, segments)
+    if dropout is not None:
+        attn = T.dropout(attn, *dropout, training=True)
+    return segment_sum(T.mul(attn, v), segments, num_segments)
+
+
+def time_encoding(dt: np.ndarray, omega: Tensor, phase: Tensor) -> Tensor:
+    """``T.time_encoding`` composed from five primitives: the angles times a
+    one-hot mask of column 0, plus their sine times its complement."""
+    angles = T.add(T.matmul(T.constant(dt), omega), phase)
+    linear_mask = np.zeros((1, omega.shape[1]), dtype=omega.dtype)
+    linear_mask[0, 0] = 1.0
+    return T.add(T.mul(angles, T.constant(linear_mask)),
+                 T.mul(sin(angles), T.constant(1.0 - linear_mask)))
 
 
 def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,

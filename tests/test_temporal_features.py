@@ -43,7 +43,7 @@ class TestTime2Vec:
 
     def test_default_init_dimension(self):
         params = init_time2vec(100)
-        assert params.dim == 100
+        assert params.omega.shape == params.phase.shape == (1, 100)
         assert np.all(np.isfinite(params.omega.values))
 
 

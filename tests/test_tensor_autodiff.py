@@ -11,7 +11,7 @@ from dygwin.tensor import Tape, backward
 
 from gradcheck import HarnessError, finite_difference_check
 import oracles
-from oracles import sigmoid, softmax_rows
+from oracles import sigmoid, sin, softmax_rows
 
 
 def param(values):
@@ -117,7 +117,7 @@ class TestBackward:
             x.grad = None
             with Tape() as tape:
                 f = T.mean(T.mul(x, x))
-                g = T.tensor_sum(T.sin(x))
+                g = T.tensor_sum(sin(x))
                 combo = T.add(T.scale(f, a), T.scale(g, b))
             backward(tape, combo)
             return x.grad.copy()
@@ -151,6 +151,77 @@ class TestBackward:
             produced.add(id(entry.output))
 
 
+class TestFanIn:
+    """``backward`` sums a gradient that has several sources in place once it
+    owns the sum, and leaves every array a closure returned untouched."""
+
+    def test_in_place_sums_match_out_of_place_bits(self):
+        rng = np.random.default_rng(21)
+        x = param(rng.normal(size=(3, 4)))
+        factors = [rng.normal(size=(3, 4)) for _ in range(4)]
+        with Tape() as tape:
+            paths = [T.mul(x, T.constant(f)) for f in factors]
+            loss = T.tensor_sum(T.add(T.add(T.add(paths[0], paths[1]), paths[2]), paths[3]))
+        grads = backward(tape, loss)
+        # The tape replays the last path first.
+        expected = ((factors[3] + factors[2]) + factors[1]) + factors[0]
+        assert grads[x].tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _shared_by_both_add_inputs(a, d, m):
+        return T.add(T.add(a, d), m), 1.0
+
+    @staticmethod
+    def _add_of_one_input_twice(a, d, m):
+        return T.add(T.add(T.add(a, a), m), d), 2.0
+
+    @staticmethod
+    def _concat_slices(a, d, m):
+        return T.add(T.concat_last_dim([a, m]),
+                     T.concat_last_dim([d, T.constant(np.zeros((2, 3)))])), 1.0
+
+    @pytest.mark.parametrize("build", ["_shared_by_both_add_inputs", "_add_of_one_input_twice",
+                                       "_concat_slices"])
+    def test_shared_gradients_are_never_written(self, build):
+        # ``m = a * c`` is recorded first, so it is replayed last: ``a``'s first
+        # gradient is then an array that ``d``'s gradient also is or views, and
+        # writing ``a``'s sum into it would change ``d``'s gradient.
+        rng = np.random.default_rng(5)
+        a, d = param(rng.normal(size=(2, 3))), param(rng.normal(size=(2, 3)))
+        c = rng.normal(size=(2, 3))
+        with Tape() as tape:
+            out, a_paths = getattr(self, build)(a, d, T.mul(a, T.constant(c)))
+            loss = T.tensor_sum(T.mul(out, T.constant(np.full(out.shape, 1.5))))
+        grads = backward(tape, loss)
+        assert np.array_equal(grads[d], np.full((2, 3), 1.5))
+        assert np.allclose(grads[a], 1.5 * a_paths + 1.5 * c, rtol=0, atol=1e-12)
+
+    def test_float32_sum_promotes_on_a_float64_gradient(self):
+        rng = np.random.default_rng(8)
+        x = T.parameter(rng.normal(size=(3, 2)).astype(np.float32))
+        w = rng.normal(size=(3, 2))
+        c = rng.normal(size=(3, 2))
+        with Tape() as tape:
+            wide = T.mul(x, T.constant(c))                   # float64 gradient, replayed last
+            narrow = T.add(T.slice_rows(x, [0, 1, 2]), T.slice_rows(x, [2, 0, 1]))
+            loss = T.tensor_sum(T.mul(T.add(narrow, wide), T.constant(w)))
+        grads = backward(tape, loss)
+        # slice_rows hands back float32; their sum is then owned, and the
+        # float64 gradient of ``wide`` must widen it rather than be cast into it.
+        expected = (w[[1, 2, 0]].astype(np.float32) + w.astype(np.float32)) + w * c
+        assert grads[x].dtype == np.float64
+        assert grads[x].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("op", [T.matmul, T.mul, T.add, T.sub])
+    def test_constant_inputs_get_no_gradient(self, op):
+        x, c = param(np.eye(2) + 1.0), T.constant(np.full((2, 2), 3.0))
+        for inputs, constant_at in (((x, c), 1), ((c, x), 0)):
+            with Tape() as tape:
+                op(*inputs)
+            grads = tape.entries[-1].backward(np.ones((2, 2)))
+            assert grads[constant_at] is None and grads[1 - constant_at] is not None
+
+
 def _composition_cases():
     """Fixed-parameter forward closures covering every differentiable primitive."""
     rng = np.random.default_rng(123)
@@ -167,8 +238,8 @@ def _composition_cases():
     seg = np.array([0, 0, 2, 2, 2, 3])  # segments 1 and 4 stay empty
 
     def segment_pipeline():
-        soft = T.segment_softmax(T.tensor_sum(x_seg, axis=1, keepdims=True), seg)
-        pooled = T.segment_sum(T.mul(soft, x_seg), seg, 5)
+        soft = oracles.segment_softmax(T.tensor_sum(x_seg, axis=1, keepdims=True), seg)
+        pooled = oracles.segment_sum(T.mul(soft, x_seg), seg, 5)
         return T.mean(T.mul(pooled, pooled))
 
     cases["segment_pipeline"] = (segment_pipeline, {"x": x_seg})
@@ -182,10 +253,32 @@ def _composition_cases():
 
     x_trig = param(np.abs(rng.normal(size=(3, 3))) + 0.5)
     cases["trig_sqrt"] = (
-        lambda: T.mean(T.add(T.sin(x_trig), T.sqrt(x_trig))),
+        lambda: T.mean(T.add(sin(x_trig), T.sqrt(x_trig))),
         {"x": x_trig})
 
     x_drop = param(rng.normal(size=(6, 4)) + 3.0)
+
+    q_att = param(rng.normal(size=(5, 3)))
+    k_att = param(rng.normal(size=(6, 3)))
+    v_att = param(rng.normal(size=(6, 2)))
+
+    def segment_attention():
+        # Segments 1 and 4 have no messages; the pinned mask drops some weights.
+        pooled = T.segment_attention(q_att, k_att, v_att, seg, 5, 1.0 / np.sqrt(3),
+                                     (0.3, np.random.default_rng(9)))
+        return T.mean(T.mul(pooled, pooled))
+
+    cases["segment_attention"] = (segment_attention, {"q": q_att, "k": k_att, "v": v_att})
+
+    omega = param(rng.normal(size=(1, 4)))
+    phase = param(rng.normal(size=(1, 4)))
+    gaps = np.array([[0.0], [0.5], [1.3], [2.0], [3.1]])
+
+    def time_encoding():
+        encoded = T.time_encoding(gaps, omega, phase)
+        return T.mean(T.mul(encoded, encoded))
+
+    cases["time_encoding"] = (time_encoding, {"omega": omega, "phase": phase})
 
     def dropout_pinned():
         masked = T.dropout(x_drop, 0.3, np.random.default_rng(9), training=True)
@@ -196,7 +289,8 @@ def _composition_cases():
 
 class TestCompositions:
     @pytest.mark.parametrize("name", ["attention_like", "segment_pipeline",
-                                      "gather_concat", "trig_sqrt"])
+                                      "gather_concat", "trig_sqrt", "segment_attention",
+                                      "time_encoding"])
     def test_composition_gradients(self, name):
         cases, _ = _composition_cases()
         forward, params = cases[name]
@@ -256,21 +350,26 @@ def test_finite_check_fixture_raises_on_inf():
 DTYPES = st.sampled_from([np.float32, np.float64])
 
 
-def _value_and_grad(primitive, values, g, *args):
-    """Forward values and the input gradient that ``primitive`` returns for ``g``."""
+def _values_and_grads(primitive, inputs, g, *args):
+    """Forward values and the gradient ``backward`` gives each input when the
+    output's upstream gradient is ``g``."""
+    params = [T.parameter(x) for x in inputs]
     with Tape() as tape:
-        out = primitive(T.parameter(values), *args)
-    return out.values, tape.entries[-1].backward(g)[0]
+        out = primitive(*params, *args)
+        seed = T._finish("seed", (out,), np.zeros(()), lambda _: (g,))
+    grads = backward(tape, seed)
+    return [out.values] + [grads[p] for p in params]
 
 
-def _assert_matches_oracle(primitive, oracle, values, g, *args):
-    """Bit for bit when every input is float64; within float32 rounding otherwise.
-    An empty result may differ in dtype only."""
-    for new, old in zip(_value_and_grad(primitive, values, g, *args),
-                        _value_and_grad(oracle, values, g, *args)):
+def _assert_matches_oracle(primitive, oracle, inputs, g, *args, exact=False):
+    """Bit for bit when ``exact`` or when every input is float64; within
+    float32 rounding otherwise. An empty result may differ in dtype only."""
+    exact = exact or all(x.dtype == np.float64 for x in (*inputs, g))
+    for new, old in zip(_values_and_grads(primitive, inputs, g, *args),
+                        _values_and_grads(oracle, inputs, g, *args)):
         assert new.shape == old.shape and (new.dtype == old.dtype or new.size == 0)
-        if values.dtype == g.dtype == np.float64:
-            np.testing.assert_array_equal(new, old)
+        if exact:
+            assert new.tobytes() == old.tobytes()
         else:
             np.testing.assert_allclose(new, old, rtol=1e-5, atol=1e-5)
 
@@ -289,7 +388,7 @@ def test_slice_rows_matches_scatter_oracle(num_rows, tail, picks, dtype, g_dtype
     rows = np.asarray(picks, dtype=np.int64) % num_rows  # unsorted and repeated
     values = rng.normal(scale=3.0, size=(num_rows, *tail)).astype(dtype)
     g = rng.normal(scale=3.0, size=(len(rows), *tail)).astype(g_dtype)
-    _assert_matches_oracle(T.slice_rows, oracles.slice_rows, values, g, rows)
+    _assert_matches_oracle(T.slice_rows, oracles.slice_rows, (values,), g, rows)
 
 
 @settings(deadline=None, max_examples=60)
@@ -304,7 +403,8 @@ def test_segment_sum_matches_scatter_oracle(num_segments, width, picks, dtype, g
     seg = np.asarray(picks, dtype=np.int64) % num_segments  # unsorted, ids skipped
     values = rng.normal(scale=3.0, size=(len(seg), width)).astype(dtype)
     g = rng.normal(scale=3.0, size=(num_segments, width)).astype(g_dtype)
-    _assert_matches_oracle(T.segment_sum, oracles.segment_sum, values, g, seg, num_segments)
+    _assert_matches_oracle(oracles.segment_sum, oracles.segment_sum_at, (values,), g, seg,
+                           num_segments)
 
 
 @settings(deadline=None, max_examples=60)
@@ -321,9 +421,73 @@ def test_segment_softmax_matches_scatter_oracle(runs, width, dtype, g_dtype, see
     seg = np.repeat([i for i, _ in runs], [n for _, n in runs]).astype(np.int64)
     values = rng.normal(scale=3.0, size=(len(seg), width)).astype(dtype)
     g = rng.normal(scale=3.0, size=(len(seg), width)).astype(g_dtype)
-    _assert_matches_oracle(T.segment_softmax, oracles.segment_softmax, values, g, seg)
+    _assert_matches_oracle(oracles.segment_softmax, oracles.segment_softmax_at, (values,), g,
+                           seg)
 
 
 def test_segment_softmax_rejects_a_split_segment():
     with pytest.raises(ShapeError, match="not contiguous"):
-        T.segment_softmax(T.constant(np.zeros((3, 1))), [0, 1, 0])
+        oracles.segment_softmax(T.constant(np.zeros((3, 1))), [0, 1, 0])
+    with pytest.raises(ShapeError, match="not contiguous"):
+        T.segment_attention(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 1))),
+                            T.constant(np.zeros((3, 1))), [0, 1, 0], 2, 1.0)
+
+
+# The encoder's mixes: float64 throughout, and float32 parameters whose
+# attention the float64 scale promotes, so that a float64 gradient comes back.
+MIXES = st.sampled_from([(np.float64, np.float64), (np.float32, np.float64),
+                         (np.float32, np.float32)])
+
+
+@settings(deadline=None, max_examples=80)
+@given(runs=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=5,
+                     unique_by=lambda run: run[0]),
+       empty_tail=st.integers(0, 2), head_dim=st.integers(1, 4), value_dim=st.integers(1, 3),
+       mix=MIXES, dropout=st.booleans(), seed=st.integers(0, 2**16))
+@example(runs=[], empty_tail=2, head_dim=2, value_dim=2, mix=(np.float64, np.float64),
+         dropout=False, seed=0)
+@example(runs=[(0, 1), (2, 1), (3, 1)], empty_tail=1, head_dim=3, value_dim=3,
+         mix=(np.float32, np.float64), dropout=True, seed=1)
+@example(runs=[(4, 3), (1, 2), (2, 1)], empty_tail=0, head_dim=2, value_dim=1,
+         mix=(np.float64, np.float64), dropout=True, seed=2)
+def test_segment_attention_matches_composed_oracle(runs, empty_tail, head_dim, value_dim, mix,
+                                                   dropout, seed):
+    rng = np.random.default_rng(seed)
+    dtype, g_dtype = mix
+    # Each id one contiguous run, ids in any order; skipped ids and the tail
+    # are anchors without messages.
+    seg = np.repeat([i for i, _ in runs], [n for _, n in runs]).astype(np.int64)
+    num_segments = max([i for i, _ in runs], default=-1) + 1 + empty_tail
+    q_rows = rng.normal(scale=2.0, size=(num_segments, head_dim)).astype(dtype)
+    k = rng.normal(scale=2.0, size=(len(seg), head_dim)).astype(dtype)
+    v = rng.normal(scale=2.0, size=(len(seg), value_dim)).astype(dtype)
+    g = rng.normal(scale=2.0, size=(num_segments, value_dim)).astype(g_dtype)
+    # The encoder's scale: a float64 scalar, so float32 scores promote.
+    scale = 1.0 / np.sqrt(head_dim) if g_dtype == np.float64 else float(1.0 / np.sqrt(head_dim))
+
+    def run(op):
+        def attend(q_rows, k, v):
+            keep = (0.4, np.random.default_rng(seed)) if dropout else None
+            return op(q_rows, k, v, seg, num_segments, scale, keep)
+        return attend
+
+    _assert_matches_oracle(run(T.segment_attention), run(oracles.segment_attention),
+                           (q_rows, k, v), g, exact=True)
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.integers(0, 6), dim=st.integers(1, 5), mix=MIXES, seed=st.integers(0, 2**16))
+@example(rows=0, dim=3, mix=(np.float64, np.float64), seed=0)
+@example(rows=4, dim=1, mix=(np.float32, np.float64), seed=1)
+def test_time_encoding_matches_composed_oracle(rows, dim, mix, seed):
+    rng = np.random.default_rng(seed)
+    dtype, g_dtype = mix
+    # Gaps from 0 to about 1e7, as time2vec casts them.
+    dt = (rng.exponential(10.0 ** rng.uniform(0, 7, size=(rows, 1)))
+          * (rng.random((rows, 1)) < 0.8)).astype(dtype)
+    omega = (1.0 / np.power(10.0, rng.uniform(0, 7, size=(1, dim)))).astype(dtype)
+    phase = rng.normal(size=(1, dim)).astype(dtype)
+    g = rng.normal(scale=2.0, size=(rows, dim)).astype(g_dtype)
+    _assert_matches_oracle(lambda w, b: T.time_encoding(dt, w, b),
+                           lambda w, b: oracles.time_encoding(dt, w, b),
+                           (omega, phase), g, exact=True)
