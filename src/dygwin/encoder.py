@@ -201,7 +201,7 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
         message_parts.append(T.constant(feats, dtype=H.dtype))
     messages = T.concat_last_dim(message_parts)            # (occurrences, message_dim)
 
-    scale = 1.0 / np.sqrt(layer.wq[0].shape[1])  # a float64 scalar: float32 scores promote
+    scale = float(1.0 / np.sqrt(layer.wq[0].shape[1]))  # a Python float keeps the dtype
     dropout = (params.dropout, dropout_rng) if params.dropout > 0.0 and training else None
     contexts = [T.segment_attention(T.matmul(H_out, wq), T.matmul(messages, wk),
                                     T.matmul(messages, wv), segments, len(anchors), scale, dropout)

@@ -45,7 +45,7 @@ def time2vec(params: Time2VecParams, delta_t) -> Tensor:
     out[:, 0] = omega[0] * dt + phase[0]; out[:, k] = sin(omega[k] * dt + phase[k]).
     """
     dt = np.atleast_1d(np.asarray(delta_t, dtype=np.float64)).reshape(-1, 1)
-    return T.time_encoding(dt.astype(params.omega.dtype), params.omega, params.phase)
+    return T.time_encoding(dt, params.omega, params.phase)
 
 
 def common_neighbors_at(input_edges: EdgeArray, u: int, v: int, t: float) -> int:

@@ -402,16 +402,28 @@ def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segmen
 
 
 def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:
-    """Time2Vec of the gaps ``dt`` (n, 1): ``angles = dt @ omega + phase``, then
-    column 0 stays linear and every other column takes its sine."""
-    angles = dt @ omega.values + phase.values
-    out = np.sin(angles)
+    """Time2Vec of the gaps ``dt`` (n, 1): ``angles = dt * omega + phase``, formed in
+    float64 so that gaps of 1e7 keep their phase; column 0 stays linear and every
+    other column takes its sine. Float32 parameters take the float32 sine (numpy's
+    vectorised one) of each angle wrapped to [-pi, pi] in float64, and get the
+    output and both gradients in float32."""
+    angles = dt * omega.values.astype(np.float64)
+    angles += phase.values.astype(np.float64)
+    wrapped = angles
+    if omega.dtype != np.float64:  # in place: fresh float64 pages cost more than the math
+        wrapped = angles * (0.5 / np.pi)
+        np.rint(wrapped, out=wrapped)
+        wrapped *= -2.0 * np.pi
+        wrapped += angles
+        wrapped = wrapped.astype(omega.dtype)
+    out = np.sin(wrapped)
     out[:, 0] = angles[:, 0]
 
     def bwd(g: Array):
-        g_angles = g * np.cos(angles)
+        g_angles = (g * np.cos(wrapped)).astype(np.float64, copy=False)
         g_angles[:, 0] = g[:, 0]
-        return dt.T @ g_angles, _unbroadcast(g_angles, phase.shape)
+        return ((dt.T @ g_angles).astype(omega.dtype, copy=False),
+                _unbroadcast(g_angles, phase.shape).astype(phase.dtype, copy=False))
 
     return _finish("time_encoding", (omega, phase), out, bwd)
 
@@ -427,7 +439,8 @@ def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
     n = z.size
 
     def bwd(g: Array):
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        e = np.exp(-np.abs(z))  # never overflows; each branch is the sigmoid of its sign
+        s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return (g * (s - y) / n, None)
 
     return _finish("bce_with_logits", (logits, labels), out, bwd)

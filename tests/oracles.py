@@ -11,9 +11,10 @@ the gradient checks only. ``slice_rows``, ``segment_softmax_at`` and
 ``segment_sum_at`` scatter through ``np.add.at`` and ``np.maximum.at``, one
 cell at a time, for comparison with the ``np.bincount`` forms of
 ``dygwin.tensor.slice_rows``, ``segment_softmax`` and ``segment_sum``. Those
-two and ``sin`` are unfused primitives: ``segment_attention`` and
-``time_encoding`` compose them with ``dygwin.tensor``'s into references for
-the one-entry ops of the same names, expression for expression.
+two, ``cast``, ``wrap_angle`` and ``sin`` are unfused primitives:
+``segment_attention`` and ``time_encoding`` compose them with
+``dygwin.tensor``'s into references for the one-entry ops of the same names,
+expression for expression.
 ``checkpoint_digest`` lets a test compare parameter maps by content.
 ``flp_scores_per_cut`` and ``dnc_scores_per_cut`` score an evaluation region
 one cut at a time, each cut with a cache built from its own input slice, for
@@ -107,6 +108,25 @@ def segment_sum_at(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     return _finish("segment_sum", (a,), out, bwd)
 
 
+def cast(a: Tensor, dtype) -> Tensor:
+    out = a.values.astype(dtype)
+
+    def bwd(g):
+        return (g.astype(a.dtype),)
+
+    return _finish("cast", (a,), out, bwd)
+
+
+def wrap_angle(a: Tensor) -> Tensor:
+    """``a`` less its nearest multiple of 2 pi, with the gradient of the identity."""
+    out = a.values + np.rint(a.values * (0.5 / np.pi)) * (-2.0 * np.pi)
+
+    def bwd(g):
+        return (g,)
+
+    return _finish("wrap_angle", (a,), out, bwd)
+
+
 def sin(a: Tensor) -> Tensor:
     out = np.sin(a.values)
 
@@ -165,13 +185,18 @@ def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segmen
 
 
 def time_encoding(dt: np.ndarray, omega: Tensor, phase: Tensor) -> Tensor:
-    """``T.time_encoding`` composed from five primitives: the angles times a
-    one-hot mask of column 0, plus their sine times its complement."""
-    angles = T.add(T.matmul(T.constant(dt), omega), phase)
+    """``T.time_encoding`` composed from primitives: float64 angles from the
+    parameters cast up, then the angles cast to the parameters' dtype times a
+    one-hot mask of column 0, plus their sine times its complement. The sine
+    takes the float64 angles for float64 parameters, and otherwise the angles
+    wrapped to [-pi, pi] and cast down."""
+    angles = T.add(T.matmul(T.constant(dt, dtype=np.float64), cast(omega, np.float64)),
+                   cast(phase, np.float64))
+    wrapped = angles if omega.dtype == np.float64 else cast(wrap_angle(angles), omega.dtype)
     linear_mask = np.zeros((1, omega.shape[1]), dtype=omega.dtype)
     linear_mask[0, 0] = 1.0
-    return T.add(T.mul(angles, T.constant(linear_mask)),
-                 T.mul(sin(angles), T.constant(1.0 - linear_mask)))
+    return T.add(T.mul(cast(angles, omega.dtype), T.constant(linear_mask)),
+                 T.mul(sin(wrapped), T.constant(1.0 - linear_mask)))
 
 
 def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,

@@ -11,20 +11,19 @@ import pytest
 
 import dygwin.tensor as T
 from dygwin.cli import main as cli_main
-from dygwin.data import chronological_split, split_edge_indices
 from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, evaluation_passes,
                                flp_score, init_flp_decoder, sample_negatives, train_downstream)
 from dygwin.encoder import encode, init_encoder
 from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
-from dygwin.pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor,
-                             pretrain, ssl_loss_terms, vicreg_covariance, vicreg_invariance,
-                             vicreg_variance)
+from dygwin.pretrain import (DistortionConfig, distort, init_predictor, ssl_loss_terms,
+                             vicreg_covariance, vicreg_invariance, vicreg_variance)
 from dygwin.windows import Interval, generate_intervals, make_window_batch
 
 from gradcheck import LARGE_GRADIENT, finite_difference_check
 from graphs import ctdg_from, edges_from
 from oracles import brute_common_neighbors, brute_degree
+from probe_recipe import difference_of_differences, probe_seed, probe_world
 from synthetic import make_synthetic_ctdg, write_synthetic_csv
 from test_metrics import (oracle_auc, oracle_average_precision, oracle_rank, ragged,
                           records)
@@ -39,10 +38,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def synthetic_world():
     """The shared 5000-edge planted-rule dataset and its split."""
-    ctdg = make_synthetic_ctdg(num_nodes=300, num_edges=5000, history=200,
-                               motif_prob=0.8, seed=0)
-    split = chronological_split(ctdg)
-    return ctdg, split
+    return probe_world()
 
 
 def test_criterion_1_full_model_gradient_check():
@@ -242,59 +238,18 @@ def test_criterion_6_synthetic_supervised_learning(synthetic_world):
 
 @pytest.fixture(scope="module")
 def probe_study(synthetic_world):
-    """Frozen-encoder probes for SSL-init vs random-init over three seeds.
-
-    Pre-training uses windows matched to the downstream scale; probes train
-    to convergence with best-validation selection, and test AP is averaged
-    over three negative draws for measurement precision.
-    """
-    from dygwin.data import split_edge_indices
-
+    """Frozen-encoder probes for SSL-init vs random-init over three seeds, at
+    label fractions 1.0 and 0.1 (``probe_recipe.probe_seed``)."""
     ctdg, split = synthetic_world
-    train_idx, _, _ = split_edge_indices(ctdg, split)
-    train_ctdg = ctdg.subset(train_idx)
-    _, val_end = split.boundaries
-    dim = 100
     started = time.perf_counter()
-
-    def make_encoder(seed):
-        return init_encoder(num_layers=2, node_dim=dim, time_dim=32, heads=2,
-                            dropout=0.1, seed=seed)
-
-    def probe(encoder_state, seed, label_fraction):
-        encoder = make_encoder(seed)
-        if encoder_state is not None:
-            for name, p in encoder.named().items():
-                p.values = encoder_state[name].copy()
-        config = TrainConfig(window=300, target_size=200, epochs=30, lr=1e-3,
-                             max_neighbors=20, seed=seed, val_every=3)
-        result = train_downstream(ctdg, split, "flp", encoder, freeze_encoder=True,
-                                  label_fraction=label_fraction, config=config)
-        draws = [evaluate_flp(ctdg, (val_end, len(ctdg)), encoder, result.decoder,
-                              300, 200, 20, seed=1000 + d)["ap"] for d in range(3)]
-        return float(np.mean(draws))
-
-    rows = {}
-    for seed in (0, 1, 2):
-        encoder = make_encoder(seed)
-        predictor = init_predictor(dim, seed=seed)
-        pretrain(train_ctdg, encoder, predictor,
-                 PretrainConfig(window=300, stride=200, epochs=20, lr=1e-3,
-                                max_neighbors=20, seed=seed))
-        state = {name: p.values.copy() for name, p in encoder.named().items()}
-        rows[seed] = {
-            "ssl_full": probe(state, seed, 1.0),
-            "ssl_low": probe(state, seed, 0.1),
-            "rand_full": probe(None, seed, 1.0),
-            "rand_low": probe(None, seed, 0.1),
-        }
+    rows = {seed: probe_seed(ctdg, split, seed) for seed in (0, 1, 2)}
     return rows, time.perf_counter() - started
 
 
 def test_criterion_7_ssl_beats_random_probe(probe_study):
     rows, elapsed = probe_study
-    ssl_median = float(np.median([rows[s]["ssl_full"] for s in rows]))
-    rand_median = float(np.median([rows[s]["rand_full"] for s in rows]))
+    ssl_median = float(np.median([rows[s]["ssl", 1.0] for s in rows]))
+    rand_median = float(np.median([rows[s]["random", 1.0] for s in rows]))
     margin = ssl_median - rand_median
     report(7, margin >= 0.0 and elapsed < 2700,
            f"frozen-probe AP medians over 3 seeds: SSL-init {ssl_median:.4f} vs "
@@ -303,8 +258,7 @@ def test_criterion_7_ssl_beats_random_probe(probe_study):
 
 def test_criterion_8_ssl_degrades_less_with_few_labels(probe_study):
     rows, _ = probe_study
-    dods = [(rows[s]["rand_full"] - rows[s]["rand_low"])
-            - (rows[s]["ssl_full"] - rows[s]["ssl_low"]) for s in rows]
+    dods = [difference_of_differences(rows[s], 0.1) for s in rows]
     median_dod = float(np.median(dods))
     detail = ", ".join(f"seed {s}: {d:+.4f}" for s, d in zip(rows, dods))
     report(8, median_dod >= 0.0,

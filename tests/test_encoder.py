@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
+from dygwin.downstream import bce_loss, dnc_score, flp_score, init_decoder
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
                             encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
+from dygwin.pretrain import init_predictor, ssl_loss_terms
 from dygwin.windows import IncidenceIndex, Interval, build_layered_neighborhood, make_window_batch
 
 import oracles
@@ -407,3 +409,39 @@ def test_requested_rows_match_all_rows_encode(data):
     expected = reference.matrix.values[reference.rows(out.ids)]
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
     assert np.abs(out.matrix.values - expected).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_float32_parameters_stay_float32():
+    """Encoder rows, both decoders' logits and the SSL loss stay float32, and
+    so does every parameter's gradient; the conftest guard checks each op."""
+    rng = np.random.default_rng(3)
+    triples, t = [], 0.0
+    for _ in range(40):
+        u, v = rng.choice(12, size=2, replace=False)
+        t += float(rng.exponential(1e5))  # gaps of 1e5 to 1e6 reach the decoders
+        triples.append((int(u), int(v), t))
+    ctdg = ctdg_from(triples, num_nodes=12, feats=rng.normal(size=(40, 3)).astype(np.float32))
+    batch = make_window_batch(ctdg, Interval(0, 30), target_size=10)
+    cache, targets = WindowFeatureCache(batch.input_edges), batch.target_edges
+    nodes = np.unique(np.concatenate([batch.input_edges.endpoints(), targets.endpoints()]))
+    encoder = init_encoder(num_layers=2, node_dim=8, time_dim=6, edge_dim=3, heads=2,
+                           dropout=0.1, seed=1)
+    flp, dnc = init_decoder("flp", 8, 6, seed=1), init_decoder("dnc", 8, 6, seed=1)
+    predictor = init_predictor(8, seed=1)
+    with T.Tape() as tape:
+        h_a = encode(cache, encoder, 5, (9,), nodes, training=True)
+        h_b = encode(cache, encoder, 5, (10,), nodes, training=True)
+        pos = flp_score(flp, h_a, targets.u, targets.v, targets.t, cache)
+        labels = dnc_score(dnc, h_a, targets.u, targets.t, cache, training=True,
+                           rng=np.random.default_rng(4))
+        ssl, _ = ssl_loss_terms(predictor.forward(h_a.gather(nodes)),
+                                predictor.forward(h_b.gather(nodes)))
+        loss = T.add(T.add(bce_loss(pos, np.ones(pos.shape)),
+                           bce_loss(labels, rng.random(labels.shape) < 0.5)),
+                     T.scale(ssl, 0.01))
+    assert [x.dtype for x in (h_a.matrix, pos, labels, ssl, loss)] == [np.float32] * 5
+    grads = T.backward(tape, loss)
+    named = {**encoder.named(), **flp.named("flp"), **dnc.named("dnc"),
+             **predictor.named("predictor")}
+    assert {name: grads[p].dtype for name, p in named.items()} \
+        == {name: np.float32 for name in named}

@@ -41,6 +41,20 @@ class TestTime2Vec:
         out = time2vec(params, rng.uniform(0, 1000, size=50)).values
         assert np.all(out[:, 1:] >= -1.0) and np.all(out[:, 1:] <= 1.0)
 
+    def test_float32_gaps_to_1e7_within_float32_rounding_of_float64(self):
+        params = init_time2vec(100)
+        reference = Time2VecParams(omega=T.parameter(params.omega.values, dtype=np.float64),
+                                   phase=T.parameter(params.phase.values, dtype=np.float64))
+        gaps = np.concatenate([[0.0], np.random.default_rng(2).uniform(0.0, 1e7, 500),
+                               np.geomspace(1e-3, 1e7, 200)])
+        out = time2vec(params, gaps).values
+        expected = time2vec(reference, gaps).values
+        assert out.dtype == np.float32
+        # The linear column is rounded once; a sine is off by at most the float32
+        # rounding of its wrapped angle (half a unit at pi) and of itself.
+        assert np.array_equal(out[:, 0], expected[:, 0].astype(np.float32))
+        assert np.abs(out[:, 1:] - expected[:, 1:]).max() <= 2.0 ** -22
+
     def test_default_init_dimension(self):
         params = init_time2vec(100)
         assert params.omega.shape == params.phase.shape == (1, 100)

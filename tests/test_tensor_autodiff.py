@@ -1,5 +1,7 @@
 """Tensor primitives and reverse-mode gradients against finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,20 @@ class TestBackward:
 
         report = finite_difference_check(forward, {"z": z})
         assert report.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_far_tails_give_exact_gradients_without_warnings(self, dtype):
+        # exp overflows float32 past 88 and float64 past 709.
+        z = T.parameter([[100.0, -100.0, 800.0, -800.0, 100.0, -800.0]], dtype=dtype)
+        y = np.array([[1.0, 0.0, 1.0, 0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with Tape() as tape:
+                loss = T.bce_with_logits(z, T.constant(y, dtype=dtype))
+            grad = backward(tape, loss)[z]
+        sigma = np.exp(-np.logaddexp(0.0, -z.values.astype(np.float64)))
+        assert grad.dtype == dtype and np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad, (sigma - y) / 6, rtol=1e-6, atol=1e-12)
 
     def test_gradients_accumulate_across_fanout(self):
         x = param([[2.0]])
@@ -356,7 +372,7 @@ def _values_and_grads(primitive, inputs, g, *args):
     params = [T.parameter(x) for x in inputs]
     with Tape() as tape:
         out = primitive(*params, *args)
-        seed = T._finish("seed", (out,), np.zeros(()), lambda _: (g,))
+        seed = T._finish("seed", (out,), np.zeros((), out.dtype), lambda _: (g,))
     grads = backward(tape, seed)
     return [out.values] + [grads[p] for p in params]
 
@@ -462,8 +478,7 @@ def test_segment_attention_matches_composed_oracle(runs, empty_tail, head_dim, v
     k = rng.normal(scale=2.0, size=(len(seg), head_dim)).astype(dtype)
     v = rng.normal(scale=2.0, size=(len(seg), value_dim)).astype(dtype)
     g = rng.normal(scale=2.0, size=(num_segments, value_dim)).astype(g_dtype)
-    # The encoder's scale: a float64 scalar, so float32 scores promote.
-    scale = 1.0 / np.sqrt(head_dim) if g_dtype == np.float64 else float(1.0 / np.sqrt(head_dim))
+    scale = float(1.0 / np.sqrt(head_dim))  # the encoder's: a Python float keeps the dtype
 
     def run(op):
         def attend(q_rows, k, v):
@@ -482,9 +497,8 @@ def test_segment_attention_matches_composed_oracle(runs, empty_tail, head_dim, v
 def test_time_encoding_matches_composed_oracle(rows, dim, mix, seed):
     rng = np.random.default_rng(seed)
     dtype, g_dtype = mix
-    # Gaps from 0 to about 1e7, as time2vec casts them.
-    dt = (rng.exponential(10.0 ** rng.uniform(0, 7, size=(rows, 1)))
-          * (rng.random((rows, 1)) < 0.8)).astype(dtype)
+    # Gaps from 0 to about 1e7, in float64 as time2vec passes them.
+    dt = rng.exponential(10.0 ** rng.uniform(0, 7, size=(rows, 1))) * (rng.random((rows, 1)) < 0.8)
     omega = (1.0 / np.power(10.0, rng.uniform(0, 7, size=(1, dim)))).astype(dtype)
     phase = rng.normal(size=(1, dim)).astype(dtype)
     g = rng.normal(scale=2.0, size=(rows, dim)).astype(g_dtype)
