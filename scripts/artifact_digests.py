@@ -12,11 +12,15 @@ same lines:
     PYTHONPATH=../parent/src python scripts/artifact_digests.py > parent.txt
     diff parent.txt change.txt
 
+``--precision {float32,float64}`` sets the runs' ``precision`` key (default
+float32, the CLI's own default). A change that should keep float64 bits but
+moves float32 rounding is checked with ``--precision float64`` on both sides.
 The CLI's own output and the package path go to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import sys
@@ -64,13 +68,13 @@ def run(root: Path, label: str, args: list[str]) -> Path:
     return run_dir
 
 
-def print_digests() -> None:
+def print_digests(precision: str = "float32") -> None:
     print(f"dygwin from {Path(dygwin.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         log = root / "log.csv"
         write_log(log)
-        base = ["--dataset", str(log), *MODEL]
+        base = ["--dataset", str(log), *MODEL, "--set", f"precision={precision}"]
         runs = {"ingest": run(root, "ingest", ["ingest", "--dataset", str(log)])}
         runs["pretrain"] = run(root, "pretrain", [
             "pretrain", *base, "--set", "ssl_window=150", "--set", "ssl_stride=75"])
@@ -94,4 +98,6 @@ def print_digests() -> None:
 
 
 if __name__ == "__main__":
-    print_digests()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--precision", choices=("float32", "float64"), default="float32")
+    print_digests(parser.parse_args().precision)

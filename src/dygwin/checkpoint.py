@@ -23,7 +23,7 @@ from .errors import DataError
 from .tensor import Tensor
 
 MAGIC = b"DYGW"
-VERSION = 1
+VERSION = 2
 
 _TAGS = {np.dtype(np.float32): b"f", np.dtype(np.float64): b"d"}
 _DTYPES = {b"f": np.dtype("<f4"), b"d": np.dtype("<f8")}

@@ -27,9 +27,9 @@ DROPOUT_STREAM = 13
 @dataclass
 class LayerParams:
     w1: Tensor                # (node_dim, node_dim)
-    wq: list[Tensor]          # per head (node_dim, head_dim)
-    wk: list[Tensor]          # per head (message_dim, head_dim)
-    wv: list[Tensor]          # per head (message_dim, head_dim)
+    wq: Tensor                # (node_dim, heads * head_dim), one column block per head
+    wk: Tensor                # (message_dim, heads * head_dim)
+    wv: Tensor                # (message_dim, heads * head_dim)
     wo: Tensor                # (heads * head_dim, node_dim)
 
 
@@ -66,12 +66,7 @@ class EncoderParams:
         if self.input_proj is not None:
             out[f"{prefix}/input_proj"] = self.input_proj
         for i, layer in enumerate(self.layers):
-            out[f"{prefix}/layer{i}/w1"] = layer.w1
-            out[f"{prefix}/layer{i}/wo"] = layer.wo
-            for h in range(len(layer.wq)):
-                out[f"{prefix}/layer{i}/head{h}/wq"] = layer.wq[h]
-                out[f"{prefix}/layer{i}/head{h}/wk"] = layer.wk[h]
-                out[f"{prefix}/layer{i}/head{h}/wv"] = layer.wv[h]
+            out.update({f"{prefix}/layer{i}/{name}": p for name, p in vars(layer).items()})
         return out
 
     def set_requires_grad(self, flag: bool) -> None:
@@ -87,15 +82,15 @@ def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
     rng = np.random.default_rng((seed, 17))
     head_dim = node_dim // heads
     message_dim = node_dim + time_dim + edge_dim
-    layers = []
-    for _ in range(num_layers):
-        layers.append(LayerParams(
-            w1=T.xavier_uniform(rng, node_dim, node_dim, dtype=dtype),
-            wq=[T.xavier_uniform(rng, node_dim, head_dim, dtype=dtype) for _ in range(heads)],
-            wk=[T.xavier_uniform(rng, message_dim, head_dim, dtype=dtype) for _ in range(heads)],
-            wv=[T.xavier_uniform(rng, message_dim, head_dim, dtype=dtype) for _ in range(heads)],
-            wo=T.xavier_uniform(rng, heads * head_dim, node_dim, dtype=dtype),
-        ))
+
+    def per_head(fan_in: int) -> Tensor:  # each head's block drawn at its own fan-out
+        return T.parameter(np.hstack([T.xavier_uniform(rng, fan_in, head_dim, dtype=dtype).values
+                                      for _ in range(heads)]))
+
+    layers = [LayerParams(w1=T.xavier_uniform(rng, node_dim, node_dim, dtype=dtype),
+                          wq=per_head(node_dim), wk=per_head(message_dim), wv=per_head(message_dim),
+                          wo=T.xavier_uniform(rng, heads * head_dim, node_dim, dtype=dtype))
+              for _ in range(num_layers)]
     input_proj = (T.xavier_uniform(rng, node_feature_dim, node_dim, dtype=dtype)
                   if node_feature_dim > 0 else None)
     return EncoderParams(layers=layers, t2v=init_time2vec(time_dim, dtype=dtype),
@@ -201,13 +196,11 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
         message_parts.append(T.constant(feats, dtype=H.dtype))
     messages = T.concat_last_dim(message_parts)            # (occurrences, message_dim)
 
-    scale = float(1.0 / np.sqrt(layer.wq[0].shape[1]))  # a Python float keeps the dtype
     dropout = (params.dropout, dropout_rng) if params.dropout > 0.0 and training else None
-    contexts = [T.segment_attention(T.matmul(H_out, wq), T.matmul(messages, wk),
-                                    T.matmul(messages, wv), segments, len(anchors), scale, dropout)
-                for wq, wk, wv in zip(layer.wq, layer.wk, layer.wv)]
-    mha_out = T.matmul(T.concat_last_dim(contexts), layer.wo)
-    return NodeEmbeddings(anchors, T.add(h_new, mha_out))
+    context = T.segment_attention(T.matmul(H_out, layer.wq), T.matmul(messages, layer.wk),
+                                  T.matmul(messages, layer.wv), segments, len(anchors),
+                                  params.heads, dropout)
+    return NodeEmbeddings(anchors, T.add(h_new, T.matmul(context, layer.wo)))
 
 
 def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,

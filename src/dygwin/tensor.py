@@ -358,45 +358,52 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segments: int,
-                      scale, dropout: tuple | None = None) -> Tensor:
-    """One head of scaled dot-product attention, pooled per segment.
+                      heads: int, dropout: tuple | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention, pooled per segment.
 
     Message i (row i of ``k`` and ``v``) goes to segment ``segments[i]``, whose
     query is that row of ``q_rows``; a segment's messages must be contiguous,
-    and a segment without any gets a zero row. Scores ``sum(q * k) * scale``
-    are softmaxed per segment, dropped out as ``dropout`` draws given ``(p,
-    rng)``, and weight the segment's ``v`` rows. Backward recomputes the
-    gathered queries and the softmax rather than keeping them.
+    and a segment without any gets a zero row. Head h reads and writes the h-th
+    of ``heads`` equal column blocks: scores ``sum(q * k) / sqrt(block width)``
+    are softmaxed per segment, dropped out by ``rng.random((heads, n)).T < p``
+    given ``dropout = (p, rng)``, and weight the block's ``v`` rows. Backward
+    recomputes the gathered queries and the softmax rather than keeping them.
     """
     seg = np.asarray(segments, dtype=np.int64)
+    n, width = seg.size, q_rows.shape[1]
     head = np.diff(seg, prepend=seg[:1] - 1) != 0
     starts, run = np.flatnonzero(head), np.cumsum(head) - 1
-    if k.shape != (seg.size, q_rows.shape[1]) or v.shape[0] != seg.size or seg.size and not (
-            0 <= seg.min() and seg.max() < min(num_segments, q_rows.shape[0])):
+    if k.shape != (n, width) or v.shape[0] != n or heads < 1 or width % heads + v.shape[1] % heads \
+            or n and not (0 <= seg.min() and seg.max() < min(num_segments, q_rows.shape[0])):
         raise ShapeError(f"segment_attention: queries {q_rows.shape}, keys {k.shape}, values "
-                         f"{v.shape}, {seg.size} segment ids, {num_segments} segments")
+                         f"{v.shape}, {heads} heads, {n} segment ids, {num_segments} segments")
     if np.unique(seg[starts]).size < starts.size:
         raise ShapeError("segment_attention: a segment id's rows are not contiguous")
+    head_dim, value_dim = width // heads, v.shape[1] // heads
+    scale = float(1.0 / np.sqrt(head_dim))  # a Python float keeps the dtype
+    k3, v3 = k.values.reshape(n, heads, head_dim), v.values.reshape(n, heads, value_dim)
 
     def weights() -> tuple[Array, Array]:
-        q = q_rows.values[seg]
-        scores = (q * k.values).sum(axis=1, keepdims=True) * scale
+        q = q_rows.values[seg].reshape(n, heads, head_dim)
+        scores = (q * k3).sum(axis=2) * scale                  # (n, heads)
         e = np.exp(scores - np.maximum.reduceat(scores, starts)[run])
         return q, e / _row_sum(e, run, starts.size)[run]
 
     attn, keep = weights()[1], 1.0
     if dropout is not None:
         p, rng = dropout
-        keep = (rng.random(attn.shape) >= p).astype(attn.dtype) / (1.0 - p)
-    out = _row_sum(attn * keep * v.values, seg, num_segments)
+        keep = (rng.random((heads, n)).T >= p).astype(attn.dtype) / (1.0 - p)
+    out = _row_sum(((attn * keep)[:, :, None] * v3).reshape(v.shape), seg, num_segments)
 
     def bwd(g: Array):
         q, attn = weights()
-        g_rows = g[seg]
-        g_attn = _unbroadcast(g_rows * v.values, attn.shape) * keep
+        g_rows = g[seg].reshape(n, heads, value_dim)
+        g_attn = (g_rows * v3).sum(axis=2) * keep
         g_scores = attn * (g_attn - _row_sum(attn * g_attn, run, starts.size)[run]) * scale
-        g_q = _row_sum(g_scores * k.values, seg, q_rows.shape[0])
-        return g_q.astype(q_rows.dtype, copy=False), g_scores * q, g_rows * (attn * keep)
+        g_q = _row_sum((g_scores[:, :, None] * k3).reshape(k.shape), seg, q_rows.shape[0])
+        return (g_q.astype(q_rows.dtype, copy=False),
+                (g_scores[:, :, None] * q).reshape(k.shape),
+                (g_rows * (attn * keep)[:, :, None]).reshape(v.shape))
 
     return _finish("segment_attention", (q_rows, k, v), out, bwd)
 

@@ -5,11 +5,13 @@ node's row, recency, degree or common neighbours, one sampled position,
 one layer's receptive field or one anchor's draw the direct way, so a test
 can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
 ``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
-``WindowFeatureCache.counts_at``. The
-``sigmoid`` and ``softmax_rows`` primitives serve the reference ``mha`` and
-the gradient checks only. ``slice_rows``, ``segment_softmax_at`` and
-``segment_sum_at`` scatter through ``np.add.at`` and ``np.maximum.at``, one
-cell at a time, for comparison with the ``np.bincount`` forms of
+``WindowFeatureCache.counts_at``. The ``sigmoid``, ``softmax_rows`` and
+``columns`` primitives serve the reference ``mha`` and the gradient checks
+only. ``mha`` attends one head at a time, on that head's column blocks of
+the fused projections; ``segment_attention`` is one head, which tests apply
+to each head's column blocks in turn. ``slice_rows``, ``segment_softmax_at``
+and ``segment_sum_at`` scatter through ``np.add.at`` and ``np.maximum.at``,
+one cell at a time, for comparison with the ``np.bincount`` forms of
 ``dygwin.tensor.slice_rows``, ``segment_softmax`` and ``segment_sum``. Those
 two, ``cast``, ``wrap_angle`` and ``sin`` are unfused primitives:
 ``segment_attention`` and ``time_encoding`` compose them with
@@ -215,10 +217,22 @@ def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,
     return T.concat_last_dim(parts)
 
 
-def mha(query: Tensor, keys: Tensor | None, layer: LayerParams,
+def columns(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` of a 2-d tensor; backward pads its gradient with zeros."""
+    def bwd(g):
+        full = np.zeros(a.shape, dtype=np.result_type(a.dtype, g.dtype))
+        full[:, start:stop] = g
+        return (full,)
+
+    return _finish("columns", (a,), a.values[:, start:stop].copy(), bwd)
+
+
+def mha(query: Tensor, keys: Tensor | None, layer: LayerParams, heads: int,
         dropout_p: float = 0.0, rng: np.random.Generator | None = None,
         training: bool = False) -> Tensor:
-    """Reference multi-head scaled dot-product attention for one anchor.
+    """Reference multi-head scaled dot-product attention for one anchor, one
+    head at a time: head h projects through the h-th column block of
+    ``layer.wq``, ``wk`` and ``wv``.
 
     ``keys`` holds one message per row and doubles as the values; an empty
     or missing key set yields the zero vector.
@@ -226,12 +240,13 @@ def mha(query: Tensor, keys: Tensor | None, layer: LayerParams,
     node_dim = layer.w1.shape[0]
     if keys is None or keys.shape[0] == 0:
         return T.constant(np.zeros((1, node_dim)), dtype=query.dtype)
-    head_dim = layer.wq[0].shape[1]
+    head_dim = layer.wq.shape[1] // heads
     contexts = []
-    for h in range(len(layer.wq)):
-        q = T.matmul(query, layer.wq[h])                    # (1, head_dim)
-        k = T.matmul(keys, layer.wk[h])                     # (rows, head_dim)
-        v = T.matmul(keys, layer.wv[h])
+    for h in range(heads):
+        block = (h * head_dim, (h + 1) * head_dim)
+        q = T.matmul(query, columns(layer.wq, *block))      # (1, head_dim)
+        k = T.matmul(keys, columns(layer.wk, *block))       # (rows, head_dim)
+        v = T.matmul(keys, columns(layer.wv, *block))
         scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(head_dim))
         attn = softmax_rows(scores)                         # (1, rows)
         if dropout_p > 0.0:

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dygwin.tensor as T
+from dygwin import checkpoint
 from dygwin.checkpoint import load_checkpoint
 from dygwin.cli import _add_common_flags, _make_run_dir, build_parser, main
 from dygwin.config import config_hash, parse_config_file, resolve_config
@@ -373,6 +375,33 @@ class TestPipeline:
                      "--window-size", "120", "--checkpoint", str(cut),
                      "--eval-horizon", "40", *SMALL_MODEL])
         assert code == 3
+
+    def test_version_1_checkpoint_is_data_error(self, artifacts, dataset, tmp_path,
+                                                monkeypatch, capsys):
+        # Version 1 stored each head's q/k/v block under its own name; it is
+        # not read, so such a model must be trained again.
+        _, trained = artifacts
+        per_head = {}
+        for name, arr in load_checkpoint(trained).items():
+            stem, _, weight = name.rpartition("/")
+            if weight in ("wq", "wk", "wv"):
+                for h, block in enumerate(np.hsplit(arr, 2)):
+                    per_head[f"{stem}/head{h}/{weight}"] = T.parameter(block)
+            else:
+                per_head[name] = T.parameter(arr)
+        old = tmp_path / "v1.dygw"
+        monkeypatch.setattr(checkpoint, "VERSION", 1)
+        checkpoint.save_checkpoint(old, per_head)
+        monkeypatch.undo()
+        assert old.read_bytes()[4:8] == (1).to_bytes(4, "little")
+        capsys.readouterr()
+        code = main(["eval", "--dataset", str(dataset), "--output-dir", str(tmp_path / "runs"),
+                     "--window-size", "120", "--checkpoint", str(old),
+                     "--eval-horizon", "40", *SMALL_MODEL])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error kind=data" in err and "unsupported checkpoint version 1" in err
+        assert "Traceback" not in err
 
     def test_dnc_probe_then_eval_from_checkpoint(self, artifacts, dataset, tmp_path):
         out, _ = artifacts

@@ -36,10 +36,9 @@ class TestMha:
         rng = np.random.default_rng(0)
         query = T.constant(rng.normal(size=(1, 4)), dtype=np.float64)
         key = T.constant(rng.normal(size=(1, 6)), dtype=np.float64)
-        out = mha(query, key, layer)
+        out = mha(query, key, layer, heads=2)
         # softmax over one element is exactly 1: output is the projected value
-        manual = np.concatenate([(key.values @ layer.wv[h].values)
-                                 for h in range(2)], axis=1) @ layer.wo.values
+        manual = key.values @ layer.wv.values @ layer.wo.values
         assert np.allclose(out.values, manual, atol=1e-12)
 
     def test_duplicate_keys_match_single_key(self):
@@ -48,15 +47,15 @@ class TestMha:
         rng = np.random.default_rng(1)
         query = T.constant(rng.normal(size=(1, 4)), dtype=np.float64)
         key_row = rng.normal(size=(1, 6))
-        single = mha(query, T.constant(key_row, dtype=np.float64), layer)
+        single = mha(query, T.constant(key_row, dtype=np.float64), layer, heads=2)
         double = mha(query, T.constant(np.vstack([key_row, key_row]), dtype=np.float64),
-                     layer)
+                     layer, heads=2)
         assert np.allclose(single.values, double.values, atol=1e-12)
 
     def test_empty_key_set_returns_zero(self):
         params = tiny_params(node_dim=4, time_dim=2, heads=2)
         query = T.constant(np.ones((1, 4)), dtype=np.float64)
-        out = mha(query, None, params.layers[0])
+        out = mha(query, None, params.layers[0], heads=2)
         assert np.array_equal(out.values, np.zeros((1, 4)))
 
 
@@ -102,7 +101,7 @@ class TestLayerForward:
         counts = np.log1p(np.array([[1.0, 1.0, 0.0]]))  # deg(0), deg(1), cn at t=3
         f = f_time + counts @ params.edge_enc.values
         phi = np.concatenate([h[1:2], f], axis=1)
-        attn_value = phi @ layer.wv[0].values  # single key -> weight 1
+        attn_value = phi @ layer.wv.values  # single key -> weight 1
         expected_row0 = h[0:1] @ layer.w1.values + attn_value @ layer.wo.values
         assert np.allclose(out.matrix.values[0], expected_row0, atol=1e-10)
         # anchor 1 had no sample: bare transform
@@ -148,8 +147,21 @@ class TestLayerForward:
             key_tensor = T.constant(np.vstack(keys), dtype=np.float64) if keys else None
             reference = (h[anchor:anchor + 1] @ layer.w1.values +
                          mha(T.constant(h[anchor:anchor + 1], dtype=np.float64),
-                             key_tensor, layer).values)
+                             key_tensor, layer, params.heads).values)
             assert np.allclose(batched.matrix.values[anchor], reference, atol=1e-10)
+
+    def test_one_attention_entry_per_layer_whatever_the_heads(self):
+        ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(12)], num_nodes=5)
+        cache = WindowFeatureCache(make_window_batch(ctdg, Interval(0, 12), 0).input_edges)
+        ops = {}
+        for heads in (1, 2, 4):
+            params = init_encoder(num_layers=2, node_dim=8, time_dim=4, heads=heads,
+                                  dropout=0.1, seed=0)
+            with T.Tape() as tape:
+                encode(cache, params, 4, (3,), np.arange(5), training=True)
+            ops[heads] = [entry.op for entry in tape.entries]
+            assert ops[heads].count("segment_attention") == params.num_layers
+        assert ops[1] == ops[2] == ops[4]
 
     def test_missing_embedding_row_is_consistency_error(self):
         params = tiny_params()
@@ -214,11 +226,11 @@ class TestEncode:
                 f = f_time + np.log1p(cache.counts_matrix([p])) @ params.edge_enc.values
                 keys.append(np.concatenate([np.zeros((1, 2)), f], axis=1))
             keys = np.vstack(keys)
-            q = np.zeros((1, 2)) @ layer.wq[0].values
-            scores = (q @ (keys @ layer.wk[0].values).T) / np.sqrt(layer.wq[0].shape[1])
+            q = np.zeros((1, 2)) @ layer.wq.values
+            scores = (q @ (keys @ layer.wk.values).T) / np.sqrt(layer.wq.shape[1])
             weights = np.exp(scores - scores.max())
             weights /= weights.sum()
-            expected[anchor] = (weights @ (keys @ layer.wv[0].values)) @ layer.wo.values
+            expected[anchor] = (weights @ (keys @ layer.wv.values)) @ layer.wo.values
         assert np.allclose(out.matrix.values, expected, atol=1e-6)
 
     def test_causality_target_content_never_read(self):

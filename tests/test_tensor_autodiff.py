@@ -274,13 +274,14 @@ def _composition_cases():
 
     x_drop = param(rng.normal(size=(6, 4)) + 3.0)
 
-    q_att = param(rng.normal(size=(5, 3)))
-    k_att = param(rng.normal(size=(6, 3)))
-    v_att = param(rng.normal(size=(6, 2)))
+    q_att = param(rng.normal(size=(5, 6)))
+    k_att = param(rng.normal(size=(6, 6)))
+    v_att = param(rng.normal(size=(6, 4)))
 
     def segment_attention():
-        # Segments 1 and 4 have no messages; the pinned mask drops some weights.
-        pooled = T.segment_attention(q_att, k_att, v_att, seg, 5, 1.0 / np.sqrt(3),
+        # Two heads; segments 1 and 4 have no messages; the pinned mask drops
+        # some weights.
+        pooled = T.segment_attention(q_att, k_att, v_att, seg, 5, 2,
                                      (0.3, np.random.default_rng(9)))
         return T.mean(T.mul(pooled, pooled))
 
@@ -446,11 +447,14 @@ def test_segment_softmax_rejects_a_split_segment():
         oracles.segment_softmax(T.constant(np.zeros((3, 1))), [0, 1, 0])
     with pytest.raises(ShapeError, match="not contiguous"):
         T.segment_attention(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 1))),
-                            T.constant(np.zeros((3, 1))), [0, 1, 0], 2, 1.0)
+                            T.constant(np.zeros((3, 1))), [0, 1, 0], 2, 1)
 
 
-# The encoder's mixes: float64 throughout, and float32 parameters whose
-# attention the float64 scale promotes, so that a float64 gradient comes back.
+# (input, upstream gradient) dtypes: float64 and float32 throughout, the two
+# precisions the encoder runs at, and float32 inputs under a float64 gradient.
+# The encoder no longer sends that last mix (its attention scale is a Python
+# float), but any caller that meets a float64 tensor downstream does, and
+# backward must then give each input the oracle's gradient dtype.
 MIXES = st.sampled_from([(np.float64, np.float64), (np.float32, np.float64),
                          (np.float32, np.float32)])
 
@@ -458,36 +462,47 @@ MIXES = st.sampled_from([(np.float64, np.float64), (np.float32, np.float64),
 @settings(deadline=None, max_examples=80)
 @given(runs=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=5,
                      unique_by=lambda run: run[0]),
-       empty_tail=st.integers(0, 2), head_dim=st.integers(1, 4), value_dim=st.integers(1, 3),
-       mix=MIXES, dropout=st.booleans(), seed=st.integers(0, 2**16))
-@example(runs=[], empty_tail=2, head_dim=2, value_dim=2, mix=(np.float64, np.float64),
-         dropout=False, seed=0)
-@example(runs=[(0, 1), (2, 1), (3, 1)], empty_tail=1, head_dim=3, value_dim=3,
+       empty_tail=st.integers(0, 2), heads=st.integers(1, 3), head_dim=st.integers(1, 4),
+       value_dim=st.integers(1, 3), mix=MIXES, dropout=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(runs=[], empty_tail=2, heads=2, head_dim=2, value_dim=2,
+         mix=(np.float64, np.float64), dropout=False, seed=0)
+@example(runs=[(0, 1), (2, 1), (3, 1)], empty_tail=1, heads=1, head_dim=3, value_dim=3,
          mix=(np.float32, np.float64), dropout=True, seed=1)
-@example(runs=[(4, 3), (1, 2), (2, 1)], empty_tail=0, head_dim=2, value_dim=1,
+@example(runs=[(4, 3), (1, 2), (2, 1)], empty_tail=0, heads=3, head_dim=2, value_dim=1,
          mix=(np.float64, np.float64), dropout=True, seed=2)
-def test_segment_attention_matches_composed_oracle(runs, empty_tail, head_dim, value_dim, mix,
-                                                   dropout, seed):
+def test_segment_attention_matches_composed_oracle(runs, empty_tail, heads, head_dim,
+                                                   value_dim, mix, dropout, seed):
     rng = np.random.default_rng(seed)
     dtype, g_dtype = mix
     # Each id one contiguous run, ids in any order; skipped ids and the tail
     # are anchors without messages.
     seg = np.repeat([i for i, _ in runs], [n for _, n in runs]).astype(np.int64)
     num_segments = max([i for i, _ in runs], default=-1) + 1 + empty_tail
-    q_rows = rng.normal(scale=2.0, size=(num_segments, head_dim)).astype(dtype)
-    k = rng.normal(scale=2.0, size=(len(seg), head_dim)).astype(dtype)
-    v = rng.normal(scale=2.0, size=(len(seg), value_dim)).astype(dtype)
-    g = rng.normal(scale=2.0, size=(num_segments, value_dim)).astype(g_dtype)
-    scale = float(1.0 / np.sqrt(head_dim))  # the encoder's: a Python float keeps the dtype
+    q_rows = rng.normal(scale=2.0, size=(num_segments, heads * head_dim)).astype(dtype)
+    k = rng.normal(scale=2.0, size=(len(seg), heads * head_dim)).astype(dtype)
+    v = rng.normal(scale=2.0, size=(len(seg), heads * value_dim)).astype(dtype)
+    g = rng.normal(scale=2.0, size=(num_segments, heads * value_dim)).astype(g_dtype)
+    keep = (0.4, np.random.default_rng(seed)) if dropout else None
+    fused = _values_and_grads(
+        lambda q_rows, k, v: T.segment_attention(q_rows, k, v, seg, num_segments, heads, keep),
+        (q_rows, k, v), g)
 
-    def run(op):
-        def attend(q_rows, k, v):
-            keep = (0.4, np.random.default_rng(seed)) if dropout else None
-            return op(q_rows, k, v, seg, num_segments, scale, keep)
-        return attend
-
-    _assert_matches_oracle(run(T.segment_attention), run(oracles.segment_attention),
-                           (q_rows, k, v), g, exact=True)
+    # The per-head oracle on each head's column block, heads in order, so that
+    # a shared generator hands head h the h-th row of the fused op's draws.
+    keep = (0.4, np.random.default_rng(seed)) if dropout else None
+    scale = float(1.0 / np.sqrt(head_dim))  # the fused op's: a Python float keeps the dtype
+    per_head = []
+    for h in range(heads):
+        qk, vg = slice(h * head_dim, (h + 1) * head_dim), slice(h * value_dim, (h + 1) * value_dim)
+        per_head.append(_values_and_grads(
+            lambda q_rows, k, v: oracles.segment_attention(q_rows, k, v, seg, num_segments,
+                                                           scale, keep),
+            (q_rows[:, qk], k[:, qk], v[:, vg]), g[:, vg]))
+    for new, parts in zip(fused, zip(*per_head)):
+        old = np.hstack(parts)
+        assert new.shape == old.shape and (new.dtype == old.dtype or new.size == 0)
+        assert new.tobytes() == old.tobytes()
 
 
 @settings(deadline=None, max_examples=60)
