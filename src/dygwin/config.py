@@ -90,6 +90,9 @@ class RunConfig:
                     "epochs", "val_every"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.eval_horizon or min(self.eval_horizon) < 1:
+            raise ConfigError(f"eval_horizon needs one or more horizons >= 1, "
+                              f"got {self.eval_horizon!r}")
         if self.rank_negatives < 0:
             raise ConfigError(f"rank_negatives must be >= 0, got {self.rank_negatives}")
         if not 0.0 <= self.dropout < 1.0:

@@ -260,7 +260,8 @@ def load_cache(path) -> CTDG:
     """Read a ``save_cache`` file; one that is not a zip archive, lacks a
     column or holds a non-scalar ``num_nodes`` is a ``DataError``."""
     try:
-        with np.load(path) as data:
+        # np.load(path) leaks the handle it opens when a truncated zip fails to open.
+        with open(path, "rb") as fh, np.load(fh) as data:
             columns = [data[name] for name in ("u", "v", "t", "feats", "labels",
                                                "label_present")]
             num_nodes, original_ids = int(data["num_nodes"]), data["original_ids"]

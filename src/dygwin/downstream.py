@@ -22,7 +22,7 @@ from .metrics import auc, average_precision, mrr, recall_at_k
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 from .timing import PhaseTimer
-from .windows import generate_intervals, make_window_batch
+from .windows import ONE_WINDOW, generate_intervals
 
 NEG_STREAM = 31
 ENC_STREAM = 33
@@ -368,6 +368,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                      config: TrainConfig | None = None, timer=None,
                      log_fn=None) -> TrainResult:
     """Window-based downstream training with best-validation-AP selection.
+    Each training window is a view of one cache over the training log.
 
     ``freeze_encoder`` keeps encoder parameters byte-identical and trains
     only the decoder; ``label_fraction`` < 1 trains on a seeded subset of
@@ -380,6 +381,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
 
     train_idx, _, _ = split_edge_indices(ctdg, split)
     train_ctdg = ctdg.subset(train_idx)
+    train_cache = WindowFeatureCache(train_ctdg)
     intervals = training_intervals(len(train_ctdg), config, label_fraction)
 
     decoder = init_decoder(task, encoder.node_dim, encoder.time_dim, seed=config.seed,
@@ -403,7 +405,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                               config.seed, target_filter=masked_filter)
         return report["ap"]
 
-    frozen_cache: dict[int, tuple] = {}
+    frozen_embeddings: dict[int, NodeEmbeddings] = {}
     history: list[dict] = []
     initial_ap = run_validation()
     history.append({"epoch": 0, "train_loss": None, "val_ap": initial_ap})
@@ -417,52 +419,52 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
         steps = 0
         for index, interval in enumerate(intervals):
             with timer.phase("sample"):
-                batch = make_window_batch(train_ctdg, interval, config.target_size)
-                targets = batch.target_edges
-                if task == "dnc":
-                    targets = targets.take(targets.label_present)
-                if len(targets) == 0:
+                start, end = interval.start, interval.end
+                targets = train_ctdg.window(end, min(end + config.target_size, len(train_ctdg)))
+                scored = targets.take(targets.label_present) if task == "dnc" else targets
+                if len(scored) == 0:
                     continue
                 if task == "flp":
                     neg_rng = np.random.default_rng((config.seed, NEG_STREAM, epoch, index))
-                    negatives = sample_negatives(batch.target_edges, neg_rng, ctdg.num_nodes)
+                    negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
+                # The window [start, end) of the one training cache: row id = node id.
+                cache = train_cache.windows([start], [end], ONE_WINDOW)
 
             with Tape() as tape:
                 with timer.phase("encode"):
-                    if freeze_encoder and index in frozen_cache:
-                        embeddings, cache = frozen_cache[index]
+                    if freeze_encoder and index in frozen_embeddings:
+                        embeddings = frozen_embeddings[index]
                     else:
-                        cache = WindowFeatureCache(batch.input_edges)
                         # Every window node, not only the scored ones: dropout masks are
                         # drawn by message position, so fewer messages would change every
                         # draw, and a frozen encoder's cached rows serve later epochs'
                         # negatives.
                         extra = np.arange(ctdg.num_nodes) if freeze_encoder else \
                             (negatives.ravel() if task == "flp" else np.empty(0, dtype=np.int64))
-                        nodes = np.concatenate([batch.input_edges.endpoints(),
-                                                batch.target_edges.endpoints(), extra])
+                        nodes = np.concatenate([train_ctdg.window(start, end).endpoints(),
+                                                targets.endpoints(), extra])
                         enc_epoch = 0 if freeze_encoder else epoch
                         embeddings = encode(cache, encoder, config.max_neighbors,
                                             (config.seed, ENC_STREAM, enc_epoch, index),
                                             nodes, training=not freeze_encoder,
                                             node_features=ctdg.node_features)
                         if freeze_encoder:
-                            frozen_cache[index] = (embeddings, cache)
+                            frozen_embeddings[index] = embeddings
                 with timer.phase("decode"):
                     if task == "flp":
-                        pos = flp_score(decoder, embeddings, batch.target_edges.u,
-                                        batch.target_edges.v, batch.target_edges.t, cache)
-                        neg = flp_score(decoder, embeddings, batch.target_edges.u,
-                                        negatives.ravel(), batch.target_edges.t, cache)
+                        pos = flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
+                                        cache)
+                        neg = flp_score(decoder, embeddings, targets.u, negatives.ravel(),
+                                        targets.t, cache)
                         labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
                         loss = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
                                         labels.reshape(1, -1))
                     else:
                         drop_rng = np.random.default_rng((config.seed, DNC_INIT_STREAM,
                                                           epoch, index))
-                        logits = dnc_score(decoder, embeddings, targets.u, targets.t,
+                        logits = dnc_score(decoder, embeddings, scored.u, scored.t,
                                            cache, training=True, rng=drop_rng)
-                        loss = bce_loss(logits, (targets.labels > 0.5).astype(np.float64)
+                        loss = bce_loss(logits, (scored.labels > 0.5).astype(np.float64)
                                         .reshape(-1, 1))
             value = loss.item()
             if not np.isfinite(value):

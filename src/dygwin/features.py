@@ -58,9 +58,10 @@ class WindowFeatureCache:
     """Batched structural counts for windows of one time-sorted log of E edges:
     an edge of window [lo, hi) counts at time t when its position is in [lo,
     before), before = ``searchsorted(t_log, t, "right")`` clipped to the window.
-    Degrees search the index's keys; common neighbours read node * M + other
-    endpoint per contact pair (ids below M) at its earliest position, and
-    pair * (E + 1) + position per contact for a pair met before lo.
+    Degrees search the index's keys. Common neighbours walk the lower-degree
+    endpoint's run in [lo, before) and look each neighbour up among the other
+    endpoint's contacts, so a query's cost is bounded by its window, however
+    long the log.
 
     A new cache is the one window [0, E) of its log ``.edges``; ``windows``
     gives several, and ``window(s)`` window s alone with its slice as
@@ -71,15 +72,22 @@ class WindowFeatureCache:
         self.edges = edges
         self.index = IncidenceIndex(edges)
         nodes, positions = self.index.nodes, self.index.positions
-        others = np.where(edges.u[positions] == nodes, edges.v[positions], edges.u[positions])
+        # Per index entry: its other endpoint, and the position of the same
+        # pair's previous contact (-1 for its first).
+        self._others = np.where(edges.u[positions] == nodes, edges.v[positions],
+                                edges.u[positions])
         self._stride = int(nodes.max()) + 1 if nodes.size else 1
+        pairs = nodes * self._stride + self._others  # node * M + other, ids below M
         # Stable: positions ascend within a node, so each pair's contacts stay in time order.
-        order = np.argsort(nodes * self._stride + others, kind="stable")
-        pair_keys = nodes[order] * self._stride + others[order]
-        first = np.diff(pair_keys, prepend=-1) != 0
-        self._pair_keys, self._pair_positions = pair_keys[first], positions[order][first]
-        contact_keys = (np.cumsum(first) - 1) * (len(edges) + 1) + positions[order]
-        self._contact_keys = np.append(contact_keys, np.iinfo(np.int64).max)
+        order = np.argsort(pairs, kind="stable")
+        pairs, contacts = pairs[order], positions[order]
+        first = np.diff(pairs, prepend=-1) != 0
+        self._previous = np.empty_like(positions)
+        self._previous[order] = np.where(first, -1, np.roll(contacts, 1))
+        # Each pair once, and pair rank * (E + 1) + position per contact.
+        self._pair_keys = np.append(pairs[first], np.iinfo(np.int64).max)
+        self._contact_keys = np.append((np.cumsum(first) - 1) * (len(edges) + 1) + contacts,
+                                       np.iinfo(np.int64).max)
 
     def windows(self, lo, hi, stride: int) -> WindowFeatureCache:
         """The windows [lo[s], hi[s]) of the log, row ids ``s * stride + node``."""
@@ -103,32 +111,30 @@ class WindowFeatureCache:
         index = self.index
         slot, us = np.divmod(np.asarray(us, dtype=np.int64), index.stride)
         vs = np.asarray(vs, dtype=np.int64) % index.stride
-        n, ends, span = len(us), np.concatenate([us, vs]), len(index.edges) + 1
+        n, span = len(us), len(index.edges) + 1
         lo = index.lo[slot]
         before = np.clip(np.searchsorted(index.edges.t, ts, side="right"), lo, index.hi[slot])
-        # Both endpoints in node order, so the searches and contact rows run ascending.
-        side = np.argsort(ends, kind="stable")
-        query, nodes = side % n, ends[side]
-        degrees = np.empty(2 * n, dtype=np.int64)
-        degrees[side] = (np.searchsorted(index.keys, nodes * span + before[query])
-                         - np.searchsorted(index.keys, nodes * span + lo[query]))
-        # Their contact rows, expanded ragged: a neighbour of both, contacted
-        # in [lo, before) and neither u nor v, shows up twice under its query.
-        start = np.searchsorted(self._pair_keys, nodes * self._stride)
-        lengths = np.searchsorted(self._pair_keys, (nodes + 1) * self._stride) - start
-        query = np.repeat(query, lengths)
-        rows = np.arange(query.size) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
-        others = self._pair_keys[rows] % self._stride
-        contact = self._pair_positions[rows]
-        # A pair first met before lo: its first contact at or after lo, if any,
-        # follows lo in the contact keys (a later pair's key reads as too late).
-        late = np.flatnonzero(contact < lo[query])
-        found = np.searchsorted(self._contact_keys, rows[late] * span + lo[query[late]])
-        contact[late] = np.minimum(self._contact_keys[found] - rows[late] * span, span)
-        keep = (contact < before[query]) & (others != us[query]) & (others != vs[query])
-        keys = np.sort(query[keep] * self._stride + others[keep])
-        common = np.bincount(keys[1:][keys[1:] == keys[:-1]] // self._stride, minlength=n)
-        return np.column_stack([degrees.reshape(2, n).T, common])
+        ends = np.concatenate([us, vs]) * span
+        start = np.searchsorted(index.keys, ends + np.tile(lo, 2))
+        degrees = np.searchsorted(index.keys, ends + np.tile(before, 2)) - start
+        # The lower-degree endpoint's run in [lo, before), expanded ragged, keeping
+        # each neighbour's first contact there and neither u nor v.
+        small = degrees[:n] <= degrees[n:]
+        count, start = np.minimum(degrees[:n], degrees[n:]), np.where(small, start[:n], start[n:])
+        query = np.repeat(np.arange(n), count)
+        rows = np.arange(query.size) + np.repeat(start - np.cumsum(count) + count, count)
+        first = self._previous[rows] < lo[query]
+        query, others = query[first], self._others[rows[first]]
+        keep = (others != us[query]) & (others != vs[query])
+        query, others = query[keep], others[keep]
+        # A common neighbour: the other endpoint's pair with it exists and its first
+        # contact at or after lo is before ``before`` (a later pair's key reads as
+        # too late); the sentinels keep both searches in range.
+        pair_key = np.where(small, vs, us)[query] * self._stride + others
+        pair = np.searchsorted(self._pair_keys, pair_key)
+        contact = self._contact_keys[np.searchsorted(self._contact_keys, pair * span + lo[query])]
+        common = (self._pair_keys[pair] == pair_key) & (contact < pair * span + before[query])
+        return np.column_stack([degrees.reshape(2, n).T, np.bincount(query[common], minlength=n)])
 
     def counts_matrix(self, positions) -> np.ndarray:
         """``counts_at`` each edge position's own (u, v, t), as float64 rows."""

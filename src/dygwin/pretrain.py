@@ -21,7 +21,7 @@ from .features import WindowFeatureCache
 from .optim import Adam
 from .tensor import Tape, Tensor, backward
 from .timing import PhaseTimer
-from .windows import WindowBatch, generate_intervals, make_window_batch
+from .windows import generate_intervals
 
 DISTORT_STREAM = 21
 VIEW_STREAM = 23
@@ -40,14 +40,13 @@ class DistortionConfig:
                 raise ContractError(f"{name} must be in [0, 1], got {p}")
 
 
-def distort(batch: WindowBatch, config: DistortionConfig,
+def distort(edges: EdgeArray, config: DistortionConfig,
             rng: np.random.Generator) -> EdgeArray:
-    """Produce one view: drop input edges, then mask survivors' encoding inputs.
+    """Produce one view of a window's edges: drop some, then mask the
+    survivors' encoding inputs.
 
-    Timestamps and node ids are never altered; target edges are untouched.
-    A fully dropped view is legal.
+    Timestamps and node ids are never altered. A fully dropped view is legal.
     """
-    edges = batch.input_edges
     keep = rng.random(len(edges)) >= config.p_drop_edge
     view = edges.take(keep)
     mask = rng.random(len(view)) < config.p_mask_edge_feature
@@ -147,10 +146,10 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
         steps = 0
         for index, interval in enumerate(intervals):
             with timer.phase("sample"):
-                batch = make_window_batch(train_ctdg, interval, 0)
-                view_a = distort(batch, config.distortion, np.random.default_rng(
+                edges = train_ctdg.window(interval.start, interval.end)
+                view_a = distort(edges, config.distortion, np.random.default_rng(
                     (config.seed, DISTORT_STREAM, epoch, index, 0)))
-                view_b = distort(batch, config.distortion, np.random.default_rng(
+                view_b = distort(edges, config.distortion, np.random.default_rng(
                     (config.seed, DISTORT_STREAM, epoch, index, 1)))
                 common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
             if common.size < 2:
@@ -160,6 +159,7 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
                 with timer.phase("encode"):
                     # Every view node, not only the common ones: dropout masks are
                     # drawn by message position, so fewer messages would change every draw.
+                    # A view drops edges, so it is its own log with its own cache.
                     h_a = encode(WindowFeatureCache(view_a), encoder, config.max_neighbors,
                                  (config.seed, VIEW_STREAM, epoch, index, 0), view_a.endpoints(),
                                  training=True, node_features=train_ctdg.node_features)

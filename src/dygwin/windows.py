@@ -1,9 +1,10 @@
-"""Interval generation, window batches, and temporal neighbor sampling.
+"""Interval generation, the incidence index, and temporal neighbor sampling.
 
 Windows are measured in edge counts: the input window holds the W most
 recent interactions before a cut index, and the target window holds the
 next K. With stride S = K every edge index past the first stride lands in
-exactly one target window.
+exactly one target window. A window is a position range [lo, hi) of one
+log, read through one index over that log.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CTDG, EdgeArray
+from .data import EdgeArray
 from .errors import ContractError
 
 
@@ -27,15 +28,6 @@ class Interval:
     def __post_init__(self):
         if not 0 <= self.start <= self.end:
             raise ContractError(f"invalid interval [{self.start}, {self.end})")
-
-
-@dataclass
-class WindowBatch:
-    """One input (history) slice plus the following target slice."""
-
-    interval: Interval
-    input_edges: EdgeArray
-    target_edges: EdgeArray
 
 
 def generate_intervals(total_edges: int, stride: int, window: int) -> list[Interval]:
@@ -53,17 +45,6 @@ def generate_intervals(total_edges: int, stride: int, window: int) -> list[Inter
             continue
         intervals.append(Interval(max(0, end - window), end))
     return intervals
-
-
-def make_window_batch(ctdg: CTDG, interval: Interval, target_size: int) -> WindowBatch:
-    """Slice the input window and the following K target edges."""
-    if interval.end > len(ctdg):
-        raise ContractError(f"interval end {interval.end} beyond {len(ctdg)} edges")
-    if target_size < 0:
-        raise ContractError(f"target_size must be >= 0, got {target_size}")
-    input_edges = ctdg.window(interval.start, interval.end)
-    target_edges = ctdg.window(interval.end, min(interval.end + target_size, len(ctdg)))
-    return WindowBatch(interval, input_edges, target_edges)
 
 
 ONE_WINDOW = np.iinfo(np.int64).max  # the stride of a single window: row id = node id

@@ -35,8 +35,7 @@ from dygwin.encoder import EncoderParams, LayerParams, encode
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import WindowFeatureCache, time2vec
 from dygwin.tensor import Tensor, _finish, _row_sum
-from dygwin.windows import (IncidenceIndex, Interval, LayeredNeighborhood, make_window_batch,
-                            sample_neighbors)
+from dygwin.windows import IncidenceIndex, LayeredNeighborhood, sample_neighbors
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -370,16 +369,15 @@ def checkpoint_digest(params: dict[str, Tensor]) -> str:
 
 def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int, window: int,
                        horizon: int, target_filter=None):
-    """Target windows of size ``horizon`` tiling [region_start, region_end), one
-    input slice each, yielded one at a time; a window with no target left is
-    skipped."""
+    """Target windows of size ``horizon`` tiling [region_start, region_end), as
+    (cut, input slice, targets), one at a time; a window with no target left
+    is skipped."""
     for cut in range(region_start, region_end, horizon):
-        batch = make_window_batch(ctdg, Interval(max(0, cut - window), cut),
-                                  min(horizon, region_end - cut))
+        targets = ctdg.window(cut, min(cut + horizon, region_end))
         if target_filter is not None:
-            batch.target_edges = batch.target_edges.take(target_filter(batch.target_edges))
-        if len(batch.target_edges):
-            yield batch
+            targets = targets.take(target_filter(targets))
+        if len(targets):
+            yield cut, ctdg.window(max(0, cut - window), cut), targets
 
 
 def flp_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neighbors, seed,
@@ -387,11 +385,9 @@ def flp_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neig
     """``downstream.flp_scores`` one cut at a time."""
     pos_scores, neg_scores = [np.empty(0)], [np.empty(0)]
     rank_scores = [np.empty((0, rank_negatives))]
-    for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
-                                    target_filter):
-        targets = batch.target_edges
-        cut = batch.interval.end
-        cache = WindowFeatureCache(batch.input_edges)
+    for cut, input_edges, targets in evaluation_windows(ctdg, region[0], region[1], window,
+                                                        horizon, target_filter):
+        cache = WindowFeatureCache(input_edges)  # a fresh cache per cut: the reference
         neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
         negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
         rank_neg = np.empty(0, dtype=np.int64)
@@ -417,13 +413,12 @@ def dnc_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neig
                        target_filter=None):
     """``downstream.dnc_scores`` one cut at a time."""
     scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for batch in evaluation_windows(ctdg, region[0], region[1], window, horizon,
-                                    target_filter):
-        labeled = batch.target_edges.take(batch.target_edges.label_present)
+    for cut, input_edges, targets in evaluation_windows(ctdg, region[0], region[1], window,
+                                                        horizon, target_filter):
+        labeled = targets.take(targets.label_present)
         if len(labeled) == 0:
             continue
-        cut = batch.interval.end
-        cache = WindowFeatureCache(batch.input_edges)
+        cache = WindowFeatureCache(input_edges)
         embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
                             labeled.u, node_features=ctdg.node_features)
         scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,

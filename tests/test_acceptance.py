@@ -18,7 +18,7 @@ from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
 from dygwin.pretrain import (DistortionConfig, distort, init_predictor, ssl_loss_terms,
                              vicreg_covariance, vicreg_invariance, vicreg_variance)
-from dygwin.windows import Interval, generate_intervals, make_window_batch
+from dygwin.windows import generate_intervals
 
 from gradcheck import LARGE_GRADIENT, finite_difference_check
 from graphs import ctdg_from, edges_from
@@ -52,32 +52,28 @@ def test_criterion_1_full_model_gradient_check():
         triples.append((int(u), int(v), t))
     feats = rng.normal(size=(25, 2)).astype(np.float32)
     ctdg = ctdg_from(triples, num_nodes=10, feats=feats)
-    batch = make_window_batch(ctdg, Interval(0, 18), target_size=7)
+    window, targets = ctdg.window(0, 18), ctdg.window(18, 25)
 
     encoder = init_encoder(num_layers=3, node_dim=8, time_dim=6, edge_dim=2,
                            heads=2, dropout=0.0, seed=1, dtype=np.float64)
     decoder = init_flp_decoder(node_dim=8, time_dim=6, seed=1, dtype=np.float64)
     predictor = init_predictor(8, seed=1, dtype=np.float64)
-    negatives = sample_negatives(batch.target_edges, np.random.default_rng(2), ctdg.num_nodes)
-    view_a = distort(batch, DistortionConfig(0.3, 0.3), np.random.default_rng(3))
-    view_b = distort(batch, DistortionConfig(0.3, 0.3), np.random.default_rng(4))
+    negatives = sample_negatives(targets, np.random.default_rng(2), ctdg.num_nodes)
+    view_a = distort(window, DistortionConfig(0.3, 0.3), np.random.default_rng(3))
+    view_b = distort(window, DistortionConfig(0.3, 0.3), np.random.default_rng(4))
     common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
-    labels = np.concatenate([np.ones(len(batch.target_edges)),
-                             np.zeros(len(batch.target_edges))]).reshape(-1, 1)
+    labels = np.concatenate([np.ones(len(targets)), np.zeros(len(targets))]).reshape(-1, 1)
 
     # caches are parameter-independent: build once
-    cache = WindowFeatureCache(batch.input_edges)
+    cache = WindowFeatureCache(window)
     cache_a, cache_b = WindowFeatureCache(view_a), WindowFeatureCache(view_b)
-    seeds = np.unique(np.concatenate([batch.input_edges.endpoints(),
-                                      batch.target_edges.endpoints(),
+    seeds = np.unique(np.concatenate([window.endpoints(), targets.endpoints(),
                                       negatives.ravel()]))
 
     def forward():
         embeddings = encode(cache, encoder, 5, (9,), seeds)
-        pos = flp_score(decoder, embeddings, batch.target_edges.u,
-                        batch.target_edges.v, batch.target_edges.t, cache)
-        neg = flp_score(decoder, embeddings, batch.target_edges.u, negatives.ravel(),
-                        batch.target_edges.t, cache)
+        pos = flp_score(decoder, embeddings, targets.u, targets.v, targets.t, cache)
+        neg = flp_score(decoder, embeddings, targets.u, negatives.ravel(), targets.t, cache)
         supervised = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
                               labels.reshape(1, -1))
         h_a = encode(cache_a, encoder, 5, (10,), view_a.endpoints())
@@ -182,14 +178,13 @@ def test_criterion_4_window_invariants():
             failures.append(f"trial {trial}: evaluation coverage broken")
 
         cut = max(1, region_start)
-        batch = make_window_batch(ctdg, Interval(max(0, cut - window), cut), horizon)
-        if len(batch.target_edges) == 0:
+        start, targets = max(0, cut - window), ctdg.window(cut, min(cut + horizon, total))
+        if len(targets) == 0:
             continue
         params = init_encoder(num_layers=2, node_dim=6, time_dim=4, heads=2,
                               dropout=0.0, seed=trial, dtype=np.float64)
-        nodes = np.concatenate([batch.input_edges.endpoints(),
-                                batch.target_edges.endpoints()])
-        baseline = encode(WindowFeatureCache(batch.input_edges), params, 4, (trial,), nodes)
+        nodes = np.concatenate([ctdg.window(start, cut).endpoints(), targets.endpoints()])
+        baseline = encode(WindowFeatureCache(ctdg.window(start, cut)), params, 4, (trial,), nodes)
         # the log itself changes from the cut on: shuffled endpoints, and times
         # stretched past every earlier one, so they stay non-decreasing
         post = [triples[cut + i][:2] for i in
@@ -197,8 +192,8 @@ def test_criterion_4_window_invariants():
         corrupted_log = ctdg_from(triples[:cut] + [(u, v, t * 3.0 + 1e5) for (u, v), (_, _, t)
                                                    in zip(post, triples[cut:])],
                                   num_nodes=n_nodes)
-        corrupted = make_window_batch(corrupted_log, batch.interval, horizon)
-        after = encode(WindowFeatureCache(corrupted.input_edges), params, 4, (trial,), nodes)
+        after = encode(WindowFeatureCache(corrupted_log.window(start, cut)), params, 4,
+                       (trial,), nodes)
         if baseline.matrix.values.tobytes() != after.matrix.values.tobytes():
             failures.append(f"trial {trial}: encoder read target content")
     report(4, not failures,

@@ -355,6 +355,8 @@ class TestPipeline:
         ("train", "dropout=1.5"),
         ("train", "dropout=-0.1"),
         ("eval", "rank_negatives=-3"),
+        ("eval", "eval_horizon="),
+        ("eval", "eval_horizon=0"),
     ])
     def test_out_of_range_key_is_config_error(self, artifacts, dataset, tmp_path,
                                               subcommand, setting):

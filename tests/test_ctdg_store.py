@@ -1,5 +1,8 @@
 """Dataset ingestion, caching, and split semantics."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,17 @@ class TestLoadCsv:
         assert np.array_equal(ctdg.u, again.u)
         assert np.array_equal(ctdg.feats, again.feats)
         assert np.array_equal(ctdg.label_present, again.label_present)
+
+    def test_truncated_cache_closes_its_file(self, tmp_path):
+        path = tmp_path / "cut.npz"
+        np.savez(path, u=[0, 1], v=[1, 2], t=[1.0, 2.0])
+        path.write_bytes(path.read_bytes()[:-40])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="malformed cache"):
+                load_cache(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestChronologicalSplit:

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
-from dygwin.downstream import bce_loss, dnc_score, flp_score, init_decoder
+from dygwin.downstream import bce_loss, dnc_score, flp_score, init_decoder, sample_negatives
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
                             encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.pretrain import init_predictor, ssl_loss_terms
-from dygwin.windows import IncidenceIndex, Interval, build_layered_neighborhood, make_window_batch
+from dygwin.windows import ONE_WINDOW, IncidenceIndex, build_layered_neighborhood
 
 import oracles
 from gradcheck import finite_difference_check
@@ -152,7 +152,7 @@ class TestLayerForward:
 
     def test_one_attention_entry_per_layer_whatever_the_heads(self):
         ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(12)], num_nodes=5)
-        cache = WindowFeatureCache(make_window_batch(ctdg, Interval(0, 12), 0).input_edges)
+        cache = WindowFeatureCache(ctdg.window(0, 12))
         ops = {}
         for heads in (1, 2, 4):
             params = init_encoder(num_layers=2, node_dim=8, time_dim=4, heads=heads,
@@ -180,9 +180,8 @@ class TestEncode:
                               seed=0, dtype=np.float64)
         ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)],
                          num_nodes=3)
-        batch = make_window_batch(ctdg, Interval(0, 0), target_size=3)
-        out = encode(WindowFeatureCache(batch.input_edges), params, max_neighbors=5,
-                     rng_key=(0,), nodes=batch.target_edges.endpoints(),
+        out = encode(WindowFeatureCache(ctdg.window(0, 0)), params, max_neighbors=5,
+                     rng_key=(0,), nodes=ctdg.window(0, 3).endpoints(),
                      node_features=node_features)
         chain = node_features[out.ids].astype(np.float64) @ params.input_proj.values
         for layer in params.layers:
@@ -193,35 +192,31 @@ class TestEncode:
         ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(40)])
         params = init_encoder(num_layers=2, node_dim=8, time_dim=6, heads=2,
                               dropout=0.0, seed=1, dtype=np.float64)
-        batch = make_window_batch(ctdg, Interval(0, 30), target_size=5)
-        a = encode(WindowFeatureCache(batch.input_edges), params, 4, (9,),
-                   batch.input_edges.endpoints())
-        b = encode(WindowFeatureCache(batch.input_edges), params, 4, (9,),
-                   batch.input_edges.endpoints())
+        edges = ctdg.window(0, 30)
+        a = encode(WindowFeatureCache(edges), params, 4, (9,), edges.endpoints())
+        b = encode(WindowFeatureCache(edges), params, 4, (9,), edges.endpoints())
         assert a.matrix.values.tobytes() == b.matrix.values.tobytes()
         assert np.array_equal(a.ids, b.ids)
 
     def test_three_node_toy_matches_hand_matrices(self):
         params = tiny_params(node_dim=2, time_dim=2, heads=1, seed=5)
         ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0)], num_nodes=3)
-        batch = make_window_batch(ctdg, Interval(0, 2), target_size=0)
-        cache = WindowFeatureCache(batch.input_edges)
-        out = encode(cache, params, max_neighbors=5, rng_key=(3,),
-                     nodes=batch.input_edges.endpoints())
+        edges = ctdg.window(0, 2)
+        cache = WindowFeatureCache(edges)
+        out = encode(cache, params, max_neighbors=5, rng_key=(3,), nodes=edges.endpoints())
         # zero initial embeddings: messages carry only time and count terms
         layer = params.layers[0]
         expected = np.zeros((3, 2))
         omega, phase = params.t2v.omega.values, params.t2v.phase.values
         for anchor in range(3):
             positions = [p for p in range(2)
-                         if anchor in (int(batch.input_edges.u[p]),
-                                       int(batch.input_edges.v[p]))]
+                         if anchor in (int(edges.u[p]), int(edges.v[p]))]
             if not positions:
                 continue
-            recency = oracles.last_time(batch.input_edges, anchor, 2.0)
+            recency = oracles.last_time(edges, anchor, 2.0)
             keys = []
             for p in positions:
-                angles = (recency - batch.input_edges.t[p]) * omega + phase
+                angles = (recency - edges.t[p]) * omega + phase
                 f_time = np.concatenate([angles[:, :1], np.sin(angles[:, 1:])], axis=1)
                 f = f_time + np.log1p(cache.counts_matrix([p])) @ params.edge_enc.values
                 keys.append(np.concatenate([np.zeros((1, 2)), f], axis=1))
@@ -246,14 +241,14 @@ class TestEncode:
                                              in zip(post, triples[cut:])]
         params = init_encoder(num_layers=3, node_dim=8, time_dim=4, heads=2,
                               dropout=0.0, seed=0, dtype=np.float64)
-        batch = make_window_batch(ctdg_from(triples, num_nodes=12), Interval(10, cut), 15)
-        corrupted = make_window_batch(ctdg_from(corrupted_triples, num_nodes=12),
-                                      Interval(10, cut), 15)
-        assert corrupted.target_edges.t.tolist() != batch.target_edges.t.tolist()
-        nodes = np.concatenate([batch.input_edges.endpoints(),
-                                batch.target_edges.endpoints()])
-        baseline = encode(WindowFeatureCache(batch.input_edges), params, 5, (1,), nodes)
-        after = encode(WindowFeatureCache(corrupted.input_edges), params, 5, (1,), nodes)
+        ctdg = ctdg_from(triples, num_nodes=12)
+        corrupted = ctdg_from(corrupted_triples, num_nodes=12)
+        end = min(cut + 15, len(ctdg))
+        assert corrupted.window(cut, end).t.tolist() != ctdg.window(cut, end).t.tolist()
+        nodes = np.concatenate([ctdg.window(10, cut).endpoints(),
+                                ctdg.window(cut, end).endpoints()])
+        baseline = encode(WindowFeatureCache(ctdg.window(10, cut)), params, 5, (1,), nodes)
+        after = encode(WindowFeatureCache(corrupted.window(10, cut)), params, 5, (1,), nodes)
         assert baseline.matrix.values.tobytes() == after.matrix.values.tobytes()
         assert np.array_equal(baseline.ids, after.ids)
 
@@ -262,11 +257,11 @@ class TestEncode:
                               dropout=0.0, seed=4, dtype=np.float64)
         ctdg = ctdg_from([(i % 5, (i + 1) % 5, float(i)) for i in range(12)],
                          num_nodes=5)
-        batch = make_window_batch(ctdg, Interval(0, 12), target_size=0)
+        edges = ctdg.window(0, 12)
 
         def forward():
-            out = encode(WindowFeatureCache(batch.input_edges), params, max_neighbors=4,
-                         rng_key=(8,), nodes=batch.input_edges.endpoints())
+            out = encode(WindowFeatureCache(edges), params, max_neighbors=4,
+                         rng_key=(8,), nodes=edges.endpoints())
             return T.mean(T.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, params.named(), h=1e-6,
@@ -281,8 +276,7 @@ class TestEncode:
         # reach nodes 0 to 3 only
         ctdg = ctdg_from([(i, i + 1, float(i)) for i in range(6)] + [(0, 1, 6.0)],
                          num_nodes=7)
-        batch = make_window_batch(ctdg, Interval(0, 7), target_size=0)
-        cache = WindowFeatureCache(batch.input_edges)
+        cache = WindowFeatureCache(ctdg.window(0, 7))
         hood = build_layered_neighborhood(cache.index, [1], 2, 4, (8, NEIGHBOR_STREAM))
         assert hood.active_nodes.tolist() == [0, 1, 2, 3]
         assert [sorted(layer) for layer in hood.layers] == [[0, 1, 2], [1]]
@@ -311,11 +305,11 @@ class TestEncode:
                               seed=2, dtype=np.float64)
         ctdg = ctdg_from([(i % 5, (i + 1) % 5, float(i)) for i in range(10)],
                          num_nodes=5)
-        batch = make_window_batch(ctdg, Interval(0, 10), target_size=0)
+        edges = ctdg.window(0, 10)
 
         def forward():
-            out = encode(WindowFeatureCache(batch.input_edges), params, max_neighbors=3,
-                         rng_key=(4,), nodes=batch.input_edges.endpoints(),
+            out = encode(WindowFeatureCache(edges), params, max_neighbors=3,
+                         rng_key=(4,), nodes=edges.endpoints(),
                          node_features=node_features)
             return T.mean(T.mul(out.matrix, out.matrix))
 
@@ -433,9 +427,8 @@ def test_float32_parameters_stay_float32():
         t += float(rng.exponential(1e5))  # gaps of 1e5 to 1e6 reach the decoders
         triples.append((int(u), int(v), t))
     ctdg = ctdg_from(triples, num_nodes=12, feats=rng.normal(size=(40, 3)).astype(np.float32))
-    batch = make_window_batch(ctdg, Interval(0, 30), target_size=10)
-    cache, targets = WindowFeatureCache(batch.input_edges), batch.target_edges
-    nodes = np.unique(np.concatenate([batch.input_edges.endpoints(), targets.endpoints()]))
+    cache, targets = WindowFeatureCache(ctdg.window(0, 30)), ctdg.window(30, 40)
+    nodes = np.unique(np.concatenate([ctdg.window(0, 30).endpoints(), targets.endpoints()]))
     encoder = init_encoder(num_layers=2, node_dim=8, time_dim=6, edge_dim=3, heads=2,
                            dropout=0.1, seed=1)
     flp, dnc = init_decoder("flp", 8, 6, seed=1), init_decoder("dnc", 8, 6, seed=1)
@@ -457,3 +450,45 @@ def test_float32_parameters_stay_float32():
              **predictor.named("predictor")}
     assert {name: grads[p].dtype for name, p in named.items()} \
         == {name: np.float32 for name in named}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_step_through_a_log_view_matches_a_window_cache(dtype):
+    """One FLP training step, with neighbour sampling and dropout, gives the
+    same bits through a one-window view of the whole log's cache as through a
+    cache over the window's own slice: rows, loss and every gradient."""
+    rng = np.random.default_rng(5)
+    triples = []
+    for i in range(60):  # node 0 touches every other edge; times tie in pairs
+        u = 0 if i % 2 == 0 else int(rng.integers(1, 8))
+        v = int(rng.integers(1, 8))
+        triples.append((u, 8 if v == u else v, float(i // 2)))
+    triples[45] = (0, triples[44][1], 22.0)  # edge 44 again, at its time, past the window
+    triples[50] = (9, 3, 25.0)  # a target source with no edge in the window
+    ctdg = ctdg_from(triples, num_nodes=10, feats=rng.normal(size=(60, 2)).astype(np.float32))
+    lo, hi, max_neighbors = 15, 45, 6  # ties straddle both window bounds
+    window, targets = ctdg.window(lo, hi), ctdg.window(hi, 55)
+    assert IncidenceIndex(window).incident(0).size > max_neighbors
+    negatives = sample_negatives(targets, np.random.default_rng(3), ctdg.num_nodes).ravel()
+    nodes = np.concatenate([window.endpoints(), targets.endpoints(), negatives])
+    labels = np.repeat([1.0, 0.0], len(targets)).reshape(1, -1)
+
+    def step(cache):
+        encoder = init_encoder(num_layers=2, node_dim=8, time_dim=4, edge_dim=2, heads=2,
+                               dropout=0.3, seed=2, dtype=dtype)
+        decoder = init_decoder("flp", 8, 4, seed=2, dtype=dtype)
+        with T.Tape() as tape:
+            rows = encode(cache, encoder, max_neighbors, (7, 1), nodes, training=True)
+            pos = flp_score(decoder, rows, targets.u, targets.v, targets.t, cache)
+            neg = flp_score(decoder, rows, targets.u, negatives, targets.t, cache)
+            loss = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]), labels)
+        grads = T.backward(tape, loss)
+        named = {**encoder.named(), **decoder.named()}
+        return rows, loss, {name: grads[p].tobytes() for name, p in named.items()}
+
+    view = step(WindowFeatureCache(ctdg).windows([lo], [hi], ONE_WINDOW))
+    fresh = step(WindowFeatureCache(window))
+    assert np.array_equal(view[0].ids, fresh[0].ids)
+    assert view[0].matrix.values.tobytes() == fresh[0].matrix.values.tobytes()
+    assert view[1].values.tobytes() == fresh[1].values.tobytes()
+    assert view[2] == fresh[2]

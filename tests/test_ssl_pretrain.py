@@ -13,7 +13,6 @@ from dygwin.pretrain import (COVARIANCE_WEIGHT, INVARIANCE_WEIGHT, VARIANCE_EPS,
                              VARIANCE_TARGET, VARIANCE_WEIGHT, DistortionConfig, PretrainConfig,
                              distort, init_predictor, pretrain, ssl_loss_terms,
                              vicreg_covariance, vicreg_invariance, vicreg_variance)
-from dygwin.windows import Interval, make_window_batch
 
 from gradcheck import finite_difference_check
 from graphs import ctdg_from
@@ -25,34 +24,33 @@ def const(values):
 
 
 class TestDistort:
-    def _batch(self, n=20):
+    def _edges(self, n=20):
         ctdg = ctdg_from([(i % 5, (i + 1) % 5, float(i)) for i in range(n)])
-        return make_window_batch(ctdg, Interval(0, n), target_size=0)
+        return ctdg.window(0, n)
 
     def test_zero_probabilities_identity(self):
-        batch = self._batch()
-        view = distort(batch, DistortionConfig(0.0, 0.0), np.random.default_rng(0))
-        assert len(view) == len(batch.input_edges)
+        edges = self._edges()
+        view = distort(edges, DistortionConfig(0.0, 0.0), np.random.default_rng(0))
+        assert len(view) == len(edges)
         assert not view.enc_masked.any()
-        assert np.array_equal(view.idx, batch.input_edges.idx)
+        assert np.array_equal(view.idx, edges.idx)
 
     def test_full_dropout_empty(self):
-        batch = self._batch()
-        view = distort(batch, DistortionConfig(1.0, 0.0), np.random.default_rng(0))
+        view = distort(self._edges(), DistortionConfig(1.0, 0.0), np.random.default_rng(0))
         assert len(view) == 0
 
     def test_binomial_concentration(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(10_000)])
-        batch = make_window_batch(ctdg, Interval(0, 10_000), target_size=0)
-        view = distort(batch, DistortionConfig(0.3, 0.3), np.random.default_rng(42))
+        view = distort(ctdg.window(0, 10_000), DistortionConfig(0.3, 0.3),
+                       np.random.default_rng(42))
         assert 7000 - 150 <= len(view) <= 7000 + 150
 
     def test_never_alters_times_or_ids(self):
-        batch = self._batch()
-        view = distort(batch, DistortionConfig(0.5, 0.5), np.random.default_rng(1))
-        kept = np.isin(batch.input_edges.idx, view.idx)
-        assert np.array_equal(view.t, batch.input_edges.t[kept])
-        assert np.array_equal(view.u, batch.input_edges.u[kept])
+        edges = self._edges()
+        view = distort(edges, DistortionConfig(0.5, 0.5), np.random.default_rng(1))
+        kept = np.isin(edges.idx, view.idx)
+        assert np.array_equal(view.t, edges.t[kept])
+        assert np.array_equal(view.u, edges.u[kept])
 
 
 class TestVicregTerms:
@@ -174,11 +172,8 @@ class TestPretrainLoop:
     def test_no_collapse_after_training(self, run):
         from dygwin.encoder import encode
         from dygwin.features import WindowFeatureCache
-        from dygwin.windows import Interval, make_window_batch
         _, (encoder, predictor, _, _, train) = run
-        batch = make_window_batch(train, Interval(0, len(train)), target_size=0)
-        h = encode(WindowFeatureCache(batch.input_edges), encoder, 10, (123,),
-                   batch.input_edges.endpoints())
+        h = encode(WindowFeatureCache(train), encoder, 10, (123,), train.endpoints())
         z = predictor.forward(h.matrix)
         assert z.values.var(axis=0).sum() > 1e-4
 

@@ -1,4 +1,4 @@
-"""Interval arithmetic, batch slicing, and neighbor sampling."""
+"""Interval arithmetic, window slicing, and neighbor sampling."""
 
 import math
 import sys
@@ -12,7 +12,7 @@ from dygwin import windows
 from dygwin.errors import ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.windows import (Interval, IncidenceIndex, build_layered_neighborhood,
-                            generate_intervals, make_window_batch, sample_neighbors)
+                            generate_intervals, sample_neighbors)
 
 import oracles
 from graphs import ctdg_from, edges_from
@@ -64,25 +64,34 @@ class TestGenerateIntervals:
             generate_intervals(10, stride=2, window=0)
 
 
-class TestMakeWindowBatch:
+def window_and_targets(ctdg, interval: Interval, target_size: int):
+    """An interval's input slice and the up to ``target_size`` edges after it,
+    as ``train_downstream`` slices them."""
+    end = interval.end
+    return ctdg.window(interval.start, end), ctdg.window(end, min(end + target_size, len(ctdg)))
+
+
+class TestWindowSlices:
     def test_slicing(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(10)])
-        batch = make_window_batch(ctdg, Interval(0, 4), target_size=2)
-        assert batch.input_edges.idx.tolist() == [0, 1, 2, 3]
-        assert batch.target_edges.idx.tolist() == [4, 5]
+        interval = generate_intervals(10, stride=2, window=4)[1]
+        inputs, targets = window_and_targets(ctdg, interval, 2)
+        assert inputs.idx.tolist() == [0, 1, 2, 3]
+        assert targets.idx.tolist() == [4, 5]
 
     def test_interval_at_end_gives_empty_target(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(10)])
-        batch = make_window_batch(ctdg, Interval(6, 10), target_size=5)
-        assert len(batch.target_edges) == 0
-        assert len(batch.input_edges) == 4
+        interval = generate_intervals(10, stride=2, window=4)[-1]
+        inputs, targets = window_and_targets(ctdg, interval, 5)
+        assert len(targets) == 0
+        assert inputs.idx.tolist() == [6, 7, 8, 9]
 
     def test_causality_input_before_target(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(30)])
         for interval in generate_intervals(30, stride=5, window=12):
-            batch = make_window_batch(ctdg, interval, target_size=5)
-            if len(batch.input_edges) and len(batch.target_edges):
-                assert batch.input_edges.t.max() <= batch.target_edges.t.min()
+            inputs, targets = window_and_targets(ctdg, interval, 5)
+            if len(inputs) and len(targets):
+                assert inputs.t.max() <= targets.t.min()
 
 
 class TestSampleNeighbors:
