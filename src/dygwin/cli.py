@@ -148,7 +148,7 @@ def cmd_pretrain(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_train_impl(config: RunConfig, force_freeze: bool) -> int:
+def cmd_train(config: RunConfig, force_freeze: bool = False) -> int:
     ctdg = _load_dataset(config)
     split = _get_split(config, ctdg)
     split.masked_filter(ctdg)  # a split that does not fit the log leaves no run dir
@@ -169,14 +169,6 @@ def _cmd_train_impl(config: RunConfig, force_freeze: bool) -> int:
     print(f"trained {config.task} ({'frozen' if freeze else 'full'} encoder), "
           f"best val AP {best} at epoch {result.best_epoch} -> {run_dir / 'model.dygw'}")
     return 0
-
-
-def cmd_train(config: RunConfig) -> int:
-    return _cmd_train_impl(config, force_freeze=False)
-
-
-def cmd_probe(config: RunConfig) -> int:
-    return _cmd_train_impl(config, force_freeze=True)
 
 
 def cmd_eval(config: RunConfig) -> int:
@@ -217,7 +209,7 @@ _COMMANDS = {
     "split": cmd_split,
     "pretrain": cmd_pretrain,
     "train": cmd_train,
-    "probe": cmd_probe,
+    "probe": lambda config: cmd_train(config, force_freeze=True),
     "eval": cmd_eval,
 }
 
@@ -270,13 +262,9 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else {}
         config = resolve_config(file_values, _collect_overrides(args))
         return _COMMANDS[args.subcommand](config)
-    except ConfigError as exc:
+    except (ConfigError, ContractError) as exc:
         return _fail("config", str(exc), 2)
-    except ContractError as exc:
-        return _fail("config", str(exc), 2)
-    except DataError as exc:
-        return _fail("data", str(exc), 3)
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         return _fail("data", str(exc), 3)
     except NumericFailure as exc:
         return _fail("numeric", str(exc), 4)

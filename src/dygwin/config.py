@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 SEED_ENV_VAR = "DYGWIN_SEED"
 
@@ -131,7 +131,7 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict[str, object]:
     values: dict[str, object] = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -9,6 +9,7 @@ legal.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 import zipfile
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, read_text
 
 
 class EdgeArray:
@@ -184,7 +185,7 @@ def load_csv(path) -> CTDG:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with path.open(newline="") as fh:
+    with io.StringIO(read_text(path, DataError), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -331,7 +332,7 @@ def save_split_manifest(path, split: SplitSpec) -> None:
 
 def load_split_manifest(path) -> SplitSpec:
     fields: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in read_text(path, DataError).splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition("=")

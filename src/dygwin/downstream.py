@@ -95,9 +95,17 @@ def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarra
 def flp_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
               src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
               cache: WindowFeatureCache) -> Tensor:
-    """Batched logits for candidate (src, dst, t) edges from the summed pair embedding."""
+    """Batched logits for candidate (src, dst, t) edges from the summed pair
+    embedding. Candidates whose decoder inputs (pair row, t, source) are
+    bit-equal share one decoded row, so they tie exactly in any batch."""
     pair = T.add(embeddings.gather(src), embeddings.gather(dst))
-    return _decode(decoder, pair, src, ts, cache)
+    src, ts = np.asarray(src, dtype=np.int64), np.asarray(ts, dtype=np.float64)
+    keys = np.hstack([pair.values.view(np.uint8),
+                      ts.reshape(-1, 1).view(np.uint8), src.reshape(-1, 1).view(np.uint8)])
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    logits = _decode(decoder, T.slice_rows(pair, first), src[first], ts[first], cache)
+    return T.slice_rows(logits, inverse.ravel())
 
 
 def dnc_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
@@ -127,6 +135,24 @@ def sample_negatives(target_edges: EdgeArray, rng: np.random.Generator, num_node
         draw[collided] = rng.integers(0, num_nodes, size=int(collided.sum()))
         collided = draw == true_dst
     return draw.reshape(len(target_edges), per_positive)
+
+
+POSITIVE, NEGATIVE, RANK = 0, 1, 2  # the kinds of FLP candidate
+
+
+def flp_candidates(targets: EdgeArray, num_nodes: int, neg_rng: np.random.Generator,
+                   rank_rng: np.random.Generator | None = None, rank_negatives: int = 0,
+                   offset: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """FLP candidates of ``targets`` as (src, dst, t, kind) columns: the positives,
+    one ``neg_rng`` negative each, then ``rank_negatives`` ``rank_rng`` negatives
+    each, positive by positive. Row ids are node ids plus ``offset``."""
+    dst = [targets.v, sample_negatives(targets, neg_rng, num_nodes).ravel()]
+    if rank_negatives > 0:
+        dst.append(sample_negatives(targets, rank_rng, num_nodes, rank_negatives).ravel())
+    src = np.concatenate([targets.u, targets.u, np.repeat(targets.u, rank_negatives)])
+    t = np.concatenate([targets.t, targets.t, np.repeat(targets.t, rank_negatives)])
+    kind = np.repeat([POSITIVE, NEGATIVE, RANK], len(targets) * np.array([1, 1, rank_negatives]))
+    return src + offset, np.concatenate(dst) + offset, t, kind
 
 
 def bce_loss(logits: Tensor, labels) -> Tensor:
@@ -191,52 +217,30 @@ def evaluation_passes(ctdg: CTDG, region: tuple[int, int], window: int, horizon:
         yield one_pass()
 
 
-def _pass_rows(ctdg: CTDG, targets: list[EdgeArray]) -> tuple[np.ndarray, EdgeArray]:
-    """Each target's row-id offset, slot * num_nodes, and the targets as one array."""
-    offsets = np.repeat(np.arange(len(targets)) * ctdg.num_nodes, [len(t) for t in targets])
-    merged = EdgeArray(*(np.concatenate([getattr(t, c) for t in targets])
-                         for c in EdgeArray.__slots__))
-    return offsets, merged
-
-
 def flp_scores(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
                decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
                seed: int, target_filter=None, rank_negatives: int = 0
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Logits of every region edge, in log order: (positives, their 1:1
     negatives, (positives, rank_negatives) rank negatives). Draws are keyed
-    by cut."""
-    pos_scores, neg_scores = [np.empty(0)], [np.empty(0)]
-    rank_scores = [np.empty((0, rank_negatives))]
+    by cut; a pass's candidates are one table, decoded in one call."""
+    scores, kinds = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for cache, cuts, targets in evaluation_passes(ctdg, region, window, horizon,
                                                   target_filter):
-        negatives, rank_neg = [], []
-        for cut, cut_targets in zip(cuts, targets):
-            neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
-            negatives.append(sample_negatives(cut_targets, neg_rng, ctdg.num_nodes))
-            if rank_negatives > 0:
-                rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
-                rank_neg.append(sample_negatives(cut_targets, rank_rng, ctdg.num_nodes,
-                                                 rank_negatives))
-        offsets, merged = _pass_rows(ctdg, targets)
-        src, dst = merged.u + offsets, merged.v + offsets
-        negatives = np.concatenate(negatives).ravel() + offsets
-        rank_neg = (np.concatenate(rank_neg) + offsets[:, None] if rank_neg else
-                    np.empty((len(merged), 0), dtype=np.int64)).ravel()
+        tables = [flp_candidates(
+            cut_targets, ctdg.num_nodes, np.random.default_rng((seed, EVAL_NEG_STREAM, cut)),
+            np.random.default_rng((seed, RANK_NEG_STREAM, cut)) if rank_negatives else None,
+            rank_negatives, offset=slot * ctdg.num_nodes)
+            for slot, (cut, cut_targets) in enumerate(zip(cuts, targets))]
+        src, dst, t, kind = (np.concatenate(column) for column in zip(*tables))
         embeddings = encode(cache, encoder, max_neighbors,
                             [(seed, EVAL_ENC_STREAM, cut) for cut in cuts],
-                            np.concatenate([src, dst, negatives, rank_neg]),
-                            node_features=ctdg.node_features)
-        pos_scores.append(flp_score(decoder, embeddings, src, dst, merged.t,
-                                    cache).values.ravel())
-        neg_scores.append(flp_score(decoder, embeddings, src, negatives, merged.t,
-                                    cache).values.ravel())
-        if rank_negatives > 0:
-            rank_scores.append(flp_score(decoder, embeddings,
-                                         np.repeat(src, rank_negatives), rank_neg,
-                                         np.repeat(merged.t, rank_negatives),
-                                         cache).values.reshape(len(merged), rank_negatives))
-    return np.concatenate(pos_scores), np.concatenate(neg_scores), np.concatenate(rank_scores)
+                            np.concatenate([src, dst]), node_features=ctdg.node_features)
+        scores.append(flp_score(decoder, embeddings, src, dst, t, cache).values.ravel())
+        kinds.append(kind)
+    scores, kinds = np.concatenate(scores), np.concatenate(kinds)
+    pos = scores[kinds == POSITIVE]
+    return pos, scores[kinds == NEGATIVE], scores[kinds == RANK].reshape(pos.size, rank_negatives)
 
 
 def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
@@ -273,14 +277,14 @@ def dnc_scores(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
     scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for cache, cuts, targets in evaluation_passes(ctdg, region, window, horizon,
                                                   target_filter, labeled=True):
-        offsets, labeled = _pass_rows(ctdg, targets)
-        src = labeled.u + offsets
+        src = np.concatenate([part.u + slot * ctdg.num_nodes
+                              for slot, part in enumerate(targets)])
+        ts, y = (np.concatenate([getattr(part, c) for part in targets]) for c in ("t", "labels"))
         embeddings = encode(cache, encoder, max_neighbors,
                             [(seed, EVAL_ENC_STREAM, cut) for cut in cuts], src,
                             node_features=ctdg.node_features)
-        scores.append(dnc_score(decoder, embeddings, src, labeled.t, cache,
-                                training=False).values.ravel())
-        labels.append((labeled.labels > 0.5).astype(np.int64))
+        scores.append(dnc_score(decoder, embeddings, src, ts, cache).values.ravel())
+        labels.append((y > 0.5).astype(np.int64))
     return np.concatenate(scores), np.concatenate(labels)
 
 
@@ -426,7 +430,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                     continue
                 if task == "flp":
                     neg_rng = np.random.default_rng((config.seed, NEG_STREAM, epoch, index))
-                    negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
+                    src, dst, t, kind = flp_candidates(targets, ctdg.num_nodes, neg_rng)
                 # The window [start, end) of the one training cache: row id = node id.
                 cache = train_cache.windows([start], [end], ONE_WINDOW)
 
@@ -440,7 +444,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                         # draw, and a frozen encoder's cached rows serve later epochs'
                         # negatives.
                         extra = np.arange(ctdg.num_nodes) if freeze_encoder else \
-                            (negatives.ravel() if task == "flp" else np.empty(0, dtype=np.int64))
+                            (dst if task == "flp" else np.empty(0, dtype=np.int64))
                         nodes = np.concatenate([train_ctdg.window(start, end).endpoints(),
                                                 targets.endpoints(), extra])
                         enc_epoch = 0 if freeze_encoder else epoch
@@ -452,13 +456,8 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                             frozen_embeddings[index] = embeddings
                 with timer.phase("decode"):
                     if task == "flp":
-                        pos = flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
-                                        cache)
-                        neg = flp_score(decoder, embeddings, targets.u, negatives.ravel(),
-                                        targets.t, cache)
-                        labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
-                        loss = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
-                                        labels.reshape(1, -1))
+                        loss = bce_loss(flp_score(decoder, embeddings, src, dst, t, cache),
+                                        kind == POSITIVE)
                     else:
                         drop_rng = np.random.default_rng((config.seed, DNC_INIT_STREAM,
                                                           epoch, index))

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the engine."""
+"""Exception taxonomy shared across the engine, and a text reader that raises it."""
+
+from pathlib import Path
 
 
 class ContractError(ValueError):
@@ -23,3 +25,11 @@ class ConsistencyError(RuntimeError):
 
 class NumericFailure(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def read_text(path, error: type[ValueError]) -> str:
+    """The UTF-8 text of ``path``; bytes that do not decode raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -3,7 +3,9 @@
 All four metrics depend only on the ordering of scores, so they are
 invariant under strictly monotone score transformations. Ties in the
 ranking metrics resolve pessimistically: a positive ranks below every
-negative it ties with.
+negative it ties with. FLP decodes each pass's candidate table in one call,
+so a negative ties its positive exactly when their decoder inputs are
+bit-equal, whatever the pass layout.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ two, ``cast``, ``wrap_angle`` and ``sin`` are unfused primitives:
 expression for expression.
 ``checkpoint_digest`` lets a test compare parameter maps by content.
 ``flp_scores_per_cut`` and ``dnc_scores_per_cut`` score an evaluation region
-one cut at a time, each cut with a cache built from its own input slice, for
-comparison with the batched passes of ``dygwin.downstream``.
+one cut at a time, each cut with a cache built from its own input slice (and,
+for FLP, its own candidate table in its own decoder call), for comparison
+with the batched passes of ``dygwin.downstream``.
 """
 
 import hashlib
@@ -29,8 +30,8 @@ import numpy as np
 
 import dygwin.tensor as T
 from dygwin.data import CTDG, EdgeArray
-from dygwin.downstream import (EVAL_ENC_STREAM, EVAL_NEG_STREAM, RANK_NEG_STREAM,
-                               dnc_score, flp_score, sample_negatives)
+from dygwin.downstream import (EVAL_ENC_STREAM, EVAL_NEG_STREAM, NEGATIVE, POSITIVE, RANK,
+                               RANK_NEG_STREAM, dnc_score, flp_candidates, flp_score)
 from dygwin.encoder import EncoderParams, LayerParams, encode
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import WindowFeatureCache, time2vec
@@ -382,31 +383,23 @@ def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int, window: i
 
 def flp_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neighbors, seed,
                        target_filter=None, rank_negatives=0):
-    """``downstream.flp_scores`` one cut at a time."""
-    pos_scores, neg_scores = [np.empty(0)], [np.empty(0)]
-    rank_scores = [np.empty((0, rank_negatives))]
+    """``downstream.flp_scores`` one cut at a time: each cut's candidate table
+    decoded in its own call."""
+    scores, kinds = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for cut, input_edges, targets in evaluation_windows(ctdg, region[0], region[1], window,
                                                         horizon, target_filter):
         cache = WindowFeatureCache(input_edges)  # a fresh cache per cut: the reference
-        neg_rng = np.random.default_rng((seed, EVAL_NEG_STREAM, cut))
-        negatives = sample_negatives(targets, neg_rng, ctdg.num_nodes)
-        rank_neg = np.empty(0, dtype=np.int64)
-        if rank_negatives > 0:
-            rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
-            rank_neg = sample_negatives(targets, rank_rng, ctdg.num_nodes, rank_negatives)
-        scored = np.concatenate([targets.u, targets.v, negatives.ravel(), rank_neg.ravel()])
+        rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
+        src, dst, t, kind = flp_candidates(targets, ctdg.num_nodes,
+                                           np.random.default_rng((seed, EVAL_NEG_STREAM, cut)),
+                                           rank_rng, rank_negatives)
         embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            scored, node_features=ctdg.node_features)
-        pos_scores.append(flp_score(decoder, embeddings, targets.u, targets.v, targets.t,
-                                    cache).values.ravel())
-        neg_scores.append(flp_score(decoder, embeddings, targets.u, negatives.ravel(),
-                                    targets.t, cache).values.ravel())
-        if rank_negatives > 0:
-            rank_scores.append(flp_score(decoder, embeddings,
-                                         np.repeat(targets.u, rank_negatives), rank_neg.ravel(),
-                                         np.repeat(targets.t, rank_negatives),
-                                         cache).values.reshape(len(targets), rank_negatives))
-    return np.concatenate(pos_scores), np.concatenate(neg_scores), np.concatenate(rank_scores)
+                            np.concatenate([src, dst]), node_features=ctdg.node_features)
+        scores.append(flp_score(decoder, embeddings, src, dst, t, cache).values.ravel())
+        kinds.append(kind)
+    scores, kinds = np.concatenate(scores), np.concatenate(kinds)
+    pos = scores[kinds == POSITIVE]
+    return pos, scores[kinds == NEGATIVE], scores[kinds == RANK].reshape(pos.size, rank_negatives)
 
 
 def dnc_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neighbors, seed,

@@ -11,8 +11,9 @@ import pytest
 
 import dygwin.tensor as T
 from dygwin.cli import main as cli_main
-from dygwin.downstream import (TrainConfig, bce_loss, evaluate_flp, evaluation_passes,
-                               flp_score, init_flp_decoder, sample_negatives, train_downstream)
+from dygwin.downstream import (POSITIVE, TrainConfig, bce_loss, evaluate_flp,
+                               evaluation_passes, flp_candidates, flp_score, init_flp_decoder,
+                               train_downstream)
 from dygwin.encoder import encode, init_encoder
 from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
@@ -58,24 +59,20 @@ def test_criterion_1_full_model_gradient_check():
                            heads=2, dropout=0.0, seed=1, dtype=np.float64)
     decoder = init_flp_decoder(node_dim=8, time_dim=6, seed=1, dtype=np.float64)
     predictor = init_predictor(8, seed=1, dtype=np.float64)
-    negatives = sample_negatives(targets, np.random.default_rng(2), ctdg.num_nodes)
+    src, dst, times, kind = flp_candidates(targets, ctdg.num_nodes, np.random.default_rng(2))
     view_a = distort(window, DistortionConfig(0.3, 0.3), np.random.default_rng(3))
     view_b = distort(window, DistortionConfig(0.3, 0.3), np.random.default_rng(4))
     common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
-    labels = np.concatenate([np.ones(len(targets)), np.zeros(len(targets))]).reshape(-1, 1)
 
     # caches are parameter-independent: build once
     cache = WindowFeatureCache(window)
     cache_a, cache_b = WindowFeatureCache(view_a), WindowFeatureCache(view_b)
-    seeds = np.unique(np.concatenate([window.endpoints(), targets.endpoints(),
-                                      negatives.ravel()]))
+    seeds = np.unique(np.concatenate([window.endpoints(), src, dst]))
 
     def forward():
         embeddings = encode(cache, encoder, 5, (9,), seeds)
-        pos = flp_score(decoder, embeddings, targets.u, targets.v, targets.t, cache)
-        neg = flp_score(decoder, embeddings, targets.u, negatives.ravel(), targets.t, cache)
-        supervised = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]),
-                              labels.reshape(1, -1))
+        supervised = bce_loss(flp_score(decoder, embeddings, src, dst, times, cache),
+                              kind == POSITIVE)
         h_a = encode(cache_a, encoder, 5, (10,), view_a.endpoints())
         h_b = encode(cache_b, encoder, 5, (11,), view_b.endpoints())
         self_supervised, _ = ssl_loss_terms(predictor.forward(h_a.gather(common)),

@@ -128,16 +128,25 @@ class TestSubcommands:
         ("masked_nodes", "-1"),    # would wrap to the last node
         ("train_end", "500"),      # past the log's end, and after val_end
         ("train_end", "x"),        # not a number
-    ], ids=["masked_past_last_node", "masked_negative", "boundary_past_log", "boundary_text"])
-    def test_bad_split_manifest_is_data_error(self, dataset, tmp_path, field, value):
+        ("mode", "\udcff"),        # the byte 0xff, not UTF-8
+        ("directory", None),       # a directory in place of the file
+    ], ids=["masked_past_last_node", "masked_negative", "boundary_past_log", "boundary_text",
+            "non_utf8", "directory"])
+    def test_bad_split_manifest_is_data_error(self, dataset, tmp_path, capsys, field, value):
         fields = {"mode": "inductive", "train_end": "210", "val_end": "250", "seed": "0",
                   "masked_nodes": "3", field: value}
         manifest = tmp_path / "split.txt"
-        manifest.write_text("".join(f"{key} = {text}\n" for key, text in fields.items()))
+        if value is None:
+            manifest.mkdir()
+        else:
+            manifest.write_bytes("".join(f"{key} = {text}\n" for key, text in fields.items())
+                                 .encode("utf-8", "surrogateescape"))
         code = main(["split", "--dataset", str(dataset), "--output-dir", str(tmp_path),
                      "--split-file", str(manifest)])
         assert code == 3
         assert not list(tmp_path.glob("split-*"))
+        err = capsys.readouterr().err
+        assert "error kind=data" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand", ["train", "probe"])
     def test_split_past_log_leaves_no_run_dir(self, dataset, tmp_path, subcommand):
@@ -246,6 +255,30 @@ class TestSubcommands:
         code = main(["ingest", "--dataset", str(tmp_path / "nope.csv"),
                      "--output-dir", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("flag, case, code", [
+        ("--dataset", "non_utf8", 3), ("--dataset", "directory", 3),
+        ("--config", "non_utf8", 2), ("--config", "directory", 3),
+        ("--split-file", "directory", 3), ("--checkpoint", "directory", 3),
+    ])
+    def test_unreadable_input_file_is_typed_error(self, dataset, tmp_path, capsys, flag, case,
+                                                  code):
+        """A file that is not UTF-8 text, or a directory where a file belongs, is a data
+        error (exit 3), except that a config file that is not UTF-8 is a config error."""
+        path = tmp_path / "input"
+        if case == "directory":
+            path.mkdir()
+        elif flag == "--dataset":
+            path.write_bytes(b"u,v,t\n0,1,1.0\n1,2,\xff2.0\n")
+        else:
+            path.write_bytes(b"# \xe9poques\nepochs = 1\n")  # Latin-1, not UTF-8
+        args = {"--dataset": str(dataset), "--output-dir": str(tmp_path / "runs"),
+                "--checkpoint": str(tmp_path / "model.dygw"), flag: str(path)}
+        assert main(["eval", *(item for pair in args.items() for item in pair)]) == code
+        err = capsys.readouterr().err
+        assert f"error kind={'config' if code == 2 else 'data'}" in err
+        assert "Traceback" not in err and (case != "non_utf8" or "not UTF-8 text" in err)
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("u,v,t\n0,1,1.0\n1e20,2,2.0\n", "line 3: node id '1e20' in column 'u' is outside int64"),

@@ -10,9 +10,10 @@ import dygwin.encoder as encoder_module
 import dygwin.tensor as T
 from dygwin.checkpoint import load_checkpoint, save_model
 from dygwin.data import chronological_split, inductive_split
-from dygwin.downstream import (TrainConfig, bce_loss, dnc_score, evaluate_dnc,
-                               evaluate_flp, flp_score, init_decoder, init_flp_decoder,
-                               sample_negatives, train_downstream, training_intervals)
+from dygwin.downstream import (NEGATIVE, POSITIVE, RANK, TrainConfig, bce_loss, dnc_score,
+                               evaluate_dnc, evaluate_flp, flp_candidates, flp_score,
+                               init_decoder, init_flp_decoder, sample_negatives,
+                               train_downstream, training_intervals)
 from dygwin.encoder import NodeEmbeddings, init_encoder
 from dygwin.errors import ConfigError, ContractError
 from dygwin.features import WindowFeatureCache
@@ -59,6 +60,34 @@ class TestSampleNegatives:
         targets = edges_from([(0, 0, 0.0)])
         with pytest.raises(ContractError):
             sample_negatives(targets, np.random.default_rng(0), num_nodes=1)
+
+
+class TestFlpCandidates:
+    TARGETS = edges_from([(i % 7, (3 * i + 1) % 9, float(i)) for i in range(12)])
+
+    @pytest.mark.parametrize("rank_negatives", [0, 1, 5])
+    def test_draws_are_sample_negatives_draws(self, rank_negatives):
+        targets = self.TARGETS
+        src, dst, t, kind = flp_candidates(targets, 9, np.random.default_rng(4),
+                                           np.random.default_rng(5), rank_negatives, offset=18)
+        negatives = sample_negatives(targets, np.random.default_rng(4), 9)
+        rank = sample_negatives(targets, np.random.default_rng(5), 9, rank_negatives)
+        assert kind.tolist() == [POSITIVE] * 12 + [NEGATIVE] * 12 + [RANK] * 12 * rank_negatives
+        assert (dst[kind == POSITIVE] - 18).tolist() == targets.v.tolist()
+        assert (dst[kind == NEGATIVE] - 18).tolist() == negatives.ravel().tolist()
+        assert (dst[kind == RANK] - 18).tolist() == rank.ravel().tolist()
+        # every candidate keeps its positive's source and time; rank rows go positive by positive
+        owner = np.concatenate([np.arange(12), np.arange(12), np.repeat(np.arange(12),
+                                                                        rank_negatives)])
+        assert (src - 18).tolist() == targets.u[owner].tolist()
+        assert t.tolist() == targets.t[owner].tolist()
+
+    def test_rank_draws_leave_the_one_to_one_draws_alone(self):
+        plain = flp_candidates(self.TARGETS, 9, np.random.default_rng(4))
+        ranked = flp_candidates(self.TARGETS, 9, np.random.default_rng(4),
+                                np.random.default_rng(5), 3)
+        for column, longer in zip(plain, ranked):
+            assert column.tolist() == longer[:24].tolist()
 
 
 class TestBceLoss:
@@ -108,6 +137,23 @@ class TestFlpDecoder:
         a = one_edge_logit(decoder, emb, 0, 1, 8.0, cache)
         b = one_edge_logit(decoder, emb, 1, 0, 8.0, cache)
         assert np.allclose(a.values, b.values, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_inputs_get_bit_equal_logits(self, dtype):
+        """At every batch size from 1 to 70, a candidate repeated at the batch's
+        start, in its middle and at its end gets the same logit bits each time."""
+        rng = np.random.default_rng(6)
+        decoder = init_flp_decoder(node_dim=100, time_dim=100, seed=2, dtype=dtype)
+        emb = NodeEmbeddings(np.arange(40), T.constant(rng.normal(size=(40, 100)), dtype=dtype))
+        cache = WindowFeatureCache(edges_from([(i, i + 1, float(i)) for i in range(39)]))
+        for n in range(1, 71):
+            src, dst = rng.integers(0, 40, n), rng.integers(0, 40, n)
+            ts = rng.uniform(40.0, 50.0, n)
+            repeats = np.unique(np.r_[np.arange(0, n, 3), n - 1])
+            src[repeats], dst[repeats], ts[repeats] = src[0], dst[0], ts[0]
+            logits = flp_score(decoder, emb, src, dst, ts, cache).values.ravel()
+            assert logits.dtype == dtype
+            assert len({logits[i].tobytes() for i in repeats}) == 1, n
 
     def test_history_less_source_falls_back_to_window_end(self):
         edges = edges_from([(0, 1, 4.0)])
@@ -266,6 +312,22 @@ class TestTrainingProtocols:
         ctdg, split = small_world
         with pytest.raises(ConfigError):
             train_downstream(ctdg, split, "regression", self._encoder())
+
+    def test_one_decode_per_training_step_and_evaluation_pass(self, small_world, monkeypatch):
+        ctdg, split = small_world
+        config = self._config()
+        calls, original = [], downstream.flp_score
+        monkeypatch.setattr(downstream, "flp_score",
+                            lambda *args: calls.append(len(args[2])) or original(*args))
+        train_end, val_end = split.boundaries
+        passes = len(list(downstream.evaluation_passes(
+            ctdg, (train_end, val_end), config.window, config.target_size,
+            split.masked_filter(ctdg))))
+        steps = len(training_intervals(train_end, config))
+        train_downstream(ctdg, split, "flp", self._encoder(), config=config)
+        # validation before the first epoch and after each of the two
+        assert len(calls) == 3 * passes + 2 * steps
+        assert 2 * config.target_size in calls  # a step decodes positives and negatives at once
 
     def test_history_records_initial_validation(self, small_world):
         ctdg, split = small_world
@@ -457,6 +519,30 @@ class TestEvaluationPasses:
                 *args, target_filter=target_filter)
             assert labels.size > 0 and labels.tolist() == expected_labels.tolist()
             self._close(scores, reference, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rank_metrics_do_not_depend_on_pass_layout(self, dtype, monkeypatch):
+        """K=1 with rank negatives gives one report whatever the pass size. Nodes
+        0-7 make the history; each region edge goes to a node never seen before,
+        and with no node features every history-less node has the same row, so
+        its positive ties the rank negatives that drew history-less nodes."""
+        rng = np.random.default_rng(8)
+        triples = [(*map(int, rng.choice(8, size=2, replace=False)), float(i))
+                   for i in range(200)]
+        triples += [(int(rng.integers(0, 8)), 8 + i, 200.0 + i) for i in range(24)]
+        ctdg = ctdg_from(triples, num_nodes=60)
+        encoder = init_encoder(num_layers=2, node_dim=16, time_dim=8, heads=2, seed=5,
+                               dtype=dtype)
+        args = (ctdg, (200, 224), encoder, init_flp_decoder(16, 8, seed=6, dtype=dtype), 100,
+                1, 8, 3)
+        reports, ties = [], []
+        for pass_targets in (1, 2, 16):
+            monkeypatch.setattr(downstream, "PASS_TARGETS", pass_targets)
+            reports.append(evaluate_flp(*args, rank_negatives=20))
+            pos, _, rank = downstream.flp_scores(*args, rank_negatives=20)
+            ties.append(int((rank == pos[:, None]).sum()))
+        assert ties[0] > 24 and ties == ties[:1] * 3
+        assert reports == reports[:1] * 3
 
     @pytest.mark.filterwarnings("ignore:auc undefined")  # one K=1 target has one label
     @pytest.mark.parametrize("region, horizon", [((500, 501), 1), ((500, 540), 40)])

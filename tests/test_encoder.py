@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
-from dygwin.downstream import bce_loss, dnc_score, flp_score, init_decoder, sample_negatives
+from dygwin.downstream import (POSITIVE, bce_loss, dnc_score, flp_candidates, flp_score,
+                               init_decoder)
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
                             encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
@@ -469,9 +470,8 @@ def test_training_step_through_a_log_view_matches_a_window_cache(dtype):
     lo, hi, max_neighbors = 15, 45, 6  # ties straddle both window bounds
     window, targets = ctdg.window(lo, hi), ctdg.window(hi, 55)
     assert IncidenceIndex(window).incident(0).size > max_neighbors
-    negatives = sample_negatives(targets, np.random.default_rng(3), ctdg.num_nodes).ravel()
-    nodes = np.concatenate([window.endpoints(), targets.endpoints(), negatives])
-    labels = np.repeat([1.0, 0.0], len(targets)).reshape(1, -1)
+    src, dst, t, kind = flp_candidates(targets, ctdg.num_nodes, np.random.default_rng(3))
+    nodes = np.concatenate([window.endpoints(), targets.endpoints(), dst])
 
     def step(cache):
         encoder = init_encoder(num_layers=2, node_dim=8, time_dim=4, edge_dim=2, heads=2,
@@ -479,9 +479,7 @@ def test_training_step_through_a_log_view_matches_a_window_cache(dtype):
         decoder = init_decoder("flp", 8, 4, seed=2, dtype=dtype)
         with T.Tape() as tape:
             rows = encode(cache, encoder, max_neighbors, (7, 1), nodes, training=True)
-            pos = flp_score(decoder, rows, targets.u, targets.v, targets.t, cache)
-            neg = flp_score(decoder, rows, targets.u, negatives, targets.t, cache)
-            loss = bce_loss(T.concat_last_dim([T.transpose(pos), T.transpose(neg)]), labels)
+            loss = bce_loss(flp_score(decoder, rows, src, dst, t, cache), kind == POSITIVE)
         grads = T.backward(tape, loss)
         named = {**encoder.named(), **decoder.named()}
         return rows, loss, {name: grads[p].tobytes() for name, p in named.items()}
