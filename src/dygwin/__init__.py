@@ -15,7 +15,6 @@ from .optim import Adam
 from .pretrain import (DistortionConfig, PretrainConfig, distort, init_predictor, pretrain,
                        vicreg_covariance, vicreg_invariance, vicreg_variance)
 from .tensor import MLP, Tape, Tensor, backward
-from .windows import (Interval, LayeredNeighborhood, build_layered_neighborhood,
-                      generate_intervals, sample_neighbors)
+from .windows import Interval, LayeredNeighborhood, build_layered_neighborhood, generate_intervals
 
 __version__ = "0.1.0"

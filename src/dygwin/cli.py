@@ -38,7 +38,10 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 def _make_run_dir(config: RunConfig, subcommand: str) -> Path:
     base = Path(config.output_dir)
-    base.mkdir(parents=True, exist_ok=True)
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output_dir {base} is not a directory") from exc
     name = f"{subcommand}-{config_hash(config)}-{time.strftime('%Y%m%d-%H%M%S')}"
     for counter in itertools.count():
         candidate = base / (f"{name}-{counter}" if counter else name)

@@ -439,14 +439,9 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                     if freeze_encoder and index in frozen_embeddings:
                         embeddings = frozen_embeddings[index]
                     else:
-                        # Every window node, not only the scored ones: dropout masks are
-                        # drawn by message position, so fewer messages would change every
-                        # draw, and a frozen encoder's cached rows serve later epochs'
-                        # negatives.
-                        extra = np.arange(ctdg.num_nodes) if freeze_encoder else \
-                            (dst if task == "flp" else np.empty(0, dtype=np.int64))
-                        nodes = np.concatenate([train_ctdg.window(start, end).endpoints(),
-                                                targets.endpoints(), extra])
+                        # A frozen encoder's cached rows serve later epochs' negatives.
+                        nodes = np.arange(ctdg.num_nodes) if freeze_encoder else \
+                            np.concatenate([src, dst]) if task == "flp" else scored.u
                         enc_epoch = 0 if freeze_encoder else epoch
                         embeddings = encode(cache, encoder, config.max_neighbors,
                                             (config.seed, ENC_STREAM, enc_epoch, index),

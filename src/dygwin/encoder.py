@@ -17,11 +17,11 @@ import numpy as np
 from . import tensor as T
 from .errors import ConsistencyError, ContractError
 from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2vec
+from .keyed import key_words, keyed_uniform
 from .tensor import Tensor
 from .windows import IncidenceIndex, LayeredNeighborhood, build_layered_neighborhood
 
 NEIGHBOR_STREAM = 11
-DROPOUT_STREAM = 13
 
 
 @dataclass
@@ -160,8 +160,8 @@ def message_counts(cache: WindowFeatureCache, hood: LayeredNeighborhood) -> list
 
 def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
                   layer: LayerParams, params: EncoderParams, index: IncidenceIndex,
-                  counts: np.ndarray, dropout_rng: np.random.Generator | None = None,
-                  training: bool = False) -> NodeEmbeddings:
+                  counts: np.ndarray, dropout_key: tuple[np.ndarray, int] | None = None
+                  ) -> NodeEmbeddings:
     """One attention layer from the input rows to one row per anchor of ``samples``.
 
     Anchors are row ids of ``index`` and sampled positions index its log;
@@ -169,13 +169,15 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     order. Anchors and their sampled neighbours must have input rows. An
     anchor with an empty sample (no incident edges) takes the bare ``h @ W1``
     path; attention context is added for the rest. Output rows are invariant
-    to each anchor's sample order.
+    to each anchor's sample order. Given ``dropout_key = (words, depth)``,
+    head h drops a message of window s where ``keyed_uniform(words[s], depth,
+    h, anchor node, window position) < params.dropout``.
     """
     edges = index.edges
     anchors, segments, positions, neighbors = _flatten_layer(samples, index)
     rows = embeddings.rows(anchors)
     H = embeddings.matrix
-    # A request covering the window (training) makes every input row an anchor.
+    # A request covering the window (the frozen probe's) makes every input row an anchor.
     H_out = H if rows.size == len(embeddings) else T.slice_rows(H, rows)
     h_new = T.matmul(H_out, layer.w1)
     if positions.size == 0:
@@ -196,7 +198,12 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
         message_parts.append(T.constant(feats, dtype=H.dtype))
     messages = T.concat_last_dim(message_parts)            # (occurrences, message_dim)
 
-    dropout = (params.dropout, dropout_rng) if params.dropout > 0.0 and training else None
+    dropout = None
+    if dropout_key is not None and params.dropout > 0.0:
+        (words, depth), (slot, node) = dropout_key, np.divmod(anchors[segments], index.stride)
+        u = keyed_uniform(words[slot, None], depth, np.arange(params.heads), node[:, None],
+                          positions[:, None] - index.lo[slot, None])
+        dropout = (params.dropout, u)
     context = T.segment_attention(T.matmul(H_out, layer.wq), T.matmul(messages, layer.wk),
                                   T.matmul(messages, layer.wv), segments, len(anchors),
                                   params.heads, dropout)
@@ -212,9 +219,10 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
     window), and window s draws from ``rng_key[s]`` (from ``rng_key`` for one
     window, the only form training takes). Returns one row per distinct
     requested id, ids ascending, and no other row. Layer i is computed only
-    for the rows within L - i sampled hops of the request, so each row equals
-    the row a request of every window node gives, up to rounding. A requested
-    node without edges in its window takes the bare ``W1`` chain.
+    for the rows within L - i sampled hops of the request. Sampling and dropout
+    are keyed draws, so each row equals the row a request of every window node
+    gives, up to rounding, also while ``training``. A requested node without
+    edges in its window takes the bare ``W1`` chain.
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
@@ -234,9 +242,8 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
         h0 = T.constant(np.zeros((len(active), params.node_dim)), dtype=params.dtype)
 
     embeddings = NodeEmbeddings(active, h0)
+    words = key_words(keys) if training else None
     for i, layer in enumerate(params.layers):
-        dropout_rng = np.random.default_rng(keys[0] + (DROPOUT_STREAM, i)) \
-            if training and params.dropout > 0.0 else None
         embeddings = layer_forward(embeddings, hood.layers[i], layer, params, cache.index,
-                                   counts[i], dropout_rng, training)
+                                   counts[i], (words, i + 1) if training else None)
     return embeddings

@@ -157,14 +157,12 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
                 continue
             with Tape() as tape:
                 with timer.phase("encode"):
-                    # Every view node, not only the common ones: dropout masks are
-                    # drawn by message position, so fewer messages would change every draw.
                     # A view drops edges, so it is its own log with its own cache.
                     h_a = encode(WindowFeatureCache(view_a), encoder, config.max_neighbors,
-                                 (config.seed, VIEW_STREAM, epoch, index, 0), view_a.endpoints(),
+                                 (config.seed, VIEW_STREAM, epoch, index, 0), common,
                                  training=True, node_features=train_ctdg.node_features)
                     h_b = encode(WindowFeatureCache(view_b), encoder, config.max_neighbors,
-                                 (config.seed, VIEW_STREAM, epoch, index, 1), view_b.endpoints(),
+                                 (config.seed, VIEW_STREAM, epoch, index, 1), common,
                                  training=True, node_features=train_ctdg.node_features)
                 with timer.phase("decode"):
                     z_a = predictor.forward(h_a.gather(common))

@@ -365,9 +365,10 @@ def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segmen
     query is that row of ``q_rows``; a segment's messages must be contiguous,
     and a segment without any gets a zero row. Head h reads and writes the h-th
     of ``heads`` equal column blocks: scores ``sum(q * k) / sqrt(block width)``
-    are softmaxed per segment, dropped out by ``rng.random((heads, n)).T < p``
-    given ``dropout = (p, rng)``, and weight the block's ``v`` rows. Backward
-    recomputes the gathered queries and the softmax rather than keeping them.
+    are softmaxed per segment, dropped out where ``u < p`` given ``dropout =
+    (p, u)`` with ``u`` of shape (n, heads), and weight the block's ``v`` rows.
+    Backward recomputes the gathered queries and the softmax rather than
+    keeping them.
     """
     seg = np.asarray(segments, dtype=np.int64)
     n, width = seg.size, q_rows.shape[1]
@@ -391,8 +392,8 @@ def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segmen
 
     attn, keep = weights()[1], 1.0
     if dropout is not None:
-        p, rng = dropout
-        keep = (rng.random((heads, n)).T >= p).astype(attn.dtype) / (1.0 - p)
+        p, u = dropout
+        keep = (u >= p).astype(attn.dtype) / (1.0 - p)
     out = _row_sum(((attn * keep)[:, :, None] * v3).reshape(v.shape), seg, num_segments)
 
     def bwd(g: Array):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import EdgeArray
 from .errors import ContractError
+from .keyed import key_words, keyed_uniform
 
 
 @dataclass(frozen=True)
@@ -108,23 +109,6 @@ class IncidenceIndex:
         return np.where(end > start, self._run_times[end - 1], fallback)
 
 
-def sample_neighbors(index: IncidenceIndex, anchor: int, max_neighbors: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample (without replacement) of incident edge positions.
-
-    Anchors with at most ``max_neighbors`` incident edges keep all of them
-    without reading ``rng``, so callers build a stream only for an anchor with
-    more; isolated anchors return an empty array. Output positions ascend.
-    """
-    if max_neighbors < 1:
-        raise ContractError(f"max_neighbors must be >= 1, got {max_neighbors}")
-    positions = index.incident(anchor)
-    if positions.size <= max_neighbors:
-        return positions
-    chosen = rng.choice(positions, size=max_neighbors, replace=False)
-    return np.sort(chosen)
-
-
 @dataclass
 class LayeredNeighborhood:
     """Per-layer anchor samples, bottom layer first, plus the rows layer 1 reads.
@@ -147,29 +131,36 @@ def build_layered_neighborhood(index: IncidenceIndex, seed_nodes,
     The top layer's anchors are the seeds; each lower layer's anchors are the
     anchors above it plus the endpoints of their samples, and ``active_nodes``
     adds the endpoints of layer 1's samples. Anchors, samples and active rows
-    are row ids of ``index`` and log positions. Two searches read every
-    anchor's incident run; only an anchor with more than ``max_neighbors``
-    builds an rng stream, from its window's key (``rng_key`` for one window, or
-    ``rng_key[s]`` for window s) and (layer, node), and samples it, so the
-    sample for a node never depends on which other anchors or windows exist.
+    are row ids of ``index`` and log positions. A run of at most
+    ``max_neighbors`` incident positions is kept whole, a longer one keeps its
+    ``max_neighbors`` of least ``keyed_uniform(word, layer, node, window
+    position)``, window s's word from ``key_words(rng_key)[s]``: a uniform
+    sample without replacement (Efraimidis & Spirakis, IPL 2006) that does not
+    depend on the other anchors or windows. Each anchor's positions ascend.
     """
     if max_neighbors < 1:
         raise ContractError(f"max_neighbors must be >= 1, got {max_neighbors}")
-    if isinstance(rng_key, int):
-        rng_key = (rng_key,)
-    keys = [rng_key] if isinstance(rng_key, tuple) else rng_key
-    edges = index.edges
+    words, edges = key_words(rng_key), index.edges
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
     layers, positions, message_slots = [], [], []
     for layer in range(num_layers, 0, -1):
         starts, ends = index.runs(anchors)
-        samples = {anchor: index.positions[lo:hi] if hi - lo <= max_neighbors else
-                   sample_neighbors(index, anchor, max_neighbors, np.random.default_rng(
-                       keys[anchor // index.stride] + (layer, anchor % index.stride)))
-                   for anchor, lo, hi in zip(anchors.tolist(), starts.tolist(), ends.tolist())}
-        sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
-        slots = np.repeat(anchors // index.stride, np.minimum(ends - starts, max_neighbors))
-        layers.insert(0, samples)
+        sizes, over = np.minimum(ends - starts, max_neighbors), ends - starts > max_neighbors
+        bounds = np.cumsum(sizes)
+        take = np.repeat(starts - bounds + sizes, sizes) + np.arange(sizes.sum())
+        # The over-degree runs as one ragged array; one sort ranks each by priority.
+        lengths = (ends - starts)[over]
+        run = np.repeat(np.arange(lengths.size), lengths)
+        flat = np.repeat(starts[over] - np.cumsum(lengths) + lengths, lengths) + np.arange(run.size)
+        slot, node = np.divmod(anchors[over][run], index.stride)
+        priority = keyed_uniform(words[slot], layer, node, index.positions[flat] - index.lo[slot])
+        kept = np.zeros(flat.size, dtype=bool)  # rank in the run below max_neighbors, by priority
+        kept[np.lexsort((priority, run))[flat - starts[over][run] < max_neighbors]] = True
+        take[np.repeat(over, sizes)] = flat[kept]
+        sampled = index.positions[take]
+        slots = np.repeat(anchors // index.stride, sizes)
+        layers.insert(0, {anchor: sampled[lo:hi] for anchor, lo, hi in
+                          zip(anchors.tolist(), (bounds - sizes).tolist(), bounds.tolist())})
         positions.insert(0, sampled)
         message_slots.insert(0, slots)
         anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]])

@@ -2,8 +2,8 @@
 
 Each function computes one anchor's attention, one edge's encoding, one
 node's row, recency, degree or common neighbours, one sampled position,
-one layer's receptive field or one anchor's draw the direct way, so a test
-can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
+one layer's receptive field or one anchor's keyed sample the direct way, so
+a test can compare it item by item with ``layer_forward``, ``NodeEmbeddings.rows``,
 ``IncidenceIndex.last_time``, ``build_layered_neighborhood`` and
 ``WindowFeatureCache.counts_at``. The ``sigmoid``, ``softmax_rows`` and
 ``columns`` primitives serve the reference ``mha`` and the gradient checks
@@ -36,7 +36,8 @@ from dygwin.encoder import EncoderParams, LayerParams, encode
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import WindowFeatureCache, time2vec
 from dygwin.tensor import Tensor, _finish, _row_sum
-from dygwin.windows import IncidenceIndex, LayeredNeighborhood, sample_neighbors
+from dygwin.keyed import keyed_uniform
+from dygwin.windows import IncidenceIndex, LayeredNeighborhood
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -177,12 +178,14 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
 def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segments: int,
                       scale, dropout=None) -> Tensor:
     """``T.segment_attention`` as eight primitives: gather, product, row sum,
-    scale, segment softmax, dropout, product and segment sum."""
+    scale, segment softmax, dropout mask product (``dropout = (p, u)``, ``u``
+    one column), product and segment sum."""
     q = T.slice_rows(q_rows, segments)
     scores = T.scale(T.tensor_sum(T.mul(q, k), axis=1, keepdims=True), scale)
     attn = segment_softmax(scores, segments)
     if dropout is not None:
-        attn = T.dropout(attn, *dropout, training=True)
+        p, u = dropout
+        attn = T.mul(attn, T.constant((u >= p).astype(attn.dtype) / (1.0 - p), dtype=attn.dtype))
     return segment_sum(T.mul(attn, v), segments, num_segments)
 
 
@@ -227,9 +230,7 @@ def columns(a: Tensor, start: int, stop: int) -> Tensor:
     return _finish("columns", (a,), a.values[:, start:stop].copy(), bwd)
 
 
-def mha(query: Tensor, keys: Tensor | None, layer: LayerParams, heads: int,
-        dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-        training: bool = False) -> Tensor:
+def mha(query: Tensor, keys: Tensor | None, layer: LayerParams, heads: int) -> Tensor:
     """Reference multi-head scaled dot-product attention for one anchor, one
     head at a time: head h projects through the h-th column block of
     ``layer.wq``, ``wk`` and ``wv``.
@@ -249,8 +250,6 @@ def mha(query: Tensor, keys: Tensor | None, layer: LayerParams, heads: int,
         v = T.matmul(keys, columns(layer.wv, *block))
         scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(head_dim))
         attn = softmax_rows(scores)                         # (1, rows)
-        if dropout_p > 0.0:
-            attn = T.dropout(attn, dropout_p, rng, training=training)
         contexts.append(T.matmul(attn, v))                  # (1, head_dim)
     return T.matmul(T.concat_last_dim(contexts), layer.wo)
 
@@ -339,17 +338,29 @@ def active_nodes(seeds, layers: list[dict[int, np.ndarray]],
     return needed
 
 
+def sample_neighbors(index: IncidenceIndex, anchor: int, max_neighbors: int, word,
+                     layer: int) -> np.ndarray:
+    """One anchor's keyed sample: its whole incident run if at most
+    ``max_neighbors`` long, else the first ``max_neighbors`` of the run sorted
+    by ``keyed_uniform(word, layer, node, window position)``, ascending."""
+    slot, node = divmod(anchor, index.stride)
+    positions = index.incident(anchor)
+    if positions.size <= max_neighbors:
+        return positions
+    priority = keyed_uniform(np.uint64(word), layer, node, positions - index.lo[slot])
+    return np.sort(positions[np.argsort(priority, kind="stable")[:max_neighbors]])
+
+
 def layered_neighborhood(index: IncidenceIndex, seed_nodes, num_layers: int,
                          max_neighbors: int, rng_key: tuple[int, ...]) -> LayeredNeighborhood:
-    """``build_layered_neighborhood`` one anchor at a time: every (layer,
-    anchor) builds its Generator from ``rng_key + (layer, anchor)`` and goes
-    through ``sample_neighbors``, whatever its degree."""
+    """``build_layered_neighborhood`` of one window, one anchor at a time through
+    ``sample_neighbors``, with the window's word from ``SeedSequence(rng_key)``."""
     edges = index.edges
+    word = np.random.SeedSequence(rng_key).generate_state(1, np.uint64)[0]
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
     layers, positions = [], []
     for layer in range(num_layers, 0, -1):
-        samples = {anchor: sample_neighbors(index, anchor, max_neighbors,
-                                            np.random.default_rng(rng_key + (layer, anchor)))
+        samples = {anchor: sample_neighbors(index, anchor, max_neighbors, word, layer)
                    for anchor in anchors.tolist()}
         layers.insert(0, samples)
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])

@@ -390,17 +390,22 @@ class TestPipeline:
         ("eval", "rank_negatives=-3"),
         ("eval", "eval_horizon="),
         ("eval", "eval_horizon=0"),
+        ("train", "output_dir={file}"),        # an output directory that is a file
+        ("train", "output_dir={file}/runs"),   # one under a file
     ])
-    def test_out_of_range_key_is_config_error(self, artifacts, dataset, tmp_path,
+    def test_out_of_range_key_is_config_error(self, artifacts, dataset, tmp_path, capsys,
                                               subcommand, setting):
         _, trained = artifacts
         out = tmp_path / "runs"
+        (tmp_path / "afile").write_text("")
         code = main([subcommand, "--dataset", str(dataset), "--output-dir", str(out),
                      "--epochs", "1", "--window-size", "120", "--checkpoint", str(trained),
-                     "--eval-horizon", "40", "--set", "target_size=40", "--set", setting,
-                     *SMALL_MODEL])
+                     "--eval-horizon", "40", "--set", "target_size=40",
+                     "--set", setting.format(file=tmp_path / "afile"), *SMALL_MODEL])
         assert code == 2
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert "error kind=config" in err and "Traceback" not in err
 
     def test_truncated_checkpoint_is_data_error(self, artifacts, dataset, tmp_path):
         _, trained = artifacts

@@ -1,5 +1,7 @@
 """Encoder layers against hand arithmetic and the reference attention path."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ import dygwin.tensor as T
 from dygwin.data import EdgeArray
 from dygwin.downstream import (POSITIVE, bce_loss, dnc_score, flp_candidates, flp_score,
                                init_decoder)
+from dygwin import encoder as encoder_module
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
                             encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
@@ -416,6 +419,89 @@ def test_requested_rows_match_all_rows_encode(data):
     expected = reference.matrix.values[reference.rows(out.ids)]
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
     assert np.abs(out.matrix.values - expected).max(initial=0.0) <= 1e-12 * scale
+
+
+def hub_window(data) -> tuple[int, int, EdgeArray]:
+    """(max_neighbors, num_nodes, window): node 0 has from max_neighbors - 1 to
+    2 * max_neighbors + 1 incident edges, so hubs fall on both sides of N; a
+    partner 0 is a self-loop and a repeated pair a parallel edge, and the
+    sorted timestamps tie."""
+    max_neighbors = data.draw(st.integers(1, 4))
+    num_nodes = data.draw(st.integers(2, 7))
+    hub = [(0, data.draw(st.integers(0, num_nodes - 1)))
+           for _ in range(max_neighbors + data.draw(st.integers(-1, max_neighbors + 1)))]
+    others = data.draw(st.lists(st.tuples(st.integers(0, num_nodes - 1),
+                                          st.integers(1, num_nodes - 1)), max_size=25))
+    pairs = data.draw(st.permutations(hub + others))
+    times = sorted(data.draw(st.lists(st.integers(0, 6), min_size=len(pairs),
+                                      max_size=len(pairs))))
+    return max_neighbors, num_nodes, edges_from([(u, v, float(t))
+                                                 for (u, v), t in zip(pairs, times)])
+
+
+def training_params(data, num_nodes: int):
+    """A float64 encoder with dropout of 1 to 3 layers, and node features."""
+    params = init_encoder(num_layers=data.draw(st.integers(1, 3)), node_dim=4, time_dim=3,
+                          node_feature_dim=2, heads=data.draw(st.sampled_from([1, 2, 4])),
+                          dropout=data.draw(st.sampled_from([0.1, 0.5])),
+                          seed=data.draw(st.integers(0, 3)), dtype=np.float64)
+    return params, np.random.default_rng(0).normal(size=(num_nodes + 3, 2))
+
+
+def pruned_and_every_row(data, edges: EdgeArray, num_nodes: int):
+    """A request drawn from the window's nodes and beyond, and that request plus
+    every window node."""
+    request = np.asarray(data.draw(st.lists(st.integers(0, num_nodes + 2), min_size=1,
+                                            max_size=4)), dtype=np.int64)
+    return request, np.concatenate([edges.endpoints(), request])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_training_rows_of_a_pruned_request_match_all_rows(data):
+    max_neighbors, num_nodes, edges = hub_window(data)
+    cache = WindowFeatureCache(edges)
+    params, node_features = training_params(data, num_nodes)
+    request, every_row = pruned_and_every_row(data, edges, num_nodes)
+    out = encode(cache, params, max_neighbors, (8, 1), request, node_features, training=True)
+    reference = encode(cache, params, max_neighbors, (8, 1), every_row, node_features,
+                       training=True)
+    expected = reference.matrix.values[reference.rows(out.ids)]
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    assert np.abs(out.matrix.values - expected).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_each_message_keeps_its_dropout_mask_in_any_request(data):
+    max_neighbors, num_nodes, edges = hub_window(data)
+    cache = WindowFeatureCache(edges)
+    params, node_features = training_params(data, num_nodes)
+    request, every_row = pruned_and_every_row(data, edges, num_nodes)
+
+    def masks(nodes) -> dict[tuple[int, int, int], list[bool]]:
+        """Each message's keep mask per head, by (layer, anchor, position)."""
+        flattened, kept, segment_attention = [], {}, T.segment_attention
+
+        def flatten(samples, index):
+            flattened.append(_flatten_layer(samples, index))
+            return flattened[-1]
+
+        def attention(*args):  # a layer without messages skips attention
+            p, u = args[-1]
+            kept[len(flattened) - 1] = u >= p
+            return segment_attention(*args)
+
+        with mock.patch.object(encoder_module, "_flatten_layer", flatten), \
+                mock.patch.object(T, "segment_attention", attention):
+            encode(cache, params, max_neighbors, (8, 1), nodes, node_features, training=True)
+        return {(layer, int(flattened[layer][0][segment]), int(position)): mask.tolist()
+                for layer, keep in kept.items()
+                for segment, position, mask in zip(*flattened[layer][1:3], keep)}
+
+    pruned, full = masks(request), masks(every_row)
+    assert pruned.keys() <= full.keys()
+    assert all(full[message] == mask for message, mask in pruned.items())
 
 
 def test_float32_parameters_stay_float32():

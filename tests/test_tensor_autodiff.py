@@ -282,7 +282,7 @@ def _composition_cases():
         # Two heads; segments 1 and 4 have no messages; the pinned mask drops
         # some weights.
         pooled = T.segment_attention(q_att, k_att, v_att, seg, 5, 2,
-                                     (0.3, np.random.default_rng(9)))
+                                     (0.3, np.random.default_rng(9).random((6, 2))))
         return T.mean(T.mul(pooled, pooled))
 
     cases["segment_attention"] = (segment_attention, {"q": q_att, "k": k_att, "v": v_att})
@@ -483,18 +483,18 @@ def test_segment_attention_matches_composed_oracle(runs, empty_tail, heads, head
     k = rng.normal(scale=2.0, size=(len(seg), heads * head_dim)).astype(dtype)
     v = rng.normal(scale=2.0, size=(len(seg), heads * value_dim)).astype(dtype)
     g = rng.normal(scale=2.0, size=(num_segments, heads * value_dim)).astype(g_dtype)
-    keep = (0.4, np.random.default_rng(seed)) if dropout else None
+    u = rng.random((len(seg), heads))
     fused = _values_and_grads(
-        lambda q_rows, k, v: T.segment_attention(q_rows, k, v, seg, num_segments, heads, keep),
+        lambda q_rows, k, v: T.segment_attention(q_rows, k, v, seg, num_segments, heads,
+                                                 (0.4, u) if dropout else None),
         (q_rows, k, v), g)
 
-    # The per-head oracle on each head's column block, heads in order, so that
-    # a shared generator hands head h the h-th row of the fused op's draws.
-    keep = (0.4, np.random.default_rng(seed)) if dropout else None
+    # The per-head oracle on each head's column block, head h with column h of u.
     scale = float(1.0 / np.sqrt(head_dim))  # the fused op's: a Python float keeps the dtype
     per_head = []
     for h in range(heads):
         qk, vg = slice(h * head_dim, (h + 1) * head_dim), slice(h * value_dim, (h + 1) * value_dim)
+        keep = (0.4, u[:, h:h + 1]) if dropout else None
         per_head.append(_values_and_grads(
             lambda q_rows, k, v: oracles.segment_attention(q_rows, k, v, seg, num_segments,
                                                            scale, keep),

@@ -1,18 +1,19 @@
 """Interval arithmetic, window slicing, and neighbor sampling."""
 
 import math
-import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dygwin import windows
+from dygwin.encoder import encode, init_encoder
 from dygwin.errors import ContractError
 from dygwin.features import WindowFeatureCache
+from dygwin.keyed import key_words, keyed_uniform
 from dygwin.windows import (Interval, IncidenceIndex, build_layered_neighborhood,
-                            generate_intervals, sample_neighbors)
+                            generate_intervals)
 
 import oracles
 from graphs import ctdg_from, edges_from
@@ -94,40 +95,82 @@ class TestWindowSlices:
                 assert inputs.t.max() <= targets.t.min()
 
 
+class TestKeyedUniform:
+    def test_in_unit_interval_and_deterministic(self):
+        words = key_words([(1, 2), (3,)])
+        draws = keyed_uniform(words[:, None], 4, np.arange(1000))
+        assert draws.shape == (2, 1000) and draws.dtype == np.float64
+        assert np.all((draws >= 0.0) & (draws < 1.0))
+        assert draws.tobytes() == keyed_uniform(key_words([(1, 2), (3,)])[:, None], 4,
+                                                np.arange(1000)).tobytes()
+
+    def test_changed_key_or_id_changes_the_draw(self):
+        assert np.unique(key_words([(i,) for i in range(1000)])).size == 1000
+        rng = np.random.default_rng(0)
+        word = key_words([(7,)])
+        ids = rng.integers(0, 2**40, size=(4, 1000))
+        draws = keyed_uniform(word, *ids)
+        assert np.all(keyed_uniform(key_words([(8,)]), *ids) != draws)
+        for place in range(4):
+            changed = ids.copy()
+            changed[place] += rng.integers(1, 2**20, size=1000)
+            assert np.all(keyed_uniform(word, *changed) != draws)
+
+    def test_consecutive_ids_pass_chi_square(self):
+        draws = keyed_uniform(key_words([(20221,)]), np.arange(100_000))
+        counts = np.bincount((draws * 100).astype(np.int64), minlength=100)
+        statistic = float(np.sum((counts - 1000.0) ** 2) / 1000.0)
+        assert chi2_sf(statistic, 99) > 1e-3
+
+    def test_wraps_uint64_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draw = keyed_uniform(np.uint64(2**64 - 1), np.uint64(2**64 - 1), -1, 2**62)
+        assert draw.shape == (1,) and 0.0 <= draw[0] < 1.0
+
+
+def top_sample(index, anchor: int, max_neighbors: int, key) -> np.ndarray:
+    """``anchor``'s sample in a one-layer neighbourhood of window key ``key``."""
+    return build_layered_neighborhood(index, [anchor], 1, max_neighbors, key).layers[0][anchor]
+
+
 class TestSampleNeighbors:
     def test_undersized_neighborhood_returned_whole(self):
         edges = edges_from([(0, i + 1, float(i)) for i in range(5)])
-        out = sample_neighbors(IncidenceIndex(edges), 0, max_neighbors=20,
-                               rng=np.random.default_rng(0))
-        assert out.tolist() == [0, 1, 2, 3, 4]
+        assert top_sample(IncidenceIndex(edges), 0, 20, (0,)).tolist() == [0, 1, 2, 3, 4]
 
     def test_isolated_anchor_empty(self):
         edges = edges_from([(1, 2, 0.0)])
-        out = sample_neighbors(IncidenceIndex(edges), 7, max_neighbors=3,
-                               rng=np.random.default_rng(0))
-        assert out.size == 0
+        assert top_sample(IncidenceIndex(edges), 7, 3, (0,)).size == 0
 
     def test_uniformity_over_seeded_draws(self):
-        index = IncidenceIndex(edges_from([(0, i + 1, float(i)) for i in range(100)]))
+        # 10,000 windows over one log, each with its own key, in one call
+        draws, stride = 10_000, 101
+        index = IncidenceIndex(edges_from([(0, i + 1, float(i)) for i in range(100)])) \
+            .windows(np.zeros(draws), np.full(draws, 100), stride)
+        hood = build_layered_neighborhood(index, np.arange(draws) * stride, 1, 20,
+                                          [(99, draw) for draw in range(draws)])
         counts = np.zeros(100)
-        for draw in range(10_000):
-            picked = sample_neighbors(index, 0, max_neighbors=20,
-                                      rng=np.random.default_rng((99, draw)))
+        for picked in hood.layers[0].values():
             assert len(set(picked.tolist())) == 20
             counts[picked] += 1
         freq = counts / 10_000
         assert np.all(np.abs(freq - 0.2) < 0.02)
 
     def test_deterministic_for_fixed_stream(self):
-        edges = edges_from([(0, i + 1, float(i)) for i in range(50)])
-        a = sample_neighbors(IncidenceIndex(edges), 0, 10, np.random.default_rng(123))
-        b = sample_neighbors(IncidenceIndex(edges), 0, 10, np.random.default_rng(123))
-        assert a.tolist() == b.tolist()
+        index = IncidenceIndex(edges_from([(0, i + 1, float(i)) for i in range(50)]))
+        first, second = top_sample(index, 0, 10, (123,)), top_sample(index, 0, 10, (123,))
+        assert first.tolist() == second.tolist()
 
     def test_self_loop_counts_once(self):
         edges = edges_from([(3, 3, 0.0), (3, 4, 1.0)])
-        out = sample_neighbors(IncidenceIndex(edges), 3, 10, np.random.default_rng(0))
-        assert out.tolist() == [0, 1]
+        assert top_sample(IncidenceIndex(edges), 3, 10, (0,)).tolist() == [0, 1]
+
+    def test_matches_one_anchor_oracle(self):
+        index = IncidenceIndex(edges_from([(0, i + 1, float(i // 3)) for i in range(40)]))
+        word = np.random.SeedSequence((5,)).generate_state(1, np.uint64)[0]
+        assert top_sample(index, 0, 7, (5,)).tolist() == \
+            oracles.sample_neighbors(index, 0, 7, word, 1).tolist()
 
 
 class TestLayeredNeighborhood:
@@ -199,24 +242,26 @@ class TestLayeredNeighborhood:
             / (keys * p * (1 - p) * degree)
         assert chi2_sf(statistic, degree - 1) > 1e-3
 
-    def test_streams_built_only_for_over_degree_anchors(self, monkeypatch):
+    def test_sampling_and_encode_build_no_generator(self, monkeypatch):
         rng = np.random.default_rng(3)
         edges = edges_from([(int(a), int(b), float(i)) for i, (a, b) in
                             enumerate(rng.integers(0, 30, size=(300, 2)))])
-        index = IncidenceIndex(edges)
-        callers = []
+        cache = WindowFeatureCache(edges)
+        params = init_encoder(num_layers=3, node_dim=4, time_dim=2, heads=2, dropout=0.3,
+                              seed=0)
+        calls = []
         default_rng = np.random.default_rng
 
         def counting_default_rng(*args, **kwargs):
-            callers.append(sys._getframe(1).f_globals["__name__"])
+            calls.append(args)
             return default_rng(*args, **kwargs)
 
-        monkeypatch.setattr(windows.np.random, "default_rng", counting_default_rng)
-        hood = build_layered_neighborhood(index, range(34), 3, 20, (7,))
-        over = sum(index.incident(anchor).size > 20
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        hood = build_layered_neighborhood(cache.index, range(34), 3, 20, (7,))
+        assert any(cache.index.incident(anchor).size > 20
                    for samples in hood.layers for anchor in samples)
-        assert 0 < over < sum(len(samples) for samples in hood.layers)
-        assert callers.count("dygwin.windows") == over
+        encode(cache, params, 20, (7,), range(34), training=True)
+        assert calls == []
 
     def test_incidence_index_degree_before(self):
         edges = edges_from([(1, 2, 1.0), (1, 3, 2.0), (2, 3, 3.0)])
