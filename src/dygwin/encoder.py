@@ -100,9 +100,10 @@ def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
 
 
 class NodeEmbeddings:
-    """Embedding matrix with one row per tracked node, ids strictly ascending."""
+    """Embedding matrix with one row per tracked node, ids strictly ascending;
+    ``matrix`` None stands for all-zero rows (an encoder's featureless input)."""
 
-    def __init__(self, ids: np.ndarray, matrix: Tensor):
+    def __init__(self, ids: np.ndarray, matrix: Tensor | None):
         self.ids = np.asarray(ids, dtype=np.int64)
         if np.any(np.diff(self.ids) <= 0):
             raise ContractError("embedding node ids must be strictly ascending")
@@ -171,15 +172,21 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     path; attention context is added for the rest. Output rows are invariant
     to each anchor's sample order. Given ``dropout_key = (words, depth)``,
     head h drops a message of window s where ``keyed_uniform(words[s], depth,
-    h, anchor node, window position) < params.dropout``.
+    h, anchor node, window position) < params.dropout``. Featureless input
+    (``embeddings.matrix`` None) means zero rows, so every ``h @ W`` and attention
+    score is 0: a row is ``context @ Wo``, the mean of the anchor's kept messages
+    times ``wv``, and ``w1``, ``wq`` and ``wk`` are not read. The messages keep
+    their zero node columns, since ``wv``'s last rows alone round differently.
     """
     edges = index.edges
     anchors, segments, positions, neighbors = _flatten_layer(samples, index)
     rows = embeddings.rows(anchors)
     H = embeddings.matrix
-    # A request covering the window (the frozen probe's) makes every input row an anchor.
-    H_out = H if rows.size == len(embeddings) else T.slice_rows(H, rows)
-    h_new = T.matmul(H_out, layer.w1)
+    if H is None:
+        h_new = T.constant(np.zeros((len(anchors), params.node_dim), params.dtype))
+    else:  # a request covering the window (the frozen probe's) makes every row an anchor
+        H_out = H if rows.size == len(embeddings) else T.slice_rows(H, rows)
+        h_new = T.matmul(H_out, layer.w1)
     if positions.size == 0:
         return NodeEmbeddings(anchors, h_new)
 
@@ -191,11 +198,12 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     f = T.add(time2vec(params.t2v, delta),
               T.matmul(T.constant(np.log1p(counts), dtype=params.edge_enc.dtype),
                        params.edge_enc))
-    message_parts = [T.slice_rows(H, embeddings.rows(neighbors)), f]
+    message_parts = [T.slice_rows(H, embeddings.rows(neighbors)) if H is not None else
+                     T.constant(np.zeros((positions.size, params.node_dim), params.dtype)), f]
     if params.edge_dim > 0:
         feats = edges.feats[positions].astype(np.float64)
         feats[masked] = 0.0
-        message_parts.append(T.constant(feats, dtype=H.dtype))
+        message_parts.append(T.constant(feats, dtype=params.dtype))
     messages = T.concat_last_dim(message_parts)            # (occurrences, message_dim)
 
     dropout = None
@@ -204,10 +212,11 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
         u = keyed_uniform(words[slot, None], depth, np.arange(params.heads), node[:, None],
                           positions[:, None] - index.lo[slot, None])
         dropout = (params.dropout, u)
-    context = T.segment_attention(T.matmul(H_out, layer.wq), T.matmul(messages, layer.wk),
-                                  T.matmul(messages, layer.wv), segments, len(anchors),
-                                  params.heads, dropout)
-    return NodeEmbeddings(anchors, T.add(h_new, T.matmul(context, layer.wo)))
+    q_rows, k = (None, None) if H is None else (T.matmul(H_out, layer.wq),
+                                                 T.matmul(messages, layer.wk))
+    context = T.matmul(T.segment_attention(q_rows, k, T.matmul(messages, layer.wv), segments,
+                                           len(anchors), params.heads, dropout), layer.wo)
+    return NodeEmbeddings(anchors, context if H is None else T.add(h_new, context))
 
 
 def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
@@ -233,13 +242,12 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
     active = hood.active_nodes
     counts = message_counts(cache, hood)
 
+    h0 = None  # no node features: every input row is 0, which layer 0 need not read
     if params.input_proj is not None:
         if node_features is None:
             raise ConsistencyError("encoder has an input projection but no node features given")
         h0 = T.matmul(T.constant(node_features[active % cache.index.stride], dtype=params.dtype),
                       params.input_proj)
-    else:
-        h0 = T.constant(np.zeros((len(active), params.node_dim)), dtype=params.dtype)
 
     embeddings = NodeEmbeddings(active, h0)
     words = key_words(keys) if training else None

@@ -357,8 +357,8 @@ def transpose(a: Tensor) -> Tensor:
     return _finish("transpose", (a,), out, bwd)
 
 
-def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segments: int,
-                      heads: int, dropout: tuple | None = None) -> Tensor:
+def segment_attention(q_rows: Tensor | None, k: Tensor | None, v: Tensor, segments,
+                      num_segments: int, heads: int, dropout: tuple | None = None) -> Tensor:
     """Multi-head scaled dot-product attention, pooled per segment.
 
     Message i (row i of ``k`` and ``v``) goes to segment ``segments[i]``, whose
@@ -367,26 +367,32 @@ def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segmen
     of ``heads`` equal column blocks: scores ``sum(q * k) / sqrt(block width)``
     are softmaxed per segment, dropped out where ``u < p`` given ``dropout =
     (p, u)`` with ``u`` of shape (n, heads), and weight the block's ``v`` rows.
-    Backward recomputes the gathered queries and the softmax rather than
-    keeping them.
+    ``q_rows = k = None`` means every score is 0: each segment takes the mean of
+    its kept ``v`` rows, with the same weight bits, and only ``v`` gets a
+    gradient. Backward recomputes the gathered queries and the softmax rather
+    than keeping them.
     """
     seg = np.asarray(segments, dtype=np.int64)
-    n, width = seg.size, q_rows.shape[1]
+    n, zero = seg.size, q_rows is None
+    width, rows = (heads, num_segments) if zero else (q_rows.shape[1], q_rows.shape[0])
     head = np.diff(seg, prepend=seg[:1] - 1) != 0
     starts, run = np.flatnonzero(head), np.cumsum(head) - 1
-    if k.shape != (n, width) or v.shape[0] != n or heads < 1 or width % heads + v.shape[1] % heads \
-            or n and not (0 <= seg.min() and seg.max() < min(num_segments, q_rows.shape[0])):
-        raise ShapeError(f"segment_attention: queries {q_rows.shape}, keys {k.shape}, values "
-                         f"{v.shape}, {heads} heads, {n} segment ids, {num_segments} segments")
+    if (k is None) != zero or not zero and k.shape != (n, width) or v.shape[0] != n \
+            or heads < 1 or width % heads + v.shape[1] % heads \
+            or n and not (0 <= seg.min() and seg.max() < min(num_segments, rows)):
+        raise ShapeError(f"segment_attention: queries {getattr(q_rows, 'shape', None)}, keys "
+                         f"{getattr(k, 'shape', None)}, values {v.shape}, {heads} heads, {n} "
+                         f"segment ids, {num_segments} segments")
     if np.unique(seg[starts]).size < starts.size:
         raise ShapeError("segment_attention: a segment id's rows are not contiguous")
     head_dim, value_dim = width // heads, v.shape[1] // heads
     scale = float(1.0 / np.sqrt(head_dim))  # a Python float keeps the dtype
-    k3, v3 = k.values.reshape(n, heads, head_dim), v.values.reshape(n, heads, value_dim)
+    k3 = None if zero else k.values.reshape(n, heads, head_dim)
+    v3 = v.values.reshape(n, heads, value_dim)
 
-    def weights() -> tuple[Array, Array]:
-        q = q_rows.values[seg].reshape(n, heads, head_dim)
-        scores = (q * k3).sum(axis=2) * scale                  # (n, heads)
+    def weights() -> tuple[Array | None, Array]:
+        q = None if zero else q_rows.values[seg].reshape(n, heads, head_dim)
+        scores = np.zeros((n, heads), v.dtype) if zero else (q * k3).sum(axis=2) * scale
         e = np.exp(scores - np.maximum.reduceat(scores, starts)[run])
         return q, e / _row_sum(e, run, starts.size)[run]
 
@@ -399,14 +405,16 @@ def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segmen
     def bwd(g: Array):
         q, attn = weights()
         g_rows = g[seg].reshape(n, heads, value_dim)
+        g_v = (g_rows * (attn * keep)[:, :, None]).reshape(v.shape)
+        if zero:
+            return (g_v,)
         g_attn = (g_rows * v3).sum(axis=2) * keep
         g_scores = attn * (g_attn - _row_sum(attn * g_attn, run, starts.size)[run]) * scale
         g_q = _row_sum((g_scores[:, :, None] * k3).reshape(k.shape), seg, q_rows.shape[0])
         return (g_q.astype(q_rows.dtype, copy=False),
-                (g_scores[:, :, None] * q).reshape(k.shape),
-                (g_rows * (attn * keep)[:, :, None]).reshape(v.shape))
+                (g_scores[:, :, None] * q).reshape(k.shape), g_v)
 
-    return _finish("segment_attention", (q_rows, k, v), out, bwd)
+    return _finish("segment_attention", (v,) if zero else (q_rows, k, v), out, bwd)
 
 
 def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:

@@ -527,3 +527,16 @@ def test_artifact_digests_script_is_well_formed_and_repeatable():
         assert re.fullmatch(r"\S+ (ctdg\.npz|model\.dygw|history\.csv|ssl_log\.csv"
                             r"|report\.csv) [0-9a-f]{64}", line), line
     assert outputs[1] == outputs[0]
+
+
+def test_eval_region_script_prints_one_measurement():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "eval_region.py"),
+                           "--cuts", "3", "--window", "40", "--warmup-cuts", "1"],
+                          env=env, capture_output=True, text=True, check=True)
+    (line,) = done.stdout.splitlines()
+    match = re.fullmatch(r"cuts 3 window 40 edges_per_s (\S+) peak_rss_mb (\S+) ap (\S+)", line)
+    assert match, line
+    rate, rss, ap = map(float, match.groups())
+    assert rate > 0 and rss > 0 and 0.0 <= ap <= 1.0

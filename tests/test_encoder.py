@@ -1,5 +1,6 @@
 """Encoder layers against hand arithmetic and the reference attention path."""
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _fla
                             encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
+from dygwin.optim import Adam
 from dygwin.pretrain import init_predictor, ssl_loss_terms
 from dygwin.windows import ONE_WINDOW, IncidenceIndex, build_layered_neighborhood
 
@@ -23,6 +25,11 @@ import oracles
 from gradcheck import finite_difference_check
 from graphs import ctdg_from, edges_from
 from oracles import edge_message, mha
+
+
+# The first layer's weights that a featureless encoder never reads: its input
+# rows are all 0, so h @ W1 and h @ Wq are 0 and every attention score is 0.
+INERT_FIRST_LAYER = {f"encoder/layer0/{name}" for name in ("w1", "wq", "wk")}
 
 
 def tiny_params(node_dim=2, time_dim=2, edge_dim=0, heads=1, num_layers=1,
@@ -504,6 +511,97 @@ def test_each_message_keeps_its_dropout_mask_in_any_request(data):
     assert all(full[message] == mask for message, mask in pruned.items())
 
 
+def explicit_zero_input(node_dim: int, dtype):
+    """Patch ``encode``'s featureless start (a ``None`` matrix) into an explicit
+    zero constant, so that every layer takes the general path."""
+    build = NodeEmbeddings
+
+    def zero_rows(ids, matrix):
+        return build(ids, T.constant(np.zeros((len(ids), node_dim), dtype))
+                     if matrix is None else matrix)
+
+    return mock.patch.object(encoder_module, "NodeEmbeddings", zero_rows)
+
+
+@pytest.mark.parametrize("edge_dim", [0, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_featureless_encode_matches_explicit_zero_rows(dtype, edge_dim):
+    """Three windows of one log, a pruned request, neighbour sampling and
+    dropout 0.3 while training: rows and every parameter gradient have the bits
+    of the general path on zero input rows, where layer 0's w1, wq and wk get
+    exactly 0; the featureless path gives them no gradient at all."""
+    rng = np.random.default_rng(11)
+    triples = []
+    for i in range(60):  # node 0 touches every third edge; times tie in pairs
+        u = 0 if i % 3 == 0 else int(rng.integers(1, 9))
+        v = int(rng.integers(1, 9))
+        triples.append((u, 9 if v == u else v, float(i // 2)))
+    ctdg = ctdg_from(triples, num_nodes=11,
+                     feats=rng.normal(size=(60, edge_dim)).astype(np.float32))
+    stride = ctdg.num_nodes
+    cache = WindowFeatureCache(ctdg).windows([0, 12, 30], [30, 45, 60], stride)
+    # Node 10 has no edge anywhere, and node 0 is over the sample size.
+    nodes = np.array([0, 3, 10, stride + 5, stride + 10, 2 * stride, 2 * stride + 7])
+    keys = [(4, slot) for slot in range(3)]
+
+    def step(explicit: bool):
+        encoder = init_encoder(num_layers=3, node_dim=8, time_dim=4, edge_dim=edge_dim,
+                               heads=2, dropout=0.3, seed=3, dtype=dtype)
+        with explicit_zero_input(8, dtype) if explicit else contextlib.nullcontext():
+            with T.Tape() as tape:
+                rows = encode(cache, encoder, 4, keys, nodes, training=True)
+                loss = T.mean(T.mul(rows.matrix, rows.matrix))
+        T.backward(tape, loss)
+        return rows, tape, encoder.named()
+
+    rows, tape, named = step(explicit=False)
+    zero_rows, _, zero_named = step(explicit=True)
+    assert rows.ids.tolist() == zero_rows.ids.tolist() == sorted(nodes.tolist())
+    assert rows.matrix.values.tobytes() == zero_rows.matrix.values.tobytes()
+    for name, p in named.items():
+        if name in INERT_FIRST_LAYER:
+            assert p.grad is None and zero_named[name].grad is not None, name
+            assert not np.any(zero_named[name].grad), name
+            assert not any(p is x for entry in tape.entries for x in entry.inputs), name
+        else:
+            assert p.grad.tobytes() == zero_named[name].grad.tobytes(), name
+    assert np.any(named["encoder/layer0/wv"].grad[8:])
+    assert not np.any(named["encoder/layer0/wv"].grad[:8])
+
+
+def test_featureless_window_without_messages_gives_zero_rows():
+    encoder = init_encoder(num_layers=2, node_dim=4, time_dim=3, heads=2, seed=1,
+                           dtype=np.float64)
+    ctdg = ctdg_from([(0, 1, 1.0)], num_nodes=3)
+    out = encode(WindowFeatureCache(ctdg.window(0, 0)), encoder, 5, (0,), [0, 2])
+    assert out.ids.tolist() == [0, 2]
+    assert out.matrix.values.tobytes() == np.zeros((2, 4)).tobytes()
+
+
+def test_inert_first_layer_weights_stay_put_under_weight_decay():
+    """Adam neither moves nor decays a weight without a gradient; with node
+    features the same weights are read and updated."""
+    ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(20)], num_nodes=5)
+    cache = WindowFeatureCache(ctdg.window(0, 20))
+    features = np.random.default_rng(0).normal(size=(5, 3))
+    for feature_dim in (0, 3):
+        encoder = init_encoder(num_layers=2, node_dim=4, time_dim=3, heads=2,
+                               node_feature_dim=feature_dim, dropout=0.1, seed=2,
+                               dtype=np.float64)
+        before = {name: p.values.copy() for name, p in encoder.named().items()}
+        optimizer = Adam(encoder.named(), lr=1e-2, weight_decay=1e-2)
+        with T.Tape() as tape:
+            rows = encode(cache, encoder, 3, (5,), np.arange(5), training=True,
+                          node_features=features if feature_dim else None)
+            loss = T.mean(T.mul(rows.matrix, rows.matrix))
+        T.backward(tape, loss)
+        optimizer.step()
+        moved = {name for name, p in encoder.named().items()
+                 if p.values.tobytes() != before[name].tobytes()}
+        expected = set(before) - (set() if feature_dim else INERT_FIRST_LAYER)
+        assert moved == expected
+
+
 def test_float32_parameters_stay_float32():
     """Encoder rows, both decoders' logits and the SSL loss stay float32, and
     so does every parameter's gradient; the conftest guard checks each op."""
@@ -535,8 +633,10 @@ def test_float32_parameters_stay_float32():
     grads = T.backward(tape, loss)
     named = {**encoder.named(), **flp.named("flp"), **dnc.named("dnc"),
              **predictor.named("predictor")}
-    assert {name: grads[p].dtype for name, p in named.items()} \
-        == {name: np.float32 for name in named}
+    # A featureless first layer reads no w1, wq or wk, so they get no gradient.
+    assert {name for name, p in named.items() if p not in grads} == INERT_FIRST_LAYER
+    assert {name: grads[p].dtype for name, p in named.items() if p in grads} \
+        == {name: np.float32 for name in named if name not in INERT_FIRST_LAYER}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -568,7 +668,7 @@ def test_training_step_through_a_log_view_matches_a_window_cache(dtype):
             loss = bce_loss(flp_score(decoder, rows, src, dst, t, cache), kind == POSITIVE)
         grads = T.backward(tape, loss)
         named = {**encoder.named(), **decoder.named()}
-        return rows, loss, {name: grads[p].tobytes() for name, p in named.items()}
+        return rows, loss, {name: grads[p].tobytes() for name, p in named.items() if p in grads}
 
     view = step(WindowFeatureCache(ctdg).windows([lo], [hi], ONE_WINDOW))
     fresh = step(WindowFeatureCache(window))

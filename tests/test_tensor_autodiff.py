@@ -287,6 +287,14 @@ def _composition_cases():
 
     cases["segment_attention"] = (segment_attention, {"q": q_att, "k": k_att, "v": v_att})
 
+    def segment_attention_zero_scores():
+        # Every score 0: a per-segment mean of the kept rows, with the same mask.
+        pooled = T.segment_attention(None, None, v_att, seg, 5, 2,
+                                     (0.3, np.random.default_rng(9).random((6, 2))))
+        return T.mean(T.mul(pooled, pooled))
+
+    cases["segment_attention_zero_scores"] = (segment_attention_zero_scores, {"v": v_att})
+
     omega = param(rng.normal(size=(1, 4)))
     phase = param(rng.normal(size=(1, 4)))
     gaps = np.array([[0.0], [0.5], [1.3], [2.0], [3.1]])
@@ -307,6 +315,7 @@ def _composition_cases():
 class TestCompositions:
     @pytest.mark.parametrize("name", ["attention_like", "segment_pipeline",
                                       "gather_concat", "trig_sqrt", "segment_attention",
+                                      "segment_attention_zero_scores",
                                       "time_encoding"])
     def test_composition_gradients(self, name):
         cases, _ = _composition_cases()
@@ -503,6 +512,48 @@ def test_segment_attention_matches_composed_oracle(runs, empty_tail, heads, head
         old = np.hstack(parts)
         assert new.shape == old.shape and (new.dtype == old.dtype or new.size == 0)
         assert new.tobytes() == old.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(runs=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=5,
+                     unique_by=lambda run: run[0]),
+       empty_tail=st.integers(0, 2), heads=st.integers(1, 3), head_dim=st.integers(1, 4),
+       value_dim=st.integers(1, 3), dtype=DTYPES, dropout=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(runs=[], empty_tail=2, heads=2, head_dim=2, value_dim=2, dtype=np.float64,
+         dropout=True, seed=0)
+@example(runs=[(3, 1), (0, 4), (1, 2)], empty_tail=1, heads=2, head_dim=3, value_dim=2,
+         dtype=np.float32, dropout=True, seed=1)
+def test_zero_score_attention_matches_zero_queries_and_keys(runs, empty_tail, heads, head_dim,
+                                                            value_dim, dtype, dropout, seed):
+    """``q_rows = k = None`` gives the bits of zero queries and keys: the output
+    and ``v``'s gradient, with and without dropout and with empty segments."""
+    rng = np.random.default_rng(seed)
+    seg = np.repeat([i for i, _ in runs], [n for _, n in runs]).astype(np.int64)
+    num_segments = max([i for i, _ in runs], default=-1) + 1 + empty_tail
+    v = rng.normal(scale=2.0, size=(len(seg), heads * value_dim)).astype(dtype)
+    g = rng.normal(scale=2.0, size=(num_segments, heads * value_dim)).astype(dtype)
+    keep = (0.4, rng.random((len(seg), heads))) if dropout else None
+    zero_q = np.zeros((num_segments, heads * head_dim), dtype)
+    zero_k = np.zeros((len(seg), heads * head_dim), dtype)
+    out, g_v = _values_and_grads(
+        lambda v: T.segment_attention(None, None, v, seg, num_segments, heads, keep), (v,), g)
+    ref_out, _, _, ref_g_v = _values_and_grads(
+        lambda q_rows, k, v: T.segment_attention(q_rows, k, v, seg, num_segments, heads, keep),
+        (zero_q, zero_k, v), g)
+    assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+    assert g_v.dtype == ref_g_v.dtype and g_v.tobytes() == ref_g_v.tobytes()
+
+
+def test_zero_score_attention_records_only_values():
+    v = T.parameter(np.ones((3, 2)))
+    with Tape() as tape:
+        T.segment_attention(None, None, v, [0, 0, 1], 2, 2)
+    (entry,) = tape.entries
+    assert entry.inputs == (v,) and len(entry.backward(np.ones((2, 2)))) == 1
+    for q_rows, k in ((None, T.constant(np.zeros((3, 2)))), (T.constant(np.zeros((2, 2))), None)):
+        with pytest.raises(ShapeError, match="segment_attention"):
+            T.segment_attention(q_rows, k, v, [0, 0, 1], 2, 2)
 
 
 @settings(deadline=None, max_examples=60)
