@@ -182,13 +182,12 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
     anchors, segments, positions, neighbors = _flatten_layer(samples, index)
     rows = embeddings.rows(anchors)
     H = embeddings.matrix
-    if H is None:
-        h_new = T.constant(np.zeros((len(anchors), params.node_dim), params.dtype))
-    else:  # a request covering the window (the frozen probe's) makes every row an anchor
+    if H is not None:  # a request covering the window (the probe's) makes every row an anchor
         H_out = H if rows.size == len(embeddings) else T.slice_rows(H, rows)
         h_new = T.matmul(H_out, layer.w1)
     if positions.size == 0:
-        return NodeEmbeddings(anchors, h_new)
+        return NodeEmbeddings(anchors, h_new if H is not None else
+                              T.constant(np.zeros((len(anchors), params.node_dim), params.dtype)))
 
     # An anchor with a sampled position has an incident edge, so no fallback is read.
     delta = index.last_time(anchors, np.nan)[segments] - edges.t[positions]

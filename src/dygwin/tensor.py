@@ -374,6 +374,7 @@ def segment_attention(q_rows: Tensor | None, k: Tensor | None, v: Tensor, segmen
     """
     seg = np.asarray(segments, dtype=np.int64)
     n, zero = seg.size, q_rows is None
+    # The zero form has no queries: its width and rows are placeholders for the checks.
     width, rows = (heads, num_segments) if zero else (q_rows.shape[1], q_rows.shape[0])
     head = np.diff(seg, prepend=seg[:1] - 1) != 0
     starts, run = np.flatnonzero(head), np.cumsum(head) - 1

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib.util
 import os
 import re
 import shlex
@@ -529,14 +530,13 @@ def test_artifact_digests_script_is_well_formed_and_repeatable():
     assert outputs[1] == outputs[0]
 
 
-def test_eval_region_script_prints_one_measurement():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, str(root / "scripts" / "eval_region.py"),
-                           "--cuts", "3", "--window", "40", "--warmup-cuts", "1"],
-                          env=env, capture_output=True, text=True, check=True)
-    (line,) = done.stdout.splitlines()
-    match = re.fullmatch(r"cuts 3 window 40 edges_per_s (\S+) peak_rss_mb (\S+) ap (\S+)", line)
-    assert match, line
-    rate, rss, ap = map(float, match.groups())
-    assert rate > 0 and rss > 0 and 0.0 <= ap <= 1.0
+def test_eval_region_measures_a_small_region(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends bench/
+    path = Path(__file__).resolve().parents[1] / "scripts" / "eval_region.py"
+    spec = importlib.util.spec_from_file_location("eval_region", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    result = script.measure(cuts=3, window=40, warmup_cuts=1)
+    assert (result["cuts"], result["window"]) == (3, 40)
+    assert result["edges_per_s"] > 0 and result["peak_rss_mb"] > 0
+    assert 0.0 <= result["ap"] <= 1.0
