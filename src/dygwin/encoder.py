@@ -16,10 +16,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConsistencyError, ContractError
-from .features import Time2VecParams, WindowFeatureCache, init_time2vec, time2vec
+from .features import Time2VecParams, WindowFeatureCache, init_time2vec
 from .keyed import key_words, keyed_uniform
 from .tensor import Tensor
-from .windows import IncidenceIndex, LayeredNeighborhood, build_layered_neighborhood
+from .windows import IncidenceIndex, LayeredNeighborhood, LayerSamples, build_layered_neighborhood
 
 NEIGHBOR_STREAM = 11
 
@@ -124,62 +124,57 @@ class NodeEmbeddings:
         return T.slice_rows(self.matrix, self.rows(nodes))
 
 
-def _flatten_layer(samples: dict[int, np.ndarray], index: IncidenceIndex
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-anchor samples into (anchors, segment, edge_position,
-    neighbor): anchors ascending, one segment (the index of its anchor) per
-    sampled position, each anchor's positions in sample order, and the row id
-    of each position's other endpoint in its anchor's window."""
-    keys = sorted(samples)
-    positions = np.concatenate([np.empty(0, dtype=np.int64), *(samples[a] for a in keys)])
-    segments = np.repeat(np.arange(len(keys)), [samples[a].size for a in keys])
-    anchors = np.asarray(keys, dtype=np.int64)
-    slots, nodes = np.divmod(anchors[segments], index.stride)
-    u, v = index.edges.u[positions], index.edges.v[positions]
-    return anchors, segments, positions, np.where(u == nodes, v, u) + slots * index.stride
-
-
-def message_counts(cache: WindowFeatureCache, hood: LayeredNeighborhood) -> list[np.ndarray]:
-    """Each layer's (deg_u, deg_v, common) rows, in ``_flatten_layer`` order, from
-    one ``counts_matrix`` call per window on its positions over all layers."""
-    index = cache.index
-    # Anchors ascend, so a window's messages are one block of each layer.
-    bounds = [np.searchsorted(slots, np.arange(len(index.lo) + 1)) for slots in hood.slots]
-    counts = [np.empty((positions.size, 3)) for positions in hood.positions]
+def edge_table(cache: WindowFeatureCache, params: EncoderParams, hood: LayeredNeighborhood
+               ) -> tuple[T.EdgeEncodingTable, list[np.ndarray]]:
+    """The time-and-structure encoding and masked edge features of each distinct
+    message of ``hood``, keyed by anchor rank in ``hood.active_nodes`` times E + 1
+    plus position (E edges in the log), and each layer's rows into them; a
+    window's counts come from one ``counts_matrix`` call."""
+    index, edges, span = cache.index, cache.index.edges, len(cache.index.edges) + 1
+    keys = [np.searchsorted(hood.active_nodes, s.anchors)[s.segments] * span + s.positions
+            for s in hood.layers]
+    pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    anchors, positions = hood.active_nodes[pairs // span], pairs % span
+    # Row ids ascend by window, so a window's pairs are one block.
+    bounds = np.searchsorted(anchors // index.stride, np.arange(len(index.lo) + 1)).tolist()
+    counts = np.empty((pairs.size, 3))
     for slot, lo in enumerate(index.lo.tolist()):
-        parts = [slice(b[slot], b[slot + 1]) for b in bounds]
-        positions = np.concatenate([p[part] for p, part in zip(hood.positions, parts)])
-        if positions.size == 0:
-            continue
-        union, inverse = np.unique(positions, return_inverse=True)
-        rows, start = cache.window(slot).counts_matrix(union - lo)[inverse], 0
-        for out, part in zip(counts, parts):
-            out[part] = rows[start:start + part.stop - part.start]
-            start += part.stop - part.start
-    return counts
+        block = slice(bounds[slot], bounds[slot + 1])
+        if block.start < block.stop:
+            union, where = np.unique(positions[block], return_inverse=True)
+            counts[block] = cache.window(slot).counts_matrix(union - lo)[where]
+    masked = edges.enc_masked[positions]
+    feats = edges.feats[positions].astype(params.dtype, copy=False)  # a fresh gather
+    counts[masked], feats[masked] = 0.0, 0.0
+    # An anchor with a sampled position has an incident edge, so no fallback is read.
+    delta = index.last_time(anchors, np.nan) - edges.t[positions]
+    table = T.EdgeEncodingTable(delta[:, None], np.log1p(counts).astype(params.dtype),
+                                params.t2v.omega, params.t2v.phase, params.edge_enc,
+                                feats if params.edge_dim > 0 else None)
+    return table, np.split(inverse, np.cumsum([k.size for k in keys[:-1]]))
 
 
-def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
+def layer_forward(embeddings: NodeEmbeddings, samples: LayerSamples,
                   layer: LayerParams, params: EncoderParams, index: IncidenceIndex,
-                  counts: np.ndarray, dropout_key: tuple[np.ndarray, int] | None = None
-                  ) -> NodeEmbeddings:
+                  table: T.EdgeEncodingTable, encoding_rows: np.ndarray,
+                  dropout_key: tuple[np.ndarray, int] | None = None) -> NodeEmbeddings:
     """One attention layer from the input rows to one row per anchor of ``samples``.
 
     Anchors are row ids of ``index`` and sampled positions index its log;
-    ``counts`` holds each message's structural counts in ``_flatten_layer``
-    order. Anchors and their sampled neighbours must have input rows. An
-    anchor with an empty sample (no incident edges) takes the bare ``h @ W1``
-    path; attention context is added for the rest. Output rows are invariant
-    to each anchor's sample order. Given ``dropout_key = (words, depth)``,
-    head h drops a message of window s where ``keyed_uniform(words[s], depth,
-    h, anchor node, window position) < params.dropout``. Featureless input
+    ``encoding_rows`` holds each message's row of ``table``, in the order of
+    ``samples.positions``. Anchors and their sampled neighbours must have input
+    rows. An anchor with an empty sample (no incident edges) takes the bare
+    ``h @ W1`` path; attention context is added for the rest. Output rows are
+    invariant to each anchor's sample order. Given ``dropout_key = (words,
+    depth)``, head h drops a message of window s where ``keyed_uniform(words[s],
+    depth, h, anchor node, window position) < params.dropout``. Featureless input
     (``embeddings.matrix`` None) means zero rows, so every ``h @ W`` and attention
     score is 0: a row is ``context @ Wo``, the mean of the anchor's kept messages
     times ``wv``, and ``w1``, ``wq`` and ``wk`` are not read. The messages keep
     their zero node columns, since ``wv``'s last rows alone round differently.
     """
     edges = index.edges
-    anchors, segments, positions, neighbors = _flatten_layer(samples, index)
+    anchors, segments, positions = samples.anchors, samples.segments, samples.positions
     rows = embeddings.rows(anchors)
     H = embeddings.matrix
     if H is not None:  # a request covering the window (the probe's) makes every row an anchor
@@ -189,27 +184,19 @@ def layer_forward(embeddings: NodeEmbeddings, samples: dict[int, np.ndarray],
         return NodeEmbeddings(anchors, h_new if H is not None else
                               T.constant(np.zeros((len(anchors), params.node_dim), params.dtype)))
 
-    # An anchor with a sampled position has an incident edge, so no fallback is read.
-    delta = index.last_time(anchors, np.nan)[segments] - edges.t[positions]
-    masked = edges.enc_masked[positions]
-
-    counts = np.where(masked[:, None], 0.0, counts)
-    f = T.add(time2vec(params.t2v, delta),
-              T.matmul(T.constant(np.log1p(counts), dtype=params.edge_enc.dtype),
-                       params.edge_enc))
-    message_parts = [T.slice_rows(H, embeddings.rows(neighbors)) if H is not None else
-                     T.constant(np.zeros((positions.size, params.node_dim), params.dtype)), f]
-    if params.edge_dim > 0:
-        feats = edges.feats[positions].astype(np.float64)
-        feats[masked] = 0.0
-        message_parts.append(T.constant(feats, dtype=params.dtype))
-    messages = T.concat_last_dim(message_parts)            # (occurrences, message_dim)
+    slots, nodes = np.divmod(anchors[segments], index.stride)
+    u, v = edges.u[positions], edges.v[positions]
+    neighbors = np.where(u == nodes, v, u) + slots * index.stride
+    messages = T.concat_last_dim(  # (occurrences, message_dim)
+        [T.slice_rows(H, embeddings.rows(neighbors)) if H is not None else
+         T.constant(np.zeros((positions.size, params.node_dim), params.dtype)),
+         table.gather(encoding_rows)])
 
     dropout = None
     if dropout_key is not None and params.dropout > 0.0:
-        (words, depth), (slot, node) = dropout_key, np.divmod(anchors[segments], index.stride)
-        u = keyed_uniform(words[slot, None], depth, np.arange(params.heads), node[:, None],
-                          positions[:, None] - index.lo[slot, None])
+        words, depth = dropout_key
+        u = keyed_uniform(words[slots, None], depth, np.arange(params.heads), nodes[:, None],
+                          positions[:, None] - index.lo[slots, None])
         dropout = (params.dropout, u)
     q_rows, k = (None, None) if H is None else (T.matmul(H_out, layer.wq),
                                                  T.matmul(messages, layer.wk))
@@ -230,7 +217,8 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
     for the rows within L - i sampled hops of the request. Sampling and dropout
     are keyed draws, so each row equals the row a request of every window node
     gives, up to rounding, also while ``training``. A requested node without
-    edges in its window takes the bare ``W1`` chain.
+    edges in its window takes the bare ``W1`` chain. Every layer reads its
+    messages' encodings from one ``edge_table`` built over all layers.
     """
     if isinstance(rng_key, int):
         rng_key = (rng_key,)
@@ -239,7 +227,7 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
     hood = build_layered_neighborhood(cache.index, requested, params.num_layers, max_neighbors,
                                       [key + (NEIGHBOR_STREAM,) for key in keys])
     active = hood.active_nodes
-    counts = message_counts(cache, hood)
+    table, rows = edge_table(cache, params, hood)
 
     h0 = None  # no node features: every input row is 0, which layer 0 need not read
     if params.input_proj is not None:
@@ -252,5 +240,5 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
     words = key_words(keys) if training else None
     for i, layer in enumerate(params.layers):
         embeddings = layer_forward(embeddings, hood.layers[i], layer, params, cache.index,
-                                   counts[i], (words, i + 1) if training else None)
+                                   table, rows[i], (words, i + 1) if training else None)
     return embeddings

@@ -418,12 +418,12 @@ def segment_attention(q_rows: Tensor | None, k: Tensor | None, v: Tensor, segmen
     return _finish("segment_attention", (v,) if zero else (q_rows, k, v), out, bwd)
 
 
-def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:
-    """Time2Vec of the gaps ``dt`` (n, 1): ``angles = dt * omega + phase``, formed in
-    float64 so that gaps of 1e7 keep their phase; column 0 stays linear and every
-    other column takes its sine. Float32 parameters take the float32 sine (numpy's
-    vectorised one) of each angle wrapped to [-pi, pi] in float64, and get the
-    output and both gradients in float32."""
+def _time2vec(dt: Array, omega: Tensor, phase: Tensor) -> tuple[Array, Array]:
+    """Time2Vec of the gaps ``dt`` (n, 1), and the angles its sine read:
+    ``angles = dt * omega + phase``, formed in float64 so that gaps of 1e7 keep
+    their phase; column 0 stays linear and every other column takes its sine.
+    Float32 parameters take the float32 sine (numpy's vectorised one) of each
+    angle wrapped to [-pi, pi] in float64, and get the output in float32."""
     angles = dt * omega.values.astype(np.float64)
     angles += phase.values.astype(np.float64)
     wrapped = angles
@@ -435,14 +435,52 @@ def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:
         wrapped = wrapped.astype(omega.dtype)
     out = np.sin(wrapped)
     out[:, 0] = angles[:, 0]
+    return out, wrapped
 
-    def bwd(g: Array):
-        g_angles = (g * np.cos(wrapped)).astype(np.float64, copy=False)
-        g_angles[:, 0] = g[:, 0]
-        return ((dt.T @ g_angles).astype(omega.dtype, copy=False),
-                _unbroadcast(g_angles, phase.shape).astype(phase.dtype, copy=False))
 
-    return _finish("time_encoding", (omega, phase), out, bwd)
+def _time2vec_grads(g: Array, cos: Array, dt: Array, omega: Tensor, phase: Tensor):
+    """``omega``'s and ``phase``'s gradients given the wrapped angles' cosines at ``dt``."""
+    g_angles = (g * cos).astype(np.float64, copy=False)
+    g_angles[:, 0] = g[:, 0]
+    return ((dt.T @ g_angles).astype(omega.dtype, copy=False),
+            _unbroadcast(g_angles, phase.shape).astype(phase.dtype, copy=False))
+
+
+def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:
+    """``_time2vec`` as a tape op; both gradients come in the parameters' dtype."""
+    out, wrapped = _time2vec(dt, omega, phase)
+    return _finish("time_encoding", (omega, phase), out,
+                   lambda g: _time2vec_grads(g, np.cos(wrapped), dt, omega, phase))
+
+
+class EdgeEncodingTable:
+    """Rows ``time_encoding(dt, omega, phase) + log_counts @ w``, then the constant
+    columns ``extra``, computed once on no tape. Under a tape it keeps the wrapped
+    angles, whose cosines the first backward of a ``gather`` under it takes."""
+
+    def __init__(self, dt: Array, log_counts: Array, omega: Tensor, phase: Tensor, w: Tensor,
+                 extra: Array | None = None):
+        self.dt, self.log_counts, self.params = dt, log_counts, (omega, phase, w)
+        counts = log_counts @ w.values
+        self.values = counts if extra is None else np.hstack([counts, extra])
+        self._wrapped = np.empty_like(counts) if _ACTIVE_TAPE is not None else None
+        for lo in range(0, len(dt), 1024):  # blocks of rows bound the float64 angles
+            encoded, wrapped = _time2vec(dt[lo:lo + 1024], omega, phase)
+            self.values[lo:lo + 1024, :counts.shape[1]] += encoded
+            if self._wrapped is not None:
+                self._wrapped[lo:lo + 1024] = wrapped
+
+    def gather(self, rows: Array) -> Tensor:
+        """Rows ``rows`` as one ``edge_encoding`` entry; backward gathers the cosines,
+        gaps and log-counts at ``rows``, as the composed ops on those rows do."""
+        def bwd(g: Array):
+            g = g[:, :self.params[2].shape[1]]  # the constant columns get no gradient
+            if self._wrapped is not None:  # the first backward
+                self._cos, self._wrapped = np.cos(self._wrapped), None
+            return (*_time2vec_grads(g, self._cos[rows], self.dt[rows], *self.params[:2]),
+                    self.log_counts[rows].T @ g if self.params[2].requires_grad else None)
+
+        return _finish("edge_encoding", self.params, self.values[rows], bwd)
 
 
 def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ log, read through one index over that log.
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,8 @@ class IncidenceIndex:
         view.lo, view.hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
         if np.any((view.lo < 0) | (view.lo > view.hi) | (view.hi > len(self.edges))):
             raise ContractError(f"windows outside [0, {len(self.edges)}]")
+        if self.nodes.size and stride <= self.nodes[-1]:  # nodes ascend: [-1] is the largest id
+            raise ContractError(f"stride {stride} does not exceed node id {self.nodes[-1]}")
         view.stride = stride
         return view
 
@@ -109,18 +112,39 @@ class IncidenceIndex:
         return np.where(end > start, self._run_times[end - 1], fallback)
 
 
+class LayerSamples(Mapping):
+    """One layer's samples, flat and read-only: ``anchors`` ascending, anchor i's
+    positions at ``positions[bounds[i]:bounds[i + 1]]`` and ``segments`` each
+    position's anchor index. As a mapping, each anchor to its positions."""
+
+    def __init__(self, anchors: np.ndarray, sizes: np.ndarray, positions: np.ndarray):
+        self.anchors, self.positions = anchors, positions
+        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
+        self.segments = np.repeat(np.arange(anchors.size), sizes)
+
+    def __len__(self) -> int:
+        return self.anchors.size
+
+    def __iter__(self):
+        return iter(self.anchors.tolist())
+
+    def __getitem__(self, anchor) -> np.ndarray:
+        i = int(np.searchsorted(self.anchors, anchor))
+        if i == self.anchors.size or self.anchors[i] != anchor:
+            raise KeyError(anchor)
+        return self.positions[self.bounds[i]:self.bounds[i + 1]]
+
+    def values(self) -> list[np.ndarray]:
+        bounds = self.bounds.tolist()
+        return [self.positions[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class LayeredNeighborhood:
-    """Per-layer anchor samples, bottom layer first, plus the rows layer 1 reads.
+    """Per-layer anchor samples, bottom layer first, plus the rows layer 1 reads."""
 
-    Each layer's dict lists its anchors ascending; ``positions`` holds its
-    samples concatenated in that order and ``slots`` each sample's window.
-    """
-
-    layers: list[dict[int, np.ndarray]]
+    layers: list[LayerSamples]
     active_nodes: np.ndarray  # sorted unique ids
-    positions: list[np.ndarray]
-    slots: list[np.ndarray]
 
 
 def build_layered_neighborhood(index: IncidenceIndex, seed_nodes,
@@ -142,7 +166,7 @@ def build_layered_neighborhood(index: IncidenceIndex, seed_nodes,
         raise ContractError(f"max_neighbors must be >= 1, got {max_neighbors}")
     words, edges = key_words(rng_key), index.edges
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
-    layers, positions, message_slots = [], [], []
+    layers = []
     for layer in range(num_layers, 0, -1):
         starts, ends = index.runs(anchors)
         sizes, over = np.minimum(ends - starts, max_neighbors), ends - starts > max_neighbors
@@ -157,12 +181,8 @@ def build_layered_neighborhood(index: IncidenceIndex, seed_nodes,
         kept = np.zeros(flat.size, dtype=bool)  # rank in the run below max_neighbors, by priority
         kept[np.lexsort((priority, run))[flat - starts[over][run] < max_neighbors]] = True
         take[np.repeat(over, sizes)] = flat[kept]
-        sampled = index.positions[take]
-        slots = np.repeat(anchors // index.stride, sizes)
-        layers.insert(0, {anchor: sampled[lo:hi] for anchor, lo, hi in
-                          zip(anchors.tolist(), (bounds - sizes).tolist(), bounds.tolist())})
-        positions.insert(0, sampled)
-        message_slots.insert(0, slots)
+        layers.insert(0, LayerSamples(anchors, sizes, index.positions[take]))
+        sampled, slots = layers[0].positions, anchors[layers[0].segments] // index.stride
         anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]])
                              + np.tile(slots * index.stride, 2))
-    return LayeredNeighborhood(layers, anchors, positions, message_slots)
+    return LayeredNeighborhood(layers, anchors)

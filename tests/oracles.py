@@ -17,6 +17,10 @@ two, ``cast``, ``wrap_angle`` and ``sin`` are unfused primitives:
 ``segment_attention`` and ``time_encoding`` compose them with
 ``dygwin.tensor``'s into references for the one-entry ops of the same names,
 expression for expression.
+``layer_edge_encoding`` encodes one layer's messages the way each layer did
+before ``encoder.edge_table`` shared one table among them, and
+``per_layer_edge_table`` puts it in that function's place, so a test can
+compare ``encode``'s rows and gradients with the per-layer path.
 ``checkpoint_digest`` lets a test compare parameter maps by content.
 ``flp_scores_per_cut`` and ``dnc_scores_per_cut`` score an evaluation region
 one cut at a time, each cut with a cache built from its own input slice (and,
@@ -37,7 +41,7 @@ from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import WindowFeatureCache, time2vec
 from dygwin.tensor import Tensor, _finish, _row_sum
 from dygwin.keyed import keyed_uniform
-from dygwin.windows import IncidenceIndex, LayeredNeighborhood
+from dygwin.windows import IncidenceIndex, LayeredNeighborhood, LayerSamples
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -305,21 +309,72 @@ def last_time(edges: EdgeArray, node: int, fallback: float) -> float:
     return float(edges.t[touches].max()) if touches.any() else fallback
 
 
-def flatten_layer(samples: dict[int, np.ndarray], ids,
-                  edges: EdgeArray) -> list[tuple[int, int, int]]:
-    """(segment, edge_position, neighbor_row) per sampled position, one at a
-    time: anchors ascending, the segment of a position the index of its anchor
-    among them, each anchor's positions in sample order."""
+def flatten_layer(samples: dict[int, np.ndarray]) -> list[tuple[int, int, int]]:
+    """(anchor, segment, edge_position) per sampled position, one at a time:
+    anchors ascending, the segment of a position the index of its anchor among
+    them, each anchor's positions in sample order."""
+    return [(anchor, segment, int(position))
+            for segment, anchor in enumerate(sorted(samples)) for position in samples[anchor]]
+
+
+def neighbors(samples: dict[int, np.ndarray], edges: EdgeArray) -> list[int]:
+    """The other endpoint of each sampled position, in ``flatten_layer`` order."""
+    others = []
+    for anchor, _, position in flatten_layer(samples):
+        u, v = int(edges.u[position]), int(edges.v[position])
+        others.append(v if u == anchor else u)
+    return others
+
+
+def layer_samples(samples: dict[int, np.ndarray]) -> LayerSamples:
+    """A per-anchor sample dict as the flat ``LayerSamples`` of its sorted anchors."""
     anchors = sorted(samples)
-    segments, positions, others = [], [], []
-    for segment, anchor in enumerate(anchors):
-        for position in samples[anchor]:
-            position = int(position)
-            u, v = int(edges.u[position]), int(edges.v[position])
-            segments.append(segment)
-            positions.append(position)
-            others.append(v if u == anchor else u)
-    return list(zip(segments, positions, dict_rows(ids, others)))
+    return LayerSamples(np.asarray(anchors, dtype=np.int64),
+                        np.asarray([samples[a].size for a in anchors], dtype=np.int64),
+                        np.concatenate([np.empty(0, dtype=np.int64),
+                                        *(samples[a] for a in anchors)]))
+
+
+def layer_edge_encoding(cache: WindowFeatureCache, params: EncoderParams,
+                        samples: LayerSamples) -> Tensor:
+    """One layer's time-and-structure encodings, one row per message, the way
+    each layer computed them before the shared table: its own counts per window,
+    ``time2vec`` of its gaps plus ``log1p(counts) @ edge_enc``, three tape entries."""
+    index, edges, positions = cache.index, cache.index.edges, samples.positions
+    anchors = samples.anchors[samples.segments]
+    counts = np.empty((positions.size, 3))
+    for slot in np.unique(anchors // index.stride).tolist():
+        block = anchors // index.stride == slot
+        counts[block] = cache.window(slot).counts_matrix(positions[block] - index.lo[slot])
+    counts = np.where(edges.enc_masked[positions][:, None], 0.0, counts)
+    delta = index.last_time(anchors, np.nan) - edges.t[positions]
+    return T.add(time2vec(params.t2v, delta),
+                 T.matmul(T.constant(np.log1p(counts), dtype=params.edge_enc.dtype),
+                          params.edge_enc))
+
+
+class PerLayerEdgeTable:
+    """Stands in for ``encoder.edge_table``'s result: ``gather(i)`` computes layer
+    i's encodings through ``layer_edge_encoding`` when the layer reads them, then
+    its masked edge features, as a constant concatenated after them."""
+
+    def __init__(self, cache: WindowFeatureCache, params: EncoderParams,
+                 hood: LayeredNeighborhood):
+        self.cache, self.params, self.hood = cache, params, hood
+
+    def gather(self, layer: int) -> Tensor:
+        samples, edges = self.hood.layers[layer], self.cache.index.edges
+        encoded = layer_edge_encoding(self.cache, self.params, samples)
+        if self.params.edge_dim == 0:
+            return encoded
+        feats = edges.feats[samples.positions].astype(np.float64)
+        feats[edges.enc_masked[samples.positions]] = 0.0
+        return T.concat_last_dim([encoded, T.constant(feats, dtype=self.params.dtype)])
+
+
+def per_layer_edge_table(cache, params, hood) -> tuple[PerLayerEdgeTable, list[int]]:
+    """A drop-in ``encoder.edge_table`` whose layers encode their own messages."""
+    return PerLayerEdgeTable(cache, params, hood), list(range(len(hood.layers)))
 
 
 def active_nodes(seeds, layers: list[dict[int, np.ndarray]],
@@ -354,20 +409,19 @@ def sample_neighbors(index: IncidenceIndex, anchor: int, max_neighbors: int, wor
 def layered_neighborhood(index: IncidenceIndex, seed_nodes, num_layers: int,
                          max_neighbors: int, rng_key: tuple[int, ...]) -> LayeredNeighborhood:
     """``build_layered_neighborhood`` of one window, one anchor at a time through
-    ``sample_neighbors``, with the window's word from ``SeedSequence(rng_key)``."""
+    ``sample_neighbors``, with the window's word from ``SeedSequence(rng_key)``;
+    each layer is a per-anchor dict, anchors ascending."""
     edges = index.edges
     word = np.random.SeedSequence(rng_key).generate_state(1, np.uint64)[0]
     anchors = np.unique(np.asarray(seed_nodes, dtype=np.int64))
-    layers, positions = [], []
+    layers = []
     for layer in range(num_layers, 0, -1):
         samples = {anchor: sample_neighbors(index, anchor, max_neighbors, word, layer)
                    for anchor in anchors.tolist()}
         layers.insert(0, samples)
         sampled = np.concatenate([np.empty(0, dtype=np.int64), *samples.values()])
-        positions.insert(0, sampled)
         anchors = np.union1d(anchors, np.concatenate([edges.u[sampled], edges.v[sampled]]))
-    return LayeredNeighborhood(layers, anchors, positions,
-                               [np.zeros(p.size, dtype=np.int64) for p in positions])
+    return LayeredNeighborhood(layers, anchors)
 
 
 def checkpoint_digest(params: dict[str, Tensor]) -> str:

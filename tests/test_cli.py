@@ -530,13 +530,30 @@ def test_artifact_digests_script_is_well_formed_and_repeatable():
     assert outputs[1] == outputs[0]
 
 
-def test_eval_region_measures_a_small_region(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends bench/
-    path = Path(__file__).resolve().parents[1] / "scripts" / "eval_region.py"
-    spec = importlib.util.spec_from_file_location("eval_region", path)
+def load_script(name: str):
+    """``scripts/<name>.py`` as a module; it prepends bench/ to ``sys.path``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_eval_region_measures_a_small_region(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = load_script("eval_region")
     result = script.measure(cuts=3, window=40, warmup_cuts=1)
     assert (result["cuts"], result["window"]) == (3, 40)
     assert result["edges_per_s"] > 0 and result["peak_rss_mb"] > 0
     assert 0.0 <= result["ap"] <= 1.0
+
+
+def test_train_region_measures_a_small_region(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = load_script("train_region")
+    # A 250-edge log trains one K = 200 window of 100 edges.
+    results = script.measure(window=100, extra_edges=150)
+    assert [result["node_feature_dim"] for result in results] == [0, 172]
+    for result in results:
+        assert result["steps"] == 1 and result["messages_per_encode"] > 0
+        assert result["edges_per_s"] > 0 and result["peak_rss_mb"] > 0

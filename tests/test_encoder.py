@@ -13,13 +13,14 @@ from dygwin.data import EdgeArray
 from dygwin.downstream import (POSITIVE, bce_loss, dnc_score, flp_candidates, flp_score,
                                init_decoder)
 from dygwin import encoder as encoder_module
-from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, _flatten_layer,
+from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, edge_table,
                             encode, init_encoder, layer_forward)
 from dygwin.errors import ConsistencyError, ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.optim import Adam
 from dygwin.pretrain import init_predictor, ssl_loss_terms
-from dygwin.windows import ONE_WINDOW, IncidenceIndex, build_layered_neighborhood
+from dygwin.windows import (ONE_WINDOW, IncidenceIndex, LayeredNeighborhood,
+                            build_layered_neighborhood)
 
 import oracles
 from gradcheck import finite_difference_check
@@ -71,11 +72,11 @@ class TestMha:
 
 
 def window_forward(emb, samples, layer, params, cache):
-    """``layer_forward`` of one window, with each message's counts in sample order."""
-    positions = np.concatenate([np.empty(0, dtype=np.int64),
-                                *(samples[anchor] for anchor in sorted(samples))])
-    return layer_forward(emb, samples, layer, params, cache.index,
-                         cache.counts_matrix(positions))
+    """``layer_forward`` of one window's per-anchor samples, reading an edge
+    table built over them."""
+    flat = oracles.layer_samples(samples)
+    table, (rows,) = edge_table(cache, params, LayeredNeighborhood([flat], emb.ids))
+    return layer_forward(emb, flat, layer, params, cache.index, table, rows)
 
 
 class TestLayerForward:
@@ -370,19 +371,30 @@ def test_array_paths_match_item_oracles(data):
     num_layers = data.draw(st.integers(1, 3))
     max_neighbors = data.draw(st.integers(1, 4))
 
-    index = IncidenceIndex(edges)
-    hood = build_layered_neighborhood(index, seeds, num_layers, max_neighbors, (5,))
+    cache = WindowFeatureCache(edges)
+    hood = build_layered_neighborhood(cache.index, seeds, num_layers, max_neighbors, (5,))
     needed = oracles.active_nodes(seeds, hood.layers, edges)
     assert [sorted(samples) for samples in hood.layers] == needed[1:]
     assert hood.active_nodes.tolist() == needed[0]
 
     emb = NodeEmbeddings(hood.active_nodes, T.constant(np.zeros((len(hood.active_nodes), 2))))
-    for samples in hood.layers:
-        anchors, segments, positions, neighbors = _flatten_layer(samples, index)
-        assert anchors.tolist() == sorted(samples)
-        neighbor_rows = emb.rows(neighbors)
-        assert list(zip(segments.tolist(), positions.tolist(), neighbor_rows.tolist())) \
-            == oracles.flatten_layer(samples, emb.ids, edges)
+    params = tiny_params()
+    table, rows = edge_table(cache, params, hood)
+    for samples, encoding_rows in zip(hood.layers, rows):
+        assert samples.anchors.tolist() == sorted(samples)
+        assert list(zip(samples.anchors[samples.segments].tolist(), samples.segments.tolist(),
+                        samples.positions.tolist())) == oracles.flatten_layer(dict(samples))
+        looked_up, lookup = [], NodeEmbeddings.rows  # the anchors', then the neighbours'
+
+        def recording(embeddings, nodes):
+            looked_up.append(np.asarray(nodes).tolist())
+            return lookup(embeddings, nodes)
+
+        with mock.patch.object(NodeEmbeddings, "rows", recording):
+            layer_forward(emb, samples, params.layers[0], params, cache.index, table,
+                          encoding_rows)
+        assert looked_up[1:] == ([oracles.neighbors(dict(samples), edges)]
+                                 if samples.positions.size else [])
 
     nodes = np.arange(num_nodes + 3)
     assert IncidenceIndex(edges).last_time(nodes, -1.5).tolist() == \
@@ -488,23 +500,25 @@ def test_each_message_keeps_its_dropout_mask_in_any_request(data):
 
     def masks(nodes) -> dict[tuple[int, int, int], list[bool]]:
         """Each message's keep mask per head, by (layer, anchor, position)."""
-        flattened, kept, segment_attention = [], {}, T.segment_attention
+        layers, kept, segment_attention = [], {}, T.segment_attention
 
-        def flatten(samples, index):
-            flattened.append(_flatten_layer(samples, index))
-            return flattened[-1]
+        def forward(embeddings, samples, *args):
+            layers.append(samples)
+            return layer_forward(embeddings, samples, *args)
 
         def attention(*args):  # a layer without messages skips attention
             p, u = args[-1]
-            kept[len(flattened) - 1] = u >= p
+            kept[len(layers) - 1] = u >= p
             return segment_attention(*args)
 
-        with mock.patch.object(encoder_module, "_flatten_layer", flatten), \
+        with mock.patch.object(encoder_module, "layer_forward", forward), \
                 mock.patch.object(T, "segment_attention", attention):
             encode(cache, params, max_neighbors, (8, 1), nodes, node_features, training=True)
-        return {(layer, int(flattened[layer][0][segment]), int(position)): mask.tolist()
+        return {(layer, anchor, position): mask.tolist()
                 for layer, keep in kept.items()
-                for segment, position, mask in zip(*flattened[layer][1:3], keep)}
+                for anchor, position, mask in zip(
+                    layers[layer].anchors[layers[layer].segments].tolist(),
+                    layers[layer].positions.tolist(), keep)}
 
     pruned, full = masks(request), masks(every_row)
     assert pruned.keys() <= full.keys()
@@ -676,3 +690,69 @@ def test_training_step_through_a_log_view_matches_a_window_cache(dtype):
     assert view[0].matrix.values.tobytes() == fresh[0].matrix.values.tobytes()
     assert view[1].values.tobytes() == fresh[1].values.tobytes()
     assert view[2] == fresh[2]
+
+
+@pytest.mark.parametrize("node_feature_dim", [0, 3])
+@pytest.mark.parametrize("edge_dim", [0, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_edge_table_matches_per_layer_encodings(dtype, edge_dim, node_feature_dim):
+    """One table per encode, gathered by every layer, against each layer encoding
+    its own messages: an evaluation encode of three windows, with masked edges,
+    and a training encode with dropout 0.3 give rows and every parameter gradient
+    with the same bits."""
+    rng = np.random.default_rng(5)
+    triples = []
+    for i in range(60):  # node 0 touches every third edge; times tie in pairs
+        u = 0 if i % 3 == 0 else int(rng.integers(1, 9))
+        v = int(rng.integers(1, 9))
+        triples.append((u, 9 if v == u else v, float(i // 2)))
+    edges = edges_from(triples, feats=rng.normal(size=(60, edge_dim)).astype(np.float32))
+    edges.enc_masked = rng.random(60) < 0.2
+    stride, features = 11, rng.normal(size=(11, node_feature_dim))
+    windows = WindowFeatureCache(edges).windows([0, 12, 30], [30, 45, 60], stride)
+    nodes = np.array([0, 3, 10, stride + 5, stride + 10, 2 * stride, 2 * stride + 7])
+
+    def run(per_layer: bool, training: bool):
+        encoder = init_encoder(num_layers=3, node_dim=8, time_dim=4, edge_dim=edge_dim,
+                               node_feature_dim=node_feature_dim, heads=2, dropout=0.3,
+                               seed=3, dtype=dtype)
+        cache, keys = ((WindowFeatureCache(edges), (4,)) if training
+                       else (windows, [(4, slot) for slot in range(3)]))
+        with contextlib.ExitStack() as stack:
+            if per_layer:
+                stack.enter_context(mock.patch.object(encoder_module, "edge_table",
+                                                      oracles.per_layer_edge_table))
+            tape = stack.enter_context(T.Tape()) if training else None
+            rows = encode(cache, encoder, 4, keys, nodes % stride if training else nodes,
+                          features if node_feature_dim else None, training=training)
+            loss = T.mean(T.mul(rows.matrix, rows.matrix))
+        if training:
+            T.backward(tape, loss)
+        return rows, encoder.named()
+
+    for training in (False, True):
+        (rows, named), (expected, expected_named) = run(False, training), run(True, training)
+        assert rows.ids.tolist() == expected.ids.tolist()
+        assert rows.matrix.values.tobytes() == expected.matrix.values.tobytes()
+        for name, p in named.items():
+            assert (p.grad is None) == (expected_named[name].grad is None), name
+            if p.grad is not None:
+                assert p.grad.tobytes() == expected_named[name].grad.tobytes(), name
+        assert training or all(p.grad is None for p in named.values())
+    assert np.any(named["encoder/time2vec/omega"].grad)
+    assert np.any(named["encoder/edge_enc/w2"].grad)
+
+
+def test_training_encode_records_one_edge_encoding_entry_per_layer():
+    ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(12)], num_nodes=5)
+    encoder = init_encoder(num_layers=3, node_dim=8, time_dim=4, heads=2, dropout=0.1, seed=0)
+    with T.Tape() as tape:
+        encode(WindowFeatureCache(ctdg.window(0, 12)), encoder, 4, (3,), np.arange(5),
+               training=True)
+    ops = [entry.op for entry in tape.entries]
+    assert ops.count("edge_encoding") == encoder.num_layers
+    # The only adds are the residual h @ W1 + context of the layers above the
+    # featureless first.
+    assert "time_encoding" not in ops and ops.count("add") == encoder.num_layers - 1
+    assert not any(entry.op == "matmul" and entry.inputs[1] is encoder.edge_enc
+                   for entry in tape.entries)

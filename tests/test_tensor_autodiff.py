@@ -305,6 +305,20 @@ def _composition_cases():
 
     cases["time_encoding"] = (time_encoding, {"omega": omega, "phase": phase})
 
+    w_enc = param(rng.normal(size=(3, 4)))
+    log_counts = np.log1p(rng.integers(0, 5, size=(4, 3)).astype(np.float64))
+
+    extra = rng.normal(size=(4, 2))
+
+    def edge_encoding():
+        # Table rows read twice, three times and not at all, in float64, with two
+        # constant columns after the encoding.
+        table = T.EdgeEncodingTable(gaps[:4], log_counts, omega, phase, w_enc, extra)
+        encoded = table.gather(np.array([3, 0, 3, 1, 3]))
+        return T.mean(T.mul(encoded, encoded))
+
+    cases["edge_encoding"] = (edge_encoding, {"omega": omega, "phase": phase, "w": w_enc})
+
     def dropout_pinned():
         masked = T.dropout(x_drop, 0.3, np.random.default_rng(9), training=True)
         return T.mean(T.mul(masked, masked))
@@ -316,7 +330,7 @@ class TestCompositions:
     @pytest.mark.parametrize("name", ["attention_like", "segment_pipeline",
                                       "gather_concat", "trig_sqrt", "segment_attention",
                                       "segment_attention_zero_scores",
-                                      "time_encoding"])
+                                      "time_encoding", "edge_encoding"])
     def test_composition_gradients(self, name):
         cases, _ = _composition_cases()
         forward, params = cases[name]

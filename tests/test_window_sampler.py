@@ -269,6 +269,17 @@ class TestLayeredNeighborhood:
             == [2, 0]
         assert IncidenceIndex(edges).last_time([9, 1, 3], fallback=0.5).tolist() == [0.5, 2.0, 3.0]
 
+    def test_window_stride_must_exceed_every_node_id(self):
+        # A stride of 4 would alias node 4 of window 0 with node 0 of window 1.
+        edges = edges_from([(0, 4, 0.0), (2, 1, 1.0)])
+        for stride in (1, 4):
+            with pytest.raises(ContractError):
+                IncidenceIndex(edges).windows([0, 0], [2, 2], stride)
+            with pytest.raises(ContractError):
+                WindowFeatureCache(edges).windows([0, 0], [2, 2], stride)
+        assert IncidenceIndex(edges).windows([0, 0], [2, 2], 5).stride == 5
+        assert IncidenceIndex(edges_from([])).windows([0], [0], 1).stride == 1
+
     def test_decreasing_timestamps_rejected(self):
         # Positions stand for time order, so this slice would give node 0 the
         # last time 1.0 instead of 2.0.
@@ -315,11 +326,35 @@ def test_layered_neighborhood_matches_per_anchor_oracle(data):
     oracle = oracles.layered_neighborhood(index, seeds, num_layers, max_neighbors, rng_key)
     assert len(hood.layers) == len(oracle.layers) == num_layers
     for samples, expected in zip(hood.layers, oracle.layers):
-        assert list(samples) == list(expected)
-        for anchor, sample in samples.items():
-            assert sample.dtype == expected[anchor].dtype
-            assert sample.tolist() == expected[anchor].tolist()
+        assert_samples_equal_dict(samples, expected)
     assert hood.active_nodes.dtype == oracle.active_nodes.dtype
     assert hood.active_nodes.tolist() == oracle.active_nodes.tolist()
-    for got, expected in zip(hood.positions + hood.slots, oracle.positions + oracle.slots):
-        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+
+def assert_samples_equal_dict(samples, expected: dict) -> None:
+    """A ``LayerSamples`` against the per-anchor dict of its anchors ascending:
+    the same keys, slices and flat arrays."""
+    assert len(samples) == len(expected) and list(samples) == list(expected)
+    assert [sample.tolist() for sample in samples.values()] \
+        == [sample.tolist() for sample in expected.values()]
+    for anchor, sample in samples.items():
+        assert anchor in samples and sample.dtype == expected[anchor].dtype
+        assert sample.tolist() == expected[anchor].tolist()
+    flat = oracles.flatten_layer(expected)
+    assert samples.anchors.dtype == samples.positions.dtype == np.int64
+    assert list(zip(samples.anchors[samples.segments].tolist(), samples.segments.tolist(),
+                    samples.positions.tolist())) == flat
+    assert samples.bounds.tolist() == np.cumsum([0] + [s.size for s in expected.values()]).tolist()
+
+
+def test_layer_samples_reads_as_a_dict():
+    expected = {2: np.array([0, 4]), 5: np.empty(0, dtype=np.int64), 9: np.array([1])}
+    samples = oracles.layer_samples(expected)
+    assert_samples_equal_dict(samples, expected)
+    assert dict(samples).keys() == expected.keys()
+    for missing in (0, 3, 10):  # below, between and above the anchors
+        assert missing not in samples
+        with pytest.raises(KeyError):
+            samples[missing]
+    empty = oracles.layer_samples({})
+    assert len(empty) == 0 and list(empty) == [] and empty.values() == []
