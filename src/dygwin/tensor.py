@@ -455,29 +455,28 @@ def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:
 
 class EdgeEncodingTable:
     """Rows ``time_encoding(dt, omega, phase) + log_counts @ w``, then the constant
-    columns ``extra``, computed once on no tape. Under a tape it keeps the wrapped
-    angles, whose cosines the first backward of a ``gather`` under it takes."""
+    columns ``extra``, computed once on no tape. Built under a tape that trains a
+    parameter, it keeps the cosines that the backward of a ``gather`` reads."""
 
     def __init__(self, dt: Array, log_counts: Array, omega: Tensor, phase: Tensor, w: Tensor,
                  extra: Array | None = None):
         self.dt, self.log_counts, self.params = dt, log_counts, (omega, phase, w)
         counts = log_counts @ w.values
         self.values = counts if extra is None else np.hstack([counts, extra])
-        self._wrapped = np.empty_like(counts) if _ACTIVE_TAPE is not None else None
+        trained = _ACTIVE_TAPE is not None and any(p.requires_grad for p in self.params)
+        self.cos = np.empty_like(counts) if trained else None  # as _finish records
         for lo in range(0, len(dt), 1024):  # blocks of rows bound the float64 angles
             encoded, wrapped = _time2vec(dt[lo:lo + 1024], omega, phase)
             self.values[lo:lo + 1024, :counts.shape[1]] += encoded
-            if self._wrapped is not None:
-                self._wrapped[lo:lo + 1024] = wrapped
+            if self.cos is not None:
+                self.cos[lo:lo + 1024] = np.cos(wrapped)
 
     def gather(self, rows: Array) -> Tensor:
         """Rows ``rows`` as one ``edge_encoding`` entry; backward gathers the cosines,
         gaps and log-counts at ``rows``, as the composed ops on those rows do."""
         def bwd(g: Array):
             g = g[:, :self.params[2].shape[1]]  # the constant columns get no gradient
-            if self._wrapped is not None:  # the first backward
-                self._cos, self._wrapped = np.cos(self._wrapped), None
-            return (*_time2vec_grads(g, self._cos[rows], self.dt[rows], *self.params[:2]),
+            return (*_time2vec_grads(g, self.cos[rows], self.dt[rows], *self.params[:2]),
                     self.log_counts[rows].T @ g if self.params[2].requires_grad else None)
 
         return _finish("edge_encoding", self.params, self.values[rows], bwd)

@@ -541,8 +541,8 @@ def load_script(name: str):
 
 def test_eval_region_measures_a_small_region(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
-    script = load_script("eval_region")
-    result = script.measure(cuts=3, window=40, warmup_cuts=1)
+    script = load_script("region")
+    result = script.measure_eval(cuts=3, window=40, warmup_cuts=1)
     assert (result["cuts"], result["window"]) == (3, 40)
     assert result["edges_per_s"] > 0 and result["peak_rss_mb"] > 0
     assert 0.0 <= result["ap"] <= 1.0
@@ -550,9 +550,9 @@ def test_eval_region_measures_a_small_region(monkeypatch):
 
 def test_train_region_measures_a_small_region(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
-    script = load_script("train_region")
+    script = load_script("region")
     # A 250-edge log trains one K = 200 window of 100 edges.
-    results = script.measure(window=100, extra_edges=150)
+    results = script.measure_train(window=100, extra_edges=150)
     assert [result["node_feature_dim"] for result in results] == [0, 172]
     for result in results:
         assert result["steps"] == 1 and result["messages_per_encode"] > 0

@@ -585,3 +585,20 @@ def test_time_encoding_matches_composed_oracle(rows, dim, mix, seed):
     _assert_matches_oracle(lambda w, b: T.time_encoding(dt, w, b),
                            lambda w, b: oracles.time_encoding(dt, w, b),
                            (omega, phase), g, exact=True)
+
+
+def test_edge_table_keeps_cosines_only_under_a_tape_that_trains_a_parameter():
+    rng = np.random.default_rng(3)
+    dt, log_counts = rng.exponential(5.0, size=(3, 1)), rng.random((3, 3))
+    omega, phase, w = (T.parameter(rng.normal(size=shape)) for shape in ((1, 4), (1, 4), (3, 4)))
+    assert T.EdgeEncodingTable(dt, log_counts, omega, phase, w).cos is None
+    with Tape():
+        trained = T.EdgeEncodingTable(dt, log_counts, omega, phase, w)
+    assert np.array_equal(trained.cos[:, 1:], np.cos(dt * omega.values + phase.values)[:, 1:])
+    # A frozen encoder's encode under a tape (the probes') keeps none.
+    for p in (omega, phase, w):
+        p.requires_grad = False
+    with Tape() as tape:
+        frozen = T.EdgeEncodingTable(dt, log_counts, omega, phase, w)
+        frozen.gather(np.array([2, 0, 2]))
+    assert frozen.cos is None and not tape.entries
