@@ -3,8 +3,10 @@
 The pipeline writes a fixed interaction log, then runs ingest, pretrain, train
 and probe for FLP and DNC, an inductive FLP train, and eval for both tasks
 (K=1, 40 and 200 on val and test; FLP also ranks 20 negatives per edge). It
-prints one ``run file sha256`` line per ``ctdg.npz``, ``model.dygw``,
-``history.csv``, ``ssl_log.csv`` and ``report.csv``. The package comes from
+also writes the same log as an ``.npz`` cache with seeded node features and
+runs one FLP train on it, the only run whose first layer reads its input rows.
+It prints one ``run file sha256`` line per ``ctdg.npz``, ``model.dygw``,
+``history.csv``, ``ssl_log.csv`` and ``report.csv``, 17 in all. The package comes from
 ``PYTHONPATH``, so two checkouts that should save the same bytes print the
 same lines:
 
@@ -31,6 +33,7 @@ import numpy as np
 
 import dygwin
 from dygwin.cli import main
+from dygwin.data import CTDG, load_csv, save_cache
 
 ARTIFACTS = ("ctdg.npz", "model.dygw", "history.csv", "ssl_log.csv", "report.csv")
 MODEL = ["--seed", "1", "--epochs", "3", "--window-size", "120", "--set", "target_size=40",
@@ -55,6 +58,15 @@ def write_log(path: Path, num_nodes: int = 40, num_edges: int = 600) -> None:
     lines += [f"{a},{b},{when:.3f},{int(a % 3 == 0)},{f0:.4f},{f1:.4f}"
               for a, b, when, (f0, f1) in zip(u, v, t, feats)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_feature_cache(log: Path, path: Path, node_feature_dim: int = 3) -> None:
+    """The log of ``write_log`` as a cache, with seeded node features."""
+    ctdg = load_csv(log)
+    features = np.random.default_rng(20222).normal(size=(ctdg.num_nodes, node_feature_dim))
+    save_cache(CTDG(ctdg.u, ctdg.v, ctdg.t, ctdg.feats, ctdg.labels, ctdg.label_present,
+                    ctdg.num_nodes, original_ids=ctdg.original_ids, node_features=features),
+               path)
 
 
 def run(root: Path, label: str, args: list[str]) -> Path:
@@ -86,6 +98,10 @@ def print_digests(precision: str = "float32") -> None:
                                         ["probe", *base, "--task", task, *ssl])
         runs["train-flp-inductive"] = run(root, "train-flp-inductive",
                                           ["train", *base, "--split-mode", "inductive"])
+        cache = root / "features.npz"
+        write_feature_cache(log, cache)
+        runs["train-flp-features"] = run(root, "train-flp-features",
+                                         ["train", *base, "--dataset", str(cache)])
         for task, extra in (("flp", ["--set", "rank_negatives=20"]), ("dnc", [])):
             checkpoint = str(runs[f"train-{task}"] / "model.dygw")
             runs[f"eval-{task}"] = run(root, f"eval-{task}", [

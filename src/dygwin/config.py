@@ -93,6 +93,8 @@ class RunConfig:
         if not self.eval_horizon or min(self.eval_horizon) < 1:
             raise ConfigError(f"eval_horizon needs one or more horizons >= 1, "
                               f"got {self.eval_horizon!r}")
+        if self.seed < 0:  # numpy's generators take non-negative seeds only
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rank_negatives < 0:
             raise ConfigError(f"rank_negatives must be >= 0, got {self.rank_negatives}")
         if not 0.0 <= self.dropout < 1.0:

@@ -83,6 +83,11 @@ class CTDG(EdgeArray):
         self._validate()
 
     def _validate(self) -> None:
+        if (any(column.ndim != 1 for column in (self.u, self.v, self.t, self.labels,
+                                                self.label_present, self.original_ids))
+                or self.feats.ndim != 2
+                or self.node_features is not None and self.node_features.ndim != 2):
+            raise DataError("edge and id columns must be 1-D, feats and node_features 2-D")
         E = len(self.u)
         if any(len(column) != E for column in (self.v, self.t, self.feats, self.labels,
                                                 self.label_present)):
@@ -259,17 +264,24 @@ def save_cache(ctdg: CTDG, path) -> None:
 
 def load_cache(path) -> CTDG:
     """Read a ``save_cache`` file; one that is not a zip archive, lacks a
-    column or holds a non-scalar ``num_nodes`` is a ``DataError``."""
+    column, holds a non-scalar or non-integer ``num_nodes``, non-integer node
+    ids or a column ``CTDG`` cannot cast, or fails ``CTDG``'s checks is a
+    ``DataError``."""
     try:
         # np.load(path) leaks the handle it opens when a truncated zip fails to open.
         with open(path, "rb") as fh, np.load(fh) as data:
             columns = [data[name] for name in ("u", "v", "t", "feats", "labels",
                                                "label_present")]
-            num_nodes, original_ids = int(data["num_nodes"]), data["original_ids"]
+            num_nodes, original_ids = data["num_nodes"], data["original_ids"]
             node_features = data["node_features"] if "node_features" in data.files else None
+        for name, ids in (("u", columns[0]), ("v", columns[1]), ("num_nodes", num_nodes),
+                          ("original_ids", original_ids)):
+            if ids.dtype.kind not in "iu":  # CTDG would truncate floats silently
+                raise TypeError(f"{name} holds {ids.dtype}, not integers")
+        return CTDG(*columns, int(num_nodes), original_ids=original_ids,
+                    node_features=node_features)
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: malformed cache: {exc}") from None
-    return CTDG(*columns, num_nodes, original_ids=original_ids, node_features=node_features)
 
 
 def chronological_split(ctdg: CTDG, fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)) -> SplitSpec:

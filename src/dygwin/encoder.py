@@ -25,10 +25,10 @@ NEIGHBOR_STREAM = 11
 
 
 @dataclass
-class LayerParams:
-    w1: Tensor                # (node_dim, node_dim)
-    wq: Tensor                # (node_dim, heads * head_dim), one column block per head
-    wk: Tensor                # (message_dim, heads * head_dim)
+class LayerParams:  # w1, wq and wk are None where the input rows are all zero
+    w1: Tensor | None         # (node_dim, node_dim)
+    wq: Tensor | None         # (node_dim, heads * head_dim), one column block per head
+    wk: Tensor | None         # (message_dim, heads * head_dim)
     wv: Tensor                # (message_dim, heads * head_dim)
     wo: Tensor                # (heads * head_dim, node_dim)
 
@@ -66,7 +66,8 @@ class EncoderParams:
         if self.input_proj is not None:
             out[f"{prefix}/input_proj"] = self.input_proj
         for i, layer in enumerate(self.layers):
-            out.update({f"{prefix}/layer{i}/{name}": p for name, p in vars(layer).items()})
+            out.update({f"{prefix}/layer{i}/{name}": p for name, p in vars(layer).items()
+                        if p is not None})
         return out
 
     def set_requires_grad(self, flag: bool) -> None:
@@ -77,6 +78,8 @@ class EncoderParams:
 def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
                  edge_dim: int = 0, node_feature_dim: int = 0, heads: int = 2,
                  dropout: float = 0.1, seed: int = 0, dtype=np.float32) -> EncoderParams:
+    if num_layers < 1:
+        raise ContractError(f"an encoder needs at least one layer, got {num_layers}")
     if node_dim % heads != 0:
         raise ContractError(f"head count {heads} must divide node_dim {node_dim}")
     rng = np.random.default_rng((seed, 17))
@@ -93,6 +96,8 @@ def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
               for _ in range(num_layers)]
     input_proj = (T.xavier_uniform(rng, node_feature_dim, node_dim, dtype=dtype)
                   if node_feature_dim > 0 else None)
+    if input_proj is None:  # zero input rows: layer 0 reads only wv and wo; the
+        layers[0].w1 = layers[0].wq = layers[0].wk = None  # rest are drawn to keep later draws
     return EncoderParams(layers=layers, t2v=init_time2vec(time_dim, dtype=dtype),
                          edge_enc=T.xavier_uniform(rng, 3, time_dim, dtype=dtype),
                          input_proj=input_proj, node_dim=node_dim, time_dim=time_dim,

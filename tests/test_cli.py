@@ -169,6 +169,19 @@ class TestSubcommands:
                      "--set", "bogus=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_is_config_error(self, dataset, tmp_path, capsys, monkeypatch,
+                                           source):
+        out = tmp_path / "runs"
+        seed_args = ["--seed", "-1"] if source == "flag" else []
+        if source == "env":
+            monkeypatch.setenv("DYGWIN_SEED", "-3")
+        code = main(["train", "--dataset", str(dataset), "--output-dir", str(out),
+                     "--epochs", "1", *seed_args, *SMALL_MODEL])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["stride", "weight_decay", "hidden_dim",
                                      "edge_enc_scale"])
     def test_removed_key_is_unknown(self, dataset, tmp_path, capsys, key):
@@ -523,7 +536,7 @@ def test_artifact_digests_script_is_well_formed_and_repeatable():
                               env=env, capture_output=True, text=True, check=True).stdout
                for _ in range(2)]
     lines = outputs[0].splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 17  # 15 featureless, then one train with node features
     for line in lines:
         assert re.fullmatch(r"\S+ (ctdg\.npz|model\.dygw|history\.csv|ssl_log\.csv"
                             r"|report\.csv) [0-9a-f]{64}", line), line

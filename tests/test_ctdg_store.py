@@ -95,6 +95,30 @@ class TestLoadCsv:
         assert np.array_equal(ctdg.feats, again.feats)
         assert np.array_equal(ctdg.label_present, again.label_present)
 
+    @pytest.mark.parametrize("column, reshape", [
+        ("feats", lambda a: a[:, 0]),
+        ("u", lambda a: a[:, None]),
+        ("node_features", lambda a: a[:, 0]),
+        ("original_ids", lambda a: a[:, None]),
+        ("u", lambda a: a + 0.5),
+        ("v", lambda a: a.astype(np.float64)),
+        ("num_nodes", lambda a: a + 0.7),
+        ("u", lambda a: a[0]),
+        ("labels", lambda a: np.full(a.shape, "yes")),
+    ], ids=["1d-feats", "2d-u", "1d-node-features", "2d-original-ids", "fractional-u",
+            "float-v", "fractional-num-nodes", "0d-u", "text-labels"])
+    def test_malformed_column_is_data_error(self, tmp_path, column, reshape):
+        payload = {"u": np.array([0, 1, 0]), "v": np.array([1, 2, 2]),
+                   "t": np.array([1.0, 2.0, 3.0]), "feats": np.ones((3, 2), np.float32),
+                   "labels": np.zeros(3), "label_present": np.zeros(3, bool),
+                   "num_nodes": np.asarray(3), "original_ids": np.arange(3),
+                   "node_features": np.ones((3, 2), np.float32)}
+        np.savez(tmp_path / "good.npz", **payload)
+        assert load_cache(tmp_path / "good.npz").node_dim == 2
+        np.savez(tmp_path / "bad.npz", **{**payload, column: reshape(payload[column])})
+        with pytest.raises(DataError):
+            load_cache(tmp_path / "bad.npz")
+
     def test_truncated_cache_closes_its_file(self, tmp_path):
         path = tmp_path / "cut.npz"
         np.savez(path, u=[0, 1], v=[1, 2], t=[1.0, 2.0])

@@ -249,6 +249,12 @@ class TestRecencyGap:
                    ("predictor/w2", (5, 5)), ("predictor/b2", (1, 5))]),
     ("encoder", [("encoder/time2vec/omega", (1, 2)), ("encoder/time2vec/phase", (1, 2)),
                  ("encoder/edge_enc/w2", (3, 2)), ("encoder/input_proj", (3, 4))]),
+    ("featureless", [("encoder/time2vec/omega", (1, 2)), ("encoder/time2vec/phase", (1, 2)),
+                     ("encoder/edge_enc/w2", (3, 2)),
+                     ("encoder/layer0/wv", (6, 4)), ("encoder/layer0/wo", (4, 4)),
+                     *[(f"encoder/layer1/{name}", shape) for name, shape in
+                       (("w1", (4, 4)), ("wq", (4, 4)), ("wk", (6, 4)), ("wv", (6, 4)),
+                        ("wo", (4, 4)))]]),
 ])
 def test_decoder_checkpoint_names_order_and_shapes(task, tail, tmp_path):
     # Saved model files store the parameters under these names; changing them breaks loading.
@@ -258,12 +264,16 @@ def test_decoder_checkpoint_names_order_and_shapes(task, tail, tmp_path):
     elif task == "encoder":  # the names outside encoder/layer{i}/
         save_model(path, encoder=init_encoder(num_layers=1, node_dim=4, time_dim=2,
                                               node_feature_dim=3))
+    elif task == "featureless":  # every name: layer 0 holds only wv and wo
+        save_model(path, encoder=init_encoder(num_layers=2, node_dim=4, time_dim=2))
     else:
         save_model(path, decoder=init_decoder(task, node_dim=5, time_dim=2))
         tail = [("decoder/t2v/omega", (1, 2)), ("decoder/t2v/phase", (1, 2)),
                 ("decoder/w1", (7, 5)), ("decoder/b1", (1, 5)), *tail]
     saved = [(name, values.shape) for name, values in load_checkpoint(path).items()]
-    assert [entry for entry in saved if "/layer" not in entry[0]] == tail
+    if task != "featureless":
+        saved = [entry for entry in saved if "/layer" not in entry[0]]
+    assert saved == tail
 
 
 @pytest.mark.parametrize("field, value", [("val_every", 0), ("val_every", -1)])

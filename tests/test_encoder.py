@@ -13,9 +13,10 @@ from dygwin.data import EdgeArray
 from dygwin.downstream import (POSITIVE, bce_loss, dnc_score, flp_candidates, flp_score,
                                init_decoder)
 from dygwin import encoder as encoder_module
+from dygwin.checkpoint import load_checkpoint, load_model, save_model
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, edge_table,
                             encode, init_encoder, layer_forward)
-from dygwin.errors import ConsistencyError, ContractError
+from dygwin.errors import ConsistencyError, ContractError, DataError
 from dygwin.features import WindowFeatureCache
 from dygwin.optim import Adam
 from dygwin.pretrain import init_predictor, ssl_loss_terms
@@ -28,17 +29,28 @@ from graphs import ctdg_from, edges_from
 from oracles import edge_message, mha
 
 
-# The first layer's weights that a featureless encoder never reads: its input
-# rows are all 0, so h @ W1 and h @ Wq are 0 and every attention score is 0.
-INERT_FIRST_LAYER = {f"encoder/layer0/{name}" for name in ("w1", "wq", "wk")}
+# The weights a featureless encoder does not hold: its input rows are all 0,
+# so h @ W1 and h @ Wq are 0 and every attention score is 0.
+FIRST_LAYER_PLACEHOLDERS = {f"encoder/layer0/{name}" for name in ("w1", "wq", "wk")}
 
 
 def tiny_params(node_dim=2, time_dim=2, edge_dim=0, heads=1, num_layers=1,
-                seed=0, dtype=np.float64) -> EncoderParams:
-    params = init_encoder(num_layers=num_layers, node_dim=node_dim, time_dim=time_dim,
-                          edge_dim=edge_dim, heads=heads, dropout=0.0, seed=seed,
-                          dtype=dtype)
-    return params
+                seed=0, dtype=np.float64, node_feature_dim=1) -> EncoderParams:
+    """A dropout-free encoder; by default with node features, so that its first
+    layer holds w1, wq and wk for the oracles that read them."""
+    return init_encoder(num_layers=num_layers, node_dim=node_dim, time_dim=time_dim,
+                        edge_dim=edge_dim, node_feature_dim=node_feature_dim, heads=heads,
+                        dropout=0.0, seed=seed, dtype=dtype)
+
+
+def with_first_layer_placeholders(**kwargs) -> EncoderParams:
+    """``init_encoder(**kwargs)`` without node features, but holding layer 0's
+    w1, wq and wk as the draw order makes them: the names and bits a featureless
+    encoder had while it still kept those unread weights."""
+    encoder = init_encoder(**kwargs)
+    # Layers are drawn before the input projection, so layer 0's bits match.
+    encoder.layers[0] = init_encoder(**kwargs, node_feature_dim=1).layers[0]
+    return encoder
 
 
 class TestMha:
@@ -211,12 +223,13 @@ class TestEncode:
         assert np.array_equal(a.ids, b.ids)
 
     def test_three_node_toy_matches_hand_matrices(self):
-        params = tiny_params(node_dim=2, time_dim=2, heads=1, seed=5)
+        params = tiny_params(node_dim=2, time_dim=2, heads=1, seed=5, node_feature_dim=0)
         ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0)], num_nodes=3)
         edges = ctdg.window(0, 2)
         cache = WindowFeatureCache(edges)
         out = encode(cache, params, max_neighbors=5, rng_key=(3,), nodes=edges.endpoints())
-        # zero initial embeddings: messages carry only time and count terms
+        # zero initial embeddings: messages carry only time and count terms, and
+        # every attention score is 0, so a row is the mean message times Wv Wo
         layer = params.layers[0]
         expected = np.zeros((3, 2))
         omega, phase = params.t2v.omega.values, params.t2v.phase.values
@@ -233,10 +246,7 @@ class TestEncode:
                 f = f_time + np.log1p(cache.counts_matrix([p])) @ params.edge_enc.values
                 keys.append(np.concatenate([np.zeros((1, 2)), f], axis=1))
             keys = np.vstack(keys)
-            q = np.zeros((1, 2)) @ layer.wq.values
-            scores = (q @ (keys @ layer.wk.values).T) / np.sqrt(layer.wq.shape[1])
-            weights = np.exp(scores - scores.max())
-            weights /= weights.sum()
+            weights = np.full(len(keys), 1.0 / len(keys))
             expected[anchor] = (weights @ (keys @ layer.wv.values)) @ layer.wo.values
         assert np.allclose(out.matrix.values, expected, atol=1e-6)
 
@@ -542,8 +552,9 @@ def explicit_zero_input(node_dim: int, dtype):
 def test_featureless_encode_matches_explicit_zero_rows(dtype, edge_dim):
     """Three windows of one log, a pruned request, neighbour sampling and
     dropout 0.3 while training: rows and every parameter gradient have the bits
-    of the general path on zero input rows, where layer 0's w1, wq and wk get
-    exactly 0; the featureless path gives them no gradient at all."""
+    of the general path on zero input rows. That path reads layer 0's w1, wq and
+    wk, which zero rows make irrelevant, so it takes placeholders, and their
+    gradients are exactly 0."""
     rng = np.random.default_rng(11)
     triples = []
     for i in range(60):  # node 0 touches every third edge; times tie in pairs
@@ -559,28 +570,57 @@ def test_featureless_encode_matches_explicit_zero_rows(dtype, edge_dim):
     keys = [(4, slot) for slot in range(3)]
 
     def step(explicit: bool):
-        encoder = init_encoder(num_layers=3, node_dim=8, time_dim=4, edge_dim=edge_dim,
-                               heads=2, dropout=0.3, seed=3, dtype=dtype)
+        build = with_first_layer_placeholders if explicit else init_encoder
+        encoder = build(num_layers=3, node_dim=8, time_dim=4, edge_dim=edge_dim, heads=2,
+                        dropout=0.3, seed=3, dtype=dtype)
         with explicit_zero_input(8, dtype) if explicit else contextlib.nullcontext():
             with T.Tape() as tape:
                 rows = encode(cache, encoder, 4, keys, nodes, training=True)
                 loss = T.mean(T.mul(rows.matrix, rows.matrix))
         T.backward(tape, loss)
-        return rows, tape, encoder.named()
+        return rows, encoder.named()
 
-    rows, tape, named = step(explicit=False)
-    zero_rows, _, zero_named = step(explicit=True)
+    rows, named = step(explicit=False)
+    zero_rows, zero_named = step(explicit=True)
     assert rows.ids.tolist() == zero_rows.ids.tolist() == sorted(nodes.tolist())
     assert rows.matrix.values.tobytes() == zero_rows.matrix.values.tobytes()
+    assert zero_named.keys() - named.keys() == FIRST_LAYER_PLACEHOLDERS
     for name, p in named.items():
-        if name in INERT_FIRST_LAYER:
-            assert p.grad is None and zero_named[name].grad is not None, name
-            assert not np.any(zero_named[name].grad), name
-            assert not any(p is x for entry in tape.entries for x in entry.inputs), name
-        else:
-            assert p.grad.tobytes() == zero_named[name].grad.tobytes(), name
+        assert p.grad.tobytes() == zero_named[name].grad.tobytes(), name
+    for name in FIRST_LAYER_PLACEHOLDERS:
+        assert not np.any(zero_named[name].grad), name
     assert np.any(named["encoder/layer0/wv"].grad[8:])
     assert not np.any(named["encoder/layer0/wv"].grad[:8])
+
+
+def test_featureless_checkpoint_with_first_layer_placeholders_loads(tmp_path):
+    """A featureless model file that still holds layer 0's w1, wq and wk (the
+    ``DYGW`` v2 layout such files had) loads into a featureless encoder, which
+    then holds every other weight's bits and encodes the same rows; the file
+    such an encoder writes lacks those three names."""
+    kwargs = dict(num_layers=2, node_dim=4, time_dim=3, heads=2, seed=1)
+    old, new = with_first_layer_placeholders(**kwargs), init_encoder(**{**kwargs, "seed": 2})
+    path = tmp_path / "model.dygw"
+    save_model(path, encoder=old)
+    assert FIRST_LAYER_PLACEHOLDERS <= load_checkpoint(path).keys()
+    load_model(path, encoder=new)
+    assert new.named().keys() == old.named().keys() - FIRST_LAYER_PLACEHOLDERS
+    assert all(p.values.tobytes() == old.named()[name].values.tobytes()
+               for name, p in new.named().items())
+    ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(20)], num_nodes=5)
+    cache = WindowFeatureCache(ctdg.window(0, 20))
+    rows = [encode(cache, encoder, 3, (5,), np.arange(5)).matrix.values.tobytes()
+            for encoder in (old, new)]
+    assert rows[0] == rows[1]
+    save_model(path, encoder=new)
+    with pytest.raises(DataError, match="checkpoint missing parameter"):
+        load_model(path, encoder=old)
+
+
+@pytest.mark.parametrize("kwargs", [{"num_layers": 0}, {"node_dim": 5, "heads": 2}])
+def test_encoder_shape_out_of_contract_rejected(kwargs):
+    with pytest.raises(ContractError):
+        init_encoder(**kwargs)
 
 
 def test_featureless_window_without_messages_gives_zero_rows():
@@ -592,9 +632,9 @@ def test_featureless_window_without_messages_gives_zero_rows():
     assert out.matrix.values.tobytes() == np.zeros((2, 4)).tobytes()
 
 
-def test_inert_first_layer_weights_stay_put_under_weight_decay():
-    """Adam neither moves nor decays a weight without a gradient; with node
-    features the same weights are read and updated."""
+def test_adam_moves_every_encoder_weight_under_weight_decay():
+    """One training step moves every weight an encoder holds, with node features
+    or without; Adam neither moves nor decays a weight without a gradient."""
     ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(20)], num_nodes=5)
     cache = WindowFeatureCache(ctdg.window(0, 20))
     features = np.random.default_rng(0).normal(size=(5, 3))
@@ -603,7 +643,8 @@ def test_inert_first_layer_weights_stay_put_under_weight_decay():
                                node_feature_dim=feature_dim, dropout=0.1, seed=2,
                                dtype=np.float64)
         before = {name: p.values.copy() for name, p in encoder.named().items()}
-        optimizer = Adam(encoder.named(), lr=1e-2, weight_decay=1e-2)
+        unread = T.parameter(np.ones((2, 2)))
+        optimizer = Adam({**encoder.named(), "unread": unread}, lr=1e-2, weight_decay=1e-2)
         with T.Tape() as tape:
             rows = encode(cache, encoder, 3, (5,), np.arange(5), training=True,
                           node_features=features if feature_dim else None)
@@ -612,8 +653,8 @@ def test_inert_first_layer_weights_stay_put_under_weight_decay():
         optimizer.step()
         moved = {name for name, p in encoder.named().items()
                  if p.values.tobytes() != before[name].tobytes()}
-        expected = set(before) - (set() if feature_dim else INERT_FIRST_LAYER)
-        assert moved == expected
+        assert moved == set(before)
+        assert np.array_equal(unread.values, np.ones((2, 2)))
 
 
 def test_float32_parameters_stay_float32():
@@ -647,10 +688,9 @@ def test_float32_parameters_stay_float32():
     grads = T.backward(tape, loss)
     named = {**encoder.named(), **flp.named("flp"), **dnc.named("dnc"),
              **predictor.named("predictor")}
-    # A featureless first layer reads no w1, wq or wk, so they get no gradient.
-    assert {name for name, p in named.items() if p not in grads} == INERT_FIRST_LAYER
+    # Every parameter a model part holds is read, so each gets a gradient.
     assert {name: grads[p].dtype for name, p in named.items() if p in grads} \
-        == {name: np.float32 for name in named if name not in INERT_FIRST_LAYER}
+        == dict.fromkeys(named, np.float32)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
