@@ -60,10 +60,10 @@ def write_log(path: Path, num_nodes: int = 40, num_edges: int = 600) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_feature_cache(log: Path, path: Path, node_feature_dim: int = 3) -> None:
-    """The log of ``write_log`` as a cache, with seeded node features."""
+def write_feature_cache(log: Path, path: Path) -> None:
+    """The log of ``write_log`` as a cache, with three seeded node features."""
     ctdg = load_csv(log)
-    features = np.random.default_rng(20222).normal(size=(ctdg.num_nodes, node_feature_dim))
+    features = np.random.default_rng(20222).normal(size=(ctdg.num_nodes, 3))
     save_cache(CTDG(ctdg.u, ctdg.v, ctdg.t, ctdg.feats, ctdg.labels, ctdg.label_present,
                     ctdg.num_nodes, original_ids=ctdg.original_ids, node_features=features),
                path)
