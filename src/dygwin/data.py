@@ -284,26 +284,23 @@ def load_cache(path) -> CTDG:
         raise DataError(f"{path}: malformed cache: {exc}") from None
 
 
-def chronological_split(ctdg: CTDG, fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)) -> SplitSpec:
-    """Index-based chronological split; valid because edges are time-sorted."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractError(f"split fractions must sum to 1, got {fractions}")
+def chronological_split(ctdg: CTDG) -> SplitSpec:
+    """Index-based 70/15/15 split; valid because edges are time-sorted."""
     E = len(ctdg)
     if E < 3:
         raise DataError(f"dataset too small to split: {E} edges")
-    train_end = int(math.floor(fractions[0] * E))
-    val_end = int(math.floor((fractions[0] + fractions[1]) * E))
+    train_end = int(math.floor(0.7 * E))
+    val_end = int(math.floor((0.7 + 0.15) * E))
     if train_end == val_end:
         warnings.warn("chronological split produced an empty validation set")
     return SplitSpec(mode="transductive", boundaries=(train_end, val_end))
 
 
-def inductive_split(ctdg: CTDG, node_fraction: float = 0.1, seed: int = 0,
-                    fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)) -> SplitSpec:
+def inductive_split(ctdg: CTDG, node_fraction: float = 0.1, seed: int = 0) -> SplitSpec:
     """Mask a random node subset out of training; evaluate only on their edges."""
     if not 0.0 < node_fraction < 1.0:
         raise ContractError(f"node_fraction must be in (0, 1), got {node_fraction}")
-    base = chronological_split(ctdg, fractions)
+    base = chronological_split(ctdg)
     count = int(math.ceil(node_fraction * ctdg.num_nodes))
     rng = np.random.default_rng(seed)
     masked = np.sort(rng.choice(ctdg.num_nodes, size=count, replace=False))

@@ -472,7 +472,8 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
 
         val_ap = run_validation() if (epoch % config.val_every == 0
                                       or epoch == config.epochs) else None
-        row = {"epoch": epoch, "train_loss": total_loss / max(steps, 1), "val_ap": val_ap}
+        row = {"epoch": epoch, "train_loss": total_loss / steps if steps else float("nan"),
+               "val_ap": val_ap}
         history.append(row)
         if log_fn:
             log_fn(row)

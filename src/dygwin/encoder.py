@@ -50,10 +50,6 @@ class EncoderParams:
         return len(self.layers)
 
     @property
-    def message_dim(self) -> int:
-        return self.node_dim + self.time_dim + self.edge_dim
-
-    @property
     def dtype(self):
         return self.t2v.omega.dtype
 
@@ -216,7 +212,7 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
     """Encode the windows of ``cache`` into embeddings of the requested rows.
 
     ``nodes`` are row ids of ``cache.index`` (node ids for a cache of one
-    window), and window s draws from ``rng_key[s]`` (from ``rng_key`` for one
+    window), and window s draws from ``rng_key[s]`` (a tuple ``rng_key`` for one
     window, the only form training takes). Returns one row per distinct
     requested id, ids ascending, and no other row. Layer i is computed only
     for the rows within L - i sampled hops of the request. Sampling and dropout
@@ -225,8 +221,6 @@ def encode(cache: WindowFeatureCache, params: EncoderParams, max_neighbors: int,
     edges in its window takes the bare ``W1`` chain. Every layer reads its
     messages' encodings from one ``edge_table`` built over all layers.
     """
-    if isinstance(rng_key, int):
-        rng_key = (rng_key,)
     keys = [rng_key] if isinstance(rng_key, tuple) else rng_key
     requested = np.unique(np.asarray(nodes, dtype=np.int64))
     hood = build_layered_neighborhood(cache.index, requested, params.num_layers, max_neighbors,

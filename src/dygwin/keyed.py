@@ -9,9 +9,9 @@ _GAMMA, _M1, _M2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B
 
 
 def key_words(rng_key) -> np.ndarray:
-    """One uint64 per window key through ``SeedSequence``: ``rng_key`` (an int or
-    a tuple) for one window, or ``rng_key[s]`` for window s."""
-    keys = [rng_key] if isinstance(rng_key, (int, tuple)) else rng_key
+    """One uint64 per window key through ``SeedSequence``: ``rng_key`` (a tuple)
+    for one window, or ``rng_key[s]`` for window s."""
+    keys = [rng_key] if isinstance(rng_key, tuple) else rng_key
     return np.array([np.random.SeedSequence(key).generate_state(1, np.uint64)[0]
                      for key in keys], dtype=np.uint64)
 

@@ -8,6 +8,9 @@ from .errors import ContractError
 from .tensor import Tensor
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a named parameter map.
 
@@ -17,13 +20,9 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {name: np.zeros_like(p.values) for name, p in self.params.items()}
@@ -35,8 +34,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -49,10 +48,10 @@ class Adam:
                 g = g + self.weight_decay * p.values
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
-            p.values -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.values.dtype)
+            p.values -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.values.dtype)

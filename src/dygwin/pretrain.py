@@ -179,11 +179,9 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
             for key in ("v", "c", "s"):
                 sums[key] += terms[key]
             steps += 1
-        row = {"epoch": epoch,
-               "loss": sums["loss"] / max(steps, 1),
-               "v": sums["v"] / max(steps, 1),
-               "c": sums["c"] / max(steps, 1),
-               "s": sums["s"] / max(steps, 1)}
+        # An epoch with no step logs NaN, the mean of no losses.
+        row = {"epoch": epoch, **{key: total / steps if steps else float("nan")
+                                  for key, total in sums.items()}}
         history.append(row)
         if log_fn:
             log_fn(row)

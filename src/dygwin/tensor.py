@@ -500,13 +500,6 @@ def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
     return _finish("bce_with_logits", (logits, labels), out, bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
 @dataclass
 class MLP:
     """ReLU layers, one ``(w, b)`` each, then a linear last layer; dropout
@@ -525,10 +518,12 @@ class MLP:
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        hidden = dropout(relu(linear(x, *self.layers[0])), self.dropout, rng, training)
-        for w, b in self.layers[1:-1]:
-            hidden = relu(linear(hidden, w, b))
-        return linear(hidden, *self.layers[-1])
+        (w, b), *rest = self.layers
+        hidden = dropout(relu(add(matmul(x, w), b)), self.dropout, rng, training)
+        for w, b in rest[:-1]:
+            hidden = relu(add(matmul(hidden, w), b))
+        w, b = rest[-1]
+        return add(matmul(hidden, w), b)
 
 
 def init_mlp_layers(rng: np.random.Generator, widths: Sequence[int],

@@ -10,7 +10,6 @@ log, read through one index over that log.
 from __future__ import annotations
 
 import copy
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +111,10 @@ class IncidenceIndex:
         return np.where(end > start, self._run_times[end - 1], fallback)
 
 
-class LayerSamples(Mapping):
+class LayerSamples:
     """One layer's samples, flat and read-only: ``anchors`` ascending, anchor i's
     positions at ``positions[bounds[i]:bounds[i + 1]]`` and ``segments`` each
-    position's anchor index. As a mapping, each anchor to its positions."""
+    position's anchor index. ``values()`` lists each anchor's positions."""
 
     def __init__(self, anchors: np.ndarray, sizes: np.ndarray, positions: np.ndarray):
         self.anchors, self.positions = anchors, positions
@@ -124,15 +123,6 @@ class LayerSamples(Mapping):
 
     def __len__(self) -> int:
         return self.anchors.size
-
-    def __iter__(self):
-        return iter(self.anchors.tolist())
-
-    def __getitem__(self, anchor) -> np.ndarray:
-        i = int(np.searchsorted(self.anchors, anchor))
-        if i == self.anchors.size or self.anchors[i] != anchor:
-            raise KeyError(anchor)
-        return self.positions[self.bounds[i]:self.bounds[i + 1]]
 
     def values(self) -> list[np.ndarray]:
         bounds = self.bounds.tolist()

@@ -326,6 +326,11 @@ def neighbors(samples: dict[int, np.ndarray], edges: EdgeArray) -> list[int]:
     return others
 
 
+def sample_dict(samples: LayerSamples) -> dict[int, np.ndarray]:
+    """A ``LayerSamples`` as the dict of each anchor to its positions, anchors ascending."""
+    return dict(zip(samples.anchors.tolist(), samples.values()))
+
+
 def layer_samples(samples: dict[int, np.ndarray]) -> LayerSamples:
     """A per-anchor sample dict as the flat ``LayerSamples`` of its sorted anchors."""
     anchors = sorted(samples)

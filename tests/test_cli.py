@@ -182,6 +182,15 @@ class TestSubcommands:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_lr_not_finite_and_positive_is_config_error(self, dataset, tmp_path, capsys, lr):
+        out = tmp_path / "runs"
+        code = main(["train", "--dataset", str(dataset), "--output-dir", str(out),
+                     "--epochs", "1", "--set", f"lr={lr}", *SMALL_MODEL])
+        assert code == 2
+        assert "lr must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["stride", "weight_decay", "hidden_dim",
                                      "edge_enc_scale"])
     def test_removed_key_is_unknown(self, dataset, tmp_path, capsys, key):

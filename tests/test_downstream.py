@@ -9,7 +9,7 @@ import dygwin.downstream as downstream
 import dygwin.encoder as encoder_module
 import dygwin.tensor as T
 from dygwin.checkpoint import load_checkpoint, save_model
-from dygwin.data import chronological_split, inductive_split
+from dygwin.data import CTDG, chronological_split, inductive_split
 from dygwin.downstream import (NEGATIVE, POSITIVE, RANK, TrainConfig, bce_loss, dnc_score,
                                evaluate_dnc, evaluate_flp, flp_candidates, flp_score,
                                init_decoder, init_flp_decoder, sample_negatives,
@@ -346,6 +346,21 @@ class TestTrainingProtocols:
         assert result.history[0]["epoch"] == 0
         assert result.history[0]["train_loss"] is None
 
+    def test_epoch_without_a_step_logs_nan_loss(self, small_world):
+        # A target window longer than the 630-edge training log leaves no interval.
+        ctdg, split = small_world
+        result = train_downstream(ctdg, split, "flp", self._encoder(),
+                                  config=self._config(epochs=1, target_size=1000))
+        assert np.isnan(result.history[1]["train_loss"])
+
+    def test_dnc_epoch_without_labels_logs_nan_loss(self, small_world):
+        ctdg, split = small_world
+        unlabeled = CTDG(ctdg.u, ctdg.v, ctdg.t, ctdg.feats, ctdg.labels,
+                         np.zeros_like(ctdg.label_present), ctdg.num_nodes)
+        result = train_downstream(unlabeled, split, "dnc", self._encoder(),
+                                  config=self._config(epochs=2))
+        assert [np.isnan(row["train_loss"]) for row in result.history[1:]] == [True, True]
+
     def test_dnc_trained_beats_untrained(self, small_world):
         ctdg, split = small_world
         _, val_end = split.boundaries
@@ -494,12 +509,13 @@ class TestEvaluationPasses:
         downstream.flp_scores(*args, target_filter=world[1], rank_negatives=3)
         # one window's layers per cut, anchors as node ids and positions in its slice
         batched = [[{anchor - slot * index.stride: sample - index.lo[slot]
-                     for anchor, sample in samples.items() if anchor // index.stride == slot}
+                     for anchor, sample in oracles.sample_dict(samples).items()
+                     if anchor // index.stride == slot}
                     for samples in hood.layers]
                    for index, hood in calls for slot in range(len(index.lo))]
         passes, calls[:] = len(calls), []
         oracles.flp_scores_per_cut(*args, target_filter=world[1], rank_negatives=3)
-        per_cut = [hood.layers for _, hood in calls]
+        per_cut = [[oracles.sample_dict(samples) for samples in hood.layers] for _, hood in calls]
         assert len(batched) == len(per_cut) > passes  # passes of several cuts
         for got, expected in zip(batched, per_cut):
             assert [list(samples) for samples in got] == [list(samples) for samples in expected]

@@ -301,7 +301,7 @@ class TestEncode:
         cache = WindowFeatureCache(ctdg.window(0, 7))
         hood = build_layered_neighborhood(cache.index, [1], 2, 4, (8, NEIGHBOR_STREAM))
         assert hood.active_nodes.tolist() == [0, 1, 2, 3]
-        assert [sorted(layer) for layer in hood.layers] == [[0, 1, 2], [1]]
+        assert [layer.anchors.tolist() for layer in hood.layers] == [[0, 1, 2], [1]]
 
         def forward():
             out = encode(cache, params, max_neighbors=4, rng_key=(8,), nodes=[1],
@@ -315,7 +315,7 @@ class TestEncode:
     def test_message_width_at_reference_dimensions(self):
         params = init_encoder(num_layers=1, node_dim=100, time_dim=100, edge_dim=172,
                               heads=2, seed=0)
-        assert params.message_dim == 372
+        assert params.layers[0].wv.shape[0] == 372
         message = edge_message(T.constant(np.zeros((1, 100))), 1.0, 2.0,
                                np.zeros(172), params)
         assert message.shape == (1, 372)
@@ -383,17 +383,18 @@ def test_array_paths_match_item_oracles(data):
 
     cache = WindowFeatureCache(edges)
     hood = build_layered_neighborhood(cache.index, seeds, num_layers, max_neighbors, (5,))
-    needed = oracles.active_nodes(seeds, hood.layers, edges)
-    assert [sorted(samples) for samples in hood.layers] == needed[1:]
+    needed = oracles.active_nodes(seeds, [oracles.sample_dict(s) for s in hood.layers], edges)
+    assert [samples.anchors.tolist() for samples in hood.layers] == needed[1:]
     assert hood.active_nodes.tolist() == needed[0]
 
     emb = NodeEmbeddings(hood.active_nodes, T.constant(np.zeros((len(hood.active_nodes), 2))))
     params = tiny_params()
     table, rows = edge_table(cache, params, hood)
     for samples, encoding_rows in zip(hood.layers, rows):
-        assert samples.anchors.tolist() == sorted(samples)
+        assert np.all(np.diff(samples.anchors) > 0)
         assert list(zip(samples.anchors[samples.segments].tolist(), samples.segments.tolist(),
-                        samples.positions.tolist())) == oracles.flatten_layer(dict(samples))
+                        samples.positions.tolist())) \
+            == oracles.flatten_layer(oracles.sample_dict(samples))
         looked_up, lookup = [], NodeEmbeddings.rows  # the anchors', then the neighbours'
 
         def recording(embeddings, nodes):
@@ -403,7 +404,7 @@ def test_array_paths_match_item_oracles(data):
         with mock.patch.object(NodeEmbeddings, "rows", recording):
             layer_forward(emb, samples, params.layers[0], params, cache.index, table,
                           encoding_rows)
-        assert looked_up[1:] == ([oracles.neighbors(dict(samples), edges)]
+        assert looked_up[1:] == ([oracles.neighbors(oracles.sample_dict(samples), edges)]
                                  if samples.positions.size else [])
 
     nodes = np.arange(num_nodes + 3)
@@ -434,8 +435,9 @@ def test_requested_rows_match_all_rows_encode(data):
     pruned = build_layered_neighborhood(cache.index, request, num_layers, max_neighbors, (5,))
     full = build_layered_neighborhood(cache.index, every_row, num_layers, max_neighbors, (5,))
     for pruned_layer, full_layer in zip(pruned.layers, full.layers):
-        for anchor, sample in pruned_layer.items():
-            assert sample.tolist() == full_layer[anchor].tolist()
+        full_samples = oracles.sample_dict(full_layer)
+        for anchor, sample in oracles.sample_dict(pruned_layer).items():
+            assert sample.tolist() == full_samples[anchor].tolist()
 
     params = init_encoder(num_layers=num_layers, node_dim=4, time_dim=3, node_feature_dim=2,
                           heads=2, dropout=0.0, seed=data.draw(st.integers(0, 3)),

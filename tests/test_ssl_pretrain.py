@@ -1,5 +1,7 @@
 """Distortion pipeline and the variance/invariance/covariance objective."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,22 @@ class TestPretrainLoop:
     def test_log_rows_have_components(self, run):
         _, (_, _, history, _, _) = run
         assert set(history[0]) == {"epoch", "loss", "v", "c", "s"}
+
+
+def test_epoch_without_a_step_logs_nan():
+    # A stride longer than the log leaves no window, so no step runs.
+    log = make_synthetic_ctdg(num_nodes=20, num_edges=100, history=40, seed=2)
+    encoder = init_encoder(num_layers=1, node_dim=8, time_dim=4, heads=2, seed=0)
+    config = PretrainConfig(window=100, stride=200, epochs=2, lr=1e-2, max_neighbors=5)
+    history, skipped = pretrain(log, encoder, init_predictor(8), config)
+    assert skipped == 0 and [row["epoch"] for row in history] == [0, 1]
+    assert all(np.isnan(row[key]) for row in history for key in ("loss", "v", "c", "s"))
+
+
+def test_pretrain_module_is_not_shadowed():
+    # The package exports no names, so the submodule is not rebound to its function.
+    import dygwin.pretrain as module
+    assert isinstance(module, types.ModuleType) and module.pretrain is pretrain
 
 
 def test_pretrain_reads_node_features():

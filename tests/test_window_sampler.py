@@ -131,7 +131,8 @@ class TestKeyedUniform:
 
 def top_sample(index, anchor: int, max_neighbors: int, key) -> np.ndarray:
     """``anchor``'s sample in a one-layer neighbourhood of window key ``key``."""
-    return build_layered_neighborhood(index, [anchor], 1, max_neighbors, key).layers[0][anchor]
+    hood = build_layered_neighborhood(index, [anchor], 1, max_neighbors, key)
+    return oracles.sample_dict(hood.layers[0])[anchor]
 
 
 class TestSampleNeighbors:
@@ -179,7 +180,7 @@ class TestLayeredNeighborhood:
         hood = build_layered_neighborhood(IncidenceIndex(edges), [0], num_layers=1,
                                           max_neighbors=5, rng_key=(0,))
         assert len(hood.layers) == 1
-        assert list(hood.layers[0]) == [0]
+        assert hood.layers[0].anchors.tolist() == [0]
 
     def test_path_graph_expansion(self):
         # a-b edge then b-c edge; seeds {a}: the top layer samples a, the layer
@@ -187,8 +188,8 @@ class TestLayeredNeighborhood:
         edges = edges_from([(0, 1, 0.0), (1, 2, 1.0)])
         hood = build_layered_neighborhood(IncidenceIndex(edges), [0], num_layers=2,
                                           max_neighbors=20, rng_key=(0,))
-        assert sorted(hood.layers[1]) == [0]
-        assert sorted(hood.layers[0]) == [0, 1]
+        assert hood.layers[1].anchors.tolist() == [0]
+        assert hood.layers[0].anchors.tolist() == [0, 1]
         assert hood.active_nodes.tolist() == [0, 1, 2]
 
     def test_disconnected_seed_has_empty_layers(self):
@@ -196,7 +197,7 @@ class TestLayeredNeighborhood:
         hood = build_layered_neighborhood(IncidenceIndex(edges), [5], num_layers=3,
                                           max_neighbors=4, rng_key=(0,))
         for layer in hood.layers:
-            assert layer[5].size == 0
+            assert oracles.sample_dict(layer)[5].size == 0
         assert hood.active_nodes.tolist() == [5]
 
     def test_sample_independent_of_other_seeds(self):
@@ -207,8 +208,9 @@ class TestLayeredNeighborhood:
         solo = build_layered_neighborhood(IncidenceIndex(edges), [0], 2, 3, rng_key=(7,))
         joint = build_layered_neighborhood(IncidenceIndex(edges), [0, 5], 2, 3, rng_key=(7,))
         for layer_solo, layer_joint in zip(solo.layers, joint.layers):
-            for anchor, sample in layer_solo.items():
-                assert layer_joint[anchor].tolist() == sample.tolist()
+            joint_samples = oracles.sample_dict(layer_joint)
+            for anchor, sample in oracles.sample_dict(layer_solo).items():
+                assert joint_samples[anchor].tolist() == sample.tolist()
 
     @pytest.mark.parametrize("seed,max_neighbors", [(7, 0), (0, 0), (0, -1)])
     def test_max_neighbors_below_one_rejected(self, seed, max_neighbors):
@@ -226,7 +228,7 @@ class TestLayeredNeighborhood:
         counts = np.zeros(degree)
         for key in range(keys):
             hood = build_layered_neighborhood(index, [0], 2, max_neighbors, (key,))
-            top, bottom = hood.layers[1], hood.layers[0]
+            bottom, top = (oracles.sample_dict(layer) for layer in hood.layers)
             picked = top[0]
             assert len(set(picked.tolist())) == max_neighbors
             counts[picked] += 1
@@ -259,7 +261,7 @@ class TestLayeredNeighborhood:
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
         hood = build_layered_neighborhood(cache.index, range(34), 3, 20, (7,))
         assert any(cache.index.incident(anchor).size > 20
-                   for samples in hood.layers for anchor in samples)
+                   for samples in hood.layers for anchor in samples.anchors.tolist())
         encode(cache, params, 20, (7,), range(34), training=True)
         assert calls == []
 
@@ -334,11 +336,10 @@ def test_layered_neighborhood_matches_per_anchor_oracle(data):
 def assert_samples_equal_dict(samples, expected: dict) -> None:
     """A ``LayerSamples`` against the per-anchor dict of its anchors ascending:
     the same keys, slices and flat arrays."""
-    assert len(samples) == len(expected) and list(samples) == list(expected)
-    assert [sample.tolist() for sample in samples.values()] \
-        == [sample.tolist() for sample in expected.values()]
-    for anchor, sample in samples.items():
-        assert anchor in samples and sample.dtype == expected[anchor].dtype
+    as_dict = oracles.sample_dict(samples)
+    assert len(samples) == len(expected) and list(as_dict) == list(expected)
+    for anchor, sample in as_dict.items():
+        assert sample.dtype == expected[anchor].dtype
         assert sample.tolist() == expected[anchor].tolist()
     flat = oracles.flatten_layer(expected)
     assert samples.anchors.dtype == samples.positions.dtype == np.int64
@@ -347,14 +348,14 @@ def assert_samples_equal_dict(samples, expected: dict) -> None:
     assert samples.bounds.tolist() == np.cumsum([0] + [s.size for s in expected.values()]).tolist()
 
 
-def test_layer_samples_reads_as_a_dict():
+def test_layer_samples_len_and_values_follow_bounds():
     expected = {2: np.array([0, 4]), 5: np.empty(0, dtype=np.int64), 9: np.array([1])}
     samples = oracles.layer_samples(expected)
     assert_samples_equal_dict(samples, expected)
-    assert dict(samples).keys() == expected.keys()
-    for missing in (0, 3, 10):  # below, between and above the anchors
-        assert missing not in samples
-        with pytest.raises(KeyError):
-            samples[missing]
+    assert len(samples) == samples.anchors.size == samples.bounds.size - 1 == 3
+    bounds = samples.bounds.tolist()
+    assert [sample.tolist() for sample in samples.values()] \
+        == [samples.positions[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])] \
+        == [[0, 4], [], [1]]
     empty = oracles.layer_samples({})
-    assert len(empty) == 0 and list(empty) == [] and empty.values() == []
+    assert len(empty) == 0 and empty.values() == [] and empty.bounds.tolist() == [0]
