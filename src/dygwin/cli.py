@@ -27,7 +27,7 @@ from .downstream import TrainConfig, evaluate, init_decoder, train_downstream
 from .encoder import EncoderParams, init_encoder
 from .errors import ConfigError, ConsistencyError, ContractError, DataError, NumericFailure
 from .metrics import write_metrics_report
-from .pretrain import (DistortionConfig, PretrainConfig, init_predictor, pretrain)
+from .pretrain import PretrainConfig, init_predictor, pretrain
 from .timing import PhaseTimer
 
 
@@ -130,8 +130,7 @@ def cmd_pretrain(config: RunConfig) -> int:
     settings = PretrainConfig(window=config.ssl_window, stride=config.ssl_stride,
                               epochs=config.epochs, lr=config.lr,
                               max_neighbors=config.num_neighbors, seed=config.seed,
-                              distortion=DistortionConfig(config.p_drop_edge,
-                                                          config.p_mask_feat))
+                              p_drop_edge=config.p_drop_edge, p_mask_feat=config.p_mask_feat)
     run_dir = _make_run_dir(config, "pretrain")
     timer = PhaseTimer()
     log_path = run_dir / "ssl_log.csv"
@@ -158,18 +157,17 @@ def cmd_train(config: RunConfig, force_freeze: bool = False) -> int:
     encoder = _make_encoder(config, ctdg)
     if config.encoder_init == "checkpoint":
         load_model(config.checkpoint, encoder=encoder)
-    freeze = force_freeze or config.freeze_encoder
     run_dir = _make_run_dir(config, "probe" if force_freeze else "train")
     timer = PhaseTimer()
     result = train_downstream(ctdg, split, config.task, encoder,
-                              freeze_encoder=freeze,
+                              freeze_encoder=force_freeze,
                               label_fraction=config.label_fraction,
                               config=_train_config(config), timer=timer)
     save_model(run_dir / "model.dygw", encoder=result.encoder, decoder=result.decoder)
     _write_history(run_dir / "history.csv", result.history)
     timer.write(run_dir / "timings.csv")
     best = "n/a" if result.best_val_ap is None else f"{result.best_val_ap:.4f}"
-    print(f"trained {config.task} ({'frozen' if freeze else 'full'} encoder), "
+    print(f"trained {config.task} ({'frozen' if force_freeze else 'full'} encoder), "
           f"best val AP {best} at epoch {result.best_epoch} -> {run_dir / 'model.dygw'}")
     return 0
 
@@ -229,7 +227,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-size", dest="window_size", type=int)
     parser.add_argument("--checkpoint")
     parser.add_argument("--encoder-init", dest="encoder_init", choices=("random", "checkpoint"))
-    parser.add_argument("--freeze-encoder", dest="freeze_encoder", action="store_const", const=True)
     parser.add_argument("--label-fraction", dest="label_fraction", type=float)
     parser.add_argument("--split-mode", dest="split_mode", choices=("transductive", "inductive"))
     parser.add_argument("--split-file", dest="split_file")

@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import ConfigError, read_text
 
 SEED_ENV_VAR = "DYGWIN_SEED"
+INT64_BOUND = 2 ** 63  # integer settings become numpy int64 sizes, indices and seeds
 
 
 def _default_seed() -> int:
@@ -57,7 +58,6 @@ class RunConfig:
     val_every: int = 1
 
     # protocols
-    freeze_encoder: bool = False
     encoder_init: str = "random"        # random | checkpoint
     checkpoint: str = ""
     label_fraction: float = 1.0
@@ -90,8 +90,11 @@ class RunConfig:
                     "epochs", "val_every"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.eval_horizon or min(self.eval_horizon) < 1:
-            raise ConfigError(f"eval_horizon needs one or more horizons >= 1, "
+        for key in (f.name for f in fields(self) if f.type == "int"):
+            if getattr(self, key) >= INT64_BOUND:
+                raise ConfigError(f"{key} must be < 2**63, got {getattr(self, key)}")
+        if not self.eval_horizon or not all(1 <= k < INT64_BOUND for k in self.eval_horizon):
+            raise ConfigError(f"eval_horizon needs one or more horizons in [1, 2**63), "
                               f"got {self.eval_horizon!r}")
         if self.seed < 0:  # numpy's generators take non-negative seeds only
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -117,13 +120,6 @@ def _coerce(key: str, raw: str):
     spec = _FIELD_TYPES[key]
     kind = spec.type
     try:
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind == "int":
             return int(raw)
         if kind == "float":

@@ -99,8 +99,11 @@ class CTDG(EdgeArray):
                             f"{self.num_nodes} nodes")
         if E and np.any(np.diff(self.t) < 0):
             raise DataError("edges are not sorted by timestamp")
-        if E and not np.all(np.isfinite(self.t)):
-            raise DataError("non-finite timestamp")
+        for name, column in (("timestamp", self.t), ("edge feature", self.feats),
+                             ("label", self.labels[self.label_present]),
+                             ("node feature", self.node_features)):
+            if column is not None and not np.all(np.isfinite(column)):
+                raise DataError(f"non-finite {name}")
         if E and (self.u.min() < 0 or self.v.min() < 0
                   or max(self.u.max(), self.v.max()) >= self.num_nodes):
             raise DataError("node id outside [0, num_nodes)")

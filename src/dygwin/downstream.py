@@ -352,18 +352,18 @@ def restore_params(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -
 
 
 def training_intervals(num_train_edges: int, config: TrainConfig,
-                       label_fraction: float = 1.0):
-    """Stride-K training intervals (S = K, so each edge is a target once),
-    optionally a seeded fixed subset of them."""
-    intervals = generate_intervals(num_train_edges, config.target_size, config.window)
+                       label_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-K training windows (S = K, so each edge is a target once) as
+    (starts, ends), optionally a seeded fixed subset of them."""
+    starts, ends = generate_intervals(num_train_edges, config.target_size, config.window)
     if not 0.0 < label_fraction <= 1.0:
         raise ContractError(f"label_fraction must be in (0, 1], got {label_fraction}")
-    if label_fraction < 1.0 and intervals:
-        count = max(1, int(round(label_fraction * len(intervals))))
+    if label_fraction < 1.0 and ends.size:
+        count = max(1, int(round(label_fraction * ends.size)))
         rng = np.random.default_rng((config.seed, SUBSET_STREAM))
-        chosen = np.sort(rng.choice(len(intervals), size=count, replace=False))
-        intervals = [intervals[i] for i in chosen]
-    return intervals
+        chosen = np.sort(rng.choice(ends.size, size=count, replace=False))
+        starts, ends = starts[chosen], ends[chosen]
+    return starts, ends
 
 
 def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
@@ -386,7 +386,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     train_idx, _, _ = split_edge_indices(ctdg, split)
     train_ctdg = ctdg.subset(train_idx)
     train_cache = WindowFeatureCache(train_ctdg)
-    intervals = training_intervals(len(train_ctdg), config, label_fraction)
+    starts, ends = training_intervals(len(train_ctdg), config, label_fraction)
 
     decoder = init_decoder(task, encoder.node_dim, encoder.time_dim, seed=config.seed,
                            dtype=encoder.dtype)
@@ -421,9 +421,8 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     for epoch in range(1, config.epochs + 1):
         total_loss = 0.0
         steps = 0
-        for index, interval in enumerate(intervals):
+        for index, (start, end) in enumerate(zip(starts, ends)):
             with timer.phase("sample"):
-                start, end = interval.start, interval.end
                 targets = train_ctdg.window(end, min(end + config.target_size, len(train_ctdg)))
                 scored = targets.take(targets.label_present) if task == "dnc" else targets
                 if len(scored) == 0:

@@ -28,8 +28,8 @@ class NumericFailure(RuntimeError):
 
 
 def read_text(path, error: type[ValueError]) -> str:
-    """The UTF-8 text of ``path``; bytes that do not decode raise ``error``."""
+    """The UTF-8 text of ``path`` less any BOM; bytes that do not decode raise ``error``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

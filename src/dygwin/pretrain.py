@@ -9,7 +9,7 @@ variance hinge prevents representation collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +29,24 @@ INIT_STREAM = 29
 
 
 @dataclass
-class DistortionConfig:
+class PretrainConfig:
+    window: int = 32000
+    stride: int = 200
+    epochs: int = 100
+    lr: float = 1e-4
+    max_neighbors: int = 20
+    seed: int = 0
     p_drop_edge: float = 0.3
-    p_mask_edge_feature: float = 0.3
+    p_mask_feat: float = 0.3
 
     def __post_init__(self):
-        for name in ("p_drop_edge", "p_mask_edge_feature"):
+        for name in ("p_drop_edge", "p_mask_feat"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ContractError(f"{name} must be in [0, 1], got {p}")
 
 
-def distort(edges: EdgeArray, config: DistortionConfig,
+def distort(edges: EdgeArray, config: PretrainConfig,
             rng: np.random.Generator) -> EdgeArray:
     """Produce one view of a window's edges: drop some, then mask the
     survivors' encoding inputs.
@@ -49,7 +55,7 @@ def distort(edges: EdgeArray, config: DistortionConfig,
     """
     keep = rng.random(len(edges)) >= config.p_drop_edge
     view = edges.take(keep)
-    mask = rng.random(len(view)) < config.p_mask_edge_feature
+    mask = rng.random(len(view)) < config.p_mask_feat
     return view.with_enc_mask(mask)
 
 
@@ -114,17 +120,6 @@ def init_predictor(dim: int, seed: int = 0, dtype=np.float32) -> T.MLP:
     return T.MLP(T.init_mlp_layers(rng, [dim, dim, dim], dtype=dtype), 0.0)
 
 
-@dataclass
-class PretrainConfig:
-    window: int = 32000
-    stride: int = 200
-    epochs: int = 100
-    lr: float = 1e-4
-    max_neighbors: int = 20
-    seed: int = 0
-    distortion: DistortionConfig = field(default_factory=DistortionConfig)
-
-
 def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
              config: PretrainConfig, timer=None,
              log_fn=None) -> tuple[list[dict], int]:
@@ -135,7 +130,7 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
     per-epoch history (mean loss and term values) and the skip count.
     """
     timer = timer or PhaseTimer()
-    intervals = generate_intervals(len(train_ctdg), config.stride, config.window)
+    starts, ends = generate_intervals(len(train_ctdg), config.stride, config.window)
     params = {**encoder.named(), **predictor.named("predictor")}
     encoder.set_requires_grad(True)
     optimizer = Adam(params, lr=config.lr)
@@ -144,30 +139,25 @@ def pretrain(train_ctdg: CTDG, encoder: EncoderParams, predictor: T.MLP,
     for epoch in range(config.epochs):
         sums = {"loss": 0.0, "v": 0.0, "c": 0.0, "s": 0.0}
         steps = 0
-        for index, interval in enumerate(intervals):
+        for index, (start, end) in enumerate(zip(starts, ends)):
             with timer.phase("sample"):
-                edges = train_ctdg.window(interval.start, interval.end)
-                view_a = distort(edges, config.distortion, np.random.default_rng(
-                    (config.seed, DISTORT_STREAM, epoch, index, 0)))
-                view_b = distort(edges, config.distortion, np.random.default_rng(
-                    (config.seed, DISTORT_STREAM, epoch, index, 1)))
-                common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
+                edges = train_ctdg.window(start, end)
+                views = [distort(edges, config, np.random.default_rng(
+                    (config.seed, DISTORT_STREAM, epoch, index, view))) for view in (0, 1)]
+                common = np.intersect1d(views[0].endpoints(), views[1].endpoints())
             if common.size < 2:
                 skipped += 1
                 continue
             with Tape() as tape:
                 with timer.phase("encode"):
                     # A view drops edges, so it is its own log with its own cache.
-                    h_a = encode(WindowFeatureCache(view_a), encoder, config.max_neighbors,
-                                 (config.seed, VIEW_STREAM, epoch, index, 0), common,
+                    hs = [encode(WindowFeatureCache(distorted), encoder, config.max_neighbors,
+                                 (config.seed, VIEW_STREAM, epoch, index, view), common,
                                  training=True, node_features=train_ctdg.node_features)
-                    h_b = encode(WindowFeatureCache(view_b), encoder, config.max_neighbors,
-                                 (config.seed, VIEW_STREAM, epoch, index, 1), common,
-                                 training=True, node_features=train_ctdg.node_features)
+                          for view, distorted in enumerate(views)]
                 with timer.phase("decode"):
-                    z_a = predictor.forward(h_a.gather(common))
-                    z_b = predictor.forward(h_b.gather(common))
-                    loss, terms = ssl_loss_terms(z_a, z_b)
+                    loss, terms = ssl_loss_terms(*[predictor.forward(h.gather(common))
+                                                   for h in hs])
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericFailure(f"non-finite pre-training loss at epoch {epoch}")

@@ -132,32 +132,27 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Array]:
     """
     if loss.values.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.values)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    owned: set[int] = set()  # sums made here, which no closure has seen yet
+    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.values)}
+    owned: set[Tensor] = set()  # sums made here, which no closure has seen yet
     for entry in reversed(tape.entries):
-        out_grad = grads.pop(id(entry.output), None)
+        out_grad = grads.pop(entry.output, None)
         if out_grad is None:
             continue
-        holders.pop(id(entry.output), None)
         input_grads = entry.backward(out_grad)
         for tensor, g in zip(entry.inputs, input_grads):
             if g is None or not tensor.requires_grad:
                 continue
-            key = id(tensor)
-            acc = grads.get(key)
+            acc = grads.get(tensor)
             if acc is None:
-                grads[key] = g  # may be shared with a closure or another input
-                holders[key] = tensor
-            elif key in owned and acc.shape == g.shape \
+                grads[tensor] = g  # may be shared with a closure or another input
+            elif tensor in owned and acc.shape == g.shape \
                     and acc.dtype == np.result_type(acc.dtype, g.dtype):
                 np.add(acc, g, out=acc)
             else:
-                grads[key] = acc + g
-                owned.add(key)
+                grads[tensor] = acc + g
+                owned.add(tensor)
     leaf_grads: dict[Tensor, Array] = {}
-    for key, g in grads.items():
-        tensor = holders[key]
+    for tensor, g in grads.items():
         if not tensor.requires_grad:
             continue
         tensor.grad = g if tensor.grad is None else tensor.grad + g

@@ -1,4 +1,4 @@
-"""Interval generation, the incidence index, and temporal neighbor sampling.
+"""Window generation, the incidence index, and temporal neighbor sampling.
 
 Windows are measured in edge counts: the input window holds the W most
 recent interactions before a cut index, and the target window holds the
@@ -19,33 +19,18 @@ from .errors import ContractError
 from .keyed import key_words, keyed_uniform
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Half-open [start, end) range of edge indices."""
+def generate_intervals(total_edges: int, stride: int,
+                       window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sliding input windows [max(0, j*S - W), j*S) for j in 1..floor(E/S), as
+    int64 (starts, ends) arrays.
 
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not 0 <= self.start <= self.end:
-            raise ContractError(f"invalid interval [{self.start}, {self.end})")
-
-
-def generate_intervals(total_edges: int, stride: int, window: int) -> list[Interval]:
-    """Sliding input intervals [max(0, j*S - W), j*S) for j in 0..floor(E/S).
-
-    The j = 0 interval is formally [-W, 0); no edges precede index 0, so it
+    The j = 0 window is formally [-W, 0); no edges precede index 0, so it
     clamps to the empty [0, 0) and is dropped.
     """
     if stride < 1 or window < 1:
         raise ContractError(f"stride and window must be >= 1, got S={stride}, W={window}")
-    intervals = []
-    for j in range(total_edges // stride + 1):
-        end = j * stride
-        if end == 0:
-            continue
-        intervals.append(Interval(max(0, end - window), end))
-    return intervals
+    ends = np.arange(stride, total_edges + 1, stride, dtype=np.int64)
+    return np.maximum(ends - window, 0), ends
 
 
 ONE_WINDOW = np.iinfo(np.int64).max  # the stride of a single window: row id = node id

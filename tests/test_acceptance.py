@@ -17,7 +17,7 @@ from dygwin.downstream import (POSITIVE, TrainConfig, bce_loss, evaluate_flp,
 from dygwin.encoder import encode, init_encoder
 from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
-from dygwin.pretrain import (DistortionConfig, distort, init_predictor, ssl_loss_terms,
+from dygwin.pretrain import (PretrainConfig, distort, init_predictor, ssl_loss_terms,
                              vicreg_covariance, vicreg_invariance, vicreg_variance)
 from dygwin.windows import generate_intervals
 
@@ -60,8 +60,9 @@ def test_criterion_1_full_model_gradient_check():
     decoder = init_flp_decoder(node_dim=8, time_dim=6, seed=1, dtype=np.float64)
     predictor = init_predictor(8, seed=1, dtype=np.float64)
     src, dst, times, kind = flp_candidates(targets, ctdg.num_nodes, np.random.default_rng(2))
-    view_a = distort(window, DistortionConfig(0.3, 0.3), np.random.default_rng(3))
-    view_b = distort(window, DistortionConfig(0.3, 0.3), np.random.default_rng(4))
+    distortion = PretrainConfig(p_drop_edge=0.3, p_mask_feat=0.3)
+    view_a = distort(window, distortion, np.random.default_rng(3))
+    view_b = distort(window, distortion, np.random.default_rng(4))
     common = np.intersect1d(view_a.endpoints(), view_b.endpoints())
 
     # caches are parameter-independent: build once
@@ -158,8 +159,8 @@ def test_criterion_4_window_invariants():
         total = int(rng.integers(horizon, 400))
         window = int(rng.integers(1, 3 * horizon + 1))
         covered = np.zeros(total, dtype=int)
-        for interval in generate_intervals(total, stride=horizon, window=window):
-            covered[interval.end:min(interval.end + horizon, total)] += 1
+        for end in generate_intervals(total, stride=horizon, window=window)[1]:
+            covered[end:min(end + horizon, total)] += 1
         if not (np.all(covered[horizon:] == 1) and np.all(covered[:horizon] == 0)):
             failures.append(f"trial {trial}: training coverage broken")
 

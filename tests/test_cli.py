@@ -191,8 +191,22 @@ class TestSubcommands:
         assert "lr must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["seed", "window_size", "target_size", "num_neighbors",
+                                     "num_layers", "num_heads", "node_dim", "time_dim",
+                                     "ssl_window", "ssl_stride", "epochs", "val_every",
+                                     "rank_negatives", "eval_horizon"])
+    def test_integer_past_int64_is_config_error(self, dataset, tmp_path, capsys, key):
+        out = tmp_path / "runs"
+        value = f"1,{2 ** 63}" if key == "eval_horizon" else str(2 ** 63)
+        code = main(["train", "--dataset", str(dataset), "--output-dir", str(out),
+                     "--epochs", "1", *SMALL_MODEL, "--set", f"{key}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f'error kind=config reason="{key} ' in err and "2**63" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["stride", "weight_decay", "hidden_dim",
-                                     "edge_enc_scale"])
+                                     "edge_enc_scale", "freeze_encoder"])
     def test_removed_key_is_unknown(self, dataset, tmp_path, capsys, key):
         out = tmp_path / "runs"
         code = main(["train", "--dataset", str(dataset), "--output-dir", str(out),
@@ -212,7 +226,6 @@ class TestSubcommands:
             "--window-size": ("64", "window_size = 64"),
             "--checkpoint": ("model.dygw", "checkpoint = model.dygw"),
             "--encoder-init": ("checkpoint", "encoder_init = checkpoint"),
-            "--freeze-encoder": (None, "freeze_encoder = True"),
             "--label-fraction": ("0.5", "label_fraction = 0.5"),
             "--split-mode": ("inductive", "split_mode = inductive"),
             "--split-file": ("split.txt", "split_file = split.txt"),
@@ -224,7 +237,7 @@ class TestSubcommands:
             == {*given, "--config", "--set"}
         argv = ["ingest"]
         for flag, (value, _) in given.items():
-            argv += [flag] if value is None else [flag, value]
+            argv += [flag, value]
         assert main(argv) == 0
         lines = (run_dir_of(out, "ingest") / "config.txt").read_text().splitlines()
         for flag, (_, line) in given.items():
@@ -267,6 +280,27 @@ class TestSubcommands:
                    "node_features": np.zeros((3, 4))}
         columns[column] = np.asarray(columns[column])[:rows]
         cache = tmp_path / "short.npz"
+        np.savez(cache, **columns)
+        out = tmp_path / "runs"
+        code = main(["ingest", "--dataset", str(cache), "--output-dir", str(out)])
+        assert code == 3
+        assert "error kind=data" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["t", "feats", "labels", "node_features"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cache_column_is_data_error(self, tmp_path, capsys, column, value):
+        # The second edge's label is absent, so its NaN is no error.
+        columns = {"u": [0, 1], "v": [1, 2], "t": [1.0, 2.0], "feats": np.zeros((2, 1)),
+                   "labels": [1.0, np.nan], "label_present": [True, False],
+                   "num_nodes": 3, "original_ids": [0, 1, 2],
+                   "node_features": np.zeros((3, 4))}
+        np.savez(tmp_path / "good.npz", **columns)
+        assert main(["ingest", "--dataset", str(tmp_path / "good.npz"),
+                     "--output-dir", str(tmp_path / "ok")]) == 0
+        columns[column] = np.array(columns[column], dtype=np.float64)
+        columns[column].flat[0] = value
+        cache = tmp_path / "bad.npz"
         np.savez(cache, **columns)
         out = tmp_path / "runs"
         code = main(["ingest", "--dataset", str(cache), "--output-dir", str(out)])
@@ -319,6 +353,17 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "error kind=data" in err and message in err
         assert not out.exists()
+
+    def test_byte_order_mark_csv_ingests_to_the_same_cache(self, tmp_path):
+        text = "u,v,t,label,f0\n0,1,1.0,1,0.5\n1,2,2.0,,0.25\n".encode()
+        caches = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(prefix + text)
+            out = tmp_path / name
+            assert main(["ingest", "--dataset", str(path), "--output-dir", str(out)]) == 0
+            caches.append((run_dir_of(out, "ingest") / "ctdg.npz").read_bytes())
+        assert caches[0] == caches[1]
 
     @pytest.mark.allow_nonfinite  # let the loss itself go non-finite
     def test_diverging_loss_is_numeric_failure(self, dataset, tmp_path):

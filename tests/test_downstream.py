@@ -311,12 +311,14 @@ class TestTrainingProtocols:
 
     def test_label_fraction_selects_exact_seeded_subset(self):
         config = TrainConfig(window=50, target_size=10, epochs=1, seed=5)
-        full = training_intervals(1000, config, label_fraction=1.0)
-        assert len(full) == 100
-        subset_a = training_intervals(1000, config, label_fraction=0.1)
-        subset_b = training_intervals(1000, config, label_fraction=0.1)
-        assert len(subset_a) == 10
-        assert [(i.start, i.end) for i in subset_a] == [(i.start, i.end) for i in subset_b]
+        full_starts, full_ends = training_intervals(1000, config, label_fraction=1.0)
+        assert full_ends.size == 100
+        starts_a, ends_a = training_intervals(1000, config, label_fraction=0.1)
+        starts_b, ends_b = training_intervals(1000, config, label_fraction=0.1)
+        assert ends_a.size == 10
+        assert starts_a.tolist() == starts_b.tolist() and ends_a.tolist() == ends_b.tolist()
+        # a subset keeps each window whole: its start is the full set's start for that end
+        assert starts_a.tolist() == full_starts[np.searchsorted(full_ends, ends_a)].tolist()
 
     def test_unknown_task_rejected(self, small_world):
         ctdg, split = small_world
@@ -333,7 +335,7 @@ class TestTrainingProtocols:
         passes = len(list(downstream.evaluation_passes(
             ctdg, (train_end, val_end), config.window, config.target_size,
             split.masked_filter(ctdg))))
-        steps = len(training_intervals(train_end, config))
+        steps = training_intervals(train_end, config)[1].size
         train_downstream(ctdg, split, "flp", self._encoder(), config=config)
         # validation before the first epoch and after each of the two
         assert len(calls) == 3 * passes + 2 * steps

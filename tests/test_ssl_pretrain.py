@@ -12,7 +12,7 @@ from dygwin.data import CTDG, chronological_split, split_edge_indices
 from dygwin.encoder import init_encoder
 from dygwin.errors import ContractError
 from dygwin.pretrain import (COVARIANCE_WEIGHT, INVARIANCE_WEIGHT, VARIANCE_EPS,
-                             VARIANCE_TARGET, VARIANCE_WEIGHT, DistortionConfig, PretrainConfig,
+                             VARIANCE_TARGET, VARIANCE_WEIGHT, PretrainConfig,
                              distort, init_predictor, pretrain, ssl_loss_terms,
                              vicreg_covariance, vicreg_invariance, vicreg_variance)
 
@@ -32,27 +32,36 @@ class TestDistort:
 
     def test_zero_probabilities_identity(self):
         edges = self._edges()
-        view = distort(edges, DistortionConfig(0.0, 0.0), np.random.default_rng(0))
+        view = distort(edges, PretrainConfig(p_drop_edge=0.0, p_mask_feat=0.0),
+                       np.random.default_rng(0))
         assert len(view) == len(edges)
         assert not view.enc_masked.any()
         assert np.array_equal(view.idx, edges.idx)
 
     def test_full_dropout_empty(self):
-        view = distort(self._edges(), DistortionConfig(1.0, 0.0), np.random.default_rng(0))
+        view = distort(self._edges(), PretrainConfig(p_drop_edge=1.0, p_mask_feat=0.0),
+                       np.random.default_rng(0))
         assert len(view) == 0
 
     def test_binomial_concentration(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(10_000)])
-        view = distort(ctdg.window(0, 10_000), DistortionConfig(0.3, 0.3),
+        view = distort(ctdg.window(0, 10_000), PretrainConfig(p_drop_edge=0.3, p_mask_feat=0.3),
                        np.random.default_rng(42))
         assert 7000 - 150 <= len(view) <= 7000 + 150
 
     def test_never_alters_times_or_ids(self):
         edges = self._edges()
-        view = distort(edges, DistortionConfig(0.5, 0.5), np.random.default_rng(1))
+        view = distort(edges, PretrainConfig(p_drop_edge=0.5, p_mask_feat=0.5),
+                       np.random.default_rng(1))
         kept = np.isin(edges.idx, view.idx)
         assert np.array_equal(view.t, edges.t[kept])
         assert np.array_equal(view.u, edges.u[kept])
+
+    @pytest.mark.parametrize("name", ["p_drop_edge", "p_mask_feat"])
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_probability_outside_unit_interval_rejected(self, name, p):
+        with pytest.raises(ContractError, match=name):
+            PretrainConfig(**{name: p})
 
 
 class TestVicregTerms:

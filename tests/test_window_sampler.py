@@ -1,4 +1,4 @@
-"""Interval arithmetic, window slicing, and neighbor sampling."""
+"""Window arithmetic, window slicing, and neighbor sampling."""
 
 import math
 import warnings
@@ -12,8 +12,7 @@ from dygwin.encoder import encode, init_encoder
 from dygwin.errors import ContractError
 from dygwin.features import WindowFeatureCache
 from dygwin.keyed import key_words, keyed_uniform
-from dygwin.windows import (Interval, IncidenceIndex, build_layered_neighborhood,
-                            generate_intervals)
+from dygwin.windows import IncidenceIndex, build_layered_neighborhood, generate_intervals
 
 import oracles
 from graphs import ctdg_from, edges_from
@@ -31,30 +30,34 @@ def chi2_sf(x: float, df: int) -> float:
     return q
 
 
+def window_pairs(total_edges: int, stride: int, window: int) -> list[tuple[int, int]]:
+    starts, ends = generate_intervals(total_edges, stride, window)
+    assert starts.dtype == ends.dtype == np.int64
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 class TestGenerateIntervals:
     def test_worked_example(self):
-        intervals = generate_intervals(10, stride=2, window=4)
-        assert [(i.start, i.end) for i in intervals] == \
+        assert window_pairs(10, stride=2, window=4) == \
             [(0, 2), (0, 4), (2, 6), (4, 8), (6, 10)]
 
     def test_single_full_window(self):
         for window in (4, 400):  # a window longer than the log starts at its first edge
-            intervals = generate_intervals(4, stride=4, window=window)
-            assert [(i.start, i.end) for i in intervals] == [(0, 4)]
+            assert window_pairs(4, stride=4, window=window) == [(0, 4)]
+
+    def test_no_window_in_a_log_shorter_than_the_stride(self):
+        assert window_pairs(3, stride=4, window=4) == []
 
     def test_monotone_bounds(self):
-        intervals = generate_intervals(103, stride=7, window=20)
-        starts = [i.start for i in intervals]
-        ends = [i.end for i in intervals]
-        assert starts == sorted(starts) and ends == sorted(ends)
+        starts, ends = generate_intervals(103, stride=7, window=20)
+        assert np.all(np.diff(starts) >= 0) and np.all(np.diff(ends) > 0)
 
     @pytest.mark.parametrize("total,k", [(100, 10), (57, 7), (20, 20), (9, 4)])
     def test_stride_equals_horizon_targets_cover_once(self, total, k):
         # every edge index >= K lands in exactly one target slice
         covered = np.zeros(total, dtype=int)
-        for interval in generate_intervals(total, stride=k, window=3 * k):
-            lo, hi = interval.end, min(interval.end + k, total)
-            covered[lo:hi] += 1
+        for _, end in window_pairs(total, stride=k, window=3 * k):
+            covered[end:min(end + k, total)] += 1
         assert np.all(covered[k:] == 1)
         assert np.all(covered[:k] == 0)
 
@@ -65,32 +68,31 @@ class TestGenerateIntervals:
             generate_intervals(10, stride=2, window=0)
 
 
-def window_and_targets(ctdg, interval: Interval, target_size: int):
-    """An interval's input slice and the up to ``target_size`` edges after it,
-    as ``train_downstream`` slices them."""
-    end = interval.end
-    return ctdg.window(interval.start, end), ctdg.window(end, min(end + target_size, len(ctdg)))
+def window_and_targets(ctdg, start: int, end: int, target_size: int):
+    """A window's input slice [start, end) and the up to ``target_size`` edges
+    after it, as ``train_downstream`` slices them."""
+    return ctdg.window(start, end), ctdg.window(end, min(end + target_size, len(ctdg)))
 
 
 class TestWindowSlices:
     def test_slicing(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(10)])
-        interval = generate_intervals(10, stride=2, window=4)[1]
-        inputs, targets = window_and_targets(ctdg, interval, 2)
+        start, end = window_pairs(10, stride=2, window=4)[1]
+        inputs, targets = window_and_targets(ctdg, start, end, 2)
         assert inputs.idx.tolist() == [0, 1, 2, 3]
         assert targets.idx.tolist() == [4, 5]
 
     def test_interval_at_end_gives_empty_target(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(10)])
-        interval = generate_intervals(10, stride=2, window=4)[-1]
-        inputs, targets = window_and_targets(ctdg, interval, 5)
+        start, end = window_pairs(10, stride=2, window=4)[-1]
+        inputs, targets = window_and_targets(ctdg, start, end, 5)
         assert len(targets) == 0
         assert inputs.idx.tolist() == [6, 7, 8, 9]
 
     def test_causality_input_before_target(self):
         ctdg = ctdg_from([(0, 1, float(i)) for i in range(30)])
-        for interval in generate_intervals(30, stride=5, window=12):
-            inputs, targets = window_and_targets(ctdg, interval, 5)
+        for start, end in window_pairs(30, stride=5, window=12):
+            inputs, targets = window_and_targets(ctdg, start, end, 5)
             if len(inputs) and len(targets):
                 assert inputs.t.max() <= targets.t.min()
 
