@@ -1,12 +1,14 @@
 """Print a sha256 for every artifact of a fixed, seeded CLI pipeline.
 
 The pipeline writes a fixed interaction log, then runs ingest, pretrain, train
-and probe for FLP and DNC, an inductive FLP train, and eval for both tasks
-(K=1, 40 and 200 on val and test; FLP also ranks 20 negatives per edge). It
-also writes the same log as an ``.npz`` cache with seeded node features and
-runs one FLP train on it, the only run whose first layer reads its input rows.
-It prints one ``run file sha256`` line per ``ctdg.npz``, ``model.dygw``,
-``history.csv``, ``ssl_log.csv`` and ``report.csv``, 17 in all. The package comes from
+and probe for FLP and DNC, an inductive train for each task (whose validation
+scores only the masked nodes' edges), and eval for both tasks (K=1, 40 and 200
+on val and test; FLP also ranks 20 negatives per edge), plus that FLP eval of
+the inductive FLP model on its filtered regions. It also writes the same log as
+an ``.npz`` cache with seeded node features and runs one FLP train on it, the
+only run whose first layer reads its input rows. It prints one
+``run file sha256`` line per ``ctdg.npz``, ``model.dygw``, ``history.csv``,
+``ssl_log.csv`` and ``report.csv``, 20 in all. The package comes from
 ``PYTHONPATH``, so two checkouts that should save the same bytes print the
 same lines:
 
@@ -96,15 +98,19 @@ def print_digests(precision: str = "float32") -> None:
             runs[f"train-{task}"] = run(root, f"train-{task}", ["train", *base, "--task", task])
             runs[f"probe-{task}"] = run(root, f"probe-{task}",
                                         ["probe", *base, "--task", task, *ssl])
-        runs["train-flp-inductive"] = run(root, "train-flp-inductive",
-                                          ["train", *base, "--split-mode", "inductive"])
+        for task in ("flp", "dnc"):
+            runs[f"train-{task}-inductive"] = run(root, f"train-{task}-inductive", [
+                "train", *base, "--task", task, "--split-mode", "inductive"])
         cache = root / "features.npz"
         write_feature_cache(log, cache)
         runs["train-flp-features"] = run(root, "train-flp-features",
                                          ["train", *base, "--dataset", str(cache)])
-        for task, extra in (("flp", ["--set", "rank_negatives=20"]), ("dnc", [])):
-            checkpoint = str(runs[f"train-{task}"] / "model.dygw")
-            runs[f"eval-{task}"] = run(root, f"eval-{task}", [
+        ranked = ["--set", "rank_negatives=20"]
+        for label, task, extra in (("flp", "flp", ranked), ("dnc", "dnc", []),
+                                   ("flp-inductive", "flp", ["--split-mode", "inductive",
+                                                             *ranked])):
+            checkpoint = str(runs[f"train-{label}"] / "model.dygw")
+            runs[f"eval-{label}"] = run(root, f"eval-{label}", [
                 "eval", *base, "--task", task, "--checkpoint", checkpoint, *EVAL, *extra])
         for label, run_dir in runs.items():
             for name in ARTIFACTS:

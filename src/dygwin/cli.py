@@ -75,10 +75,16 @@ def _dtype(config: RunConfig):
 
 
 def _make_encoder(config: RunConfig, ctdg: CTDG) -> EncoderParams:
-    return init_encoder(num_layers=config.num_layers, node_dim=config.node_dim,
-                        time_dim=config.time_dim, edge_dim=ctdg.edge_dim,
-                        node_feature_dim=ctdg.node_dim, heads=config.num_heads,
-                        dropout=config.dropout, seed=config.seed, dtype=_dtype(config))
+    """The run's encoder: no decoder or predictor matrix is larger than its own."""
+    try:
+        return init_encoder(num_layers=config.num_layers, node_dim=config.node_dim,
+                            time_dim=config.time_dim, edge_dim=ctdg.edge_dim,
+                            node_feature_dim=ctdg.node_dim, heads=config.num_heads,
+                            dropout=config.dropout, seed=config.seed, dtype=_dtype(config))
+    except ContractError:
+        raise
+    except (ValueError, MemoryError) as exc:  # numpy: a size it cannot allocate
+        raise ConfigError(f"node_dim / time_dim too large to allocate: {exc}") from exc
 
 
 def _train_config(config: RunConfig) -> TrainConfig:

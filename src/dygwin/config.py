@@ -100,6 +100,8 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rank_negatives < 0:
             raise ConfigError(f"rank_negatives must be >= 0, got {self.rank_negatives}")
+        if self.task == "dnc" and self.rank_negatives > 0:
+            raise ConfigError("rank_negatives ranks FLP candidates only, not dnc's")
         if not 0.0 < self.lr < float("inf"):  # also rejects NaN
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:

@@ -58,22 +58,25 @@ _DECODER_SHAPES = {"flp": (FLP_INIT_STREAM, 1, 0.0, 0.0),
                    "dnc": (DNC_INIT_STREAM, 2, 0.1, 1e-5)}
 
 
+def _check_task(task: str) -> None:
+    if task not in _DECODER_SHAPES:
+        raise ConfigError(f"unknown task {task!r}")
+
+
 def init_decoder(task: str, node_dim: int, time_dim: int, seed: int = 0,
                  dtype=np.float32) -> DecoderParams:
     """The decoder a task trains: FLP's pair scorer or DNC's source classifier,
     with hidden layers ``node_dim`` wide."""
-    if task not in _DECODER_SHAPES:
-        raise ConfigError(f"unknown task {task!r}")
+    _check_task(task)
     stream, hidden_layers, dropout, _ = _DECODER_SHAPES[task]
     widths = [node_dim + time_dim] + [node_dim] * hidden_layers + [1]
     layers = T.init_mlp_layers(np.random.default_rng((seed, stream)), widths, dtype=dtype)
     return DecoderParams(layers, dropout, init_time2vec(time_dim, dtype=dtype))
 
 
-def init_flp_decoder(node_dim: int, time_dim: int, seed: int = 0,
-                     dtype=np.float32) -> DecoderParams:
+def init_flp_decoder(*args, **kwargs) -> DecoderParams:
     """``init_decoder("flp", ...)`` under its own name."""
-    return init_decoder("flp", node_dim, time_dim, seed=seed, dtype=dtype)
+    return init_decoder("flp", *args, **kwargs)
 
 
 def _decode(decoder: DecoderParams, rows: Tensor, src: np.ndarray, ts: np.ndarray,
@@ -108,10 +111,14 @@ def flp_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
     return T.slice_rows(logits, inverse.ravel())
 
 
-def dnc_score(decoder: DecoderParams, embeddings: NodeEmbeddings,
-              src: np.ndarray, ts: np.ndarray, cache: WindowFeatureCache,
-              training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Batched label logits for source nodes at times ``ts``."""
+def score(task: str, decoder: DecoderParams, embeddings: NodeEmbeddings,
+          src: np.ndarray, dst: np.ndarray, ts: np.ndarray, cache: WindowFeatureCache,
+          training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    """Batched logits of candidate rows: FLP's from the (src, dst) pair, DNC's from
+    the source alone, with dropout drawn from ``rng`` while ``training``."""
+    _check_task(task)
+    if task == "flp":
+        return flp_score(decoder, embeddings, src, dst, ts, cache)
     return _decode(decoder, embeddings.gather(src), src, ts, cache, training, rng)
 
 
@@ -137,15 +144,21 @@ def sample_negatives(target_edges: EdgeArray, rng: np.random.Generator, num_node
     return draw.reshape(len(target_edges), per_positive)
 
 
-POSITIVE, NEGATIVE, RANK = 0, 1, 2  # the kinds of FLP candidate
+POSITIVE, NEGATIVE, RANK = 0, 1, 2  # the kinds of candidate
 
 
-def flp_candidates(targets: EdgeArray, num_nodes: int, neg_rng: np.random.Generator,
-                   rank_rng: np.random.Generator | None = None, rank_negatives: int = 0,
-                   offset: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """FLP candidates of ``targets`` as (src, dst, t, kind) columns: the positives,
-    one ``neg_rng`` negative each, then ``rank_negatives`` ``rank_rng`` negatives
-    each, positive by positive. Row ids are node ids plus ``offset``."""
+def candidates(task: str, targets: EdgeArray, num_nodes: int, neg_rng: np.random.Generator,
+               rank_rng: np.random.Generator | None = None, rank_negatives: int = 0,
+               offset: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The task's candidates of ``targets`` as (src, dst, t, kind) columns, row ids
+    node ids plus ``offset``. FLP's are the positives, one ``neg_rng`` negative each,
+    then ``rank_negatives`` ``rank_rng`` negatives each, positive by positive; DNC's
+    are the labeled targets with ``dst = src``, POSITIVE where the label is > 0.5."""
+    _check_task(task)
+    if task == "dnc":
+        labeled = targets.take(targets.label_present)
+        kind = np.where(labeled.labels > 0.5, POSITIVE, NEGATIVE)
+        return labeled.u + offset, labeled.u + offset, labeled.t, kind
     dst = [targets.v, sample_negatives(targets, neg_rng, num_nodes).ravel()]
     if rank_negatives > 0:
         dst.append(sample_negatives(targets, rank_rng, num_nodes, rank_negatives).ravel())
@@ -217,18 +230,19 @@ def evaluation_passes(ctdg: CTDG, region: tuple[int, int], window: int, horizon:
         yield one_pass()
 
 
-def flp_scores(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
-               decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
-               seed: int, target_filter=None, rank_negatives: int = 0
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Logits of every region edge, in log order: (positives, their 1:1
-    negatives, (positives, rank_negatives) rank negatives). Draws are keyed
-    by cut; a pass's candidates are one table, decoded in one call."""
+def region_scores(task: str, ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
+                  decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
+                  seed: int, target_filter=None, rank_negatives: int = 0
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and kinds of the task's candidates over every region edge, cut by
+    cut in log order. Draws are keyed by cut; a pass's candidates are one
+    table, decoded in one call."""
+    _check_task(task)
     scores, kinds = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for cache, cuts, targets in evaluation_passes(ctdg, region, window, horizon,
-                                                  target_filter):
-        tables = [flp_candidates(
-            cut_targets, ctdg.num_nodes, np.random.default_rng((seed, EVAL_NEG_STREAM, cut)),
+                                                  target_filter, labeled=task == "dnc"):
+        tables = [candidates(
+            task, cut_targets, ctdg.num_nodes, np.random.default_rng((seed, EVAL_NEG_STREAM, cut)),
             np.random.default_rng((seed, RANK_NEG_STREAM, cut)) if rank_negatives else None,
             rank_negatives, offset=slot * ctdg.num_nodes)
             for slot, (cut, cut_targets) in enumerate(zip(cuts, targets))]
@@ -236,82 +250,43 @@ def flp_scores(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
         embeddings = encode(cache, encoder, max_neighbors,
                             [(seed, EVAL_ENC_STREAM, cut) for cut in cuts],
                             np.concatenate([src, dst]), node_features=ctdg.node_features)
-        scores.append(flp_score(decoder, embeddings, src, dst, t, cache).values.ravel())
+        scores.append(score(task, decoder, embeddings, src, dst, t, cache).values.ravel())
         kinds.append(kind)
-    scores, kinds = np.concatenate(scores), np.concatenate(kinds)
-    pos = scores[kinds == POSITIVE]
-    return pos, scores[kinds == NEGATIVE], scores[kinds == RANK].reshape(pos.size, rank_negatives)
-
-
-def evaluate_flp(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
-                 decoder: DecoderParams, window: int, horizon: int,
-                 max_neighbors: int, seed: int, target_filter=None,
-                 rank_negatives: int = 0) -> dict:
-    """Score every region edge exactly once against sampled negatives.
-
-    Returns AP over 1:1 negatives, plus MRR / recall@10 over
-    ``rank_negatives``-sized candidate groups when requested.
-    """
-    pos, neg, rank = flp_scores(ctdg, region, encoder, decoder, window, horizon,
-                                max_neighbors, seed, target_filter, rank_negatives)
-    # Negatives first: AP keeps input order on ties, so a tied positive ranks
-    # below every negative and a constant scorer cannot look informative.
-    scores = np.concatenate([neg, pos])
-    labels = np.repeat([0, 1], [neg.size, pos.size])
-    result = {"num_positives": pos.size,
-              "ap": average_precision(scores, labels) if scores.size else None}
-    if rank_negatives > 0:
-        # One group per positive, a row: its own score, then its rank negatives.
-        candidates = np.hstack([pos[:, None], rank])
-        groups, column = np.indices(candidates.shape)
-        ranked = (candidates, column == 0, groups)
-        result["mrr"] = mrr(*ranked) if pos.size else None
-        result["recall_at_10"] = recall_at_k(*ranked, 10) if pos.size else None
-    return result
-
-
-def dnc_scores(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
-               decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
-               seed: int, target_filter=None) -> tuple[np.ndarray, np.ndarray]:
-    """Source logits and 0/1 labels of the region's labeled edges, in log order."""
-    scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for cache, cuts, targets in evaluation_passes(ctdg, region, window, horizon,
-                                                  target_filter, labeled=True):
-        src = np.concatenate([part.u + slot * ctdg.num_nodes
-                              for slot, part in enumerate(targets)])
-        ts, y = (np.concatenate([getattr(part, c) for part in targets]) for c in ("t", "labels"))
-        embeddings = encode(cache, encoder, max_neighbors,
-                            [(seed, EVAL_ENC_STREAM, cut) for cut in cuts], src,
-                            node_features=ctdg.node_features)
-        scores.append(dnc_score(decoder, embeddings, src, ts, cache).values.ravel())
-        labels.append((y > 0.5).astype(np.int64))
-    return np.concatenate(scores), np.concatenate(labels)
-
-
-def evaluate_dnc(ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
-                 decoder: DecoderParams, window: int, horizon: int,
-                 max_neighbors: int, seed: int, target_filter=None) -> dict:
-    """AUC (and AP) of source-node labels over the region's labeled edges."""
-    scores, labels = dnc_scores(ctdg, region, encoder, decoder, window, horizon,
-                                max_neighbors, seed, target_filter)
-    order = np.argsort(labels, kind="stable")  # negatives first, as in evaluate_flp
-    scores, labels = scores[order], labels[order]
-    return {"num_records": labels.size,
-            "auc": auc(scores, labels) if labels.size else None,
-            "ap": average_precision(scores, labels) if labels.size else None}
+    return np.concatenate(scores), np.concatenate(kinds)
 
 
 def evaluate(task: str, ctdg: CTDG, region: tuple[int, int], encoder: EncoderParams,
              decoder: DecoderParams, window: int, horizon: int, max_neighbors: int,
              seed: int, target_filter=None, rank_negatives: int = 0) -> dict:
-    """The task's evaluation pass over ``region``; ``rank_negatives`` is FLP's only."""
-    if task == "flp":
-        return evaluate_flp(ctdg, region, encoder, decoder, window, horizon, max_neighbors,
-                            seed, target_filter, rank_negatives)
+    """Score every region edge exactly once: AP of the positives against FLP's 1:1
+    negatives or DNC's negative labels (DNC adds AUC), plus FLP's MRR / recall@10
+    over ``rank_negatives``-sized candidate groups when requested."""
+    if task == "dnc" and rank_negatives > 0:
+        raise ContractError(f"rank_negatives is FLP's only, got {rank_negatives} for dnc")
+    scores, kinds = region_scores(task, ctdg, region, encoder, decoder, window, horizon,
+                                  max_neighbors, seed, target_filter, rank_negatives)
+    pos, neg = scores[kinds == POSITIVE], scores[kinds == NEGATIVE]
+    # Negatives first: AP keeps input order on ties, so a tied positive ranks
+    # below every negative and a constant scorer cannot look informative.
+    ordered = np.concatenate([neg, pos])
+    labels = np.repeat([0, 1], [neg.size, pos.size])
+    result = {"num_positives": pos.size}
     if task == "dnc":
-        return evaluate_dnc(ctdg, region, encoder, decoder, window, horizon, max_neighbors,
-                            seed, target_filter)
-    raise ConfigError(f"unknown task {task!r}")
+        result["auc"] = auc(ordered, labels) if ordered.size else None
+    result["ap"] = average_precision(ordered, labels) if ordered.size else None
+    if rank_negatives > 0:
+        # One group per positive, a row: its own score, then its rank negatives.
+        table = np.hstack([pos[:, None], scores[kinds == RANK].reshape(pos.size, rank_negatives)])
+        groups, column = np.indices(table.shape)
+        ranked = (table, column == 0, groups)
+        result["mrr"] = mrr(*ranked) if pos.size else None
+        result["recall_at_10"] = recall_at_k(*ranked, 10) if pos.size else None
+    return result
+
+
+def evaluate_flp(*args, **kwargs) -> dict:
+    """``evaluate("flp", ...)`` under its own name."""
+    return evaluate("flp", *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +328,10 @@ def restore_params(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -
 
 def training_intervals(num_train_edges: int, config: TrainConfig,
                        label_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-K training windows (S = K, so each edge is a target once) as
-    (starts, ends), optionally a seeded fixed subset of them."""
-    starts, ends = generate_intervals(num_train_edges, config.target_size, config.window)
+    """Stride-K training windows (S = K, so each edge is a target once) that end
+    before the last edge, so each has a target, as (starts, ends), optionally a
+    seeded fixed subset of them."""
+    starts, ends = generate_intervals(num_train_edges - 1, config.target_size, config.window)
     if not 0.0 < label_fraction <= 1.0:
         raise ContractError(f"label_fraction must be in (0, 1], got {label_fraction}")
     if label_fraction < 1.0 and ends.size:
@@ -378,8 +354,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
     only the decoder; ``label_fraction`` < 1 trains on a seeded subset of
     the training intervals (semi-supervised probing).
     """
-    if task not in ("flp", "dnc"):
-        raise ConfigError(f"unknown task {task!r}")
+    _check_task(task)
     config = config or TrainConfig()
     timer = timer or PhaseTimer()
 
@@ -424,12 +399,10 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
         for index, (start, end) in enumerate(zip(starts, ends)):
             with timer.phase("sample"):
                 targets = train_ctdg.window(end, min(end + config.target_size, len(train_ctdg)))
-                scored = targets.take(targets.label_present) if task == "dnc" else targets
-                if len(scored) == 0:
+                neg_rng = np.random.default_rng((config.seed, NEG_STREAM, epoch, index))
+                src, dst, t, kind = candidates(task, targets, ctdg.num_nodes, neg_rng)
+                if src.size == 0:
                     continue
-                if task == "flp":
-                    neg_rng = np.random.default_rng((config.seed, NEG_STREAM, epoch, index))
-                    src, dst, t, kind = flp_candidates(targets, ctdg.num_nodes, neg_rng)
                 # The window [start, end) of the one training cache: row id = node id.
                 cache = train_cache.windows([start], [end], ONE_WINDOW)
 
@@ -440,7 +413,7 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                     else:
                         # A frozen encoder's cached rows serve later epochs' negatives.
                         nodes = np.arange(ctdg.num_nodes) if freeze_encoder else \
-                            np.concatenate([src, dst]) if task == "flp" else scored.u
+                            np.concatenate([src, dst])
                         enc_epoch = 0 if freeze_encoder else epoch
                         embeddings = encode(cache, encoder, config.max_neighbors,
                                             (config.seed, ENC_STREAM, enc_epoch, index),
@@ -449,16 +422,10 @@ def train_downstream(ctdg: CTDG, split: SplitSpec, task: str,
                         if freeze_encoder:
                             frozen_embeddings[index] = embeddings
                 with timer.phase("decode"):
-                    if task == "flp":
-                        loss = bce_loss(flp_score(decoder, embeddings, src, dst, t, cache),
-                                        kind == POSITIVE)
-                    else:
-                        drop_rng = np.random.default_rng((config.seed, DNC_INIT_STREAM,
-                                                          epoch, index))
-                        logits = dnc_score(decoder, embeddings, scored.u, scored.t,
-                                           cache, training=True, rng=drop_rng)
-                        loss = bce_loss(logits, (scored.labels > 0.5).astype(np.float64)
-                                        .reshape(-1, 1))
+                    # FLP's decoder has no dropout, so only DNC draws from this rng.
+                    drop_rng = np.random.default_rng((config.seed, DNC_INIT_STREAM, epoch, index))
+                    loss = bce_loss(score(task, decoder, embeddings, src, dst, t, cache,
+                                          training=True, rng=drop_rng), kind == POSITIVE)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericFailure(f"non-finite training loss at epoch {epoch}")

@@ -22,10 +22,10 @@ before ``encoder.edge_table`` shared one table among them, and
 ``per_layer_edge_table`` puts it in that function's place, so a test can
 compare ``encode``'s rows and gradients with the per-layer path.
 ``checkpoint_digest`` lets a test compare parameter maps by content.
-``flp_scores_per_cut`` and ``dnc_scores_per_cut`` score an evaluation region
-one cut at a time, each cut with a cache built from its own input slice (and,
-for FLP, its own candidate table in its own decoder call), for comparison
-with the batched passes of ``dygwin.downstream``.
+``region_scores_per_cut`` scores an evaluation region one cut at a time, each
+cut with a cache built from its own input slice and its own candidate table in
+its own decoder call, for comparison with the batched passes of
+``dygwin.downstream``.
 """
 
 import hashlib
@@ -34,8 +34,8 @@ import numpy as np
 
 import dygwin.tensor as T
 from dygwin.data import CTDG, EdgeArray
-from dygwin.downstream import (EVAL_ENC_STREAM, EVAL_NEG_STREAM, NEGATIVE, POSITIVE, RANK,
-                               RANK_NEG_STREAM, dnc_score, flp_candidates, flp_score)
+from dygwin.downstream import (EVAL_ENC_STREAM, EVAL_NEG_STREAM, RANK_NEG_STREAM, candidates,
+                               score)
 from dygwin.encoder import EncoderParams, LayerParams, encode
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import WindowFeatureCache, time2vec
@@ -451,40 +451,22 @@ def evaluation_windows(ctdg: CTDG, region_start: int, region_end: int, window: i
             yield cut, ctdg.window(max(0, cut - window), cut), targets
 
 
-def flp_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neighbors, seed,
-                       target_filter=None, rank_negatives=0):
-    """``downstream.flp_scores`` one cut at a time: each cut's candidate table
+def region_scores_per_cut(task, ctdg, region, encoder, decoder, window, horizon, max_neighbors,
+                          seed, target_filter=None, rank_negatives=0):
+    """``downstream.region_scores`` one cut at a time: each cut's candidate table
     decoded in its own call."""
     scores, kinds = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for cut, input_edges, targets in evaluation_windows(ctdg, region[0], region[1], window,
                                                         horizon, target_filter):
-        cache = WindowFeatureCache(input_edges)  # a fresh cache per cut: the reference
         rank_rng = np.random.default_rng((seed, RANK_NEG_STREAM, cut))
-        src, dst, t, kind = flp_candidates(targets, ctdg.num_nodes,
-                                           np.random.default_rng((seed, EVAL_NEG_STREAM, cut)),
-                                           rank_rng, rank_negatives)
+        src, dst, t, kind = candidates(task, targets, ctdg.num_nodes,
+                                       np.random.default_rng((seed, EVAL_NEG_STREAM, cut)),
+                                       rank_rng, rank_negatives)
+        if src.size == 0:
+            continue
+        cache = WindowFeatureCache(input_edges)  # a fresh cache per cut: the reference
         embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
                             np.concatenate([src, dst]), node_features=ctdg.node_features)
-        scores.append(flp_score(decoder, embeddings, src, dst, t, cache).values.ravel())
+        scores.append(score(task, decoder, embeddings, src, dst, t, cache).values.ravel())
         kinds.append(kind)
-    scores, kinds = np.concatenate(scores), np.concatenate(kinds)
-    pos = scores[kinds == POSITIVE]
-    return pos, scores[kinds == NEGATIVE], scores[kinds == RANK].reshape(pos.size, rank_negatives)
-
-
-def dnc_scores_per_cut(ctdg, region, encoder, decoder, window, horizon, max_neighbors, seed,
-                       target_filter=None):
-    """``downstream.dnc_scores`` one cut at a time."""
-    scores, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for cut, input_edges, targets in evaluation_windows(ctdg, region[0], region[1], window,
-                                                        horizon, target_filter):
-        labeled = targets.take(targets.label_present)
-        if len(labeled) == 0:
-            continue
-        cache = WindowFeatureCache(input_edges)
-        embeddings = encode(cache, encoder, max_neighbors, (seed, EVAL_ENC_STREAM, cut),
-                            labeled.u, node_features=ctdg.node_features)
-        scores.append(dnc_score(decoder, embeddings, labeled.u, labeled.t, cache,
-                                training=False).values.ravel())
-        labels.append((labeled.labels > 0.5).astype(np.int64))
-    return np.concatenate(scores), np.concatenate(labels)
+    return np.concatenate(scores), np.concatenate(kinds)

@@ -11,9 +11,8 @@ import pytest
 
 import dygwin.tensor as T
 from dygwin.cli import main as cli_main
-from dygwin.downstream import (POSITIVE, TrainConfig, bce_loss, evaluate_flp,
-                               evaluation_passes, flp_candidates, flp_score, init_flp_decoder,
-                               train_downstream)
+from dygwin.downstream import (POSITIVE, TrainConfig, bce_loss, candidates, evaluate_flp,
+                               evaluation_passes, flp_score, init_flp_decoder, train_downstream)
 from dygwin.encoder import encode, init_encoder
 from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
@@ -59,7 +58,8 @@ def test_criterion_1_full_model_gradient_check():
                            heads=2, dropout=0.0, seed=1, dtype=np.float64)
     decoder = init_flp_decoder(node_dim=8, time_dim=6, seed=1, dtype=np.float64)
     predictor = init_predictor(8, seed=1, dtype=np.float64)
-    src, dst, times, kind = flp_candidates(targets, ctdg.num_nodes, np.random.default_rng(2))
+    src, dst, times, kind = candidates("flp", targets, ctdg.num_nodes,
+                                       np.random.default_rng(2))
     distortion = PretrainConfig(p_drop_edge=0.3, p_mask_feat=0.3)
     view_a = distort(window, distortion, np.random.default_rng(3))
     view_b = distort(window, distortion, np.random.default_rng(4))

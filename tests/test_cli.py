@@ -205,6 +205,38 @@ class TestSubcommands:
         assert f'error kind=config reason="{key} ' in err and "2**63" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["train", "pretrain", "eval"])
+    @pytest.mark.parametrize("key", ["node_dim", "time_dim"])
+    def test_dimension_too_large_to_allocate_is_config_error(self, dataset, tmp_path, capsys,
+                                                             key, subcommand):
+        # numpy rejects an array of 2**62 rows before it allocates anything
+        out = tmp_path / "runs"
+        code = main([subcommand, "--dataset", str(dataset), "--output-dir", str(out),
+                     "--epochs", "1", "--checkpoint", str(tmp_path / "absent.dygw"),
+                     *SMALL_MODEL, "--set", f"{key}={2 ** 62}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "too large to allocate" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_encoder_contract_error_keeps_its_message(self, dataset, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = main(["train", "--dataset", str(dataset), "--output-dir", str(out),
+                     "--epochs", "1", *SMALL_MODEL, "--set", "num_heads=3"])  # 16 % 3 != 0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must divide node_dim" in err and "too large" not in err
+        assert not out.exists()
+
+    def test_dnc_rank_negatives_is_config_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = main(["eval", "--task", "dnc", "--dataset", str(dataset), "--output-dir",
+                     str(out), "--checkpoint", str(tmp_path / "absent.dygw"),
+                     "--set", "rank_negatives=5", *SMALL_MODEL])
+        assert code == 2
+        assert "rank_negatives ranks FLP candidates only" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["stride", "weight_decay", "hidden_dim",
                                      "edge_enc_scale", "freeze_encoder"])
     def test_removed_key_is_unknown(self, dataset, tmp_path, capsys, key):
@@ -590,7 +622,7 @@ def test_artifact_digests_script_is_well_formed_and_repeatable():
                               env=env, capture_output=True, text=True, check=True).stdout
                for _ in range(2)]
     lines = outputs[0].splitlines()
-    assert len(lines) == 17  # 15 featureless, then one train with node features
+    assert len(lines) == 20  # 18 featureless, then one train with node features
     for line in lines:
         assert re.fullmatch(r"\S+ (ctdg\.npz|model\.dygw|history\.csv|ssl_log\.csv"
                             r"|report\.csv) [0-9a-f]{64}", line), line

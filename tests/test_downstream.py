@@ -9,10 +9,10 @@ import dygwin.downstream as downstream
 import dygwin.encoder as encoder_module
 import dygwin.tensor as T
 from dygwin.checkpoint import load_checkpoint, save_model
-from dygwin.data import CTDG, chronological_split, inductive_split
-from dygwin.downstream import (NEGATIVE, POSITIVE, RANK, TrainConfig, bce_loss, dnc_score,
-                               evaluate_dnc, evaluate_flp, flp_candidates, flp_score,
-                               init_decoder, init_flp_decoder, sample_negatives,
+from dygwin.data import CTDG, SplitSpec, chronological_split, inductive_split
+from dygwin.downstream import (NEGATIVE, POSITIVE, RANK, TrainConfig, bce_loss, candidates,
+                               evaluate, evaluate_flp, flp_score, init_decoder,
+                               init_flp_decoder, region_scores, sample_negatives, score,
                                train_downstream, training_intervals)
 from dygwin.encoder import NodeEmbeddings, init_encoder
 from dygwin.errors import ConfigError, ContractError
@@ -68,8 +68,8 @@ class TestFlpCandidates:
     @pytest.mark.parametrize("rank_negatives", [0, 1, 5])
     def test_draws_are_sample_negatives_draws(self, rank_negatives):
         targets = self.TARGETS
-        src, dst, t, kind = flp_candidates(targets, 9, np.random.default_rng(4),
-                                           np.random.default_rng(5), rank_negatives, offset=18)
+        src, dst, t, kind = candidates("flp", targets, 9, np.random.default_rng(4),
+                                       np.random.default_rng(5), rank_negatives, offset=18)
         negatives = sample_negatives(targets, np.random.default_rng(4), 9)
         rank = sample_negatives(targets, np.random.default_rng(5), 9, rank_negatives)
         assert kind.tolist() == [POSITIVE] * 12 + [NEGATIVE] * 12 + [RANK] * 12 * rank_negatives
@@ -83,11 +83,20 @@ class TestFlpCandidates:
         assert t.tolist() == targets.t[owner].tolist()
 
     def test_rank_draws_leave_the_one_to_one_draws_alone(self):
-        plain = flp_candidates(self.TARGETS, 9, np.random.default_rng(4))
-        ranked = flp_candidates(self.TARGETS, 9, np.random.default_rng(4),
-                                np.random.default_rng(5), 3)
+        plain = candidates("flp", self.TARGETS, 9, np.random.default_rng(4))
+        ranked = candidates("flp", self.TARGETS, 9, np.random.default_rng(4),
+                            np.random.default_rng(5), 3)
         for column, longer in zip(plain, ranked):
             assert column.tolist() == longer[:24].tolist()
+
+
+def test_dnc_candidates_are_the_labeled_targets():
+    targets = edges_from([(3, 1, 1.0), (4, 2, 2.0), (5, 0, 3.0), (6, 1, 4.0)],
+                         labels=[1.0, 0.0, np.nan, 0.2])  # edge 2 unlabeled
+    src, dst, t, kind = candidates("dnc", targets, 7, np.random.default_rng(0), offset=7)
+    assert src.tolist() == dst.tolist() == [10, 11, 13]
+    assert t.tolist() == [1.0, 2.0, 4.0]
+    assert kind.tolist() == [POSITIVE, NEGATIVE, NEGATIVE]
 
 
 class TestBceLoss:
@@ -167,8 +176,8 @@ class TestDncDecoder:
         emb = embeddings_of(np.random.default_rng(2).normal(size=(3, 4)))
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
-        a = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, training=False)
-        b = dnc_score(decoder, emb, np.array([0]), np.array([2.0]), cache, training=False)
+        a = score("dnc", decoder, emb, np.array([0]), np.array([0]), np.array([2.0]), cache)
+        b = score("dnc", decoder, emb, np.array([0]), np.array([0]), np.array([2.0]), cache)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_zero_weights_constant_logit(self):
@@ -179,8 +188,8 @@ class TestDncDecoder:
         emb = embeddings_of(np.random.default_rng(3).normal(size=(4, 4)))
         edges = edges_from([(0, 1, 1.0)])
         cache = WindowFeatureCache(edges)
-        logits = dnc_score(decoder, emb, np.array([0, 1, 2]), np.array([2.0, 3.0, 4.0]),
-                           cache)
+        src = np.array([0, 1, 2])
+        logits = score("dnc", decoder, emb, src, src, np.array([2.0, 3.0, 4.0]), cache)
         assert np.allclose(logits.values, -0.5)
 
     def test_gradient_through_three_layers(self):
@@ -191,8 +200,8 @@ class TestDncDecoder:
         labels = np.array([[1.0], [0.0], [1.0]])
 
         def forward():
-            logits = dnc_score(decoder, emb, np.array([0, 2, 4]),
-                               np.array([3.0, 4.0, 5.0]), cache, training=False)
+            src = np.array([0, 2, 4])
+            logits = score("dnc", decoder, emb, src, src, np.array([3.0, 4.0, 5.0]), cache)
             return bce_loss(logits, labels)
 
         report = finite_difference_check(forward, decoder.named(), h=1e-6)
@@ -221,8 +230,7 @@ class TestRecencyGap:
         # The region starts at edge 0, so its first cut has no input edges.
         encoder = init_encoder(num_layers=1, node_dim=4, time_dim=3, heads=1, seed=0)
         decoder = init_decoder(task, 4, 3, seed=0)
-        name = f"{task}_score"
-        original = getattr(downstream, name)
+        original = downstream.score
         scored = []
 
         def recording(*args, **kwargs):
@@ -230,7 +238,7 @@ class TestRecencyGap:
             scored.append(out.values.ravel().copy())
             return out
 
-        monkeypatch.setattr(downstream, name, recording)
+        monkeypatch.setattr(downstream, "score", recording)
         later = []
         for first_time in (1.0, 4.0):
             scored.clear()
@@ -276,6 +284,30 @@ def test_decoder_checkpoint_names_order_and_shapes(task, tail, tmp_path):
     assert saved == tail
 
 
+def test_unknown_task_is_config_error_at_every_entry():
+    ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0)])
+    encoder = init_encoder(num_layers=1, node_dim=4, time_dim=3, heads=1, seed=0)
+    decoder = init_decoder("flp", 4, 3)
+    emb = embeddings_of(np.ones((3, 4)))
+    calls = [lambda: init_decoder("regression", 4, 3),
+             lambda: candidates("regression", ctdg.window(0, 2), 3, np.random.default_rng(0)),
+             lambda: score("regression", decoder, emb, np.array([0]), np.array([1]),
+                           np.array([3.0]), WindowFeatureCache(ctdg)),
+             lambda: region_scores("regression", ctdg, (2, 2), encoder, decoder, 2, 1, 2, 0),
+             lambda: evaluate("regression", ctdg, (2, 2), encoder, decoder, 2, 1, 2, 0)]
+    for call in calls:
+        with pytest.raises(ConfigError):
+            call()
+
+
+def test_dnc_rank_negatives_is_contract_error():
+    ctdg = ctdg_from([(0, 1, 1.0), (1, 2, 2.0)], labels=[1.0, 0.0])
+    encoder = init_encoder(num_layers=1, node_dim=4, time_dim=3, heads=1, seed=0)
+    with pytest.raises(ContractError, match="rank_negatives"):
+        evaluate("dnc", ctdg, (1, 2), encoder, init_decoder("dnc", 4, 3), 1, 1, 2, 0,
+                 rank_negatives=5)
+
+
 @pytest.mark.parametrize("field, value", [("val_every", 0), ("val_every", -1)])
 def test_train_config_rejects_out_of_range(field, value):
     # Library callers reach train_downstream without the CLI's config checks.
@@ -312,13 +344,25 @@ class TestTrainingProtocols:
     def test_label_fraction_selects_exact_seeded_subset(self):
         config = TrainConfig(window=50, target_size=10, epochs=1, seed=5)
         full_starts, full_ends = training_intervals(1000, config, label_fraction=1.0)
-        assert full_ends.size == 100
+        assert full_ends.size == 99  # the window ending at edge 1000 would have no target
         starts_a, ends_a = training_intervals(1000, config, label_fraction=0.1)
         starts_b, ends_b = training_intervals(1000, config, label_fraction=0.1)
         assert ends_a.size == 10
         assert starts_a.tolist() == starts_b.tolist() and ends_a.tolist() == ends_b.tolist()
         # a subset keeps each window whole: its start is the full set's start for that end
         assert starts_a.tolist() == full_starts[np.searchsorted(full_ends, ends_a)].tolist()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_label_fraction_subset_keeps_a_window_with_targets(self, seed):
+        # K divides the 400-edge log: a window ending at edge 400 has no target.
+        config = TrainConfig(window=4096, target_size=200, seed=seed)
+        assert training_intervals(400, config, label_fraction=0.5)[1].tolist() == [200]
+        ctdg = make_synthetic_ctdg(num_nodes=30, num_edges=400, history=60, seed=seed)
+        split = SplitSpec(mode="transductive", boundaries=(400, 400))
+        result = train_downstream(ctdg, split, "flp", self._encoder(), label_fraction=0.5,
+                                  config=self._config(window=4096, target_size=200, epochs=1,
+                                                      seed=seed))
+        assert np.isfinite(result.history[1]["train_loss"])
 
     def test_unknown_task_rejected(self, small_world):
         ctdg, split = small_world
@@ -369,10 +413,10 @@ class TestTrainingProtocols:
         region = (val_end, len(ctdg))
         encoder = self._encoder()
         untrained = init_decoder("dnc", 16, 8, seed=0)
-        before = evaluate_dnc(ctdg, region, encoder, untrained, 200, 60, 10, seed=0)
+        before = evaluate("dnc", ctdg, region, encoder, untrained, 200, 60, 10, seed=0)
         result = train_downstream(ctdg, split, "dnc", encoder, freeze_encoder=True,
                                   config=self._config(epochs=6))
-        after = evaluate_dnc(ctdg, region, encoder, result.decoder, 200, 60, 10, seed=0)
+        after = evaluate("dnc", ctdg, region, encoder, result.decoder, 200, 60, 10, seed=0)
         assert before["auc"] is not None and after["auc"] is not None
         assert 0.0 <= after["auc"] <= 1.0
         assert after["auc"] >= before["auc"]
@@ -383,7 +427,7 @@ class TestTrainingProtocols:
         encoder = self._encoder()
         decoder = init_decoder("dnc", 16, 8, seed=0)
         with pytest.warns(UserWarning):
-            report = evaluate_dnc(ctdg, (20, 40), encoder, decoder, 20, 10, 5, seed=0)
+            report = evaluate("dnc", ctdg, (20, 40), encoder, decoder, 20, 10, 5, seed=0)
         assert report["auc"] is None
 
     def test_each_region_edge_scored_once(self, small_world):
@@ -423,8 +467,8 @@ class TestTrainingProtocols:
         decoder = init_decoder("dnc", 16, 8, seed=0)
         for p in decoder.layers[-1]:
             p.values[:] = 0.0
-        report = evaluate_dnc(ctdg, (val_end, len(ctdg)), self._encoder(), decoder,
-                              200, 60, 10, seed=0)
+        report = evaluate("dnc", ctdg, (val_end, len(ctdg)), self._encoder(), decoder,
+                          200, 60, 10, seed=0)
         present = ctdg.label_present[val_end:]
         positive_rate = np.mean(ctdg.labels[val_end:][present] > 0.5)
         assert 0.0 < positive_rate < 1.0
@@ -508,7 +552,7 @@ class TestEvaluationPasses:
 
         monkeypatch.setattr(encoder_module, "build_layered_neighborhood", recording)
         args = self._args(world, "flp", np.float64, horizon)
-        downstream.flp_scores(*args, target_filter=world[1], rank_negatives=3)
+        downstream.region_scores("flp", *args, target_filter=world[1], rank_negatives=3)
         # one window's layers per cut, anchors as node ids and positions in its slice
         batched = [[{anchor - slot * index.stride: sample - index.lo[slot]
                      for anchor, sample in oracles.sample_dict(samples).items()
@@ -516,7 +560,7 @@ class TestEvaluationPasses:
                     for samples in hood.layers]
                    for index, hood in calls for slot in range(len(index.lo))]
         passes, calls[:] = len(calls), []
-        oracles.flp_scores_per_cut(*args, target_filter=world[1], rank_negatives=3)
+        oracles.region_scores_per_cut("flp", *args, target_filter=world[1], rank_negatives=3)
         per_cut = [[oracles.sample_dict(samples) for samples in hood.layers] for _, hood in calls]
         assert len(batched) == len(per_cut) > passes  # passes of several cuts
         for got, expected in zip(batched, per_cut):
@@ -527,25 +571,17 @@ class TestEvaluationPasses:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("horizon", [1, 7])
-    def test_flp_scores_match_per_cut(self, world, dtype, horizon):
-        args = self._args(world, "flp", dtype, horizon)
+    @pytest.mark.parametrize("task", ["flp", "dnc"])
+    def test_region_scores_match_per_cut(self, world, task, horizon, dtype):
+        args = self._args(world, task, dtype, horizon)
+        rank_negatives = 5 if task == "flp" else 0
         for target_filter in (None, world[1]):
-            got = downstream.flp_scores(*args, target_filter=target_filter, rank_negatives=5)
-            expected = oracles.flp_scores_per_cut(*args, target_filter=target_filter,
-                                                  rank_negatives=5)
-            assert got[0].size > 0
-            for part, reference in zip(got, expected):
-                self._close(part, reference, dtype)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("horizon", [1, 7])
-    def test_dnc_scores_match_per_cut(self, world, dtype, horizon):
-        args = self._args(world, "dnc", dtype, horizon)
-        for target_filter in (None, world[1]):
-            scores, labels = downstream.dnc_scores(*args, target_filter=target_filter)
-            reference, expected_labels = oracles.dnc_scores_per_cut(
-                *args, target_filter=target_filter)
-            assert labels.size > 0 and labels.tolist() == expected_labels.tolist()
+            scores, kinds = region_scores(task, *args, target_filter=target_filter,
+                                          rank_negatives=rank_negatives)
+            reference, expected_kinds = oracles.region_scores_per_cut(
+                task, *args, target_filter=target_filter, rank_negatives=rank_negatives)
+            assert np.any(kinds == POSITIVE) and np.any(kinds == NEGATIVE)
+            assert kinds.tolist() == expected_kinds.tolist()
             self._close(scores, reference, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -567,7 +603,8 @@ class TestEvaluationPasses:
         for pass_targets in (1, 2, 16):
             monkeypatch.setattr(downstream, "PASS_TARGETS", pass_targets)
             reports.append(evaluate_flp(*args, rank_negatives=20))
-            pos, _, rank = downstream.flp_scores(*args, rank_negatives=20)
+            scores, kinds = region_scores("flp", *args, rank_negatives=20)
+            pos, rank = scores[kinds == POSITIVE], scores[kinds == RANK].reshape(24, 20)
             ties.append(int((rank == pos[:, None]).sum()))
         assert ties[0] > 24 and ties == ties[:1] * 3
         assert reports == reports[:1] * 3
@@ -578,7 +615,6 @@ class TestEvaluationPasses:
                                                      monkeypatch):
         flp = self._args(world, "flp", np.float32, horizon, region)
         dnc = self._args(world, "dnc", np.float32, horizon, region)
-        batched = (evaluate_flp(*flp, rank_negatives=5), evaluate_dnc(*dnc))
-        monkeypatch.setattr(downstream, "flp_scores", oracles.flp_scores_per_cut)
-        monkeypatch.setattr(downstream, "dnc_scores", oracles.dnc_scores_per_cut)
-        assert (evaluate_flp(*flp, rank_negatives=5), evaluate_dnc(*dnc)) == batched
+        batched = (evaluate_flp(*flp, rank_negatives=5), evaluate("dnc", *dnc))
+        monkeypatch.setattr(downstream, "region_scores", oracles.region_scores_per_cut)
+        assert (evaluate_flp(*flp, rank_negatives=5), evaluate("dnc", *dnc)) == batched

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import dygwin.tensor as T
 from dygwin.data import EdgeArray
-from dygwin.downstream import (POSITIVE, bce_loss, dnc_score, flp_candidates, flp_score,
-                               init_decoder)
+from dygwin.downstream import POSITIVE, bce_loss, candidates, flp_score, init_decoder, score
 from dygwin import encoder as encoder_module
 from dygwin.checkpoint import load_checkpoint, load_model, save_model
 from dygwin.encoder import (NEIGHBOR_STREAM, EncoderParams, NodeEmbeddings, edge_table,
@@ -679,8 +678,8 @@ def test_float32_parameters_stay_float32():
         h_a = encode(cache, encoder, 5, (9,), nodes, training=True)
         h_b = encode(cache, encoder, 5, (10,), nodes, training=True)
         pos = flp_score(flp, h_a, targets.u, targets.v, targets.t, cache)
-        labels = dnc_score(dnc, h_a, targets.u, targets.t, cache, training=True,
-                           rng=np.random.default_rng(4))
+        labels = score("dnc", dnc, h_a, targets.u, targets.u, targets.t, cache, training=True,
+                       rng=np.random.default_rng(4))
         ssl, _ = ssl_loss_terms(predictor.forward(h_a.gather(nodes)),
                                 predictor.forward(h_b.gather(nodes)))
         loss = T.add(T.add(bce_loss(pos, np.ones(pos.shape)),
@@ -712,7 +711,7 @@ def test_training_step_through_a_log_view_matches_a_window_cache(dtype):
     lo, hi, max_neighbors = 15, 45, 6  # ties straddle both window bounds
     window, targets = ctdg.window(lo, hi), ctdg.window(hi, 55)
     assert IncidenceIndex(window).incident(0).size > max_neighbors
-    src, dst, t, kind = flp_candidates(targets, ctdg.num_nodes, np.random.default_rng(3))
+    src, dst, t, kind = candidates("flp", targets, ctdg.num_nodes, np.random.default_rng(3))
     nodes = np.concatenate([window.endpoints(), targets.endpoints(), dst])
 
     def step(cache):
