@@ -15,14 +15,24 @@ epoch of ``train_downstream`` over it at K = 200 with the benchmark's encoder:
 28 training windows, of which the last 8 hold W edges. It runs twice, on a
 fresh encoder each time: featureless, then with seeded 172-dim node features.
 
+Pre-training (``measure_pretrain``): the benchmark's ``ssl_pretrain`` clamps
+the paper's 32,000-edge SSL window to a 1,000-edge log. This builds a
+``bench/uci_graph`` log of 32,000 edges (seed 7) and runs ``pretrain`` for 3
+epochs with stride 32,000, so 3 steps on that one window, with the benchmark's
+encoder and predictor. It runs once featureless and once with 172-dim edge
+features, each in a fresh Python process, so each peak RSS is its variant's
+own.
+
 Run as a script, it measures evaluation first and prints one line: the cuts,
 the window, edges/s of the timed call, the process's peak RSS in MB and the
 call's AP. Then one line per training variant: the node feature width, the
 training steps, edges/s of the epoch (target edges trained over its seconds),
 the mean messages per encode (messages summed over the layers) and the
-process's peak RSS in MB so far. The package comes from ``PYTHONPATH``, the
-graph generator and model shapes from this checkout's ``bench/``, so two trees
-are compared with
+process's peak RSS in MB so far. Then one line per pre-training variant: the
+edge feature width, the window, the steps, ms per step, the mean messages per
+encode of each layer, the variant's peak RSS in MB and the last step's loss.
+The package comes from ``PYTHONPATH``, the graph generator and model shapes
+from this checkout's ``bench/``, so two trees are compared with
 
     PYTHONPATH=src python scripts/region.py
     PYTHONPATH=../parent/src python scripts/region.py
@@ -33,8 +43,10 @@ its thread count, so that figures from different hosts and runs compare.
 
 from __future__ import annotations
 
+import json
 import os
 import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -54,13 +66,16 @@ from dygwin.data import CTDG, SplitSpec  # noqa: E402
 from dygwin.downstream import (TrainConfig, evaluate_flp, init_flp_decoder,  # noqa: E402
                                train_downstream)
 from dygwin.encoder import init_encoder  # noqa: E402
+from dygwin.pretrain import PretrainConfig, init_predictor, pretrain  # noqa: E402
 from uci_graph import uci_shaped  # noqa: E402
-from workloads import ENCODER, NEIGHBORS, TARGET, WINDOW  # noqa: E402
+from workloads import ENCODER, NEIGHBORS, SSL_EDGE_DIM, SSL_WINDOW, TARGET, WINDOW  # noqa: E402
 
 SEED = 7  # the benchmark's trace seed
 CUTS, WARMUP_CUTS = 256, 16
 EXTRA_EDGES = 1600
 NODE_FEATURE_DIMS = (0, 172)
+SSL_STEPS = 3
+EDGE_FEATURE_DIMS = (0, SSL_EDGE_DIM)
 
 
 def peak_rss_mb() -> float:
@@ -120,6 +135,51 @@ def measure_train(window: int = WINDOW, extra_edges: int = EXTRA_EDGES) -> list[
     return results
 
 
+def pretrain_variant(edge_dim: int, window: int = SSL_WINDOW, steps: int = SSL_STEPS) -> dict:
+    """``steps`` pre-training steps on one ``window``-edge window with ``edge_dim``-dim
+    edge features, in this process."""
+    ctdg = uci_shaped(window, SEED, edge_dim=edge_dim)
+    encoder = init_encoder(edge_dim=edge_dim, seed=SEED, **ENCODER)
+    predictor = init_predictor(encoder.node_dim, seed=SEED)
+    config = PretrainConfig(window=window, stride=window, epochs=steps, max_neighbors=NEIGHBORS,
+                            seed=SEED)
+    messages, sample = [], encoder_module.build_layered_neighborhood
+
+    def counting(*args, **kwargs):
+        hood = sample(*args, **kwargs)
+        messages.append([layer.positions.size for layer in hood.layers])
+        return hood
+
+    with mock.patch.object(encoder_module, "build_layered_neighborhood", counting):
+        started = time.perf_counter()
+        history, skipped = pretrain(ctdg, encoder, predictor, config)
+        seconds = time.perf_counter() - started
+    if skipped or not np.isfinite(history[-1]["loss"]):
+        raise SystemExit(f"pre-training with {edge_dim}-dim edge features skipped {skipped} "
+                         f"steps or ended with loss {history[-1]['loss']}")
+    return {"edge_dim": edge_dim, "window": window, "steps": steps,
+            "ms_per_step": 1000.0 * seconds / steps,
+            "messages_per_layer": np.mean(messages, axis=0).tolist(),
+            "peak_rss_mb": peak_rss_mb(), "loss": history[-1]["loss"]}
+
+
+def measure_pretrain(window: int = SSL_WINDOW, steps: int = SSL_STEPS) -> list[dict]:
+    """``pretrain_variant`` per width of ``EDGE_FEATURE_DIMS``, each in a fresh
+    process that reads this file and the parent's ``sys.path``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    results = []
+    for dim in EDGE_FEATURE_DIMS:
+        code = (f"import json, runpy; variant = runpy.run_path({__file__!r})['pretrain_variant']; "
+                f"print(json.dumps(variant({dim}, {window}, {steps})))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=False)
+        if done.returncode != 0:
+            raise SystemExit(f"pre-training variant {dim} exited {done.returncode}:\n"
+                             f"{done.stderr}")
+        results.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    return results
+
+
 def main() -> int:
     print(f"dygwin from {Path(dygwin.__file__).parent}", file=sys.stderr)
     result = measure_eval()
@@ -131,6 +191,11 @@ def main() -> int:
               f"edges_per_s {result['edges_per_s']:.1f} "
               f"messages_per_encode {result['messages_per_encode']:.0f} "
               f"peak_rss_mb {result['peak_rss_mb']:.1f}")
+    for result in measure_pretrain():
+        print(f"pretrain edge_features {result['edge_dim']} window {result['window']} "
+              f"steps {result['steps']} ms_per_step {result['ms_per_step']:.0f} "
+              f"messages_per_layer {'/'.join(f'{m:.0f}' for m in result['messages_per_layer'])} "
+              f"peak_rss_mb {result['peak_rss_mb']:.1f} loss {result['loss']:.6g}")
     return 0
 
 

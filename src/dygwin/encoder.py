@@ -171,8 +171,8 @@ def layer_forward(embeddings: NodeEmbeddings, samples: LayerSamples,
     depth, h, anchor node, window position) < params.dropout``. Featureless input
     (``embeddings.matrix`` None) means zero rows, so every ``h @ W`` and attention
     score is 0: a row is ``context @ Wo``, the mean of the anchor's kept messages
-    times ``wv``, and ``w1``, ``wq`` and ``wk`` are not read. The messages keep
-    their zero node columns, since ``wv``'s last rows alone round differently.
+    times ``wv``, and ``w1``, ``wq`` and ``wk`` are not read. Each layer's keys and
+    values are one ``table.messages`` entry, which keeps no message matrix.
     """
     edges = index.edges
     anchors, segments, positions = samples.anchors, samples.segments, samples.positions
@@ -188,10 +188,8 @@ def layer_forward(embeddings: NodeEmbeddings, samples: LayerSamples,
     slots, nodes = np.divmod(anchors[segments], index.stride)
     u, v = edges.u[positions], edges.v[positions]
     neighbors = np.where(u == nodes, v, u) + slots * index.stride
-    messages = T.concat_last_dim(  # (occurrences, message_dim)
-        [T.slice_rows(H, embeddings.rows(neighbors)) if H is not None else
-         T.constant(np.zeros((positions.size, params.node_dim), params.dtype)),
-         table.gather(encoding_rows)])
+    kv = table.messages(H, None if H is None else embeddings.rows(neighbors), encoding_rows,
+                        layer.wk, layer.wv)  # (occurrences, [keys |] values)
 
     dropout = None
     if dropout_key is not None and params.dropout > 0.0:
@@ -199,10 +197,9 @@ def layer_forward(embeddings: NodeEmbeddings, samples: LayerSamples,
         u = keyed_uniform(words[slots, None], depth, np.arange(params.heads), nodes[:, None],
                           positions[:, None] - index.lo[slots, None])
         dropout = (params.dropout, u)
-    q_rows, k = (None, None) if H is None else (T.matmul(H_out, layer.wq),
-                                                 T.matmul(messages, layer.wk))
-    context = T.matmul(T.segment_attention(q_rows, k, T.matmul(messages, layer.wv), segments,
-                                           len(anchors), params.heads, dropout), layer.wo)
+    q_rows = None if H is None else T.matmul(H_out, layer.wq)
+    context = T.matmul(T.segment_attention(q_rows, kv, segments, len(anchors), params.heads,
+                                           dropout), layer.wo)
     return NodeEmbeddings(anchors, context if H is None else T.add(h_new, context))
 
 

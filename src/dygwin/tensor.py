@@ -352,65 +352,62 @@ def transpose(a: Tensor) -> Tensor:
     return _finish("transpose", (a,), out, bwd)
 
 
-def segment_attention(q_rows: Tensor | None, k: Tensor | None, v: Tensor, segments,
-                      num_segments: int, heads: int, dropout: tuple | None = None) -> Tensor:
+def segment_attention(q_rows: Tensor | None, kv: Tensor, segments, num_segments: int,
+                      heads: int, dropout: tuple | None = None) -> Tensor:
     """Multi-head scaled dot-product attention, pooled per segment.
 
-    Message i (row i of ``k`` and ``v``) goes to segment ``segments[i]``, whose
-    query is that row of ``q_rows``; a segment's messages must be contiguous,
-    and a segment without any gets a zero row. Head h reads and writes the h-th
-    of ``heads`` equal column blocks: scores ``sum(q * k) / sqrt(block width)``
-    are softmaxed per segment, dropped out where ``u < p`` given ``dropout =
-    (p, u)`` with ``u`` of shape (n, heads), and weight the block's ``v`` rows.
-    ``q_rows = k = None`` means every score is 0: each segment takes the mean of
-    its kept ``v`` rows, with the same weight bits, and only ``v`` gets a
-    gradient. Backward recomputes the gathered queries and the softmax rather
-    than keeping them.
+    Message i (row i of ``kv``) goes to segment ``segments[i]``, whose query is
+    that row of ``q_rows``; a segment's messages must be contiguous, and a
+    segment without any gets a zero row. ``kv``'s first ``q_rows.shape[1]``
+    columns are the keys and the rest the values. Head h reads and writes the
+    h-th of ``heads`` equal column blocks of each: scores ``sum(q * k) /
+    sqrt(block width)`` are softmaxed per segment, dropped out where ``u < p``
+    given ``dropout = (p, u)`` with ``u`` of shape (n, heads), and weight the
+    block's value rows. ``q_rows = None`` means every score is 0 and ``kv``
+    holds values only: each segment takes the mean of its kept rows, with the
+    same weight bits. Forward keeps the (n, heads) softmax weights for backward,
+    which gathers the queries again.
     """
     seg = np.asarray(segments, dtype=np.int64)
     n, zero = seg.size, q_rows is None
-    # The zero form has no queries: its width and rows are placeholders for the checks.
-    width, rows = (heads, num_segments) if zero else (q_rows.shape[1], q_rows.shape[0])
+    # The zero form has no queries or keys: its rows are a placeholder for the checks.
+    width, rows = (0, num_segments) if zero else (q_rows.shape[1], q_rows.shape[0])
+    value_width = kv.shape[1] - width
     head = np.diff(seg, prepend=seg[:1] - 1) != 0
     starts, run = np.flatnonzero(head), np.cumsum(head) - 1
-    if (k is None) != zero or not zero and k.shape != (n, width) or v.shape[0] != n \
-            or heads < 1 or width % heads + v.shape[1] % heads \
+    if kv.shape[0] != n or heads < 1 or width % heads or value_width < 1 or value_width % heads \
             or n and not (0 <= seg.min() and seg.max() < min(num_segments, rows)):
-        raise ShapeError(f"segment_attention: queries {getattr(q_rows, 'shape', None)}, keys "
-                         f"{getattr(k, 'shape', None)}, values {v.shape}, {heads} heads, {n} "
-                         f"segment ids, {num_segments} segments")
+        raise ShapeError(f"segment_attention: queries {getattr(q_rows, 'shape', None)}, keys and "
+                         f"values {kv.shape}, {heads} heads, {n} segment ids, "
+                         f"{num_segments} segments")
     if np.unique(seg[starts]).size < starts.size:
         raise ShapeError("segment_attention: a segment id's rows are not contiguous")
-    head_dim, value_dim = width // heads, v.shape[1] // heads
-    scale = float(1.0 / np.sqrt(head_dim))  # a Python float keeps the dtype
-    k3 = None if zero else k.values.reshape(n, heads, head_dim)
-    v3 = v.values.reshape(n, heads, value_dim)
-
-    def weights() -> tuple[Array | None, Array]:
-        q = None if zero else q_rows.values[seg].reshape(n, heads, head_dim)
-        scores = np.zeros((n, heads), v.dtype) if zero else (q * k3).sum(axis=2) * scale
-        e = np.exp(scores - np.maximum.reduceat(scores, starts)[run])
-        return q, e / _row_sum(e, run, starts.size)[run]
-
-    attn, keep = weights()[1], 1.0
+    head_dim, value_dim = width // heads, value_width // heads
+    k3 = kv.values[:, :width].reshape(n, heads, head_dim)
+    v3 = kv.values[:, width:].reshape(n, heads, value_dim)
+    scale = 1.0 if zero else float(1.0 / np.sqrt(head_dim))  # a Python float keeps the dtype
+    scores = np.zeros((n, heads), kv.dtype) if zero else \
+        (q_rows.values[seg].reshape(n, heads, head_dim) * k3).sum(axis=2) * scale
+    e = np.exp(scores - np.maximum.reduceat(scores, starts)[run])
+    attn, keep = e / _row_sum(e, run, starts.size)[run], 1.0
     if dropout is not None:
         p, u = dropout
         keep = (u >= p).astype(attn.dtype) / (1.0 - p)
-    out = _row_sum(((attn * keep)[:, :, None] * v3).reshape(v.shape), seg, num_segments)
+    out = _row_sum(((attn * keep)[:, :, None] * v3).reshape(n, value_width), seg, num_segments)
 
     def bwd(g: Array):
-        q, attn = weights()
         g_rows = g[seg].reshape(n, heads, value_dim)
-        g_v = (g_rows * (attn * keep)[:, :, None]).reshape(v.shape)
+        g_v = (g_rows * (attn * keep)[:, :, None]).reshape(n, value_width)
         if zero:
             return (g_v,)
         g_attn = (g_rows * v3).sum(axis=2) * keep
         g_scores = attn * (g_attn - _row_sum(attn * g_attn, run, starts.size)[run]) * scale
-        g_q = _row_sum((g_scores[:, :, None] * k3).reshape(k.shape), seg, q_rows.shape[0])
+        g_q = _row_sum((g_scores[:, :, None] * k3).reshape(n, width), seg, q_rows.shape[0])
+        q = q_rows.values[seg].reshape(n, heads, head_dim)
         return (g_q.astype(q_rows.dtype, copy=False),
-                (g_scores[:, :, None] * q).reshape(k.shape), g_v)
+                np.hstack([(g_scores[:, :, None] * q).reshape(n, width), g_v]))
 
-    return _finish("segment_attention", (v,) if zero else (q_rows, k, v), out, bwd)
+    return _finish("segment_attention", (kv,) if zero else (q_rows, kv), out, bwd)
 
 
 def _time2vec(dt: Array, omega: Tensor, phase: Tensor) -> tuple[Array, Array]:
@@ -451,7 +448,7 @@ def time_encoding(dt: Array, omega: Tensor, phase: Tensor) -> Tensor:
 class EdgeEncodingTable:
     """Rows ``time_encoding(dt, omega, phase) + log_counts @ w``, then the constant
     columns ``extra``, computed once on no tape. Built under a tape that trains a
-    parameter, it keeps the cosines that the backward of a ``gather`` reads."""
+    parameter, it keeps the cosines that the backward of ``messages`` reads."""
 
     def __init__(self, dt: Array, log_counts: Array, omega: Tensor, phase: Tensor, w: Tensor,
                  extra: Array | None = None):
@@ -466,15 +463,46 @@ class EdgeEncodingTable:
             if self.cos is not None:
                 self.cos[lo:lo + 1024] = np.cos(wrapped)
 
-    def gather(self, rows: Array) -> Tensor:
-        """Rows ``rows`` as one ``edge_encoding`` entry; backward gathers the cosines,
-        gaps and log-counts at ``rows``, as the composed ops on those rows do."""
-        def bwd(g: Array):
-            g = g[:, :self.params[2].shape[1]]  # the constant columns get no gradient
-            return (*_time2vec_grads(g, self.cos[rows], self.dt[rows], *self.params[:2]),
-                    self.log_counts[rows].T @ g if self.params[2].requires_grad else None)
+    def messages(self, h: Tensor | None, node_rows: Array | None, rows: Array,
+                 wk: Tensor | None, wv: Tensor) -> Tensor:
+        """Keys and values ``[m @ wk | m @ wv]`` of the messages ``m`` as one
+        ``messages`` entry, values alone when ``h`` is None. Message i is row
+        ``node_rows[i]`` of ``h`` (zeros when ``h`` is None, since ``wv``'s last
+        rows alone round differently), then row ``rows[i]`` of the table. The
+        (m, message width) matrix is not kept: backward builds it again for the
+        weight gradients, scatters the node block of ``g_v @ wv.T + g_k @ wk.T``
+        into ``h`` and reads its time block for the table's parameters."""
+        weights = (wv,) if h is None else (wk, wv)
+        node_dim, width = wv.shape[0] - self.values.shape[1], wv.shape[1]
+        blocks = [slice(i * width, (i + 1) * width) for i in range(len(weights))]
 
-        return _finish("edge_encoding", self.params, self.values[rows], bwd)
+        def build() -> Array:
+            dtype = self.values.dtype if h is None else np.result_type(h.values, self.values)
+            m = np.empty((rows.size, wv.shape[0]), dtype)
+            m[:, :node_dim] = 0 if h is None else h.values[node_rows]
+            m[:, node_dim:] = self.values[rows]
+            return m
+
+        m = build()
+        out = np.empty((rows.size, width * len(weights)), np.result_type(m, wv.values))
+        for w, block in zip(weights, blocks):
+            np.matmul(m, w.values, out=out[:, block])
+
+        def bwd(g: Array):
+            m, g_m = build(), g[:, blocks[-1]] @ wv.values.T
+            grads = [m.T @ g[:, block] if w.requires_grad else None
+                     for w, block in zip(weights, blocks)]
+            if h is not None:
+                g_m += g[:, blocks[0]] @ wk.values.T
+                h_grad = _row_sum(g_m[:, :node_dim], node_rows, h.shape[0])
+                grads.append(h_grad.astype(h.dtype, copy=False))
+            if self.cos is None:
+                return (None, None, None, *grads)
+            g_t = g_m[:, node_dim:node_dim + self.params[2].shape[1]]  # none for constant columns
+            return (*_time2vec_grads(g_t, self.cos[rows], self.dt[rows], *self.params[:2]),
+                    self.log_counts[rows].T @ g_t if self.params[2].requires_grad else None, *grads)
+
+        return _finish("messages", (*self.params, *weights) + (() if h is None else (h,)), out, bwd)
 
 
 def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:

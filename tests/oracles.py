@@ -17,10 +17,15 @@ two, ``cast``, ``wrap_angle`` and ``sin`` are unfused primitives:
 ``segment_attention`` and ``time_encoding`` compose them with
 ``dygwin.tensor``'s into references for the one-entry ops of the same names,
 expression for expression.
+``messages`` is ``EdgeEncodingTable.messages`` composed the way each layer
+built its keys and values before one entry kept no message matrix:
+``slice_rows``, the table rows as one ``edge_encoding`` entry
+(``table_gather``), ``concat_last_dim`` and one ``matmul`` per weight.
 ``layer_edge_encoding`` encodes one layer's messages the way each layer did
 before ``encoder.edge_table`` shared one table among them, and
-``per_layer_edge_table`` puts it in that function's place, so a test can
-compare ``encode``'s rows and gradients with the per-layer path.
+``per_layer_edge_table`` puts it in that function's place, with the composed
+messages, so a test can compare ``encode``'s rows and gradients with the
+per-layer path.
 ``checkpoint_digest`` lets a test compare parameter maps by content.
 ``region_scores_per_cut`` scores an evaluation region one cut at a time, each
 cut with a cache built from its own input slice and its own candidate table in
@@ -358,10 +363,42 @@ def layer_edge_encoding(cache: WindowFeatureCache, params: EncoderParams,
                           params.edge_enc))
 
 
+def table_gather(table: T.EdgeEncodingTable, rows: np.ndarray) -> Tensor:
+    """Rows ``rows`` of ``table`` as one ``edge_encoding`` entry, whose backward
+    gathers the cosines, gaps and log-counts at ``rows``; the constant columns
+    get no gradient."""
+    omega, phase, w = table.params
+
+    def bwd(g):
+        g = g[:, :w.shape[1]]
+        return (*T._time2vec_grads(g, table.cos[rows], table.dt[rows], omega, phase),
+                table.log_counts[rows].T @ g if w.requires_grad else None)
+
+    return _finish("edge_encoding", table.params, table.values[rows], bwd)
+
+
+def compose_messages(h: Tensor | None, node_rows, encoded: Tensor, wk: Tensor | None,
+                     wv: Tensor) -> Tensor:
+    """Keys and values of the messages ``[h[node_rows] | encoded]`` (zero node
+    columns when ``h`` is None, which takes values alone) through the message
+    matrix: ``slice_rows``, ``concat_last_dim``, then ``@ wk`` and ``@ wv``."""
+    node = (T.constant(np.zeros((encoded.shape[0], wv.shape[0] - encoded.shape[1]),
+                                encoded.dtype)) if h is None else T.slice_rows(h, node_rows))
+    m = T.concat_last_dim([node, encoded])
+    return T.matmul(m, wv) if h is None else T.concat_last_dim([T.matmul(m, wk), T.matmul(m, wv)])
+
+
+def messages(table: T.EdgeEncodingTable, h: Tensor | None, node_rows, rows: np.ndarray,
+             wk: Tensor | None, wv: Tensor) -> Tensor:
+    """``table.messages`` composed from ``table_gather`` and the message matrix."""
+    return compose_messages(h, node_rows, table_gather(table, rows), wk, wv)
+
+
 class PerLayerEdgeTable:
-    """Stands in for ``encoder.edge_table``'s result: ``gather(i)`` computes layer
-    i's encodings through ``layer_edge_encoding`` when the layer reads them, then
-    its masked edge features, as a constant concatenated after them."""
+    """Stands in for ``encoder.edge_table``'s result: ``messages(h, node_rows, i,
+    wk, wv)`` computes layer i's encodings through ``layer_edge_encoding``, then
+    its masked edge features as a constant concatenated after them, and composes
+    the keys and values from them (``compose_messages``)."""
 
     def __init__(self, cache: WindowFeatureCache, params: EncoderParams,
                  hood: LayeredNeighborhood):
@@ -375,6 +412,10 @@ class PerLayerEdgeTable:
         feats = edges.feats[samples.positions].astype(np.float64)
         feats[edges.enc_masked[samples.positions]] = 0.0
         return T.concat_last_dim([encoded, T.constant(feats, dtype=self.params.dtype)])
+
+    def messages(self, h: Tensor | None, node_rows, layer: int, wk: Tensor | None,
+                 wv: Tensor) -> Tensor:
+        return compose_messages(h, node_rows, self.gather(layer), wk, wv)
 
 
 def per_layer_edge_table(cache, params, hood) -> tuple[PerLayerEdgeTable, list[int]]:

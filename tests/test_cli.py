@@ -656,3 +656,16 @@ def test_train_region_measures_a_small_region(monkeypatch):
     for result in results:
         assert result["steps"] == 1 and result["messages_per_encode"] > 0
         assert result["edges_per_s"] > 0 and result["peak_rss_mb"] > 0
+
+
+def test_pretrain_region_measures_a_small_window(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = load_script("region")
+    # Two steps on one 300-edge window, each variant in its own process.
+    results = script.measure_pretrain(window=300, steps=2)
+    assert [result["edge_dim"] for result in results] == [0, 172]
+    for result in results:
+        assert (result["window"], result["steps"]) == (300, 2)
+        assert len(result["messages_per_layer"]) == 3 and min(result["messages_per_layer"]) > 0
+        assert result["ms_per_step"] > 0 and result["peak_rss_mb"] > 0
+        assert np.isfinite(result["loss"])

@@ -784,16 +784,25 @@ def test_edge_table_matches_per_layer_encodings(dtype, edge_dim, node_feature_di
     assert np.any(named["encoder/edge_enc/w2"].grad)
 
 
-def test_training_encode_records_one_edge_encoding_entry_per_layer():
-    ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(12)], num_nodes=5)
-    encoder = init_encoder(num_layers=3, node_dim=8, time_dim=4, heads=2, dropout=0.1, seed=0)
+@pytest.mark.parametrize("node_feature_dim", [0, 3])
+def test_training_encode_records_one_messages_entry_per_layer(node_feature_dim):
+    """Each layer's keys and values are one ``messages`` entry, and no entry on
+    the tape keeps a message matrix (``message_dim`` columns)."""
+    ctdg = ctdg_from([(i % 5, (i + 2) % 5, float(i)) for i in range(12)], num_nodes=5,
+                     feats=np.ones((12, 2)))
+    encoder = init_encoder(num_layers=3, node_dim=8, time_dim=4, edge_dim=2,
+                           node_feature_dim=node_feature_dim, heads=2, dropout=0.1, seed=0)
+    features = np.ones((5, node_feature_dim)) if node_feature_dim else None
     with T.Tape() as tape:
-        encode(WindowFeatureCache(ctdg.window(0, 12)), encoder, 4, (3,), np.arange(5),
+        encode(WindowFeatureCache(ctdg.window(0, 12)), encoder, 4, (3,), np.arange(5), features,
                training=True)
     ops = [entry.op for entry in tape.entries]
-    assert ops.count("edge_encoding") == encoder.num_layers
-    # The only adds are the residual h @ W1 + context of the layers above the
-    # featureless first.
-    assert "time_encoding" not in ops and ops.count("add") == encoder.num_layers - 1
-    assert not any(entry.op == "matmul" and entry.inputs[1] is encoder.edge_enc
-                   for entry in tape.entries)
+    assert ops.count("messages") == ops.count("segment_attention") == encoder.num_layers
+    message_dim = encoder.node_dim + encoder.time_dim + encoder.edge_dim
+    assert all(entry.output.shape[-1] != message_dim for entry in tape.entries)
+    assert not {"edge_encoding", "concat_last_dim", "time_encoding"} & set(ops)
+    # The only adds are the residual h @ W1 + context of the layers that read input rows.
+    assert ops.count("add") == encoder.num_layers - (node_feature_dim == 0)
+    assert not any(entry.op == "matmul" and any(w in entry.inputs for w in (
+        encoder.edge_enc, *(layer.wk for layer in encoder.layers),
+        *(layer.wv for layer in encoder.layers))) for entry in tape.entries)

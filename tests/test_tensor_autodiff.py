@@ -275,21 +275,22 @@ def _composition_cases():
     x_drop = param(rng.normal(size=(6, 4)) + 3.0)
 
     q_att = param(rng.normal(size=(5, 6)))
-    k_att = param(rng.normal(size=(6, 6)))
+    k_att = rng.normal(size=(6, 6))
     v_att = param(rng.normal(size=(6, 4)))
+    kv_att = param(np.hstack([k_att, v_att.values]))
 
     def segment_attention():
         # Two heads; segments 1 and 4 have no messages; the pinned mask drops
         # some weights.
-        pooled = T.segment_attention(q_att, k_att, v_att, seg, 5, 2,
+        pooled = T.segment_attention(q_att, kv_att, seg, 5, 2,
                                      (0.3, np.random.default_rng(9).random((6, 2))))
         return T.mean(T.mul(pooled, pooled))
 
-    cases["segment_attention"] = (segment_attention, {"q": q_att, "k": k_att, "v": v_att})
+    cases["segment_attention"] = (segment_attention, {"q": q_att, "kv": kv_att})
 
     def segment_attention_zero_scores():
         # Every score 0: a per-segment mean of the kept rows, with the same mask.
-        pooled = T.segment_attention(None, None, v_att, seg, 5, 2,
+        pooled = T.segment_attention(None, v_att, seg, 5, 2,
                                      (0.3, np.random.default_rng(9).random((6, 2))))
         return T.mean(T.mul(pooled, pooled))
 
@@ -310,14 +311,28 @@ def _composition_cases():
 
     extra = rng.normal(size=(4, 2))
 
+    wk_msg, wv_msg = param(rng.normal(size=(9, 4))), param(rng.normal(size=(9, 4)))
+    h_msg = param(rng.normal(size=(3, 3)))
+
     def edge_encoding():
         # Table rows read twice, three times and not at all, in float64, with two
-        # constant columns after the encoding.
+        # constant columns after the encoding, through values alone (zero node columns).
         table = T.EdgeEncodingTable(gaps[:4], log_counts, omega, phase, w_enc, extra)
-        encoded = table.gather(np.array([3, 0, 3, 1, 3]))
+        encoded = table.messages(None, None, np.array([3, 0, 3, 1, 3]), None, wv_msg)
         return T.mean(T.mul(encoded, encoded))
 
-    cases["edge_encoding"] = (edge_encoding, {"omega": omega, "phase": phase, "w": w_enc})
+    cases["edge_encoding"] = (edge_encoding, {"omega": omega, "phase": phase, "w": w_enc,
+                                              "wv": wv_msg})
+
+    def messages():
+        # Node rows read twice and not at all; keys and values of the same messages.
+        table = T.EdgeEncodingTable(gaps[:4], log_counts, omega, phase, w_enc, extra)
+        kv = table.messages(h_msg, np.array([2, 0, 2, 1, 2]), np.array([3, 0, 3, 1, 3]),
+                            wk_msg, wv_msg)
+        return T.mean(T.mul(kv, kv))
+
+    cases["messages"] = (messages, {"h": h_msg, "omega": omega, "phase": phase, "w": w_enc,
+                                    "wk": wk_msg, "wv": wv_msg})
 
     def dropout_pinned():
         masked = T.dropout(x_drop, 0.3, np.random.default_rng(9), training=True)
@@ -330,7 +345,7 @@ class TestCompositions:
     @pytest.mark.parametrize("name", ["attention_like", "segment_pipeline",
                                       "gather_concat", "trig_sqrt", "segment_attention",
                                       "segment_attention_zero_scores",
-                                      "time_encoding", "edge_encoding"])
+                                      "time_encoding", "edge_encoding", "messages"])
     def test_composition_gradients(self, name):
         cases, _ = _composition_cases()
         forward, params = cases[name]
@@ -469,8 +484,8 @@ def test_segment_softmax_rejects_a_split_segment():
     with pytest.raises(ShapeError, match="not contiguous"):
         oracles.segment_softmax(T.constant(np.zeros((3, 1))), [0, 1, 0])
     with pytest.raises(ShapeError, match="not contiguous"):
-        T.segment_attention(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 1))),
-                            T.constant(np.zeros((3, 1))), [0, 1, 0], 2, 1)
+        T.segment_attention(T.constant(np.zeros((2, 1))), T.constant(np.zeros((3, 2))),
+                            [0, 1, 0], 2, 1)
 
 
 # (input, upstream gradient) dtypes: float64 and float32 throughout, the two
@@ -507,10 +522,11 @@ def test_segment_attention_matches_composed_oracle(runs, empty_tail, heads, head
     v = rng.normal(scale=2.0, size=(len(seg), heads * value_dim)).astype(dtype)
     g = rng.normal(scale=2.0, size=(num_segments, heads * value_dim)).astype(g_dtype)
     u = rng.random((len(seg), heads))
-    fused = _values_and_grads(
-        lambda q_rows, k, v: T.segment_attention(q_rows, k, v, seg, num_segments, heads,
-                                                 (0.4, u) if dropout else None),
-        (q_rows, k, v), g)
+    out, g_q, g_kv = _values_and_grads(
+        lambda q_rows, kv: T.segment_attention(q_rows, kv, seg, num_segments, heads,
+                                               (0.4, u) if dropout else None),
+        (q_rows, np.hstack([k, v])), g)
+    fused = out, g_q, g_kv[:, :k.shape[1]], g_kv[:, k.shape[1]:]
 
     # The per-head oracle on each head's column block, head h with column h of u.
     scale = float(1.0 / np.sqrt(head_dim))  # the fused op's: a Python float keeps the dtype
@@ -540,8 +556,9 @@ def test_segment_attention_matches_composed_oracle(runs, empty_tail, heads, head
          dtype=np.float32, dropout=True, seed=1)
 def test_zero_score_attention_matches_zero_queries_and_keys(runs, empty_tail, heads, head_dim,
                                                             value_dim, dtype, dropout, seed):
-    """``q_rows = k = None`` gives the bits of zero queries and keys: the output
-    and ``v``'s gradient, with and without dropout and with empty segments."""
+    """``q_rows = None`` with values alone gives the bits of zero queries and
+    keys: the output and the values' gradient, with and without dropout and with
+    empty segments."""
     rng = np.random.default_rng(seed)
     seg = np.repeat([i for i, _ in runs], [n for _, n in runs]).astype(np.int64)
     num_segments = max([i for i, _ in runs], default=-1) + 1 + empty_tail
@@ -551,10 +568,11 @@ def test_zero_score_attention_matches_zero_queries_and_keys(runs, empty_tail, he
     zero_q = np.zeros((num_segments, heads * head_dim), dtype)
     zero_k = np.zeros((len(seg), heads * head_dim), dtype)
     out, g_v = _values_and_grads(
-        lambda v: T.segment_attention(None, None, v, seg, num_segments, heads, keep), (v,), g)
-    ref_out, _, _, ref_g_v = _values_and_grads(
-        lambda q_rows, k, v: T.segment_attention(q_rows, k, v, seg, num_segments, heads, keep),
-        (zero_q, zero_k, v), g)
+        lambda v: T.segment_attention(None, v, seg, num_segments, heads, keep), (v,), g)
+    ref_out, _, ref_g_kv = _values_and_grads(
+        lambda q_rows, kv: T.segment_attention(q_rows, kv, seg, num_segments, heads, keep),
+        (zero_q, np.hstack([zero_k, v])), g)
+    ref_g_v = ref_g_kv[:, zero_k.shape[1]:]
     assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
     assert g_v.dtype == ref_g_v.dtype and g_v.tobytes() == ref_g_v.tobytes()
 
@@ -562,12 +580,13 @@ def test_zero_score_attention_matches_zero_queries_and_keys(runs, empty_tail, he
 def test_zero_score_attention_records_only_values():
     v = T.parameter(np.ones((3, 2)))
     with Tape() as tape:
-        T.segment_attention(None, None, v, [0, 0, 1], 2, 2)
+        T.segment_attention(None, v, [0, 0, 1], 2, 2)
     (entry,) = tape.entries
     assert entry.inputs == (v,) and len(entry.backward(np.ones((2, 2)))) == 1
-    for q_rows, k in ((None, T.constant(np.zeros((3, 2)))), (T.constant(np.zeros((2, 2))), None)):
+    # Keys with no value columns after them, and values the heads do not divide.
+    for q_rows, kv in ((T.constant(np.zeros((2, 2))), v), (None, T.constant(np.ones((3, 3))))):
         with pytest.raises(ShapeError, match="segment_attention"):
-            T.segment_attention(q_rows, k, v, [0, 0, 1], 2, 2)
+            T.segment_attention(q_rows, kv, [0, 0, 1], 2, 2)
 
 
 @settings(deadline=None, max_examples=60)
@@ -600,5 +619,55 @@ def test_edge_table_keeps_cosines_only_under_a_tape_that_trains_a_parameter():
         p.requires_grad = False
     with Tape() as tape:
         frozen = T.EdgeEncodingTable(dt, log_counts, omega, phase, w)
-        frozen.gather(np.array([2, 0, 2]))
+        frozen.messages(None, None, np.array([2, 0, 2]), None, T.constant(np.ones((6, 2))))
     assert frozen.cos is None and not tape.entries
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("featureless", [True, False])
+@pytest.mark.parametrize("edge_dim", [0, 2])
+@pytest.mark.parametrize("count", [1, 9])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_messages_entry_matches_composed_path(dtype, featureless, edge_dim, count, dropout):
+    """One ``messages`` entry gives the keys, values, attention output and every
+    gradient of the composed ``slice_rows``, table gather, ``concat_last_dim`` and
+    two ``matmul``s byte for byte: featureless (values alone over zero node
+    columns) or with input rows, with constant edge columns or without, for one
+    message or several, under attention with and without dropout."""
+    rng = np.random.default_rng(count * 10 + edge_dim)
+    # Widths at which BLAS rounds a product over wv's last rows alone differently.
+    node_dim, time_dim, width, heads, segments = 16, 16, 8, 2, 3
+    dt = rng.exponential(5.0, size=(5, 1))
+    log_counts = np.log1p(rng.integers(0, 5, size=(5, 3))).astype(dtype)
+    extra = rng.normal(size=(5, edge_dim)).astype(dtype) if edge_dim else None
+    leaves = {"omega": rng.normal(size=(1, time_dim)), "phase": rng.normal(size=(1, time_dim)),
+              "w": rng.normal(size=(3, time_dim)), "h": rng.normal(size=(6, node_dim)),
+              "wk": rng.normal(size=(node_dim + time_dim + edge_dim, width)),
+              "wv": rng.normal(size=(node_dim + time_dim + edge_dim, width)),
+              "q": rng.normal(size=(segments, width))}
+    node_rows, rows = rng.integers(0, 6, size=count), rng.integers(0, 5, size=count)
+    seg = np.sort(rng.integers(0, segments, size=count))
+    keep = (0.3, rng.random((count, heads))) if dropout else None
+    g = rng.normal(size=(segments, width)).astype(dtype)
+
+    def run(build):
+        p = {name: T.parameter(values.astype(dtype)) for name, values in leaves.items()}
+        h, q_rows = (None, None) if featureless else (p["h"], p["q"])
+        with Tape() as tape:
+            table = T.EdgeEncodingTable(dt, log_counts, p["omega"], p["phase"], p["w"], extra)
+            kv = build(table, h, None if h is None else node_rows, rows, p["wk"], p["wv"])
+            out = T.segment_attention(q_rows, kv, seg, segments, heads, keep)
+            loss = T.tensor_sum(T.mul(out, T.constant(g)))
+        backward(tape, loss)
+        return [kv.values, out.values], {name: t.grad for name, t in p.items()}
+
+    (values, grads), (ref_values, ref_grads) = run(T.EdgeEncodingTable.messages), \
+        run(oracles.messages)
+    for new, old in zip(values, ref_values):
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    for name, grad in grads.items():
+        assert (grad is None) == (ref_grads[name] is None), name
+        if grad is not None:
+            assert grad.dtype == ref_grads[name].dtype, name
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+    assert (grads["h"] is None) == featureless and grads["wv"] is not None
