@@ -31,6 +31,9 @@ the mean messages per encode (messages summed over the layers) and the
 process's peak RSS in MB so far. Then one line per pre-training variant: the
 edge feature width, the window, the steps, ms per step, the mean messages per
 encode of each layer, the variant's peak RSS in MB and the last step's loss.
+The last line is all of these figures as one JSON object: ``eval`` (as
+``measure_eval`` returns it), then ``train`` and ``pretrain`` (lists, one
+entry per variant, as ``measure_train`` and ``measure_pretrain`` return them).
 The package comes from ``PYTHONPATH``, the graph generator and model shapes
 from this checkout's ``bench/``, so two trees are compared with
 
@@ -182,20 +185,24 @@ def measure_pretrain(window: int = SSL_WINDOW, steps: int = SSL_STEPS) -> list[d
 
 def main() -> int:
     print(f"dygwin from {Path(dygwin.__file__).parent}", file=sys.stderr)
-    result = measure_eval()
+    results = {"eval": measure_eval()}
+    result = results["eval"]
     print(f"eval cuts {result['cuts']} window {result['window']} "
           f"edges_per_s {result['edges_per_s']:.1f} peak_rss_mb {result['peak_rss_mb']:.1f} "
           f"ap {result['ap']:.6f}")
-    for result in measure_train():
+    results["train"] = measure_train()
+    for result in results["train"]:
         print(f"train node_features {result['node_feature_dim']} steps {result['steps']} "
               f"edges_per_s {result['edges_per_s']:.1f} "
               f"messages_per_encode {result['messages_per_encode']:.0f} "
               f"peak_rss_mb {result['peak_rss_mb']:.1f}")
-    for result in measure_pretrain():
+    results["pretrain"] = measure_pretrain()
+    for result in results["pretrain"]:
         print(f"pretrain edge_features {result['edge_dim']} window {result['window']} "
               f"steps {result['steps']} ms_per_step {result['ms_per_step']:.0f} "
               f"messages_per_layer {'/'.join(f'{m:.0f}' for m in result['messages_per_layer'])} "
               f"peak_rss_mb {result['peak_rss_mb']:.1f} loss {result['loss']:.6g}")
+    print(json.dumps(results))
     return 0
 
 

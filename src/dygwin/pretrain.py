@@ -68,50 +68,54 @@ VARIANCE_TARGET = 1.0
 VARIANCE_EPS = 1e-4
 
 
-def vicreg_variance(z: Tensor) -> Tensor:
-    """Hinge on the regularized per-dimension standard deviation (population)."""
-    n, d = z.shape
-    if n < 2:
-        raise ContractError(f"variance term needs at least 2 rows, got {n}")
-    centered = T.sub(z, T.mean(z, axis=0, keepdims=True))
-    var = T.mean(T.mul(centered, centered), axis=0, keepdims=True)
-    std = T.sqrt(T.add(var, T.constant(np.full((1, d), VARIANCE_EPS), dtype=z.dtype)))
-    hinge = T.relu(T.sub(T.constant(np.full((1, d), VARIANCE_TARGET), dtype=z.dtype), std))
-    return T.mean(hinge)
-
-
-def vicreg_covariance(z: Tensor) -> Tensor:
-    """Sum of squared off-diagonal entries of the (1/n) covariance matrix,
-    divided by the representation dimension."""
-    n, d = z.shape
-    if n < 2:
-        raise ContractError(f"covariance term needs at least 2 rows, got {n}")
-    centered = T.sub(z, T.mean(z, axis=0, keepdims=True))
-    cov = T.scale(T.matmul(T.transpose(centered), centered), 1.0 / n)
-    off_diagonal = T.constant(1.0 - np.eye(d), dtype=z.dtype)
-    return T.scale(T.tensor_sum(T.mul(T.mul(cov, cov), off_diagonal)), 1.0 / d)
-
-
-def vicreg_invariance(z_a: Tensor, z_b: Tensor) -> Tensor:
-    """Mean squared euclidean distance between paired rows."""
+def ssl_loss_terms(z_a: Tensor, z_b: Tensor) -> tuple[Tensor, dict[str, float]]:
+    """VICReg's weighted loss as one ``vicreg`` tape entry, and the unweighted
+    terms for logging. ``s`` is the mean squared distance between paired rows.
+    Per view, ``v`` is the mean hinge on each column's regularized population
+    std, and ``c`` the sum of squared off-diagonal entries of the 1/n covariance
+    matrix over the dimension; ``v`` and ``c`` add the two views. Forward and
+    backward take the numpy steps of the loss composed from elementwise tape
+    ops, in that chain's order, so their bits are the chain's."""
     if z_a.shape != z_b.shape:
         raise ContractError(f"invariance term: shapes {z_a.shape} vs {z_b.shape}")
-    diff = T.sub(z_a, z_b)
-    return T.scale(T.tensor_sum(T.mul(diff, diff)), 1.0 / z_a.shape[0])
+    n, d = z_a.shape
+    if n < 2:
+        raise ContractError(f"variance and covariance terms need at least 2 rows, got {n}")
+    diff = z_a.values - z_b.values
+    off_diagonal = (1.0 - np.eye(d)).astype(z_a.dtype)
+    views, v, c = [], [], []
+    for z in (z_a.values, z_b.values):
+        centered = z - z.mean(axis=0, keepdims=True)
+        std = np.sqrt((centered * centered).mean(axis=0, keepdims=True) + VARIANCE_EPS)
+        transposed = centered.T.copy()
+        cov = (transposed @ centered) * (1.0 / n)
+        views.append((centered, std, transposed, cov))
+        v.append(np.maximum(VARIANCE_TARGET - std, 0).mean())
+        c.append((cov * cov * off_diagonal).sum() * (1.0 / d))
+    s = (diff * diff).sum() * (1.0 / n)
+    loss = s * INVARIANCE_WEIGHT + (v[0] + v[1]) * VARIANCE_WEIGHT \
+        + (c[0] + c[1]) * COVARIANCE_WEIGHT
 
+    def through_mean(g_centered):  # the gradient reaching z through its column means
+        return np.broadcast_to((-g_centered).sum(axis=0, keepdims=True), g_centered.shape) / n
 
-def ssl_loss_terms(z_a: Tensor, z_b: Tensor) -> tuple[Tensor, dict[str, float]]:
-    """Weighted loss plus the unweighted term values for logging."""
-    s = vicreg_invariance(z_a, z_b)
-    v_a = vicreg_variance(z_a)
-    v_b = vicreg_variance(z_b)
-    c_a = vicreg_covariance(z_a)
-    c_b = vicreg_covariance(z_b)
-    loss = T.add(T.add(T.scale(s, INVARIANCE_WEIGHT),
-                       T.scale(T.add(v_a, v_b), VARIANCE_WEIGHT)),
-                 T.scale(T.add(c_a, c_b), COVARIANCE_WEIGHT))
-    terms = {"s": s.item(), "v": v_a.item() + v_b.item(), "c": c_a.item() + c_b.item()}
-    return loss, terms
+    # As in the chain, a scale multiplies by its factor, a mean's gradient divides
+    # by its count, x * x's gradient is g*x + g*x, and each input adds its parts
+    # in the order the tape's backward reached them: covariance, variance, invariance.
+    def bwd(g):
+        g_diff = g * INVARIANCE_WEIGHT * (1.0 / n) * diff
+        g_cc = g * COVARIANCE_WEIGHT * (1.0 / d) * off_diagonal
+        grads = []
+        for centered, std, transposed, cov in views:
+            g_prod = (g_cc * cov + g_cc * cov) * (1.0 / n)
+            g_cov = transposed.T @ g_prod + (g_prod @ centered.T).T
+            g_sq = -(g * VARIANCE_WEIGHT / d * (VARIANCE_TARGET - std > 0)) * 0.5 / std / n
+            g_var = g_sq * centered + g_sq * centered
+            grads.append(g_cov + through_mean(g_cov) + g_var + through_mean(g_var))
+        return grads[0] + (g_diff + g_diff), grads[1] + -(g_diff + g_diff)
+
+    terms = {"s": float(s), "v": float(v[0]) + float(v[1]), "c": float(c[0]) + float(c[1])}
+    return T._finish("vicreg", (z_a, z_b), np.asarray(loss), bwd), terms
 
 
 def init_predictor(dim: int, seed: int = 0, dtype=np.float32) -> T.MLP:

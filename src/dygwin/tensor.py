@@ -1,7 +1,8 @@
 """Dense tensors with reverse-mode differentiation on an explicit tape.
 
-The primitive set is deliberately small: exactly what the window encoder,
-the two task decoders, and the self-supervised loss need. Forward values
+The primitive set is deliberately small: exactly what the window encoder and
+the two task decoders need (the self-supervised loss is one entry of its own,
+``pretrain.ssl_loss_terms``). Forward values
 are plain numpy arrays; when a :class:`Tape` is active and an input
 requires gradients, the primitive records a backward closure on the tape.
 Replaying the tape in reverse propagates gradients to every leaf.
@@ -214,37 +215,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _finish("add", (a, b), out, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-    out = a.values - b.values
-
-    def bwd(g: Array):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return _finish("sub", (a, b), out, bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-    out = a.values * b.values
-
-    def bwd(g: Array):
-        return (_unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.values, b.shape) if b.requires_grad else None)
-
-    return _finish("mul", (a, b), out, bwd)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = a.values * c
-
-    def bwd(g: Array):
-        return (g * c,)
-
-    return _finish("scale", (a,), out, bwd)
-
-
 def concat_last_dim(parts: Sequence[Tensor]) -> Tensor:
     parts = tuple(parts)
     if not parts:
@@ -278,15 +248,6 @@ def relu(a: Tensor) -> Tensor:
     return _finish("relu", (a,), out, bwd)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.values)
-
-    def bwd(g: Array):
-        return (g * 0.5 / out,)
-
-    return _finish("sqrt", (a,), out, bwd)
-
-
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: scales survivors by 1/(1-p) so eval is the identity."""
     if not 0.0 <= p < 1.0:
@@ -300,29 +261,6 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
         return (g * keep,)
 
     return _finish("dropout", (a,), out, bwd)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.values.mean(axis=axis, keepdims=keepdims)
-    count = a.values.size if axis is None else a.shape[axis]
-
-    def bwd(g: Array):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / count,)
-
-    return _finish("mean", (a,), np.asarray(out), bwd)
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.values.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g: Array):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _finish("sum", (a,), np.asarray(out), bwd)
 
 
 def slice_rows(a: Tensor, rows) -> Tensor:
@@ -339,17 +277,6 @@ def slice_rows(a: Tensor, rows) -> Tensor:
         return (_row_sum(g, rows, a.shape[0]).astype(a.values.dtype, copy=False),)
 
     return _finish("slice_rows", (a,), out, bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-d tensor, got shape {a.shape}")
-    out = a.values.T.copy()
-
-    def bwd(g: Array):
-        return (g.T.copy(),)
-
-    return _finish("transpose", (a,), out, bwd)
 
 
 def segment_attention(q_rows: Tensor | None, kv: Tensor, segments, num_segments: int,

