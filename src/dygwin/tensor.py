@@ -394,38 +394,36 @@ class EdgeEncodingTable:
                  wk: Tensor | None, wv: Tensor) -> Tensor:
         """Keys and values ``[m @ wk | m @ wv]`` of the messages ``m`` as one
         ``messages`` entry, values alone when ``h`` is None. Message i is row
-        ``node_rows[i]`` of ``h`` (zeros when ``h`` is None, since ``wv``'s last
-        rows alone round differently), then row ``rows[i]`` of the table. The
-        (m, message width) matrix is not kept: backward builds it again for the
-        weight gradients, scatters the node block of ``g_v @ wv.T + g_k @ wk.T``
-        into ``h`` and reads its time block for the table's parameters."""
+        ``node_rows[i]`` of ``h``, then row ``rows[i]`` of the table, and each
+        block meets its own rows of the weights: ``table[rows] @ [wk_t | wv_t] +
+        h[node_rows] @ [wk_n | wv_n]``, the table term alone when ``h`` is None.
+        No block is kept: backward gathers both again for the weight gradients
+        (a featureless ``wv``'s node rows get zeros), scatters ``g @ [wk_n |
+        wv_n].T`` into ``h`` and passes ``g`` times the time rows of ``[wk_t |
+        wv_t]`` to the table's parameters; the constant columns get no product."""
         weights = (wv,) if h is None else (wk, wv)
         node_dim, width = wv.shape[0] - self.values.shape[1], wv.shape[1]
-        blocks = [slice(i * width, (i + 1) * width) for i in range(len(weights))]
-
-        def build() -> Array:
-            dtype = self.values.dtype if h is None else np.result_type(h.values, self.values)
-            m = np.empty((rows.size, wv.shape[0]), dtype)
-            m[:, :node_dim] = 0 if h is None else h.values[node_rows]
-            m[:, node_dim:] = self.values[rows]
-            return m
-
-        m = build()
-        out = np.empty((rows.size, width * len(weights)), np.result_type(m, wv.values))
-        for w, block in zip(weights, blocks):
-            np.matmul(m, w.values, out=out[:, block])
+        blocks = [(self.values, rows, slice(node_dim, None))]  # operand, its rows, its weight rows
+        w_table = np.hstack([w.values[node_dim:] for w in weights])
+        w_node = None if h is None else np.hstack([w.values[:node_dim] for w in weights])
+        out = self.values[rows] @ w_table
+        if h is not None:
+            blocks.append((h.values, node_rows, slice(None, node_dim)))
+            out += h.values[node_rows] @ w_node
 
         def bwd(g: Array):
-            m, g_m = build(), g[:, blocks[-1]] @ wv.values.T
-            grads = [m.T @ g[:, block] if w.requires_grad else None
-                     for w, block in zip(weights, blocks)]
+            grads = [np.zeros(w.shape, w.dtype) if w.requires_grad else None for w in weights]
+            trained = [(i, grad) for i, grad in enumerate(grads) if grad is not None]
+            for x, take, part in blocks if trained else ():
+                g_w = x[take].T @ g
+                for i, grad in trained:
+                    grad[part] = g_w[:, i * width:(i + 1) * width]
             if h is not None:
-                g_m += g[:, blocks[0]] @ wk.values.T
-                h_grad = _row_sum(g_m[:, :node_dim], node_rows, h.shape[0])
-                grads.append(h_grad.astype(h.dtype, copy=False))
+                grads.append(_row_sum(g @ w_node.T, node_rows, h.shape[0])
+                             .astype(h.dtype, copy=False) if h.requires_grad else None)
             if self.cos is None:
                 return (None, None, None, *grads)
-            g_t = g_m[:, node_dim:node_dim + self.params[2].shape[1]]  # none for constant columns
+            g_t = g @ w_table[:self.params[2].shape[1]].T  # none for the constant columns
             return (*_time2vec_grads(g_t, self.cos[rows], self.dt[rows], *self.params[:2]),
                     self.log_counts[rows].T @ g_t if self.params[2].requires_grad else None, *grads)
 

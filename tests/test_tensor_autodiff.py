@@ -630,12 +630,15 @@ def test_edge_table_keeps_cosines_only_under_a_tape_that_trains_a_parameter():
 @pytest.mark.parametrize("dropout", [False, True])
 def test_messages_entry_matches_composed_path(dtype, featureless, edge_dim, count, dropout):
     """One ``messages`` entry gives the keys, values, attention output and every
-    gradient of the composed ``slice_rows``, table gather, ``concat_last_dim`` and
-    two ``matmul``s byte for byte: featureless (values alone over zero node
-    columns) or with input rows, with constant edge columns or without, for one
-    message or several, under attention with and without dropout."""
+    gradient of the composed split form (``slice_rows`` on the weight blocks, the
+    table gather, two ``matmul``s and an ``add``) byte for byte, and those of the
+    message matrix (zero node columns when featureless) within 1e-12 in float64
+    and 100 float32 epsilons in float32, relative to the largest magnitude:
+    featureless (values alone) or with input rows, with constant edge columns or
+    without, for one message or several, under attention with and without
+    dropout."""
     rng = np.random.default_rng(count * 10 + edge_dim)
-    # Widths at which BLAS rounds a product over wv's last rows alone differently.
+    # Widths at which the split products round differently from the matrix's.
     node_dim, time_dim, width, heads, segments = 16, 16, 8, 2, 3
     dt = rng.exponential(5.0, size=(5, 1))
     log_counts = np.log1p(rng.integers(0, 5, size=(5, 3))).astype(dtype)
@@ -671,3 +674,46 @@ def test_messages_entry_matches_composed_path(dtype, featureless, edge_dim, coun
             assert grad.dtype == ref_grads[name].dtype, name
             assert grad.tobytes() == ref_grads[name].tobytes(), name
     assert (grads["h"] is None) == featureless and grads["wv"] is not None
+    matrix_values, matrix_grads = run(oracles.matrix_messages)
+    tol = 1e-12 if dtype == np.float64 else 100 * np.finfo(np.float32).eps
+    pairs = list(zip(("kv", "out"), values, matrix_values)) + \
+        [(name, grad, matrix_grads[name]) for name, grad in grads.items() if grad is not None]
+    for name, new, old in pairs:
+        assert np.abs(new - old).max() <= tol * np.abs(old).max(), name
+
+
+def _held(value):
+    """What a backward closure references: its cells, through nested functions,
+    lists and tuples."""
+    if callable(value) and getattr(value, "__closure__", None):
+        for cell in value.__closure__:
+            yield from _held(cell.cell_contents)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("featureless", [True, False])
+def test_messages_entry_keeps_no_per_message_float_array(featureless):
+    """After forward, the ``messages`` entry's backward references the index
+    arrays, the table, ``h`` and the weights' row blocks, but no float array
+    with one row per message: both operand blocks are gathered again."""
+    rng = np.random.default_rng(2)
+    m, node_dim, time_dim, edge_dim, width = 7, 3, 4, 2, 6
+    omega, phase, w = (T.parameter(rng.normal(size=shape))
+                       for shape in ((1, time_dim), (1, time_dim), (3, time_dim)))
+    wk, wv = (T.parameter(rng.normal(size=(node_dim + time_dim + edge_dim, width)))
+              for _ in range(2))
+    h = None if featureless else T.parameter(rng.normal(size=(4, node_dim)))
+    node_rows, rows = rng.integers(0, 4, size=m), rng.integers(0, 5, size=m)
+    with Tape() as tape:
+        table = T.EdgeEncodingTable(rng.exponential(5.0, size=(5, 1)), rng.random((5, 3)),
+                                    omega, phase, w, rng.normal(size=(5, edge_dim)))
+        table.messages(h, None if featureless else node_rows, rows, wk, wv)
+    (entry,) = tape.entries
+    held = [v for v in _held(entry.backward) if isinstance(v, np.ndarray)]
+    floats = [v for v in held if v.dtype.kind == "f"]
+    assert any(v is table.values for v in floats) and all(len(v) != m for v in floats)
+    assert any(v is rows for v in held) and featureless != any(v is node_rows for v in held)
