@@ -92,8 +92,8 @@ def init_encoder(num_layers: int = 3, node_dim: int = 100, time_dim: int = 100,
               for _ in range(num_layers)]
     input_proj = (T.xavier_uniform(rng, node_feature_dim, node_dim, dtype=dtype)
                   if node_feature_dim > 0 else None)
-    if input_proj is None:  # zero input rows: layer 0 reads only wo and wv's table rows
-        layers[0].w1 = layers[0].wq = layers[0].wk = None  # (all are drawn to keep later draws)
+    if input_proj is None:  # zero input rows: layer 0 reads only wv and wo; the
+        layers[0].w1 = layers[0].wq = layers[0].wk = None  # rest are drawn to keep later draws
     return EncoderParams(layers=layers, t2v=init_time2vec(time_dim, dtype=dtype),
                          edge_enc=T.xavier_uniform(rng, 3, time_dim, dtype=dtype),
                          input_proj=input_proj, node_dim=node_dim, time_dim=time_dim,
@@ -170,10 +170,9 @@ def layer_forward(embeddings: NodeEmbeddings, samples: LayerSamples,
     depth)``, head h drops a message of window s where ``keyed_uniform(words[s],
     depth, h, anchor node, window position) < params.dropout``. Featureless input
     (``embeddings.matrix`` None) means zero rows, so every ``h @ W`` and attention
-    score is 0: a row is ``context @ Wo``, the mean of the anchor's kept table rows
-    times ``wv``'s table rows. ``w1``, ``wq``, ``wk`` and ``wv``'s node rows are not
-    read, and those rows of ``wv`` get a zero gradient. Each layer's keys and values
-    are one ``table.messages`` entry, which forms no message matrix.
+    score is 0: a row is ``context @ Wo``, the mean of the anchor's kept messages
+    times ``wv``, and ``w1``, ``wq`` and ``wk`` are not read. Each layer's keys and
+    values are one ``table.messages`` entry, which keeps no message matrix.
     """
     edges = index.edges
     anchors, segments, positions = samples.anchors, samples.segments, samples.positions

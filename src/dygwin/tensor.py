@@ -392,38 +392,40 @@ class EdgeEncodingTable:
 
     def messages(self, h: Tensor | None, node_rows: Array | None, rows: Array,
                  wk: Tensor | None, wv: Tensor) -> Tensor:
-        """Keys and values ``[m @ wk | m @ wv]`` of the messages ``m`` as one
-        ``messages`` entry, values alone when ``h`` is None. Message i is row
-        ``node_rows[i]`` of ``h``, then row ``rows[i]`` of the table, and each
-        block meets its own rows of the weights: ``table[rows] @ [wk_t | wv_t] +
-        h[node_rows] @ [wk_n | wv_n]``, the table term alone when ``h`` is None.
-        No block is kept: backward gathers both again for the weight gradients
-        (a featureless ``wv``'s node rows get zeros), scatters ``g @ [wk_n |
-        wv_n].T`` into ``h`` and passes ``g`` times the time rows of ``[wk_t |
-        wv_t]`` to the table's parameters; the constant columns get no product."""
+        """Keys and values ``[m @ wk | m @ wv]`` of the messages ``m`` as one ``messages``
+        entry, values alone when ``h`` is None. Message i is row ``node_rows[i]`` of ``h``
+        (zeros when ``h`` is None, since ``wv``'s last rows alone round differently), then
+        row ``rows[i]`` of the table. No (m, message width) matrix is kept: backward
+        gathers each block again for its rows of the weight gradients and forms
+        ``g_v @ wv.T + g_k @ wk.T`` over the node and time rows only."""
         weights = (wv,) if h is None else (wk, wv)
         node_dim, width = wv.shape[0] - self.values.shape[1], wv.shape[1]
-        blocks = [(self.values, rows, slice(node_dim, None))]  # operand, its rows, its weight rows
-        w_table = np.hstack([w.values[node_dim:] for w in weights])
-        w_node = None if h is None else np.hstack([w.values[:node_dim] for w in weights])
-        out = self.values[rows] @ w_table
-        if h is not None:
-            blocks.append((h.values, node_rows, slice(None, node_dim)))
-            out += h.values[node_rows] @ w_node
+        blocks = [slice(i * width, (i + 1) * width) for i in range(len(weights))]
+        sides = [(self.values, rows, slice(node_dim, None))]  # operand, its rows, weight rows
+        sides += [] if h is None else [(h.values, node_rows, slice(node_dim))]
+        m = np.empty((rows.size, wv.shape[0]), np.result_type(*(x for x, _, _ in sides)))
+        m[:, :node_dim] = 0 if h is None else h.values[node_rows]
+        m[:, node_dim:] = self.values[rows]
+        out = np.empty((rows.size, width * len(weights)), np.result_type(m, wv.values))
+        for w, block in zip(weights, blocks):
+            np.matmul(m, w.values, out=out[:, block])
 
         def bwd(g: Array):
             grads = [np.zeros(w.shape, w.dtype) if w.requires_grad else None for w in weights]
-            trained = [(i, grad) for i, grad in enumerate(grads) if grad is not None]
-            for x, take, part in blocks if trained else ():
-                g_w = x[take].T @ g
-                for i, grad in trained:
-                    grad[part] = g_w[:, i * width:(i + 1) * width]
+            for x, take, part in sides if any(w.requires_grad for w in weights) else ():
+                x_t = x[take].T
+                for grad, block in zip(grads, blocks):
+                    if grad is not None:
+                        grad[part] = x_t @ g[:, block]
+            lo = node_dim if h is None or not h.requires_grad else 0  # rows of g @ w.T read
+            g_m = g[:, blocks[-1]] @ wv.values[lo:node_dim + self.params[2].shape[1]].T
             if h is not None:
-                grads.append(_row_sum(g @ w_node.T, node_rows, h.shape[0])
-                             .astype(h.dtype, copy=False) if h.requires_grad else None)
+                g_m += g[:, blocks[0]] @ wk.values[lo:node_dim + self.params[2].shape[1]].T
+                grads.append(None if lo else _row_sum(g_m[:, :node_dim], node_rows, h.shape[0])
+                             .astype(h.dtype, copy=False))
             if self.cos is None:
                 return (None, None, None, *grads)
-            g_t = g @ w_table[:self.params[2].shape[1]].T  # none for the constant columns
+            g_t = g_m[:, node_dim - lo:]  # none for the constant columns
             return (*_time2vec_grads(g_t, self.cos[rows], self.dt[rows], *self.params[:2]),
                     self.log_counts[rows].T @ g_t if self.params[2].requires_grad else None, *grads)
 

@@ -17,13 +17,10 @@ two, ``cast``, ``wrap_angle`` and ``sin`` are unfused primitives:
 ``segment_attention`` and ``time_encoding`` compose them with
 ``dygwin.tensor``'s into references for the one-entry ops of the same names,
 expression for expression.
-``messages`` is ``EdgeEncodingTable.messages`` composed from tape ops in the
-split form it computes: the table rows as one ``edge_encoding`` entry
-(``table_gather``), ``slice_rows`` on each weight's node and table rows, two
-``matmul``s and an ``add``. ``matrix_messages`` composes the same keys and
-values the way each layer built them before the split, through the message
-matrix (``slice_rows``, ``concat_last_dim`` and one ``matmul`` per weight),
-which rounds differently.
+``messages`` is ``EdgeEncodingTable.messages`` composed the way each layer
+built its keys and values before one entry kept no message matrix:
+``slice_rows``, the table rows as one ``edge_encoding`` entry
+(``table_gather``), ``concat_last_dim`` and one ``matmul`` per weight.
 ``layer_edge_encoding`` encodes one layer's messages the way each layer did
 before ``encoder.edge_table`` shared one table among them, and
 ``per_layer_edge_table`` puts it in that function's place, with the composed
@@ -504,30 +501,9 @@ def table_gather(table: T.EdgeEncodingTable, rows: np.ndarray) -> Tensor:
 
 def compose_messages(h: Tensor | None, node_rows, encoded: Tensor, wk: Tensor | None,
                      wv: Tensor) -> Tensor:
-    """Keys and values of the messages ``[h[node_rows] | encoded]`` (values alone
-    over ``encoded`` when ``h`` is None) in the split form: ``slice_rows`` takes
-    each weight's node rows and table rows, ``concat_last_dim`` puts the keys'
-    block beside the values', and ``encoded @ [wk_t | wv_t]`` and ``h[node_rows]
-    @ [wk_n | wv_n]`` are two ``matmul``s joined by an ``add``."""
-    weights = (wv,) if h is None else (wk, wv)
-    node_dim = wv.shape[0] - encoded.shape[1]
-
-    def rows_of_weights(lo: int, hi: int) -> Tensor:
-        parts = [T.slice_rows(w, np.arange(lo, hi)) for w in weights]
-        return parts[0] if h is None else T.concat_last_dim(parts)
-
-    out = T.matmul(encoded, rows_of_weights(node_dim, wv.shape[0]))
-    if h is None:
-        return out
-    return T.add(T.matmul(T.slice_rows(h, node_rows), rows_of_weights(0, node_dim)), out)
-
-
-def compose_message_matrix(h: Tensor | None, node_rows, encoded: Tensor, wk: Tensor | None,
-                           wv: Tensor) -> Tensor:
     """Keys and values of the messages ``[h[node_rows] | encoded]`` (zero node
     columns when ``h`` is None, which takes values alone) through the message
-    matrix: ``slice_rows``, ``concat_last_dim``, then ``@ wk`` and ``@ wv``. It
-    rounds differently from the split form."""
+    matrix: ``slice_rows``, ``concat_last_dim``, then ``@ wk`` and ``@ wv``."""
     node = (T.constant(np.zeros((encoded.shape[0], wv.shape[0] - encoded.shape[1]),
                                 encoded.dtype)) if h is None else T.slice_rows(h, node_rows))
     m = T.concat_last_dim([node, encoded])
@@ -536,14 +512,8 @@ def compose_message_matrix(h: Tensor | None, node_rows, encoded: Tensor, wk: Ten
 
 def messages(table: T.EdgeEncodingTable, h: Tensor | None, node_rows, rows: np.ndarray,
              wk: Tensor | None, wv: Tensor) -> Tensor:
-    """``table.messages`` composed from ``table_gather`` and the split form."""
-    return compose_messages(h, node_rows, table_gather(table, rows), wk, wv)
-
-
-def matrix_messages(table: T.EdgeEncodingTable, h: Tensor | None, node_rows, rows: np.ndarray,
-                    wk: Tensor | None, wv: Tensor) -> Tensor:
     """``table.messages`` composed from ``table_gather`` and the message matrix."""
-    return compose_message_matrix(h, node_rows, table_gather(table, rows), wk, wv)
+    return compose_messages(h, node_rows, table_gather(table, rows), wk, wv)
 
 
 class PerLayerEdgeTable:

@@ -630,15 +630,12 @@ def test_edge_table_keeps_cosines_only_under_a_tape_that_trains_a_parameter():
 @pytest.mark.parametrize("dropout", [False, True])
 def test_messages_entry_matches_composed_path(dtype, featureless, edge_dim, count, dropout):
     """One ``messages`` entry gives the keys, values, attention output and every
-    gradient of the composed split form (``slice_rows`` on the weight blocks, the
-    table gather, two ``matmul``s and an ``add``) byte for byte, and those of the
-    message matrix (zero node columns when featureless) within 1e-12 in float64
-    and 100 float32 epsilons in float32, relative to the largest magnitude:
-    featureless (values alone) or with input rows, with constant edge columns or
-    without, for one message or several, under attention with and without
-    dropout."""
+    gradient of the composed ``slice_rows``, table gather, ``concat_last_dim`` and
+    two ``matmul``s byte for byte: featureless (values alone over zero node
+    columns) or with input rows, with constant edge columns or without, for one
+    message or several, under attention with and without dropout."""
     rng = np.random.default_rng(count * 10 + edge_dim)
-    # Widths at which the split products round differently from the matrix's.
+    # Widths at which BLAS rounds a product over wv's last rows alone differently.
     node_dim, time_dim, width, heads, segments = 16, 16, 8, 2, 3
     dt = rng.exponential(5.0, size=(5, 1))
     log_counts = np.log1p(rng.integers(0, 5, size=(5, 3))).astype(dtype)
@@ -674,12 +671,6 @@ def test_messages_entry_matches_composed_path(dtype, featureless, edge_dim, coun
             assert grad.dtype == ref_grads[name].dtype, name
             assert grad.tobytes() == ref_grads[name].tobytes(), name
     assert (grads["h"] is None) == featureless and grads["wv"] is not None
-    matrix_values, matrix_grads = run(oracles.matrix_messages)
-    tol = 1e-12 if dtype == np.float64 else 100 * np.finfo(np.float32).eps
-    pairs = list(zip(("kv", "out"), values, matrix_values)) + \
-        [(name, grad, matrix_grads[name]) for name, grad in grads.items() if grad is not None]
-    for name, new, old in pairs:
-        assert np.abs(new - old).max() <= tol * np.abs(old).max(), name
 
 
 def _held(value):
@@ -698,8 +689,9 @@ def _held(value):
 @pytest.mark.parametrize("featureless", [True, False])
 def test_messages_entry_keeps_no_per_message_float_array(featureless):
     """After forward, the ``messages`` entry's backward references the index
-    arrays, the table, ``h`` and the weights' row blocks, but no float array
-    with one row per message: both operand blocks are gathered again."""
+    arrays, the table, ``h`` and the weights, but no float array with one row
+    per message: the message matrix is not kept, and both of its blocks are
+    gathered again."""
     rng = np.random.default_rng(2)
     m, node_dim, time_dim, edge_dim, width = 7, 3, 4, 2, 6
     omega, phase, w = (T.parameter(rng.normal(size=shape))
